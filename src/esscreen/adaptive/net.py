@@ -8,6 +8,7 @@ target|^r loss with exact (hand-written) gradients.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -26,6 +27,8 @@ __all__ = [
 ]
 
 HIDDEN_UNITS = 256
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -205,14 +208,16 @@ def learning_rate_search(
     """Probe geometrically decreasing rates, keep the best, finish training.
 
     Trains ``candidates`` fresh nets at rates base/10^(i-1) for
-    ``probe_steps`` each, keeps the one with the lowest mean log loss, then
-    continues it for the full schedule at one notch below its probe rate.
-    Returns (net, final_rate, losses of the final run).  Raises if every
-    candidate diverges, listing each probe's fate.
+    ``probe_steps`` each, ranks the converged ones by mean log loss, then
+    continues the best for the full schedule at one notch below its probe
+    rate.  If that final run diverges, the next-best converged probe is
+    continued the same way (logged at WARNING).  Returns (net, final_rate,
+    losses of the final run).  Raises only if every attempt diverges,
+    listing each probe's and each final run's fate.
     """
     base = schedule.rate
     outcomes = []
-    best = None  # (mean_log_loss, idx, net)
+    converged = []  # (mean_log_loss, idx, net)
     for idx in range(candidates):
         rate = base / 10.0**idx
         probe = replace(schedule, n_iter=probe_steps, rate=rate, seed=schedule.seed + idx)
@@ -224,14 +229,24 @@ def learning_rate_search(
             continue
         mean_log = float(np.mean(np.log(np.maximum(losses, 1e-300))))
         outcomes.append(f"rate {rate:g}: mean log loss {mean_log:.4f}")
-        if best is None or mean_log < best[0]:
-            best = (mean_log, idx, net_i)
-    if best is None:
-        raise TrainingDivergedError(
-            "all probe rates diverged: " + "; ".join(outcomes)
-        )
-    _, idx, net = best
-    final_rate = base / 10.0 ** (idx + 1)
-    final = replace(schedule, rate=final_rate)
-    net, losses = train_level(x, y, net, final, k_of=k_of, j_of=j_of)
-    return net, final_rate, losses
+        converged.append((mean_log, idx, net_i))
+    converged.sort(key=lambda c: (c[0], c[1]))
+    for rank, (_, idx, net) in enumerate(converged):
+        final_rate = base / 10.0 ** (idx + 1)
+        final = replace(schedule, rate=final_rate)
+        try:
+            net, losses = train_level(x, y, net, final, k_of=k_of, j_of=j_of)
+        except TrainingDivergedError as exc:
+            outcomes.append(f"final rate {final_rate:g}: diverged at {exc.iteration}")
+            _log.warning(
+                "final training at rate %g diverged at iteration %s; "
+                "%d converged probe(s) left to fall back on",
+                final_rate,
+                exc.iteration,
+                len(converged) - rank - 1,
+            )
+            continue
+        return net, final_rate, losses
+    raise TrainingDivergedError(
+        "every training attempt diverged: " + "; ".join(outcomes)
+    )

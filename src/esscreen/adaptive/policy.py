@@ -14,7 +14,14 @@ import numpy as np
 from ..bounds import AdaptiveState, SubGammaParams, f_p_ad
 from ..errors import InvalidParameterError, PolicyError
 from ..model import NIWParams, ScenarioParams
-from ..screener import GaussianSource, Strategy, rank_select
+from ..screener import (
+    DEFAULT_CHUNK_ROWS,
+    GaussianSource,
+    LevelStats,
+    Strategy,
+    draw_batch,
+    step,
+)
 from .net import PolicyNet, net_forward
 from .niw import niw_update_diag_stats, restrict_niw
 
@@ -24,6 +31,7 @@ __all__ = [
     "FeatureLayout",
     "PolicyBundle",
     "AdaptiveRunResult",
+    "advance",
     "default_renorm",
     "f_plugin",
     "run_adaptive",
@@ -37,22 +45,55 @@ FULL_S_MAX_Q = 25
 
 @dataclass
 class PosteriorState:
-    """Live screening state: survivors, estimates, posterior, budget spent."""
+    """Live screening state: survivors, their running path sums and means,
+    the posterior, paths per survivor and budget spent."""
 
     level: int
     ids: np.ndarray
     mu_hat: np.ndarray
+    sums: np.ndarray
     niw: NIWParams
     n_cum: int
     cost: int
+
+    @classmethod
+    def opening(cls, prior: NIWParams) -> "PosteriorState":
+        """The known state before any pricing: every scenario, no paths."""
+        n_s = prior.dim
+        return cls(
+            level=0,
+            ids=np.arange(n_s, dtype=np.intp),
+            mu_hat=np.zeros(n_s),
+            sums=np.zeros(n_s),
+            niw=prior,
+            n_cum=0,
+            cost=0,
+        )
 
     @property
     def q(self) -> int:
         return self.ids.size
 
     def __post_init__(self):
-        if self.ids.size != self.mu_hat.size or self.ids.size != self.niw.dim:
+        if not (self.ids.size == self.mu_hat.size == self.sums.size == self.niw.dim):
             raise InvalidParameterError("state arrays disagree on survivor count")
+
+
+def advance(state: PosteriorState, stats: LevelStats) -> PosteriorState:
+    """The decision state after one level: survivors restricted to
+    ``stats.kept`` and the posterior updated with the level's batch."""
+    pos = np.searchsorted(stats.entered, stats.kept)
+    return PosteriorState(
+        level=state.level + 1,
+        ids=stats.kept,
+        mu_hat=stats.mu_hat[pos],
+        sums=stats.sums[pos],
+        niw=niw_update_diag_stats(
+            state.niw, stats.batch_mean, stats.scatter, stats.dn, stats.kept
+        ),
+        n_cum=stats.n_cum,
+        cost=state.cost + stats.entered.size * stats.dn,
+    )
 
 
 @dataclass(frozen=True)
@@ -468,7 +509,6 @@ class AdaptiveRunResult:
     strategy: Strategy
     survivors: list[np.ndarray]
     actions: list[tuple[int, int]]
-    posterior_trace: list[NIWParams]
     pricings: int
 
     @property
@@ -480,17 +520,15 @@ def run_adaptive(
     bundle: PolicyBundle,
     source,
     rng: np.random.Generator | None = None,
-    *,
-    chunk_rows: int = 65536,
-    keep_posteriors: bool = False,
 ) -> AdaptiveRunResult:
     """Execute screening with each level's (dq, dN) chosen by the policy.
 
-    The opening action is the tabulated one; later actions minimize the
-    fitted value nets over the live posterior state.  Every chosen action is
-    re-audited against the full admissible set (a violation raises, and
-    means the action construction is broken).  Total cost never exceeds the
-    budget.
+    ``source`` is a ScenarioParams (then ``rng`` is required) or a price
+    source as in :func:`run_screening`.  The opening action is the
+    tabulated one; later actions minimize the fitted value nets over the
+    live posterior state.  Every chosen action is re-audited against the
+    full admissible set, and the total cost against the budget (a violation
+    raises, and means the action construction is broken).
     """
     if isinstance(source, ScenarioParams):
         if rng is None:
@@ -501,23 +539,11 @@ def run_adaptive(
             f"policy trained for {bundle.n_s} scenarios, source has {source.n_s}"
         )
     spec = bundle.action_spec()
-    shift = np.asarray(source.shift_hint(), dtype=np.float64)
-    state = PosteriorState(
-        level=0,
-        ids=np.arange(bundle.n_s, dtype=np.intp),
-        mu_hat=np.zeros(bundle.n_s),
-        niw=bundle.prior,
-        n_cum=0,
-        cost=0,
-    )
-    sums = np.zeros(bundle.n_s)
+    state = PosteriorState.opening(bundle.prior)
     action = tuple(bundle.first_action)
     actions = []
     survivors = [state.ids]
-    q_path = [bundle.n_s]
     n_path = [0]
-    posteriors = []
-    pricings = 0
     for level in range(bundle.levels):
         dq, dn = action
         if not spec.is_admissible(level, state.q, state.cost, dq, dn):
@@ -525,51 +551,25 @@ def run_adaptive(
                 f"policy requested infeasible action {action} at level {level}"
             )
         actions.append(action)
-        ids = state.ids
-        done = 0
-        batch_sum = np.zeros(ids.size)
-        batch_sq = np.zeros(ids.size)
-        while done < dn:
-            rows = min(chunk_rows, dn - done)
-            x = source.draw(ids, rows)
-            batch_sum += np.sum(x, axis=0)
-            batch_sq += np.sum((x - shift[ids]) ** 2, axis=0)
-            done += rows
-        pricings += dn * ids.size
-        delta_mean = batch_sum / dn
-        scatter = batch_sq - dn * (delta_mean - shift[ids]) ** 2
-        sums[ids] += batch_sum
-        n_new = state.n_cum + dn
-        mu_hat = sums[ids] / n_new
-        if level + 1 <= bundle.levels - 1:
-            kept = np.sort(rank_select(mu_hat, ids, ids.size - dq))
-        else:
-            kept = ids
-        pos = np.searchsorted(ids, kept)
-        niw = niw_update_diag_stats(state.niw, delta_mean, scatter, dn, kept)
-        state = PosteriorState(
-            level=level + 1,
-            ids=kept,
-            mu_hat=mu_hat[pos],
-            niw=niw,
-            n_cum=n_new,
-            cost=state.cost + ids.size * dn,
+        batch_sum, scatter = draw_batch(source, state.ids, dn, DEFAULT_CHUNK_ROWS)
+        stats = step(
+            state.ids, state.sums, state.n_cum, batch_sum, scatter, dn, state.q - dq
         )
-        survivors.append(kept)
-        q_path.append(kept.size)
-        n_path.append(n_new)
-        if keep_posteriors:
-            posteriors.append(niw)
+        state = advance(state, stats)
+        survivors.append(state.ids)
+        n_path.append(state.n_cum)
         if level + 1 < bundle.levels:
             action = choose_action(bundle, state)
-    assert state.cost <= bundle.budget
-    es_hat = float(np.mean(state.mu_hat))
-    strategy = Strategy(q=tuple(q_path[:-1]), n=tuple(n_path))
+    if state.cost > bundle.budget:
+        raise PolicyError(
+            f"policy spent {state.cost} pricings, over the budget {bundle.budget}"
+        )
     return AdaptiveRunResult(
-        es_hat=es_hat,
-        strategy=strategy,
+        es_hat=float(np.mean(state.mu_hat)),
+        strategy=Strategy(
+            q=tuple(ids.size for ids in survivors[:-1]), n=tuple(n_path)
+        ),
         survivors=survivors[:-1],
         actions=actions,
-        posterior_trace=posteriors,
-        pricings=pricings,
+        pricings=state.cost,
     )

@@ -18,16 +18,23 @@ import numpy as np
 
 from ..bounds import AdaptiveState, SubGammaParams, f_p_ad
 from ..errors import InvalidParameterError
-from ..model import NIWParams, ScenarioParams, psd_factor, sample_niw
-from ..screener import GaussianSource, Strategy, rank_select, run_screening
+from ..model import (
+    NIWParams,
+    ScenarioParams,
+    inverse_wishart_factor,
+    psd_factor,
+    sample_niw,
+)
+from ..screener import GaussianSource, Strategy, run_screening, step
 from ..streams import substream
 from .net import TrainSchedule, learning_rate_search, net_forward, xavier_net
-from .niw import niw_update_diag_stats, restrict_niw
+from .niw import niw_update_diag_stats
 from .policy import (
     ActionSpec,
     FeatureLayout,
     PolicyBundle,
     PosteriorState,
+    advance,
     assemble_rows,
     f_plugin,
     state_block,
@@ -59,8 +66,7 @@ _STREAM_NETS = 5
 class AdaptiveConfig:
     """Scale and schedule knobs of one training run.
 
-    The defaults are the "desk" profile; the paper-scale values live in the
-    shipped defaults document and take hours.
+    The defaults are the "desk" profile; paper-scale runs take hours.
     """
 
     n_s: int
@@ -88,7 +94,6 @@ class AdaptiveConfig:
     n_e_open: int = 64
     dn_quantum: int = 0  # 0 -> budget // (100 n_s)
     max_scan: int = 24
-    chunk_rows: int = 65536
     renorm: dict = field(default_factory=dict)  # level -> constants
     seed: int = 0
 
@@ -243,6 +248,7 @@ class TrajectorySet:
             level=level,
             ids=rec.kept,
             mu_hat=rec.mu_hat_kept,
+            sums=rec.n_cum * rec.mu_hat_kept,
             niw=self.niw_at(rec),
             n_cum=rec.n_cum,
             cost=rec.c_run,
@@ -366,42 +372,33 @@ def forward_pass(
     for k, strat in enumerate(strategies):
         for j, theta in enumerate(books):
             rng = substream(cfg.seed, _STREAM_PATHS, k, j)
-            source = GaussianSource(theta, rng)
+            run = run_screening(strat, GaussianSource(theta, rng))
+            state = PosteriorState.opening(cfg.prior)
             records: list[LevelRecord] = []
-            niw_now = cfg.prior
-            c_run = 0
-
-            def observe(lvl, entered, kept, mu_entered, delta_mean, scatter, dn):
-                nonlocal niw_now, c_run
-                half = niw_update_diag_stats(niw_now, delta_mean, scatter, dn, entered)
-                new = niw_update_diag_stats(niw_now, delta_mean, scatter, dn, kept)
-                c_run += entered.size * dn
-                n_cum = strat.n[lvl]
-                pos = np.searchsorted(entered, kept)
+            for stats in run.levels:
+                half = niw_update_diag_stats(
+                    state.niw, stats.batch_mean, stats.scatter, stats.dn, stats.entered
+                )
+                state = advance(state, stats)
                 records.append(
                     LevelRecord(
-                        level=lvl,
-                        entered=entered.copy(),
-                        kept=kept.copy(),
-                        mu_hat_entered=mu_entered,
-                        mu_hat_kept=mu_entered[pos],
-                        m=new.m,
-                        kappa=new.k,
-                        dof=new.i,
-                        s_diag=np.diag(new.s).copy(),
+                        level=state.level,
+                        entered=stats.entered,
+                        kept=stats.kept,
+                        mu_hat_entered=stats.mu_hat,
+                        mu_hat_kept=state.mu_hat,
+                        m=state.niw.m,
+                        kappa=state.niw.k,
+                        dof=state.niw.i,
+                        s_diag=np.diag(state.niw.s).copy(),
                         half_m=half.m,
                         half_s_diag=np.diag(half.s).copy(),
                         half_dof=half.i,
-                        n_cum=n_cum,
-                        delta_n=dn,
-                        c_run=c_run,
+                        n_cum=stats.n_cum,
+                        delta_n=stats.dn,
+                        c_run=state.cost,
                     )
                 )
-                niw_now = new
-
-            run_screening(
-                strat, source, chunk_rows=cfg.chunk_rows, observer=observe
-            )
             trajectories.append(Trajectory(k=k, j=j, records=records))
     return TrajectorySet(
         strategies=strategies,
@@ -471,23 +468,12 @@ def mc_value_final(
     mean_hat = float(np.mean(mu_hat))
     while done < n_e:
         take = min(n_p, n_e - done)
-        phi = _iw_factor(niw.i, ls, d, rng)
+        phi = inverse_wishart_factor(niw.i, ls, rng)
         z = rng.standard_normal((take, d))
         mu_tilde = niw.m + (z @ phi) / math.sqrt(niw.k)
         total += float(np.sum(np.abs(mean_hat - mu_tilde.mean(axis=1))))
         done += take
     return total / n_e
-
-
-def _iw_factor(dof, ls, d, rng):
-    """Row-factor ``phi`` with ``phi.T @ phi`` inverse-Wishart(dof, S)."""
-    from scipy.linalg import solve_triangular
-
-    a = np.zeros((d, d))
-    tril = np.tril_indices(d, k=-1)
-    a[tril] = rng.standard_normal(tril[0].size)
-    a[np.diag_indices(d)] = np.sqrt(rng.chisquare(dof - np.arange(d)))
-    return solve_triangular(a, ls.T, lower=True)
 
 
 @dataclass
@@ -558,7 +544,7 @@ def _simulate_next_states(
     done = 0
     while done < cfg.n_e_mid:
         take = min(cfg.n_p_mid, cfg.n_e_mid - done)
-        phi = _iw_factor(state.niw.i, ls, d, rng)
+        phi = inverse_wishart_factor(state.niw.i, ls, rng)
         sig_diag = np.sum(phi * phi, axis=0)
         for _ in range(take):
             mu_tilde = state.niw.m + (phi.T @ rng.standard_normal(d)) / math.sqrt(
@@ -566,22 +552,10 @@ def _simulate_next_states(
             )
             delta_mean = mu_tilde + (phi.T @ rng.standard_normal(d)) / math.sqrt(dn)
             scatter = sig_diag * rng.chisquare(dn - 1, size=d) if dn > 1 else np.zeros(d)
-            mu_new = (state.n_cum * state.mu_hat + dn * delta_mean) / (
-                state.n_cum + dn
+            stats = step(
+                state.ids, state.sums, state.n_cum, dn * delta_mean, scatter, dn, q_next
             )
-            kept = np.sort(rank_select(mu_new, state.ids, q_next))
-            pos = np.searchsorted(state.ids, kept)
-            niw_new = niw_update_diag_stats(state.niw, delta_mean, scatter, dn, kept)
-            out.append(
-                PosteriorState(
-                    level=level + 1,
-                    ids=kept,
-                    mu_hat=mu_new[pos],
-                    niw=niw_new,
-                    n_cum=state.n_cum + dn,
-                    cost=state.cost + d * dn,
-                )
-            )
+            out.append(advance(state, stats))
         done += take
     return out
 
@@ -779,14 +753,7 @@ def _tabulate_opening(ts, cfg, spec, nets, caps):
     """Expected value of each admissible opening action from the known
     initial state, sharing world draws across actions."""
     levels = cfg.levels
-    state0 = PosteriorState(
-        level=0,
-        ids=np.arange(cfg.n_s, dtype=np.intp),
-        mu_hat=np.zeros(cfg.n_s),
-        niw=cfg.prior,
-        n_cum=0,
-        cost=0,
-    )
+    state0 = PosteriorState.opening(cfg.prior)
     acts = spec.actions(0, cfg.n_s, 0, caps.get(1))
     if levels - 1 > 1:
         usable = trained_windows(nets, 1)
@@ -803,7 +770,7 @@ def _tabulate_opening(ts, cfg, spec, nets, caps):
     done = 0
     while done < n_e:
         take = min(cfg.n_p_mid, n_e - done)
-        phi = _iw_factor(cfg.prior.i, ls, d, rng)
+        phi = inverse_wishart_factor(cfg.prior.i, ls, rng)
         sig_diag = np.sum(phi * phi, axis=0)
         for _ in range(take):
             mu_tilde = cfg.prior.m + (phi.T @ rng.standard_normal(d)) / math.sqrt(
@@ -821,19 +788,16 @@ def _tabulate_opening(ts, cfg, spec, nets, caps):
             scatter = (
                 sig_diag * rng.chisquare(dn - 1, size=d) if dn > 1 else np.zeros(d)
             )
-            kept = np.sort(rank_select(delta_mean, state0.ids, q_next))
-            niw_new = niw_update_diag_stats(
-                cfg.prior, delta_mean, scatter, dn, kept
+            stats = step(
+                state0.ids,
+                state0.sums,
+                state0.n_cum,
+                dn * delta_mean,
+                scatter,
+                dn,
+                q_next,
             )
-            pos = np.searchsorted(state0.ids, kept)
-            st = PosteriorState(
-                level=1,
-                ids=kept,
-                mu_hat=delta_mean[pos],
-                niw=niw_new,
-                n_cum=dn,
-                cost=cfg.n_s * dn,
-            )
+            st = advance(state0, stats)
             vals[e] = _value_of_states(
                 nets, spec, [st], cfg.n_w, cfg.sub, levels, caps
             )[0]

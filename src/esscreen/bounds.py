@@ -28,6 +28,8 @@ __all__ = [
     "robust_gap_max",
     "mc_terms_exact",
     "mc_terms_robust",
+    "term_providers",
+    "strategy_value",
     "F_p",
     "F_robust",
     "f_p_ad",
@@ -240,48 +242,6 @@ def mc_terms_robust(
     return term_b, term_c
 
 
-def F_p(strategy: Strategy, theta: ScenarioParams, sub: SubGammaParams) -> float:
-    """Deterministic L^p error bound for a strategy under known parameters.
-
-    Sum of the per-level selection terms, the fresh-path Monte Carlo term of
-    the final level, and the carried-over term from level L-1.  Scenarios are
-    assumed sorted by decreasing impact (the planning convention).  Strategies
-    with ``N_{L-1} == 0`` or ``dN_L == 0`` score +inf: their Monte Carlo terms
-    are undefined and such plans must lose any minimization.
-    """
-    if strategy.n_s != theta.n_s:
-        raise InvalidStrategyError("strategy and theta disagree on n_s")
-    levels = strategy.levels
-    n_w = strategy.n_w
-    n_s = strategy.n_s
-    n = strategy.n
-    n_last = n[levels]
-    n_prev = n[levels - 1]
-    dn_last = n_last - n_prev
-    if n_prev == 0 or dn_last == 0:
-        return math.inf
-    gaps = pair_gap_oracle(theta)
-    variances = pair_var_oracle(theta)
-    total = 0.0
-    for lvl in range(1, levels):
-        total += selection_term(
-            strategy.q[lvl - 1],
-            strategy.q[lvl],
-            n[lvl],
-            gaps,
-            variances,
-            sub,
-            n_w=n_w,
-            n_s=n_s,
-        )
-    sig = np.sqrt(np.diag(theta.sigma))
-    sig_p = np.sort(sig**sub.p)[::-1]
-    term_b, term_c = mc_terms_exact(n_prev, n_last, sig_p, n_w, sub)
-    total += term_b
-    total += term_c
-    return total
-
-
 def robust_gap_max(
     n_paths: float, lo: float, hi: float, sigma_bar: float, sub: SubGammaParams
 ) -> float:
@@ -319,6 +279,91 @@ def robust_gap_max(
     return max(g(d) for d in candidates)
 
 
+def term_providers(target, sub: SubGammaParams, n_w: int, n_s: int, select):
+    """(selection term, MC terms) evaluators for known parameters or robust
+    brackets.
+
+    ``target`` is a ScenarioParams (exact terms) or a RobustBounds
+    (worst-case terms over its gap brackets); ``select`` is the per-level
+    selection kernel :func:`selection_term`, passed by the caller so that
+    instrumentation rebinding the caller's name sees every call.  Every
+    bound of a concrete strategy and the planner's dynamic program evaluate
+    through these functions, so their values compare bitwise.
+    """
+    if isinstance(target, ScenarioParams):
+        gaps = pair_gap_oracle(target)
+        variances = pair_var_oracle(target)
+        sig_p = np.sort(np.sqrt(np.diag(target.sigma)) ** sub.p)[::-1]
+
+        def sel(q_prev, q_next, n_paths):
+            return select(
+                q_prev, q_next, n_paths, gaps, variances, sub, n_w=n_w, n_s=n_s
+            )
+
+        def mc(n_prev, n_last):
+            return mc_terms_exact(n_prev, n_last, sig_p, n_w, sub)
+
+    elif isinstance(target, RobustBounds):
+
+        def sel(q_prev, q_next, n_paths):
+            dq = q_prev - q_next
+            if dq == 0:
+                return 0.0
+            try:
+                lo, hi = target.delta_lo[q_next], target.delta_hi[q_next]
+            except KeyError:
+                raise InvalidParameterError(
+                    f"RobustBounds does not cover threshold q={q_next}"
+                ) from None
+            return dq ** (1.0 / sub.p) * robust_gap_max(
+                n_paths, lo, hi, target.sigma_bar, sub
+            )
+
+        def mc(n_prev, n_last):
+            return mc_terms_robust(n_prev, n_last, target.sigma_bar, n_w, n_s, sub)
+
+    else:
+        raise InvalidParameterError(
+            f"target must be ScenarioParams or RobustBounds, got {type(target)!r}"
+        )
+    return sel, mc
+
+
+def strategy_value(
+    strategy: Strategy, target, sub: SubGammaParams, n_w: int, n_s: int, select
+) -> float:
+    """Bound of a concrete strategy: the per-level selection terms, then the
+    final level's fresh-path and carried-over Monte Carlo terms, summed in
+    that order.  Strategies with ``N_{L-1} == 0`` or ``dN_L == 0`` score
+    +inf: their Monte Carlo terms are undefined and such plans must lose any
+    minimization."""
+    n_prev, n_last = strategy.n[-2], strategy.n[-1]
+    if n_prev == 0 or n_last == n_prev:
+        return math.inf
+    sel, mc = term_providers(target, sub, n_w, n_s, select)
+    total = 0.0
+    for lvl in range(1, strategy.levels):
+        total += sel(strategy.q[lvl - 1], strategy.q[lvl], strategy.n[lvl])
+    term_b, term_c = mc(n_prev, n_last)
+    total += term_b
+    total += term_c
+    return total
+
+
+def F_p(strategy: Strategy, theta: ScenarioParams, sub: SubGammaParams) -> float:
+    """Deterministic L^p error bound for a strategy under known parameters.
+
+    Sum of the per-level selection terms, the fresh-path Monte Carlo term of
+    the final level, and the carried-over term from level L-1.  Scenarios are
+    assumed sorted by decreasing impact (the planning convention).
+    """
+    if strategy.n_s != theta.n_s:
+        raise InvalidStrategyError("strategy and theta disagree on n_s")
+    return strategy_value(
+        strategy, theta, sub, strategy.n_w, strategy.n_s, selection_term
+    )
+
+
 def F_robust(strategy: Strategy, rb: RobustBounds, sub: SubGammaParams) -> float:
     """Worst-case variant of the deterministic bound from a-priori brackets.
 
@@ -326,34 +371,7 @@ def F_robust(strategy: Strategy, rb: RobustBounds, sub: SubGammaParams) -> float
     each threshold with the uniform std bound; Monte Carlo terms use the
     uniform bound for every scenario.
     """
-    levels = strategy.levels
-    n = strategy.n
-    n_last = n[levels]
-    n_prev = n[levels - 1]
-    dn_last = n_last - n_prev
-    if n_prev == 0 or dn_last == 0:
-        return math.inf
-    total = 0.0
-    for lvl in range(1, levels):
-        dq = strategy.q[lvl - 1] - strategy.q[lvl]
-        if dq == 0:
-            continue
-        q = strategy.q[lvl]
-        try:
-            lo, hi = rb.delta_lo[q], rb.delta_hi[q]
-        except KeyError:
-            raise InvalidParameterError(
-                f"RobustBounds does not cover threshold q={q}"
-            ) from None
-        total += dq ** (1.0 / sub.p) * robust_gap_max(
-            n[lvl], lo, hi, rb.sigma_bar, sub
-        )
-    term_b, term_c = mc_terms_robust(
-        n_prev, n_last, rb.sigma_bar, strategy.n_w, strategy.n_s, sub
-    )
-    total += term_b
-    total += term_c
-    return total
+    return strategy_value(strategy, rb, sub, strategy.n_w, strategy.n_s, selection_term)
 
 
 @dataclass(frozen=True)

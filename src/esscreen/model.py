@@ -23,6 +23,7 @@ __all__ = [
     "synthetic_book",
     "build_equicorrelated",
     "sample_niw",
+    "inverse_wishart_factor",
     "simulate_prices",
     "psd_factor",
     "pair_variance",
@@ -192,13 +193,23 @@ class NIWParams:
         return self.s / (self.i - self.dim - 1)
 
 
-def _bartlett_lower(dof: float, d: int, rng: np.random.Generator) -> np.ndarray:
-    """Lower-triangular Bartlett factor ``A`` with ``A @ A.T ~ Wishart(dof, I)``."""
+def inverse_wishart_factor(
+    dof: float, s_factor: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """Row factor ``phi`` with ``phi.T @ phi ~ inverse-Wishart(dof, S)``.
+
+    ``s_factor`` is a square factor ``Ls`` of the scale matrix, ``Ls @ Ls.T
+    == S``.  Draws the lower-triangular Bartlett factor ``A`` of a
+    Wishart(dof, I) matrix (off-diagonal normals first, then the chi-square
+    diagonal) and returns ``A^{-1} Ls^T``, so that ``phi.T @ phi = (Ls A^{-T})
+    (Ls A^{-T})^T``.
+    """
+    d = s_factor.shape[0]
     a = np.zeros((d, d))
     tril = np.tril_indices(d, k=-1)
     a[tril] = rng.standard_normal(tril[0].size)
     a[np.diag_indices(d)] = np.sqrt(rng.chisquare(dof - np.arange(d)))
-    return a
+    return solve_triangular(a, s_factor.T, lower=True)
 
 
 def sample_niw(p: NIWParams, rng: np.random.Generator) -> ScenarioParams:
@@ -208,14 +219,10 @@ def sample_niw(p: NIWParams, rng: np.random.Generator) -> ScenarioParams:
     Wishart draw with scale ``S^{-1}``; ``mu~ | Sigma~`` is Gaussian(m,
     Sigma~/k).  Deterministic given the generator state.
     """
-    d = p.dim
-    ls = psd_factor(p.s)  # raises on non-PSD S
-    a = _bartlett_lower(p.i, d, rng)
-    # Sigma~ = (Ls A^{-T}) (Ls A^{-T})^T  where A A^T ~ Wishart(i, I).
-    phi = solve_triangular(a, ls.T, lower=True)  # phi = A^{-1} Ls^T
+    phi = inverse_wishart_factor(p.i, psd_factor(p.s), rng)  # raises on non-PSD S
     sigma = phi.T @ phi
     sigma = (sigma + sigma.T) / 2.0
-    z = rng.standard_normal(d)
+    z = rng.standard_normal(p.dim)
     mu = p.m + (phi.T @ z) / np.sqrt(p.k)
     return ScenarioParams(mu=mu, sigma=sigma)
 

@@ -14,18 +14,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bounds import (
-    RobustBounds,
-    SubGammaParams,
-    mc_terms_exact,
-    mc_terms_robust,
-    pair_gap_oracle,
-    pair_var_oracle,
-    robust_gap_max,
-    selection_term,
-)
+from .bounds import SubGammaParams, selection_term, strategy_value, term_providers
 from .errors import InfeasiblePlanError, InvalidParameterError
-from .model import ScenarioParams
 from .screener import Strategy, cost
 
 __all__ = [
@@ -71,55 +61,13 @@ class PlanningGrid:
         return self.q_grid[0]
 
 
-def _term_providers(target, sub: SubGammaParams, grid: PlanningGrid):
-    """(selection term, MC terms) evaluators for either known parameters or
-    robust brackets; both planners and the enumeration oracle in the tests
-    route through the same functions so values compare bitwise."""
-    n_w, n_s = grid.n_w, grid.n_s
-    if isinstance(target, ScenarioParams):
-        gaps = pair_gap_oracle(target)
-        variances = pair_var_oracle(target)
-        sig_p = np.sort(np.sqrt(np.diag(target.sigma)) ** sub.p)[::-1]
-
-        def sel(q_prev, q_next, n_paths):
-            return selection_term(
-                q_prev, q_next, n_paths, gaps, variances, sub, n_w=n_w, n_s=n_s
-            )
-
-        def mc(n_prev, n_last):
-            return mc_terms_exact(n_prev, n_last, sig_p, n_w, sub)
-
-    elif isinstance(target, RobustBounds):
-
-        def sel(q_prev, q_next, n_paths):
-            dq = q_prev - q_next
-            if dq == 0:
-                return 0.0
-            lo, hi = target.delta_lo[q_next], target.delta_hi[q_next]
-            return dq ** (1.0 / sub.p) * robust_gap_max(
-                n_paths, lo, hi, target.sigma_bar, sub
-            )
-
-        def mc(n_prev, n_last):
-            return mc_terms_robust(n_prev, n_last, target.sigma_bar, n_w, n_s, sub)
-
-    else:
-        raise InvalidParameterError(
-            f"target must be ScenarioParams or RobustBounds, got {type(target)!r}"
-        )
-    return sel, mc
-
-
 def strategy_bound(strategy: Strategy, target, sub: SubGammaParams, grid: PlanningGrid):
-    """Bound value of a concrete strategy through the planner's term providers."""
-    sel, mc = _term_providers(target, sub, grid)
-    total = 0.0
-    for lvl in range(1, strategy.levels):
-        total += sel(strategy.q[lvl - 1], strategy.q[lvl], strategy.n[lvl])
-    tb, tc = mc(strategy.n[-2], strategy.n[-1])
-    total += tb
-    total += tc
-    return total
+    """Bound value of a concrete strategy, as the planner evaluates it.
+
+    ``target`` is a ScenarioParams or a RobustBounds; see
+    :func:`esscreen.bounds.term_providers`.
+    """
+    return strategy_value(strategy, target, sub, grid.n_w, grid.n_s, selection_term)
 
 
 def dp_optimize(
@@ -137,7 +85,9 @@ def dp_optimize(
     Returns the strategy and its bound value.  Raises when no strategy fits
     the budget with nonzero paths at levels L-1 and L.
     """
-    sel_raw, mc_raw = _term_providers(target, sub, grid)
+    sel_raw, mc_raw = term_providers(
+        target, sub, grid.n_w, grid.n_s, selection_term
+    )
     sel_cache: dict[tuple[int, int, int], float] = {}
     mc_cache: dict[tuple[int, int], tuple[float, float]] = {}
 

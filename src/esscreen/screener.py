@@ -11,7 +11,7 @@ means over the ``n_w`` survivors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +21,10 @@ from .model import ScenarioParams, simulate_prices
 __all__ = [
     "Strategy",
     "ScreeningRun",
+    "LevelStats",
     "GaussianSource",
+    "draw_batch",
+    "step",
     "cost",
     "rank_select",
     "run_screening",
@@ -120,8 +123,10 @@ def rank_select(estimates: np.ndarray, index_set: np.ndarray, keep: int) -> np.n
 class GaussianSource:
     """Price source drawing iid Gaussian rows from a ScenarioParams model.
 
-    ``draw(indexes, count)`` returns a ``count x len(indexes)`` block for the
-    given (sorted) scenario indexes, consuming the owned substream.  Column
+    A price source is any object with ``n_s`` (the number of scenarios) and
+    ``draw(indexes, count)``, which returns a new ``count x len(indexes)``
+    block of prices (the caller may overwrite it) for the given ascending
+    scenario indexes.  This one consumes its owned substream; column
     restriction happens on the covariance factor, so restricted draws have
     exactly the restricted covariance.
     """
@@ -135,7 +140,7 @@ class GaussianSource:
         return self.theta.n_s
 
     def shift_hint(self) -> np.ndarray:
-        """Per-scenario centering values for numerically stable accumulation."""
+        """The true impacts ``theta.mu``.  Not read by the screening engines."""
         return self.theta.mu
 
     def draw(self, indexes: np.ndarray, count: int) -> np.ndarray:
@@ -152,20 +157,115 @@ class GaussianSource:
         return theta.mu[indexes] + z @ f.T
 
 
+def draw_batch(
+    source, ids: np.ndarray, dn: int, chunk_rows: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sum and centred scatter (per column) of ``dn`` fresh rows over ``ids``.
+
+    Rows are drawn in chunks of at most ``chunk_rows``.  Each chunk is
+    centred in place on its rounded mean ``hi``; the centred residual sum
+    restores the mean's lost digits, and the chunks are merged by the
+    Chan-Golub-LeVeque update ``M2 = M2_a + M2_b + delta^2 n_a n_b / n``.
+    The running mean is carried as an offset from the first chunk's ``hi``,
+    so ``delta`` keeps full precision when a column's mean dwarfs its spread.
+    """
+    total = np.zeros(ids.size)
+    m2 = np.zeros(ids.size)
+    offset = np.zeros(ids.size)  # running mean minus ``ref``
+    ref = None
+    done = 0
+    while done < dn:
+        rows = min(chunk_rows, dn - done)
+        x = source.draw(ids, rows)
+        ones = np.ones(rows)
+        chunk_sum = ones @ x
+        hi = chunk_sum / rows
+        if ref is None:
+            ref = hi
+        x -= hi
+        resid = ones @ x
+        x *= x
+        delta = (hi - ref) + resid / rows - offset
+        m2 += ones @ x - resid * resid / rows
+        m2 += delta * delta * (done * rows / (done + rows))
+        offset += delta * (rows / (done + rows))
+        total += chunk_sum
+        done += rows
+    return total, m2
+
+
+@dataclass(frozen=True)
+class LevelStats:
+    """What one screening level saw and decided.
+
+    ``entered`` are the ascending scenario indexes priced at the level and
+    ``kept`` the ascending subset it passed on.  Over ``entered``: ``sums``
+    are the running path sums after the level's ``dn`` fresh paths,
+    ``mu_hat = sums / n_cum`` the cumulative means the selection ranked (0
+    when ``n_cum`` is 0), and ``batch_mean``/``scatter`` the fresh batch's
+    column means and centred sums of squares (0 when ``dn`` is 0).
+    """
+
+    entered: np.ndarray
+    kept: np.ndarray
+    dn: int
+    n_cum: int
+    sums: np.ndarray
+    mu_hat: np.ndarray
+    batch_mean: np.ndarray
+    scatter: np.ndarray
+
+
+def step(
+    entered: np.ndarray,
+    sums: np.ndarray,
+    n_prev: int,
+    batch_sum: np.ndarray,
+    scatter: np.ndarray,
+    dn: int,
+    keep: int,
+) -> LevelStats:
+    """One level of the recursion: fold a batch in, keep the ``keep`` best.
+
+    ``sums`` are the running sums over ``entered`` after ``n_prev`` paths;
+    ``batch_sum``/``scatter`` the column sums and centred scatter of the
+    level's ``dn`` fresh paths (from :func:`draw_batch`, or simulated).  The
+    kept set is the ``keep`` largest cumulative means, ascending; keeping
+    every scenario is the final level's no-selection step.
+    """
+    sums = sums + batch_sum
+    n_cum = n_prev + dn
+    mu_hat = sums / n_cum if n_cum > 0 else np.zeros(entered.size)
+    if keep == entered.size:
+        kept = entered
+    else:
+        kept = np.sort(rank_select(mu_hat, entered, keep))
+    batch_mean = batch_sum / dn if dn > 0 else np.zeros(entered.size)
+    return LevelStats(
+        entered=entered,
+        kept=kept,
+        dn=dn,
+        n_cum=n_cum,
+        sums=sums,
+        mu_hat=mu_hat,
+        batch_mean=batch_mean,
+        scatter=scatter,
+    )
+
+
 @dataclass
 class ScreeningRun:
     """Everything a finished screening run produced.
 
     ``survivors[l]`` is the ascending index set alive after level ``l``'s
-    selection (``survivors[0]`` is the full index range).  Entry ``l-1`` of
-    ``level_estimates`` is the pair ``(entered, mu_hat)`` for level ``l``: the
-    scenarios that entered the level and their cumulative means after its
-    batch.  ``sums``/``counts`` freeze at a scenario's elimination level.
+    selection (``survivors[0]`` is the full index range); ``levels[l-1]``
+    holds level ``l``'s statistics.  ``sums``/``counts`` freeze at a
+    scenario's elimination level.
     """
 
     strategy: Strategy
     survivors: list[np.ndarray]
-    level_estimates: list[tuple[np.ndarray, np.ndarray]]
+    levels: list[LevelStats]
     sums: np.ndarray
     counts: np.ndarray
     es_hat: float
@@ -176,42 +276,19 @@ class ScreeningRun:
         return self.survivors[-1]
 
 
-class _Kahan:
-    """Compensated accumulation of per-column chunk sums."""
-
-    def __init__(self, n: int):
-        self.total = np.zeros(n)
-        self._c = np.zeros(n)
-
-    def add(self, values: np.ndarray, at: np.ndarray) -> None:
-        y = values - self._c[at]
-        t = self.total[at] + y
-        self._c[at] = (t - self.total[at]) - y
-        self.total[at] = t
-
-
 def run_screening(
     strategy: Strategy,
     source,
     rng: np.random.Generator | None = None,
     *,
     chunk_rows: int = DEFAULT_CHUNK_ROWS,
-    observer=None,
 ) -> ScreeningRun:
-    """Execute the screening recursion for one strategy.
+    """Execute the screening recursion for one fixed strategy.
 
     ``source`` is either a ScenarioParams (then ``rng`` is required and a
-    GaussianSource is built on it) or any object with ``n_s``, ``draw`` and
-    ``shift_hint``.  Paths are generated only for scenarios still alive, in
-    chunks of at most ``chunk_rows`` rows.
-
-    ``observer``, when given, is called once per level as
-    ``observer(level, entered, kept, mu_hat, delta_mean, scatter_diag,
-    delta_n)`` where ``entered``/``kept`` are the index sets before/after the
-    level's selection, ``mu_hat`` the cumulative means over ``entered`` the
-    selection used, and ``delta_mean``/``scatter_diag`` the fresh-batch
-    column means and centered sums of squares over ``entered``.  Levels with
-    ``delta_n == 0`` report zero batch statistics.
+    GaussianSource is built on it) or any price source: an object with
+    ``n_s`` and ``draw(ids, count)``.  Paths are generated only for
+    scenarios still alive, in chunks of at most ``chunk_rows`` rows.
     """
     if isinstance(source, ScenarioParams):
         if rng is None:
@@ -222,79 +299,36 @@ def run_screening(
         raise InvalidStrategyError(
             f"strategy covers {strategy.n_s} scenarios, source has {n_s}"
         )
-    levels = strategy.levels
-    want_scatter = observer is not None
-    shift = np.asarray(source.shift_hint(), dtype=np.float64)
-
-    sums = _Kahan(n_s)
-    sq = _Kahan(n_s) if want_scatter else None
+    sums = np.zeros(n_s)
     counts = np.zeros(n_s, dtype=np.int64)
     alive = np.arange(n_s, dtype=np.intp)
     survivors = [alive]
-    level_estimates: list[tuple[np.ndarray, np.ndarray]] = []
+    levels: list[LevelStats] = []
     pricings = 0
     dn = strategy.delta_n()
-
-    for lvl in range(1, levels + 1):
-        entered = alive
+    for lvl in range(1, strategy.levels + 1):
         d = int(dn[lvl - 1])
-        batch_sum = np.zeros(entered.size)
-        batch_sq = np.zeros(entered.size)
-        done = 0
-        while done < d:
-            rows = min(chunk_rows, d - done)
-            x = source.draw(entered, rows)
-            batch_sum, batch_sq = _fold_chunk(
-                batch_sum, batch_sq, x, shift[entered], want_scatter
-            )
-            done += rows
-        pricings += d * entered.size
-        sums.add(batch_sum, entered)
-        counts[entered] += d
-        n_cum = strategy.n[lvl]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            mu_hat = np.where(
-                counts[entered] > 0, sums.total[entered] / max(n_cum, 1), 0.0
-            )
-        if d > 0:
-            delta_mean = batch_sum / d
-            scatter = (
-                batch_sq - d * (delta_mean - shift[entered]) ** 2
-                if want_scatter
-                else None
-            )
-            if want_scatter:
-                sq.add(batch_sq, entered)
-        else:
-            delta_mean = np.zeros(entered.size)
-            scatter = np.zeros(entered.size) if want_scatter else None
-        if lvl <= levels - 1:
-            alive = np.sort(rank_select(mu_hat, entered, strategy.q[lvl]))
+        keep = strategy.q[lvl] if lvl < strategy.levels else alive.size
+        batch_sum, scatter = draw_batch(source, alive, d, chunk_rows)
+        stats = step(
+            alive, sums[alive], strategy.n[lvl - 1], batch_sum, scatter, d, keep
+        )
+        pricings += d * alive.size
+        sums[alive] = stats.sums
+        counts[alive] = stats.n_cum
+        levels.append(stats)
+        alive = stats.kept
+        if lvl < strategy.levels:
             survivors.append(alive)
-        level_estimates.append((entered, mu_hat))
-        if observer is not None:
-            observer(lvl, entered, alive, mu_hat, delta_mean, scatter, d)
-
-    final_idx = survivors[-1]
-    entered, mu_final = level_estimates[-1]
-    pos = np.searchsorted(entered, final_idx)
-    es_hat = float(np.mean(mu_final[pos]))
     return ScreeningRun(
         strategy=strategy,
         survivors=survivors,
-        level_estimates=level_estimates,
-        sums=sums.total,
+        levels=levels,
+        sums=sums,
         counts=counts,
-        es_hat=es_hat,
+        es_hat=float(np.mean(levels[-1].mu_hat)),
         pricings=pricings,
     )
-
-
-def _fold_chunk(batch_sum, batch_sq, x, shift, want_scatter):
-    batch_sum = batch_sum + np.sum(x, axis=0)
-    if want_scatter:
-        batch_sq = batch_sq + np.sum((x - shift) ** 2, axis=0)
-    return batch_sum, batch_sq
 
 
 def worst_indexes(mu: np.ndarray, n_w: int) -> np.ndarray:

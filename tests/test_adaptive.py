@@ -30,7 +30,7 @@ from esscreen.model import (
     sample_niw,
     synthetic_book,
 )
-from esscreen.screener import Strategy, cost, exact_es, worst_indexes
+from esscreen.screener import Strategy, cost, exact_es, run_screening, worst_indexes
 from esscreen.streams import substream
 
 
@@ -216,6 +216,7 @@ class TestFPrecompute:
             level=0,
             ids=np.arange(cfg.n_s),
             mu_hat=np.zeros(cfg.n_s),
+            sums=np.zeros(cfg.n_s),
             niw=cfg.prior,
             n_cum=0,
             cost=0,
@@ -236,6 +237,7 @@ class TestFPrecompute:
             level=0,
             ids=np.arange(n_s),
             mu_hat=np.zeros(n_s),
+            sums=np.zeros(n_s),
             niw=prior,
             n_cum=0,
             cost=0,
@@ -397,6 +399,80 @@ class TestTwoLevelDegenerate:
         res = run_adaptive(bundle, theta, substream(60, 1))
         assert res.strategy.q == (cfg.n_s, cfg.n_w)
         assert res.pricings <= cfg.budget
+
+
+def _replay_bundle(strategy, prior, budget):
+    """An untrained bundle whose grid admits ``strategy``'s actions."""
+    n_s, n_w = strategy.n_s, strategy.n_w
+    return PolicyBundle(
+        version=1,
+        seed=0,
+        profile="replay",
+        levels=strategy.levels,
+        budget=budget,
+        n_s=n_s,
+        n_w=n_w,
+        q_grid=tuple(sorted(set(strategy.q))),
+        dn_quantum=1,
+        max_scan=8,
+        sub=SubGammaParams(c=0.0, p=1.0),
+        prior=prior,
+        renorm={},
+        nets={},
+        first_action=(strategy.q[0] - strategy.q[1], strategy.n[1]),
+        first_action_table=[],
+    )
+
+
+def _replay_actions(strategy):
+    q = strategy.q + (strategy.n_w,)
+    n = strategy.n
+    return [(q[l] - q[l + 1], n[l + 1] - n[l]) for l in range(strategy.levels)]
+
+
+@pytest.mark.parametrize("general", [False, True])
+def test_adaptive_replay_of_a_strategy_equals_run_screening(general, monkeypatch):
+    # run_adaptive driven by a fixed strategy's actions is the static engine:
+    # same draws, same fold, same selections, bit for bit
+    from esscreen.adaptive import policy
+
+    n_s = 12
+    prior = make_prior(n_s=n_s, n_w=2)
+    if general:
+        theta = sample_niw(prior, substream(80, 0))
+    else:
+        theta = ScenarioParams.equicorrelated(
+            synthetic_book(n_s, 5.0), EquicorrelatedSpec(8.0, 0.4)
+        )
+    strategy = Strategy(q=(12, 6, 4, 2), n=(0, 5, 13, 30, 61))
+    actions = _replay_actions(strategy)
+    bundle = _replay_bundle(strategy, prior, budget=2 * cost(strategy))
+    monkeypatch.setattr(policy, "choose_action", lambda b, state: actions[state.level])
+    for r in range(5):
+        res = run_adaptive(bundle, theta, substream(81, r))
+        run = run_screening(strategy, theta, substream(81, r))
+        assert res.actions == actions
+        assert res.strategy == strategy
+        assert res.pricings == run.pricings
+        assert res.es_hat == run.es_hat
+        assert len(res.survivors) == len(run.survivors)
+        for a, b in zip(res.survivors, run.survivors):
+            np.testing.assert_array_equal(a, b)
+
+
+def test_run_adaptive_rejects_an_over_budget_run(monkeypatch):
+    # the budget is audited by an explicit check, which survives python -O
+    from esscreen.adaptive import policy
+    from esscreen.errors import PolicyError
+
+    strategy = Strategy(q=(12, 2), n=(0, 10, 20))
+    actions = _replay_actions(strategy)
+    bundle = _replay_bundle(strategy, make_prior(), budget=cost(strategy) - 1)
+    monkeypatch.setattr(ActionSpec, "is_admissible", lambda self, *args: True)
+    monkeypatch.setattr(policy, "choose_action", lambda b, state: actions[state.level])
+    theta = sample_niw(bundle.prior, substream(82, 0))
+    with pytest.raises(PolicyError, match="budget"):
+        run_adaptive(bundle, theta, substream(82, 1))
 
 
 def test_policy_close_to_enumerated_optimum():

@@ -1,8 +1,11 @@
 """Value-function nets: forward pass, exact gradients, training loop."""
 
+import logging
+
 import numpy as np
 import pytest
 
+from esscreen.adaptive import net as net_mod
 from esscreen.adaptive.net import (
     TrainSchedule,
     learning_rate_search,
@@ -184,3 +187,55 @@ class TestLearningRateSearch:
                 probe_steps=50,
             )
         assert "rate" in str(exc.value)
+
+
+class TestFinalRunFallback:
+    """A final run that diverges falls back to the next-best converged probe."""
+
+    def _task(self):
+        rng = np.random.default_rng(16)
+        x = rng.normal(size=(40, 3))
+        y = x @ np.array([1.0, 0.5, -1.0])
+        sched = TrainSchedule(n_iter=120, rate=0.1, seed=6)
+        return x, y, sched, lambda r: xavier_net(3, np.ones(3), r, hidden=8)
+
+    def _diverge_finals(self, monkeypatch, n_iter, bad_rates):
+        real = net_mod.train_level
+        calls = []
+
+        def train_level(x, y, net, schedule, **kw):
+            calls.append((schedule.n_iter, schedule.rate))
+            if schedule.n_iter == n_iter and schedule.rate in bad_rates:
+                raise TrainingDivergedError("loss became non-finite at iteration 4", 4)
+            return real(x, y, net, schedule, **kw)
+
+        monkeypatch.setattr(net_mod, "train_level", train_level)
+        return calls
+
+    def test_falls_back_to_next_best_probe(self, monkeypatch, caplog):
+        x, y, sched, make = self._task()
+        _, best_rate, _ = learning_rate_search(
+            x, y, make, sched, candidates=3, probe_steps=30
+        )
+        calls = self._diverge_finals(monkeypatch, sched.n_iter, {best_rate})
+        with caplog.at_level(logging.WARNING, logger="esscreen.adaptive.net"):
+            net, rate, losses = learning_rate_search(
+                x, y, make, sched, candidates=3, probe_steps=30
+            )
+        finals = [rate for n_iter, rate in calls if n_iter == sched.n_iter]
+        assert finals == [best_rate, rate] and rate != best_rate
+        assert losses.size == sched.n_iter and np.all(np.isfinite(losses))
+        warned = [r for r in caplog.records if r.name == "esscreen.adaptive.net"]
+        assert len(warned) == 1 and warned[0].levelno == logging.WARNING
+
+    def test_raises_listing_every_attempt(self, monkeypatch):
+        x, y, sched, make = self._task()
+        rates = {sched.rate / 10.0**i for i in range(1, 4)}
+        self._diverge_finals(monkeypatch, sched.n_iter, rates)
+        with pytest.raises(TrainingDivergedError) as exc:
+            learning_rate_search(x, y, make, sched, candidates=3, probe_steps=30)
+        msg = str(exc.value)
+        for rate in (0.1, 0.01, 0.001):
+            assert f"rate {rate:g}: mean log loss" in msg  # each probe's outcome
+        for rate in rates:
+            assert f"final rate {rate:g}: diverged at 4" in msg

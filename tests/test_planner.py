@@ -114,6 +114,37 @@ class TestDpOptimize:
                 break
         assert checked >= 5
 
+    def test_uncovered_robust_threshold_is_named(self):
+        grid = PlanningGrid(q_grid=(2, 5, 8), n_grid=(3, 9), budget=100, levels=3)
+        rb = RobustBounds(delta_lo={2: 1.0}, delta_hi={2: 4.0}, sigma_bar=2.0)
+        sub = SubGammaParams()
+        with pytest.raises(InvalidParameterError, match="q=5"):
+            dp_optimize(grid, rb, sub)
+        with pytest.raises(InvalidParameterError, match="q=5"):
+            strategy_bound(Strategy(q=(8, 5, 2), n=(0, 3, 9, 12)), rb, sub, grid)
+
+    def test_strategy_bound_is_the_bounds_module_value(self):
+        # one summation serves the planner and both public bounds, bitwise
+        from esscreen.bounds import F_p, F_robust
+
+        sub = SubGammaParams(c=0.3, p=1.0)
+        rng = substream(23, 3)
+        for _ in range(10):
+            grid, theta = random_small_grid(rng)
+            rb = RobustBounds(
+                delta_lo={q: 0.5 * q for q in grid.q_grid},
+                delta_hi={q: 3.0 * q for q in grid.q_grid},
+                sigma_bar=4.0,
+            )
+            for _ in range(20):
+                inner = rng.choice(grid.q_grid, size=grid.levels - 2)
+                inner = sorted(inner, reverse=True)
+                q = (grid.n_s, *inner, grid.n_w)
+                n = (0, *sorted(rng.choice(grid.n_grid, size=grid.levels)))
+                strat = Strategy(q=q, n=n)
+                assert F_p(strat, theta, sub) == strategy_bound(strat, theta, sub, grid)
+                assert F_robust(strat, rb, sub) == strategy_bound(strat, rb, sub, grid)
+
     def test_budget_too_small_is_infeasible(self):
         grid = PlanningGrid(q_grid=(2, 5, 8), n_grid=(3, 9), budget=10, levels=2)
         theta = ScenarioParams(mu=-np.arange(1.0, 9.0), sigma=np.eye(8))

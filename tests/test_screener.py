@@ -1,5 +1,7 @@
 """Screening estimator: cost, ranking, the level recursion and its oracle."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from esscreen.screener import (
     Strategy,
     correct_selection,
     cost,
+    draw_batch,
     exact_es,
     rank_select,
     run_screening,
@@ -137,7 +140,8 @@ class TestRunScreening:
         theta = _equi_theta(8)
         s = Strategy(q=(8, 4, 2), n=(0, 4, 10, 22))
         run = run_screening(s, theta, substream(1, 2))
-        for lvl, (entered, mu_hat) in enumerate(run.level_estimates, start=1):
+        for lvl, stats in enumerate(run.levels, start=1):
+            entered, mu_hat = stats.entered, stats.mu_hat
             n_cum = s.n[lvl]
             kept = (
                 run.survivors[lvl] if lvl < s.levels else np.empty(0, dtype=np.intp)
@@ -187,7 +191,7 @@ class TestRunScreening:
         theta = _equi_theta(6)
         s = Strategy(q=(6, 3, 2), n=(0, 8, 8, 16))  # dN_2 == 0
         run = run_screening(s, theta, substream(6, 1))
-        (e1, m1), (e2, m2), _ = run.level_estimates
+        (e1, m1), (e2, m2), _ = [(st.entered, st.mu_hat) for st in run.levels]
         pos = np.searchsorted(e1, e2)
         np.testing.assert_array_equal(m2, m1[pos])
 
@@ -269,3 +273,97 @@ def test_consistency_error_shrinks_with_paths():
             tot += abs(run.es_hat - truth)
         errs.append(tot / 1000)
     assert errs[0] > errs[1] > errs[2]
+
+
+class _ReplaySource:
+    """Serves the rows of a fixed price matrix in order."""
+
+    def __init__(self, rows):
+        self.rows = rows
+        self.at = 0
+        self.n_s = rows.shape[1]
+
+    def draw(self, ids, count):
+        out = self.rows[self.at : self.at + count][:, ids]
+        self.at += count
+        return out
+
+
+class TestDrawBatch:
+    def test_matches_two_pass_scatter_at_large_mean(self):
+        # mean 1e9, unit std: the one-pass sum-of-squares form loses every
+        # digit here, while the chunk merge must match a two-pass scatter
+        # (centred on the correctly rounded column mean) to 1e-12
+        rng = np.random.default_rng(0)
+        x = 1e9 + rng.standard_normal((200, 5))
+        ids = np.arange(5)
+        total, scatter = draw_batch(_ReplaySource(x), ids, 200, chunk_rows=7)
+        mean = np.array([math.fsum(col) / 200 for col in x.T])
+        want = np.sum((x - mean) ** 2, axis=0)
+        np.testing.assert_allclose(scatter, want, rtol=1e-12)
+        np.testing.assert_allclose(total, x.sum(axis=0), rtol=1e-14)
+        one_pass = np.sum(x * x, axis=0) - x.sum(axis=0) ** 2 / 200
+        assert np.all(np.abs(one_pass - want) > want)
+
+    def test_column_subset_and_empty_batch(self):
+        rng = np.random.default_rng(1)
+        x = rng.standard_normal((30, 6))
+        ids = np.array([1, 4])
+        total, scatter = draw_batch(_ReplaySource(x), ids, 30, chunk_rows=4)
+        sub = x[:, ids]
+        np.testing.assert_allclose(total, sub.sum(axis=0), rtol=1e-13)
+        want = np.sum((sub - sub.mean(axis=0)) ** 2, axis=0)
+        np.testing.assert_allclose(scatter, want, rtol=1e-12)
+        total, scatter = draw_batch(_ReplaySource(x), ids, 0, chunk_rows=4)
+        assert total.tolist() == [0.0, 0.0] and scatter.tolist() == [0.0, 0.0]
+
+
+@st.composite
+def _strategies(draw):
+    n_s = draw(st.integers(2, 9))
+    levels = draw(st.integers(1, 4))
+    q = [n_s]
+    for _ in range(levels - 1):
+        q.append(draw(st.integers(1, q[-1])))
+    n = [0]
+    for _ in range(levels):
+        n.append(n[-1] + draw(st.integers(0, 5)))
+    return Strategy(q=tuple(q), n=tuple(n))
+
+
+@given(
+    strategy=_strategies(),
+    general=st.booleans(),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_screening_invariants(strategy, general, seed, data):
+    n_s = strategy.n_s
+    if general:
+        a = np.random.default_rng(seed).standard_normal((n_s, n_s))
+        theta = ScenarioParams(mu=synthetic_book(n_s, 1.0), sigma=a @ a.T)
+    else:
+        theta = _equi_theta(n_s, delta0=1.0, sigma=2.0)
+    run = run_screening(strategy, theta, substream(seed, 0))
+    assert run.pricings == cost(strategy)
+    assert [ids.size for ids in run.survivors] == list(strategy.q)
+    np.testing.assert_array_equal(run.survivors[0], np.arange(n_s))
+    for prev, ids in zip(run.survivors, run.survivors[1:]):
+        assert np.all(np.diff(ids) > 0)
+        assert np.all(np.isin(ids, prev))
+    # a scenario's count and sum freeze at the last level it entered
+    for lvl, stats in enumerate(run.levels, start=1):
+        gone = np.setdiff1d(stats.entered, stats.kept)
+        if lvl == strategy.levels:
+            gone = stats.entered
+        pos = np.searchsorted(stats.entered, gone)
+        assert np.all(run.counts[gone] == strategy.n[lvl])
+        np.testing.assert_array_equal(run.sums[gone], stats.sums[pos])
+        if lvl < strategy.levels:
+            perm = np.array(data.draw(st.permutations(range(stats.entered.size))))
+            keep = strategy.q[lvl]
+            np.testing.assert_array_equal(
+                rank_select(stats.mu_hat[perm], stats.entered[perm], keep),
+                rank_select(stats.mu_hat, stats.entered, keep),
+            )
