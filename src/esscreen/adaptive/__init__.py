@@ -11,8 +11,6 @@ from .net import (
     xavier_net,
 )
 from .niw import (
-    niw_update,
-    niw_update_diag,
     niw_update_diag_stats,
     niw_update_stats,
     restrict_niw,
@@ -23,7 +21,6 @@ from .policy import (
     FeatureLayout,
     PolicyBundle,
     PosteriorState,
-    default_renorm,
     f_plugin,
     run_adaptive,
 )
@@ -49,7 +46,6 @@ __all__ = [
     "Trajectory",
     "TrajectorySet",
     "TrainSchedule",
-    "default_renorm",
     "f_plugin",
     "f_precompute",
     "fit_value_functions",
@@ -59,8 +55,6 @@ __all__ = [
     "mc_value_final",
     "net_forward",
     "net_loss_and_grads",
-    "niw_update",
-    "niw_update_diag",
     "niw_update_diag_stats",
     "niw_update_stats",
     "restrict_niw",

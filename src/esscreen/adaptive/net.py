@@ -1,6 +1,6 @@
 """One-hidden-layer value-function approximators and their trainer.
 
-Each network maps a scaled state/action feature vector to a predicted
+Each network maps a raw state/action feature vector to a predicted
 cost-to-go: 256 softplus units and a linear read-out, Xavier-initialized,
 trained by plain minibatch gradient descent on the mean |prediction -
 target|^r loss with exact (hand-written) gradients.
@@ -33,13 +33,12 @@ _log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class PolicyNet:
-    """Affine-softplus-affine scalar net with a per-feature input scale."""
+    """Affine-softplus-affine scalar net."""
 
     w1: np.ndarray  # (hidden, d)
     b1: np.ndarray  # (hidden,)
     w2: np.ndarray  # (hidden,)
     b2: float
-    input_scale: np.ndarray  # (d,) divisors applied before the affine map
     meta: dict = field(default_factory=dict, compare=False)
 
     @property
@@ -49,7 +48,6 @@ class PolicyNet:
 
 def xavier_net(
     d: int,
-    input_scale: np.ndarray,
     rng: np.random.Generator,
     hidden: int = HIDDEN_UNITS,
     meta: dict | None = None,
@@ -62,7 +60,6 @@ def xavier_net(
         b1=np.zeros(hidden),
         w2=rng.uniform(-lim2, lim2, size=hidden),
         b2=0.0,
-        input_scale=np.asarray(input_scale, dtype=np.float64),
         meta=dict(meta or {}),
     )
 
@@ -81,10 +78,9 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def net_forward(net: PolicyNet, x: np.ndarray) -> np.ndarray:
-    """Predictions for raw (unscaled) feature rows ``x`` of shape (n, d)."""
+    """Predictions for feature rows ``x`` of shape (n, d)."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    xs = x / net.input_scale
-    z = xs @ net.w1.T + net.b1
+    z = x @ net.w1.T + net.b1
     return _softplus(z) @ net.w2 + net.b2
 
 
@@ -98,8 +94,7 @@ def net_loss_and_grads(net: PolicyNet, x: np.ndarray, y: np.ndarray, r: float):
     y = np.asarray(y, dtype=np.float64)
     n = x.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        xs = x / net.input_scale
-        z = xs @ net.w1.T + net.b1
+        z = x @ net.w1.T + net.b1
         h = _softplus(z)
         pred = h @ net.w2 + net.b2
         err = pred - y
@@ -109,7 +104,7 @@ def net_loss_and_grads(net: PolicyNet, x: np.ndarray, y: np.ndarray, r: float):
         dw2 = h.T @ dpred
         db2 = float(np.sum(dpred))
         dz = np.outer(dpred, net.w2) * _sigmoid(z)
-        dw1 = dz.T @ xs
+        dw1 = dz.T @ x
         db1 = dz.sum(axis=0)
     return loss, {"w1": dw1, "b1": db1, "w2": dw2, "b2": db2}
 

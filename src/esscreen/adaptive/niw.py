@@ -12,15 +12,12 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import InvalidParameterError
-from ..model import NIWParams
+from ..model import NIWParams, correlation
 
 __all__ = [
     "restrict_niw",
-    "niw_update",
-    "niw_update_diag",
     "niw_update_stats",
     "niw_update_diag_stats",
-    "batch_stats",
 ]
 
 
@@ -46,15 +43,6 @@ def restrict_niw(p: NIWParams, keep_ids: np.ndarray) -> NIWParams:
         s=p.s[np.ix_(pos, pos)],
         index_map=p.index_map[pos],
     )
-
-
-def batch_stats(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """(column means, centered scatter matrix, row count) of a price batch."""
-    batch = np.asarray(batch, dtype=np.float64)
-    dn = batch.shape[0]
-    mean = batch.mean(axis=0)
-    centered = batch - mean
-    return mean, centered.T @ centered, dn
 
 
 def niw_update_stats(
@@ -121,13 +109,8 @@ def niw_update_diag_stats(
     s_r = p.s[np.ix_(pos, pos)]
     k_new = p.k + delta_n
     gap = m_r - dm
-    diag_prior = np.diag(s_r)
-    diag_new = diag_prior + sd + (p.k * delta_n / k_new) * gap * gap
-    with np.errstate(divide="ignore", invalid="ignore"):
-        denom = np.sqrt(np.outer(diag_prior, diag_prior))
-        corr = np.where(denom > 0, s_r / np.where(denom > 0, denom, 1.0), 0.0)
-    np.fill_diagonal(corr, 1.0)
-    s_new = corr * np.sqrt(np.outer(diag_new, diag_new))
+    diag_new = np.diag(s_r) + sd + (p.k * delta_n / k_new) * gap * gap
+    s_new = correlation(s_r) * np.sqrt(np.outer(diag_new, diag_new))
     np.fill_diagonal(s_new, diag_new)
     m_new = (p.k * m_r + delta_n * dm) / k_new
     return NIWParams(
@@ -137,41 +120,3 @@ def niw_update_diag_stats(
         s=(s_new + s_new.T) / 2.0,
         index_map=p.index_map[pos],
     )
-
-
-def niw_update(p: NIWParams, batch: np.ndarray, keep_ids: np.ndarray) -> NIWParams:
-    """Full-matrix conjugate update from raw price rows over ``keep_ids``.
-
-    ``batch`` columns must already be restricted to ``keep_ids`` (in the same
-    ascending order); statistics are therefore computed post-restriction.
-    """
-    keep_ids = np.asarray(keep_ids, dtype=np.intp)
-    batch = np.asarray(batch, dtype=np.float64)
-    if batch.shape[0] == 0:
-        return restrict_niw(p, keep_ids)
-    if batch.shape[1] != keep_ids.size:
-        raise InvalidParameterError(
-            f"batch has {batch.shape[1]} columns for {keep_ids.size} survivors"
-        )
-    mean, scatter, dn = batch_stats(batch)
-    restricted = restrict_niw(p, keep_ids)
-    return niw_update_stats(restricted, mean, scatter, dn, keep_ids)
-
-
-def niw_update_diag(
-    p: NIWParams, batch: np.ndarray, keep_ids: np.ndarray
-) -> NIWParams:
-    """Diagonal-only variant of :func:`niw_update`."""
-    keep_ids = np.asarray(keep_ids, dtype=np.intp)
-    batch = np.asarray(batch, dtype=np.float64)
-    if batch.shape[0] == 0:
-        return restrict_niw(p, keep_ids)
-    if batch.shape[1] != keep_ids.size:
-        raise InvalidParameterError(
-            f"batch has {batch.shape[1]} columns for {keep_ids.size} survivors"
-        )
-    mean = batch.mean(axis=0)
-    centered = batch - mean
-    scatter_diag = np.sum(centered * centered, axis=0)
-    restricted = restrict_niw(p, keep_ids)
-    return niw_update_diag_stats(restricted, mean, scatter_diag, batch.shape[0], keep_ids)

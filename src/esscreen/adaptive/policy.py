@@ -7,13 +7,15 @@ from __future__ import annotations
 
 import io
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
 from ..bounds import AdaptiveState, SubGammaParams, f_p_ad
 from ..errors import InvalidParameterError, PolicyError
-from ..model import NIWParams, ScenarioParams
+from ..model import NIWParams, ScenarioParams, correlation
 from ..screener import (
     DEFAULT_CHUNK_ROWS,
     GaussianSource,
@@ -32,7 +34,6 @@ __all__ = [
     "PolicyBundle",
     "AdaptiveRunResult",
     "advance",
-    "default_renorm",
     "f_plugin",
     "run_adaptive",
 ]
@@ -162,27 +163,6 @@ class ActionSpec:
         return q_now * dn <= room
 
 
-def default_renorm(levels: int) -> dict[int, dict[str, float]]:
-    """Input renormalization constants per level (shipped defaults).
-
-    Keys: q (thresholds and their deltas), m (currency-valued estimates and
-    posterior locations), sigma (scale-matrix entries), n (path counts and
-    pseudo-counts), cost (running cost), f (the selection-bound feature).
-    """
-    table = {}
-    for lvl in range(1, levels + 1):
-        late = levels >= 4 and lvl >= levels - 1
-        table[lvl] = {
-            "q": 6.0,
-            "m": 1e6,
-            "sigma": 1e12 if not (levels >= 4 and lvl == levels) else 1e11,
-            "n": 1e4,
-            "cost": 1e5 if late else 1e7,
-            "f": 1e6 if late else 1e5,
-        }
-    return table
-
-
 @dataclass(frozen=True)
 class FeatureLayout:
     """Feature-vector layout of one value net.
@@ -201,22 +181,6 @@ class FeatureLayout:
     def dim(self) -> int:
         s_part = self.q * self.q if self.full_s else self.q + 1
         return 7 + 2 * self.q + s_part + (1 if self.with_f else 0)
-
-    def scale_vector(self, rc: dict[str, float]) -> np.ndarray:
-        parts = [
-            np.array([rc["q"], rc["n"], rc["q"], rc["n"], rc["cost"]]),
-            np.full(self.q, rc["m"]),
-            np.full(self.q, rc["m"]),
-            np.array([rc["n"], rc["n"]]),
-        ]
-        if self.full_s:
-            parts.append(np.full(self.q * self.q, rc["sigma"]))
-        else:
-            parts.append(np.full(self.q, rc["sigma"]))
-            parts.append(np.array([1.0]))
-        if self.with_f:
-            parts.append(np.array([rc["f"]]))
-        return np.concatenate(parts)
 
     @classmethod
     def for_q(cls, q: int, with_f: bool) -> "FeatureLayout":
@@ -238,11 +202,8 @@ def state_block(layout: FeatureLayout, state: PosteriorState) -> np.ndarray:
     else:
         diag = np.diag(s)[order]
         if state.q > 1:
-            denom = np.sqrt(np.outer(np.diag(s), np.diag(s)))
-            with np.errstate(invalid="ignore", divide="ignore"):
-                corr = np.where(denom > 0, s / np.where(denom > 0, denom, 1.0), 0.0)
             mean_corr = float(
-                (corr.sum() - np.trace(corr)) / (state.q * (state.q - 1))
+                (correlation(s).sum() - state.q) / (state.q * (state.q - 1))
             )
         else:
             mean_corr = 0.0
@@ -306,18 +267,53 @@ def f_plugin(
     )
 
 
+def save_artifact(path, header: dict, arrays: dict) -> None:
+    """Write a JSON ``header`` and named arrays to one compressed npz file."""
+    buf = io.BytesIO()
+    np.savez_compressed(
+        buf, header=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8), **arrays
+    )
+    with open(path, "wb") as fh:
+        fh.write(buf.getvalue())
+
+
+@contextmanager
+def open_artifact(path, version: int, error: type[Exception]):
+    """``(header, arrays)`` of a file written by :func:`save_artifact`.
+
+    Raises ``error`` when the file is missing, when its header ``version``
+    is not ``version``, and when the ``with`` block reads a header key or an
+    array that the file does not hold.
+    """
+    try:
+        data = np.load(path, allow_pickle=False)
+    except FileNotFoundError:
+        raise error(f"artifact not found: {path}") from None
+    with data:
+        try:
+            header = json.loads(bytes(data["header"]).decode())
+            if header.get("version") != version:
+                raise error(
+                    f"{path} holds artifact version {header.get('version')}, "
+                    f"expected {version}"
+                )
+            yield header, data
+        except KeyError as exc:
+            raise error(f"malformed artifact {path}: missing {exc}") from None
+
+
 @dataclass
 class PolicyBundle:
     """Everything needed to run the trained adaptive policy.
 
     ``nets`` maps (state level, window size) to a fitted value net;
     ``first_action`` is the tabulated optimal opening move and
-    ``first_action_table`` its full (dq, dn, value) scan.
+    ``first_action_table`` its full (dq, dn, value) scan.  ``version`` is
+    the artifact format that :meth:`save` writes and :meth:`load` accepts.
     """
 
-    version: int
+    version: ClassVar[int] = 2
     seed: int
-    profile: str
     levels: int
     budget: int
     n_s: int
@@ -327,7 +323,6 @@ class PolicyBundle:
     max_scan: int
     sub: SubGammaParams
     prior: NIWParams
-    renorm: dict[int, dict[str, float]]
     nets: dict[tuple[int, int], PolicyNet]
     first_action: tuple[int, int]
     first_action_table: list[tuple[int, int, float]]
@@ -347,7 +342,6 @@ class PolicyBundle:
         header = {
             "version": self.version,
             "seed": self.seed,
-            "profile": self.profile,
             "levels": self.levels,
             "budget": self.budget,
             "n_s": self.n_s,
@@ -356,7 +350,6 @@ class PolicyBundle:
             "dn_quantum": self.dn_quantum,
             "max_scan": self.max_scan,
             "sub": {"c": self.sub.c, "p": self.sub.p},
-            "renorm": {str(k): v for k, v in self.renorm.items()},
             "net_keys": [[lvl, q] for (lvl, q) in sorted(self.nets)],
             "net_meta": [
                 self.nets[key].meta for key in sorted(self.nets)
@@ -379,56 +372,44 @@ class PolicyBundle:
             arrays[f"{tag}_b1"] = net.b1
             arrays[f"{tag}_w2"] = net.w2
             arrays[f"{tag}_b2"] = np.array([net.b2])
-            arrays[f"{tag}_scale"] = net.input_scale
-        buf = io.BytesIO()
-        np.savez_compressed(buf, header=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8), **arrays)
-        with open(path, "wb") as fh:
-            fh.write(buf.getvalue())
+        save_artifact(path, header, arrays)
 
     @classmethod
     def load(cls, path) -> "PolicyBundle":
-        try:
-            data = np.load(path, allow_pickle=False)
-        except FileNotFoundError:
-            raise PolicyError(f"policy artifact not found: {path}") from None
-        header = json.loads(bytes(data["header"]).decode())
-        prior = NIWParams(
-            m=data["prior_m"],
-            k=float(data["prior_ki"][0]),
-            i=float(data["prior_ki"][1]),
-            s=data["prior_s"],
-            index_map=data["prior_ids"],
-        )
-        nets = {}
-        for (lvl, q), meta in zip(header["net_keys"], header["net_meta"]):
-            tag = f"net_{lvl}_{q}"
-            nets[(lvl, q)] = PolicyNet(
-                w1=data[f"{tag}_w1"],
-                b1=data[f"{tag}_b1"],
-                w2=data[f"{tag}_w2"],
-                b2=float(data[f"{tag}_b2"][0]),
-                input_scale=data[f"{tag}_scale"],
-                meta=meta,
+        with open_artifact(path, cls.version, PolicyError) as (header, data):
+            prior = NIWParams(
+                m=data["prior_m"],
+                k=float(data["prior_ki"][0]),
+                i=float(data["prior_ki"][1]),
+                s=data["prior_s"],
+                index_map=data["prior_ids"],
             )
-        return cls(
-            version=header["version"],
-            seed=header["seed"],
-            profile=header["profile"],
-            levels=header["levels"],
-            budget=header["budget"],
-            n_s=header["n_s"],
-            n_w=header["n_w"],
-            q_grid=tuple(header["q_grid"]),
-            dn_quantum=header["dn_quantum"],
-            max_scan=header["max_scan"],
-            sub=SubGammaParams(**header["sub"]),
-            renorm={int(k): v for k, v in header["renorm"].items()},
-            prior=prior,
-            nets=nets,
-            first_action=tuple(header["first_action"]),
-            first_action_table=[tuple(t) for t in header["first_action_table"]],
-            meta=header.get("meta", {}),
-        )
+            nets = {}
+            for (lvl, q), meta in zip(header["net_keys"], header["net_meta"]):
+                tag = f"net_{lvl}_{q}"
+                nets[(lvl, q)] = PolicyNet(
+                    w1=data[f"{tag}_w1"],
+                    b1=data[f"{tag}_b1"],
+                    w2=data[f"{tag}_w2"],
+                    b2=float(data[f"{tag}_b2"][0]),
+                    meta=meta,
+                )
+            return cls(
+                seed=header["seed"],
+                levels=header["levels"],
+                budget=header["budget"],
+                n_s=header["n_s"],
+                n_w=header["n_w"],
+                q_grid=tuple(header["q_grid"]),
+                dn_quantum=header["dn_quantum"],
+                max_scan=header["max_scan"],
+                sub=SubGammaParams(**header["sub"]),
+                prior=prior,
+                nets=nets,
+                first_action=tuple(header["first_action"]),
+                first_action_table=[tuple(t) for t in header["first_action_table"]],
+                meta=header.get("meta", {}),
+            )
 
 
 def trained_windows(nets: dict, level: int) -> set[int]:

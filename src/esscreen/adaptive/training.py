@@ -13,14 +13,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import ClassVar
 
 import numpy as np
 
 from ..bounds import AdaptiveState, SubGammaParams, f_p_ad
-from ..errors import InvalidParameterError
+from ..errors import ConfigError, InvalidParameterError
 from ..model import (
     NIWParams,
     ScenarioParams,
+    correlation,
     inverse_wishart_factor,
     psd_factor,
     sample_niw,
@@ -37,6 +39,8 @@ from .policy import (
     advance,
     assemble_rows,
     f_plugin,
+    open_artifact,
+    save_artifact,
     state_block,
     trained_windows,
 )
@@ -66,7 +70,7 @@ _STREAM_NETS = 5
 class AdaptiveConfig:
     """Scale and schedule knobs of one training run.
 
-    The defaults are the "desk" profile; paper-scale runs take hours.
+    The defaults suit a desk-sized book; paper-scale runs take hours.
     """
 
     n_s: int
@@ -94,7 +98,6 @@ class AdaptiveConfig:
     n_e_open: int = 64
     dn_quantum: int = 0  # 0 -> budget // (100 n_s)
     max_scan: int = 24
-    renorm: dict = field(default_factory=dict)  # level -> constants
     seed: int = 0
 
     def quantum(self) -> int:
@@ -111,14 +114,6 @@ class AdaptiveConfig:
             dn_quantum=self.quantum(),
             max_scan=self.max_scan,
         )
-
-    def renorm_for(self, level: int) -> dict:
-        from .policy import default_renorm
-
-        table = default_renorm(self.levels)
-        table_level = dict(table.get(level, table[max(table)]))
-        table_level.update(self.renorm.get(level, {}))
-        return table_level
 
     def rate_for(self, level: int, q: int) -> float:
         return self.base_rates.get((level, q), self.base_rate)
@@ -212,8 +207,13 @@ class Trajectory:
 
 @dataclass
 class TrajectorySet:
-    """Forward-pass output: every (schedule, world) execution trace."""
+    """Forward-pass output: every (schedule, world) execution trace.
 
+    ``version`` is the artifact format that :meth:`save` writes and
+    :meth:`load` accepts.
+    """
+
+    version: ClassVar[int] = 1
     strategies: list[Strategy]
     books: list[ScenarioParams]
     trajectories: list[Trajectory]
@@ -255,13 +255,11 @@ class TrajectorySet:
         )
 
     def save(self, path) -> None:
-        import io as _io
-        import json as _json
-
         arrays = {"corr_prior": self.corr_prior, "prior_m": self.prior.m,
                   "prior_s": self.prior.s, "prior_ids": self.prior.index_map,
                   "prior_ki": np.array([self.prior.k, self.prior.i])}
         header = {
+            "version": self.version,
             "n_w": self.n_w,
             "strategies": [s.to_dict() for s in self.strategies],
             "n_books": len(self.books),
@@ -285,75 +283,58 @@ class TrajectorySet:
         for j, book in enumerate(self.books):
             arrays[f"book{j}_mu"] = book.mu
             arrays[f"book{j}_sigma"] = book.sigma
-        buf = _io.BytesIO()
-        np.savez_compressed(
-            buf,
-            header=np.frombuffer(_json.dumps(header).encode(), dtype=np.uint8),
-            **arrays,
-        )
-        with open(path, "wb") as fh:
-            fh.write(buf.getvalue())
+        save_artifact(path, header, arrays)
 
     @classmethod
     def load(cls, path) -> "TrajectorySet":
-        import json as _json
-
-        data = np.load(path, allow_pickle=False)
-        header = _json.loads(bytes(data["header"]).decode())
-        prior = NIWParams(
-            m=data["prior_m"], k=float(data["prior_ki"][0]),
-            i=float(data["prior_ki"][1]), s=data["prior_s"],
-            index_map=data["prior_ids"],
-        )
-        strategies = [Strategy.from_dict(d) for d in header["strategies"]]
-        books = [
-            ScenarioParams(mu=data[f"book{j}_mu"], sigma=data[f"book{j}_sigma"])
-            for j in range(header["n_books"])
-        ]
-        trajectories = []
-        n_books = header["n_books"]
-        for t in range(header["n_traj"]):
-            records = []
-            for lvl in range(1, header["levels"] + 1):
-                tag = f"t{t}_l{lvl}"
-                scal = data[f"{tag}_scal"]
-                records.append(
-                    LevelRecord(
-                        level=lvl,
-                        entered=data[f"{tag}_entered"],
-                        kept=data[f"{tag}_kept"],
-                        mu_hat_entered=data[f"{tag}_mue"],
-                        mu_hat_kept=data[f"{tag}_muk"],
-                        m=data[f"{tag}_m"],
-                        kappa=float(scal[0]),
-                        dof=float(scal[1]),
-                        s_diag=data[f"{tag}_sd"],
-                        half_m=data[f"{tag}_hm"],
-                        half_s_diag=data[f"{tag}_hsd"],
-                        half_dof=float(scal[2]),
-                        n_cum=int(scal[3]),
-                        delta_n=int(scal[4]),
-                        c_run=int(scal[5]),
+        with open_artifact(path, cls.version, ConfigError) as (header, data):
+            prior = NIWParams(
+                m=data["prior_m"], k=float(data["prior_ki"][0]),
+                i=float(data["prior_ki"][1]), s=data["prior_s"],
+                index_map=data["prior_ids"],
+            )
+            strategies = [Strategy.from_dict(d) for d in header["strategies"]]
+            books = [
+                ScenarioParams(mu=data[f"book{j}_mu"], sigma=data[f"book{j}_sigma"])
+                for j in range(header["n_books"])
+            ]
+            trajectories = []
+            n_books = header["n_books"]
+            for t in range(header["n_traj"]):
+                records = []
+                for lvl in range(1, header["levels"] + 1):
+                    tag = f"t{t}_l{lvl}"
+                    scal = data[f"{tag}_scal"]
+                    records.append(
+                        LevelRecord(
+                            level=lvl,
+                            entered=data[f"{tag}_entered"],
+                            kept=data[f"{tag}_kept"],
+                            mu_hat_entered=data[f"{tag}_mue"],
+                            mu_hat_kept=data[f"{tag}_muk"],
+                            m=data[f"{tag}_m"],
+                            kappa=float(scal[0]),
+                            dof=float(scal[1]),
+                            s_diag=data[f"{tag}_sd"],
+                            half_m=data[f"{tag}_hm"],
+                            half_s_diag=data[f"{tag}_hsd"],
+                            half_dof=float(scal[2]),
+                            n_cum=int(scal[3]),
+                            delta_n=int(scal[4]),
+                            c_run=int(scal[5]),
+                        )
                     )
+                trajectories.append(
+                    Trajectory(k=t // n_books, j=t % n_books, records=records)
                 )
-            trajectories.append(Trajectory(k=t // n_books, j=t % n_books, records=records))
-        return cls(
-            strategies=strategies,
-            books=books,
-            trajectories=trajectories,
-            corr_prior=data["corr_prior"],
-            prior=prior,
-            n_w=header["n_w"],
-        )
-
-
-def _corr_of(s: np.ndarray) -> np.ndarray:
-    diag = np.diag(s)
-    denom = np.sqrt(np.outer(diag, diag))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        corr = np.where(denom > 0, s / np.where(denom > 0, denom, 1.0), 0.0)
-    np.fill_diagonal(corr, 1.0)
-    return corr
+            return cls(
+                strategies=strategies,
+                books=books,
+                trajectories=trajectories,
+                corr_prior=data["corr_prior"],
+                prior=prior,
+                n_w=header["n_w"],
+            )
 
 
 def forward_pass(
@@ -404,7 +385,7 @@ def forward_pass(
         strategies=strategies,
         books=books,
         trajectories=trajectories,
-        corr_prior=_corr_of(cfg.prior.s),
+        corr_prior=correlation(cfg.prior.s),
         prior=cfg.prior,
         n_w=cfg.n_w,
     )
@@ -652,9 +633,7 @@ def fit_value_functions(cfg: AdaptiveConfig) -> tuple[PolicyBundle, TrainingRepo
     first_action = (best[0], best[1])
 
     bundle = PolicyBundle(
-        version=1,
         seed=cfg.seed,
-        profile=str(cfg.renorm.get("profile", "")) or "custom",
         levels=levels,
         budget=cfg.budget,
         n_s=cfg.n_s,
@@ -664,7 +643,6 @@ def fit_value_functions(cfg: AdaptiveConfig) -> tuple[PolicyBundle, TrainingRepo
         max_scan=cfg.max_scan,
         sub=cfg.sub,
         prior=cfg.prior,
-        renorm={lvl: cfg.renorm_for(lvl) for lvl in range(1, levels + 1)},
         nets=nets,
         first_action=first_action,
         first_action_table=opening,
@@ -681,22 +659,21 @@ def _cost_through(strategy: Strategy, level: int) -> int:
 
 def _fit_net(nets, report, cfg, *, level, q, layout, x, y, k_of, j_of):
     """Train one value net on standardized data, then fold the
-    standardization back into the affine parameters.
+    standardization into the stored net's affine parameters.
 
-    The per-level renormalization constants are the first-stage divisors;
-    columns are additionally centered and scaled by their training moments
+    Each feature column is centered and scaled by its own training moments
     (and the target likewise), so gradient descent sees O(1) quantities at
-    any problem scale.  Since the output layer is linear, the target affine
-    map folds exactly into (w2, b2), and the input centering into b1, so the
-    stored net consumes raw feature rows.
+    any problem scale.  A column is constant only when its standard
+    deviation is at most 1e-12 of its largest magnitude; it reaches the net
+    as exactly 0 and its folded weights are 0.  The input map folds into
+    the first layer, w1 / col_s and b1 - w1 @ (col_c / col_s), and, since
+    the output layer is linear, the target map into (w2, b2), so the stored
+    net consumes raw feature rows.
     """
-    rc = cfg.renorm_for(level)
-    scale0 = layout.scale_vector(rc)
-    xs = x / scale0
-    col_c = xs.mean(axis=0)
-    col_s = xs.std(axis=0)
-    col_s[col_s < 1e-9] = 1.0
-    xt = (xs - col_c) / col_s
+    col_c = x.mean(axis=0)
+    col_s = x.std(axis=0)
+    col_s[col_s <= 1e-12 * np.max(np.abs(x), axis=0)] = np.inf
+    xt = (x - col_c) / col_s
     y_c = float(np.mean(y))
     y_s = float(np.std(y))
     if y_s < 1e-12:
@@ -717,7 +694,6 @@ def _fit_net(nets, report, cfg, *, level, q, layout, x, y, k_of, j_of):
     def make(rng):
         return xavier_net(
             layout.dim,
-            np.ones(layout.dim),
             rng,
             meta={"level": level, "q": q, "with_f": layout.with_f},
         )
@@ -734,10 +710,10 @@ def _fit_net(nets, report, cfg, *, level, q, layout, x, y, k_of, j_of):
     )
     folded = replace(
         net,
+        w1=net.w1 / col_s,
         b1=net.b1 - net.w1 @ (col_c / col_s),
         w2=net.w2 * y_s,
         b2=net.b2 * y_s + y_c,
-        input_scale=scale0 * col_s,
     )
     # record the trained increment support; the argmin scans stay inside it
     folded.meta.update(

@@ -27,6 +27,7 @@ __all__ = [
     "simulate_prices",
     "psd_factor",
     "pair_variance",
+    "correlation",
 ]
 
 #: Relative eigenvalue tolerance below which a symmetric matrix is rejected
@@ -113,6 +114,10 @@ class ScenarioParams:
             raise InvalidParameterError(
                 f"shape mismatch: mu {mu.shape}, sigma {sigma.shape}"
             )
+        if not np.isfinite(mu).all():
+            raise InvalidParameterError("mu must be finite")
+        if not np.isfinite(sigma).all():
+            raise InvalidParameterError("sigma must be finite")
         if not np.allclose(sigma, sigma.T, rtol=1e-8, atol=0.0):
             raise InvalidParameterError("sigma must be symmetric")
 
@@ -147,6 +152,20 @@ def pair_variance(sigma: np.ndarray, i, k):
     return sigma[i, i] + sigma[k, k] - 2.0 * sigma[i, k]
 
 
+def correlation(s: np.ndarray) -> np.ndarray:
+    """Correlation matrix of a scale or covariance matrix.
+
+    Unit diagonal; a row and column whose diagonal entry is zero get zero
+    correlation off the diagonal.
+    """
+    diag = np.diag(s)
+    denom = np.sqrt(np.outer(diag, diag))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        corr = np.where(denom > 0, s / np.where(denom > 0, denom, 1.0), 0.0)
+    np.fill_diagonal(corr, 1.0)
+    return corr
+
+
 @dataclass(frozen=True)
 class NIWParams:
     """Normal-inverse-Wishart hyperparameters over a set of scenarios.
@@ -175,12 +194,17 @@ class NIWParams:
             raise InvalidParameterError(
                 f"NIW dims disagree: m {m.shape}, S {s.shape}, index_map {imap.shape}"
             )
-        if not self.k > 0:
-            raise InvalidParameterError(f"k must be > 0, got {self.k}")
-        if not self.i > d + 1:
+        if not 0 < self.k < np.inf:
+            raise InvalidParameterError(f"k must be finite and > 0, got {self.k}")
+        if not d + 1 < self.i < np.inf:
             raise InvalidParameterError(
-                f"degrees of freedom must exceed dim+1 = {d + 1}, got {self.i}"
+                f"degrees of freedom i must be finite and exceed dim+1 = {d + 1}, "
+                f"got {self.i}"
             )
+        if not np.isfinite(m).all():
+            raise InvalidParameterError("m must be finite")
+        if not np.isfinite(s).all():
+            raise InvalidParameterError("S must be finite")
         if not np.allclose(s, s.T, rtol=1e-8, atol=0.0):
             raise InvalidParameterError("S must be symmetric")
 

@@ -173,6 +173,18 @@ class TestForwardPass:
         np.testing.assert_array_equal(a.half_s_diag, b.half_s_diag)
         assert ts2.strategies[ts2.trajectories[3].k] == ts.strategies[ts.trajectories[3].k]
 
+    @pytest.mark.parametrize(
+        "edit", [{"drop": "book1_mu"}, {"drop": "n_traj"}, {"header": {"version": 0}}]
+    )
+    def test_malformed_artifact_rejected(self, toy_trajectories, tmp_path, edit):
+        from esscreen.errors import ConfigError
+
+        path = tmp_path / "traj.npz"
+        toy_trajectories[1].save(path)
+        _edit_artifact(path, **edit)
+        with pytest.raises(ConfigError, match=edit.get("drop", "version 0")):
+            TrajectorySet.load(path)
+
 
 class TestFPrecompute:
     def test_matches_direct_transcription(self, toy_trajectories):
@@ -388,6 +400,67 @@ class TestFitAndRun:
         with pytest.raises(PolicyError, match="nope.npz"):
             PolicyBundle.load(missing)
 
+    def test_other_version_rejected(self, toy_bundle, tmp_path):
+        # a version-1 artifact's first layer expects pre-divided inputs
+        from esscreen.errors import PolicyError
+
+        path = tmp_path / "policy.npz"
+        toy_bundle[1].save(path)
+        _edit_artifact(path, header={"version": 1})
+        with pytest.raises(PolicyError, match="version 1"):
+            PolicyBundle.load(path)
+
+    @pytest.mark.parametrize("drop", ["first_action", "net_2_2_w1"])
+    def test_missing_key_rejected(self, toy_bundle, tmp_path, drop):
+        from esscreen.errors import PolicyError
+
+        path = tmp_path / "policy.npz"
+        toy_bundle[1].save(path)  # net_2_2 is the final-level net, q = n_w
+        _edit_artifact(path, drop=drop)
+        with pytest.raises(PolicyError, match=drop):
+            PolicyBundle.load(path)
+
+
+def _edit_artifact(path, header=None, drop=None):
+    """Rewrite an npz artifact with header keys replaced and one header key
+    or array removed."""
+    import json
+
+    with np.load(path) as data:
+        arrays = dict(data)
+    doc = json.loads(bytes(arrays["header"]).decode())
+    doc.update(header or {})
+    doc.pop(drop, None)
+    arrays.pop(drop, None)
+    arrays["header"] = np.frombuffer(json.dumps(doc).encode(), dtype=np.uint8)
+    np.savez_compressed(path, **arrays)
+
+
+def test_every_varying_feature_reaches_the_net_standardized(monkeypatch):
+    # features do not depend on the nets, so a short schedule sees the same
+    # training rows as the full one
+    from esscreen.adaptive import training
+
+    raw, seen = [], []
+    real_fit, real_search = training._fit_net, training.learning_rate_search
+
+    def fit(*args, x, **kw):
+        raw.append(x)
+        return real_fit(*args, x=x, **kw)
+
+    def search(x, *args, **kw):
+        seen.append(x)
+        return real_search(x, *args, **kw)
+
+    monkeypatch.setattr(training, "_fit_net", fit)
+    monkeypatch.setattr(training, "learning_rate_search", search)
+    fit_value_functions(toy_config(n_iter=50, probe_steps=20))
+    assert len(raw) == len(seen) >= 3
+    for x, xt in zip(raw, seen):
+        varying = np.ptp(x, axis=0) > 0
+        np.testing.assert_allclose(xt[:, varying].std(axis=0), 1.0, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(xt[:, ~varying], 0.0)
+
 
 class TestTwoLevelDegenerate:
     def test_only_final_net_and_forced_selection(self):
@@ -405,9 +478,7 @@ def _replay_bundle(strategy, prior, budget):
     """An untrained bundle whose grid admits ``strategy``'s actions."""
     n_s, n_w = strategy.n_s, strategy.n_w
     return PolicyBundle(
-        version=1,
         seed=0,
-        profile="replay",
         levels=strategy.levels,
         budget=budget,
         n_s=n_s,
@@ -417,7 +488,6 @@ def _replay_bundle(strategy, prior, budget):
         max_scan=8,
         sub=SubGammaParams(c=0.0, p=1.0),
         prior=prior,
-        renorm={},
         nets={},
         first_action=(strategy.q[0] - strategy.q[1], strategy.n[1]),
         first_action_table=[],

@@ -195,3 +195,25 @@ class TestSimulatePrices:
         theta = ScenarioParams(mu=np.zeros(2), sigma=sigma)
         with pytest.raises(InvalidParameterError):
             simulate_prices(theta, 5, substream(2, 1))
+
+
+def _niw(**kw):
+    args = dict(m=np.zeros(2), k=1.0, i=4.0, s=np.eye(2), index_map=[0, 1])
+    args.update(kw)
+    return NIWParams(**args)
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda: ScenarioParams(mu=[np.nan, 1.0], sigma=np.eye(2)), "mu"),
+        (lambda: ScenarioParams(mu=[0.0, 1.0], sigma=np.diag([np.inf, 1.0])), "sigma"),
+        (lambda: _niw(m=[np.nan, 0.0]), "m"),
+        (lambda: _niw(i=np.inf), "i"),
+        (lambda: _niw(k=np.inf), "k"),
+        (lambda: _niw(s=np.diag([np.nan, 1.0])), "S"),
+    ],
+)
+def test_non_finite_parameters_rejected(build, field):
+    with pytest.raises(InvalidParameterError, match=rf"\b{field} must be finite"):
+        build()

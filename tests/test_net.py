@@ -19,7 +19,7 @@ from esscreen.errors import TrainingDivergedError
 
 def _net(d=7, seed=0, hidden=32):
     rng = np.random.default_rng(seed)
-    return xavier_net(d, np.ones(d), rng, hidden=hidden)
+    return xavier_net(d, rng, hidden=hidden)
 
 
 def _flatten(net):
@@ -68,14 +68,68 @@ class TestGradients:
         x = np.random.default_rng(3).normal(size=(5, 7))
         np.testing.assert_array_equal(net_forward(net, x), net_forward(net, x))
 
-    def test_input_scaling_applied(self):
-        net = _net(d=2)
-        from dataclasses import replace
 
-        scaled = replace(net, input_scale=np.array([10.0, 10.0]))
-        x = np.array([[10.0, 20.0]])
+class TestStandardizationFold:
+    def test_folded_net_equals_trained_net_on_standardized_rows(self, monkeypatch):
+        # _fit_net trains on standardized rows and stores a net over raw rows;
+        # the two agree, and both ignore the columns constant in training
+        from esscreen.adaptive import training
+        from esscreen.adaptive.policy import FeatureLayout
+        from esscreen.model import NIWParams
+
+        layout = FeatureLayout.for_q(2, with_f=False)
+        rng = np.random.default_rng(17)
+        n = 24
+        scales = np.logspace(-3, 12, layout.dim)
+        offsets = rng.uniform(-20.0, 20.0, size=layout.dim)
+        x = scales * (offsets + rng.normal(size=(n, layout.dim)))
+        const = np.array([2, 4, 5])
+        x[:, 2] = 6.0
+        x[:, 4] = 0.0
+        x[:, 5] = 1e15 + 10.0 * rng.normal(size=n)  # spread 1e-14 of its size
+        y = 3e5 + 1e5 * rng.normal(size=n)
+        cfg = training.AdaptiveConfig(
+            n_s=2,
+            n_w=2,
+            levels=2,
+            budget=100,
+            q_grid=(2,),
+            prior=NIWParams(m=np.zeros(2), k=1.0, i=4.0, s=np.eye(2), index_map=[0, 1]),
+            n_iter=200,
+            probe_steps=50,
+            lr_candidates=2,
+            base_rate=1e-3,
+        )
+        trained = []
+        real = training.learning_rate_search
+
+        def capture(xt, yt, *args, **kw):
+            out = real(xt, yt, *args, **kw)
+            trained.append((xt, out[0]))
+            return out
+
+        monkeypatch.setattr(training, "learning_rate_search", capture)
+        nets, report = {}, training.TrainingReport({}, {}, {}, [])
+        training._fit_net(
+            nets, report, cfg, level=1, q=2, layout=layout, x=x, y=y,
+            k_of=np.zeros(n, dtype=int), j_of=np.arange(n),
+        )
+        ((xt, net),) = trained
+        folded = nets[(1, 2)]
+        y_c, y_s, _ = report.target_stats[(1, 2)]
+        np.testing.assert_array_equal(xt[:, const], 0.0)
         np.testing.assert_allclose(
-            net_forward(scaled, x), net_forward(net, x / 10.0)
+            net_forward(folded, x), y_c + y_s * net_forward(net, xt), rtol=1e-10
+        )
+        keep = np.ones(layout.dim, dtype=bool)
+        keep[const] = False
+        col_c, col_s = x.mean(axis=0), x.std(axis=0)
+        x_new = col_c + col_s * rng.normal(size=x.shape)
+        x_new[:, const] = [7.0, 5.0, 3e15]
+        z = np.zeros_like(x_new)
+        z[:, keep] = (x_new[:, keep] - col_c[keep]) / col_s[keep]
+        np.testing.assert_allclose(
+            net_forward(folded, x_new), y_c + y_s * net_forward(net, z), rtol=1e-10
         )
 
 
@@ -86,7 +140,7 @@ class TestTraining:
         rng = np.random.default_rng(7)
         x = rng.normal(size=(48, 4))
         y = np.full(48, 3.7)
-        net = xavier_net(4, np.ones(4), np.random.default_rng(2), hidden=256)
+        net = xavier_net(4, np.random.default_rng(2), hidden=256)
         sched = TrainSchedule(n_iter=3000, rate=0.5, r=2.0, seed=0, j_batch=48, k_batch=1)
         net, losses = train_level(x, y, net, sched)
         pred = net_forward(net, x)
@@ -134,7 +188,7 @@ class TestLearningRateSearch:
         net, rate, losses = learning_rate_search(
             x,
             y,
-            lambda r: xavier_net(3, np.ones(3), r, hidden=16),
+            lambda r: xavier_net(3, r, hidden=16),
             sched,
             candidates=1,
             probe_steps=50,
@@ -152,7 +206,7 @@ class TestLearningRateSearch:
         net, rate, losses = learning_rate_search(
             x,
             y,
-            lambda r: xavier_net(4, np.ones(4), r, hidden=32),
+            lambda r: xavier_net(4, r, hidden=32),
             sched,
             candidates=4,
             probe_steps=400,
@@ -166,7 +220,7 @@ class TestLearningRateSearch:
         x = rng.normal(size=(50, 3))
         y = rng.normal(size=50)
         sched = TrainSchedule(n_iter=100, rate=1.0, seed=3)
-        make = lambda r: xavier_net(3, np.ones(3), r, hidden=8)
+        make = lambda r: xavier_net(3, r, hidden=8)
         a = learning_rate_search(x, y, make, sched, candidates=3, probe_steps=40)
         b = learning_rate_search(x, y, make, sched, candidates=3, probe_steps=40)
         assert a[1] == b[1]
@@ -181,7 +235,7 @@ class TestLearningRateSearch:
             learning_rate_search(
                 x,
                 y,
-                lambda r: xavier_net(2, np.ones(2), r, hidden=8),
+                lambda r: xavier_net(2, r, hidden=8),
                 sched,
                 candidates=2,
                 probe_steps=50,
@@ -197,7 +251,7 @@ class TestFinalRunFallback:
         x = rng.normal(size=(40, 3))
         y = x @ np.array([1.0, 0.5, -1.0])
         sched = TrainSchedule(n_iter=120, rate=0.1, seed=6)
-        return x, y, sched, lambda r: xavier_net(3, np.ones(3), r, hidden=8)
+        return x, y, sched, lambda r: xavier_net(3, r, hidden=8)
 
     def _diverge_finals(self, monkeypatch, n_iter, bad_rates):
         real = net_mod.train_level

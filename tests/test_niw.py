@@ -6,8 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from esscreen.adaptive.niw import (
-    niw_update,
-    niw_update_diag,
     niw_update_diag_stats,
     niw_update_stats,
     restrict_niw,
@@ -15,6 +13,36 @@ from esscreen.adaptive.niw import (
 from esscreen.errors import InvalidParameterError
 from esscreen.model import NIWParams, sample_niw
 from esscreen.streams import substream
+
+
+def niw_update(p, batch, keep_ids):
+    """Full-matrix update from raw price rows whose columns are already
+    restricted to ``keep_ids`` (ascending)."""
+    keep_ids = np.asarray(keep_ids, dtype=np.intp)
+    batch = np.asarray(batch, dtype=np.float64)
+    restricted = restrict_niw(p, keep_ids)
+    if batch.shape[0] == 0:
+        return restricted
+    mean = batch.mean(axis=0)
+    centered = batch - mean
+    return niw_update_stats(
+        restricted, mean, centered.T @ centered, batch.shape[0], keep_ids
+    )
+
+
+def niw_update_diag(p, batch, keep_ids):
+    """Diagonal-only variant of :func:`niw_update`."""
+    keep_ids = np.asarray(keep_ids, dtype=np.intp)
+    batch = np.asarray(batch, dtype=np.float64)
+    restricted = restrict_niw(p, keep_ids)
+    if batch.shape[0] == 0:
+        return restricted
+    mean = batch.mean(axis=0)
+    centered = batch - mean
+    scatter_diag = np.sum(centered * centered, axis=0)
+    return niw_update_diag_stats(
+        restricted, mean, scatter_diag, batch.shape[0], keep_ids
+    )
 
 
 def random_niw(rng, d, ids=None):
