@@ -430,9 +430,13 @@ def scan_actions(
     trained range (the nets are regressors, not extrapolators; outside their
     data support their ordering is meaningless).  When the trust region and
     the feasible grid do not intersect, the feasible increment closest to the
-    trained range is used.
+    trained range is used.  At the last level no selection is left, so more
+    paths only shrink the final estimator's variance: the only candidate is
+    the largest admissible increment, which spends the remaining budget.
     """
     acts = spec.actions(state.level, state.q, state.cost, cap)
+    if state.level + 1 >= levels:
+        return acts[-1:]
     if state.level + 1 < levels - 1:
         usable = trained_windows(nets, state.level + 1)
         acts = [(dq, dn) for dq, dn in acts if state.q - dq in usable]

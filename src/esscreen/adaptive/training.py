@@ -100,6 +100,10 @@ class AdaptiveConfig:
     max_scan: int = 24
     seed: int = 0
 
+    def __post_init__(self):
+        if not 0 < self.budget < math.inf:
+            raise InvalidParameterError(f"budget must be in (0, inf): {self.budget}")
+
     def quantum(self) -> int:
         if self.dn_quantum > 0:
             return self.dn_quantum
@@ -198,6 +202,12 @@ class LevelRecord:
     c_run: int
 
 
+#: Array fields of a LevelRecord and their key suffixes in a saved TrajectorySet.
+_RECORD_ARRAYS = {"entered": "entered", "kept": "kept", "mu_hat_entered": "mue",
+                  "mu_hat_kept": "muk", "m": "m", "s_diag": "sd", "half_m": "hm",
+                  "half_s_diag": "hsd"}
+
+
 @dataclass
 class Trajectory:
     k: int
@@ -269,14 +279,8 @@ class TrajectorySet:
         for t, traj in enumerate(self.trajectories):
             for rec in traj.records:
                 tag = f"t{t}_l{rec.level}"
-                arrays[f"{tag}_entered"] = rec.entered
-                arrays[f"{tag}_kept"] = rec.kept
-                arrays[f"{tag}_mue"] = rec.mu_hat_entered
-                arrays[f"{tag}_muk"] = rec.mu_hat_kept
-                arrays[f"{tag}_m"] = rec.m
-                arrays[f"{tag}_sd"] = rec.s_diag
-                arrays[f"{tag}_hm"] = rec.half_m
-                arrays[f"{tag}_hsd"] = rec.half_s_diag
+                for name, key in _RECORD_ARRAYS.items():
+                    arrays[f"{tag}_{key}"] = getattr(rec, name)
                 arrays[f"{tag}_scal"] = np.array(
                     [rec.kappa, rec.dof, rec.half_dof, rec.n_cum, rec.delta_n, rec.c_run]
                 )
@@ -305,19 +309,13 @@ class TrajectorySet:
                 for lvl in range(1, header["levels"] + 1):
                     tag = f"t{t}_l{lvl}"
                     scal = data[f"{tag}_scal"]
+                    arrs = {n: data[f"{tag}_{k}"] for n, k in _RECORD_ARRAYS.items()}
                     records.append(
                         LevelRecord(
                             level=lvl,
-                            entered=data[f"{tag}_entered"],
-                            kept=data[f"{tag}_kept"],
-                            mu_hat_entered=data[f"{tag}_mue"],
-                            mu_hat_kept=data[f"{tag}_muk"],
-                            m=data[f"{tag}_m"],
+                            **arrs,
                             kappa=float(scal[0]),
                             dof=float(scal[1]),
-                            s_diag=data[f"{tag}_sd"],
-                            half_m=data[f"{tag}_hm"],
-                            half_s_diag=data[f"{tag}_hsd"],
                             half_dof=float(scal[2]),
                             n_cum=int(scal[3]),
                             delta_n=int(scal[4]),

@@ -260,7 +260,8 @@ def simulate_prices(
     additional work per scalar); anything else goes through the cached
     covariance factor.  Draw order is fixed (one ``standard_normal`` block of
     shape ``(count, width)``), so replay under a fixed substream is
-    bit-identical.
+    bit-identical.  To draw a subset ``ids``, pass ``theta.restrict(ids)``:
+    its principal sub-covariance is factored once; rows have ``len(ids)`` columns.
     """
     if count < 0:
         raise InvalidParameterError(f"count must be >= 0, got {count}")

@@ -49,6 +49,8 @@ class PlanningGrid:
             raise InvalidParameterError("grids must be strictly increasing")
         if self.levels < 2:
             raise InvalidParameterError("need at least 2 levels")
+        if not 0 < self.budget < math.inf:
+            raise InvalidParameterError(f"budget must be in (0, inf): {self.budget}")
         if any(v < 0 for v in n):
             raise InvalidParameterError("path counts must be >= 0")
 
@@ -219,6 +221,8 @@ class HeuristicParams:
     def __post_init__(self):
         if not self.delta0 > 0:
             raise InvalidParameterError("delta0 must be > 0")
+        if not 0 < self.budget < math.inf:
+            raise InvalidParameterError(f"budget must be in (0, inf): {self.budget}")
         if self.n2 * self.n_w > self.budget:
             raise InvalidParameterError(
                 f"budget {self.budget} cannot fund n_w*N2 = {self.n2 * self.n_w}"

@@ -83,10 +83,6 @@ class Strategy:
     def delta_n(self) -> np.ndarray:
         return np.diff(np.asarray(self.n, dtype=np.int64))
 
-    def delta_q(self) -> np.ndarray:
-        q = np.asarray(self.q, dtype=np.int64)
-        return q[:-1] - q[1:]
-
     def to_dict(self) -> dict:
         return {"q": list(self.q), "N": list(self.n)}
 
@@ -126,14 +122,17 @@ class GaussianSource:
     A price source is any object with ``n_s`` (the number of scenarios) and
     ``draw(indexes, count)``, which returns a new ``count x len(indexes)``
     block of prices (the caller may overwrite it) for the given ascending
-    scenario indexes.  This one consumes its owned substream; column
-    restriction happens on the covariance factor, so restricted draws have
-    exactly the restricted covariance.
+    scenario indexes.  This one consumes its owned substream and returns
+    :func:`simulate_prices` on ``theta.restrict(ids)``: the survivors' law is
+    the principal submatrix ``Sigma[ids, ids]``, factored once per index set,
+    so a row costs ``len(ids)`` normals (one more if equicorrelated).
     """
 
     def __init__(self, theta: ScenarioParams, rng: np.random.Generator):
         self.theta = theta
         self.rng = rng
+        self._ids = np.arange(theta.n_s)
+        self._sub = theta
 
     @property
     def n_s(self) -> int:
@@ -144,17 +143,10 @@ class GaussianSource:
         return self.theta.mu
 
     def draw(self, indexes: np.ndarray, count: int) -> np.ndarray:
-        theta = self.theta
-        if indexes.size == theta.n_s and theta.equi is not None:
-            return simulate_prices(theta, count, self.rng)
-        if theta.equi is not None:
-            spec = theta.equi
-            z = self.rng.standard_normal((count, indexes.size + 1))
-            mix = np.sqrt(spec.rho) * z[:, :1] + np.sqrt(1.0 - spec.rho) * z[:, 1:]
-            return theta.mu[indexes] + spec.sigma_scalar * mix
-        f = theta.factor()[indexes, :]
-        z = self.rng.standard_normal((count, f.shape[1]))
-        return theta.mu[indexes] + z @ f.T
+        if not np.array_equal(indexes, self._ids):
+            self._ids = np.array(indexes, dtype=np.intp)
+            self._sub = self.theta.restrict(self._ids)
+        return simulate_prices(self._sub, count, self.rng)
 
 
 def draw_batch(

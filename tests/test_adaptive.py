@@ -545,7 +545,14 @@ def test_run_adaptive_rejects_an_over_budget_run(monkeypatch):
         run_adaptive(bundle, theta, substream(82, 1))
 
 
-def test_policy_close_to_enumerated_optimum():
+@pytest.mark.parametrize("budget", [math.nan, math.inf, 0, -4000])
+def test_adaptive_config_rejects_a_bad_budget(budget):
+    with pytest.raises(InvalidParameterError, match="budget"):
+        toy_config(budget=budget)
+
+
+@pytest.mark.parametrize("config_seed", [21, 22])
+def test_policy_close_to_enumerated_optimum(config_seed):
     # 10-scenario problem with a 3-point opening grid: the learned policy's
     # realized mean error over 500 evaluation runs must be within 1.1x of the
     # best fixed schedule found by exhaustive enumeration over the same
@@ -573,7 +580,7 @@ def test_policy_close_to_enumerated_optimum():
         n_e_open=48,
         dn_quantum=100,
         max_scan=40,
-        seed=21,
+        seed=config_seed,
     )
     bundle, _ = fit_value_functions(cfg)
 

@@ -306,6 +306,22 @@ class TestHeuristicClosedForm:
         assert cost(strat) == 9_999_945 <= 1e7
 
 
+@pytest.mark.parametrize("budget", [math.nan, math.inf, 0, -100])
+def test_planning_grid_rejects_a_bad_budget(budget):
+    # every ``spent > budget`` test is False for a nan budget, so an
+    # unchecked nan would let dp_optimize return a plan of any cost
+    with pytest.raises(InvalidParameterError, match="budget"):
+        PlanningGrid(q_grid=(2, 5, 10), n_grid=(10, 20), budget=budget, levels=3)
+
+
+@pytest.mark.parametrize("budget", [math.nan, math.inf, 0.0, -1e6])
+def test_heuristic_params_reject_a_bad_budget(budget):
+    with pytest.raises(InvalidParameterError, match="budget"):
+        HeuristicParams(
+            delta0=1.0, sigma_bar=1.0, c=0.0, budget=budget, n2=100, n_s=20, n_w=3
+        )
+
+
 def test_objective_vanishes_with_budget():
     vals = []
     for k in (1e4, 3e4, 1e5, 1e6):

@@ -8,7 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from esscreen.errors import InvalidParameterError, InvalidStrategyError
-from esscreen.model import EquicorrelatedSpec, ScenarioParams, synthetic_book
+from esscreen import model
+from esscreen.model import (
+    EquicorrelatedSpec,
+    ScenarioParams,
+    simulate_prices,
+    synthetic_book,
+)
 from esscreen.screener import (
     GaussianSource,
     Strategy,
@@ -207,23 +213,94 @@ class TestRunScreening:
         )
 
 
+def _general_theta(n_s=10, rank=None, seed=0):
+    a = np.random.default_rng(seed).standard_normal((n_s, rank or n_s))
+    return ScenarioParams(mu=synthetic_book(n_s, 2.0), sigma=a @ a.T)
+
+
+class TestGaussianSourceDraw:
+    @pytest.mark.parametrize("general", [False, True])
+    def test_full_range_draw_is_simulate_prices(self, general):
+        theta = _general_theta() if general else _equi_theta(10)
+        src = GaussianSource(theta, substream(9, 0))
+        rng = substream(9, 0)
+        for count in (5, 3, 0):
+            got = src.draw(np.arange(10), count)
+            np.testing.assert_array_equal(got, simulate_prices(theta, count, rng))
+
+    def test_equicorrelated_subset_uses_one_factor_formula(self):
+        # width q + 1: one common normal, then one per survivor column
+        theta = _equi_theta(8, sigma=4.0, rho=0.3)
+        spec = theta.equi
+        src = GaussianSource(theta, substream(9, 1))
+        rng = substream(9, 1)
+        for ids, count in [(np.arange(8), 7), (np.array([1, 4, 6]), 50), ([2], 3)]:
+            ids = np.asarray(ids)
+            z = rng.standard_normal((count, ids.size + 1))
+            mix = np.sqrt(spec.rho) * z[:, :1] + np.sqrt(1.0 - spec.rho) * z[:, 1:]
+            want = theta.mu[ids] + spec.sigma_scalar * mix
+            np.testing.assert_array_equal(src.draw(ids, count), want)
+
+    @pytest.mark.parametrize("rank", [None, 3])
+    def test_restricted_draws_have_the_principal_sub_covariance(self, rank):
+        # 200k rows: a sample covariance entry has standard error at most
+        # sqrt(2 / 200k) * max diag = 0.0032 max diag; allow 6 of them.  At
+        # rank 3 the 4x4 sub-covariance is singular and the draws must stay
+        # in its 3-dimensional range, up to the sqrt(eps)-sized pivot a
+        # Cholesky of the rounded singular matrix may leave (1e-6 of the
+        # largest singular value).
+        theta = _general_theta(rank=rank, seed=4)
+        ids = np.array([0, 3, 4, 8])
+        src = GaussianSource(theta, substream(9, 2))
+        src.draw(np.arange(10), 5)
+        x = src.draw(ids, 200_000)
+        assert x.shape == (200_000, ids.size)
+        want = theta.sigma[np.ix_(ids, ids)]
+        tol = 6 * np.sqrt(2 / 200_000) * want.diagonal().max()
+        np.testing.assert_allclose(np.cov(x, rowvar=False), want, rtol=0, atol=tol)
+        np.testing.assert_allclose(x.mean(axis=0), theta.mu[ids], rtol=0, atol=tol)
+        if rank is not None:
+            sv = np.linalg.svd(x - theta.mu[ids], compute_uv=False)
+            assert sv[-1] < 1e-6 * sv[0]
+
+    def test_each_level_factors_its_sub_covariance_once(self, monkeypatch):
+        restricts, factors = [], []
+        restrict, psd_factor = ScenarioParams.restrict, model.psd_factor
+
+        def counting_restrict(self, idx):
+            restricts.append(tuple(idx))
+            return restrict(self, idx)
+
+        def counting_factor(sigma):
+            factors.append(sigma.shape[0])
+            return psd_factor(sigma)
+
+        monkeypatch.setattr(ScenarioParams, "restrict", counting_restrict)
+        monkeypatch.setattr(model, "psd_factor", counting_factor)
+        s = Strategy(q=(10, 5, 2), n=(0, 30, 60, 100))
+        run = run_screening(s, _general_theta(), substream(9, 3), chunk_rows=7)
+        assert restricts == [tuple(ids) for ids in run.survivors[1:]]
+        assert factors == [10, 5, 2]
+
+
 def screening_oracle(strategy, theta, rng):
     """Straight-line re-implementation of the level recursion.
 
     Consumes the generator exactly like the production path (one Gaussian
-    block per level over the ascending survivor columns) but computes sums,
-    ranking and the estimate with plain loops and sorts.
+    block per level, as wide as the ascending survivor set, through the
+    Cholesky factor of the survivors' principal sub-covariance) but
+    computes sums, ranking and the estimate with plain loops and sorts.
     """
     n_s = theta.n_s
-    factor = np.linalg.cholesky(theta.sigma)
     sums = dict.fromkeys(range(n_s), 0.0)
     alive = list(range(n_s))
     selections = [tuple(alive)]
     for lvl in range(1, strategy.levels + 1):
         d = strategy.n[lvl] - strategy.n[lvl - 1]
         if d > 0:
-            z = rng.standard_normal((d, n_s))
-            x = theta.mu[alive] + z @ factor[alive, :].T
+            factor = np.linalg.cholesky(theta.sigma[np.ix_(alive, alive)])
+            z = rng.standard_normal((d, len(alive)))
+            x = theta.mu[alive] + z @ factor.T
             for j, idx in enumerate(alive):
                 sums[idx] += float(x[:, j].sum())
         n_cum = strategy.n[lvl]
