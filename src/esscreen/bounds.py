@@ -34,8 +34,6 @@ __all__ = [
     "F_robust",
     "f_p_ad",
     "AdaptiveState",
-    "pair_gap_oracle",
-    "pair_var_oracle",
 ]
 
 #: Exponents below this are treated as -inf: bound values under exp(-745)
@@ -127,61 +125,23 @@ def gamma_constants(p: float) -> tuple[float, float]:
     return 2.0 ** (p - 1.0) * math.gamma(p / 2.0), 4.0**p * math.gamma(p)
 
 
-def pair_gap_oracle(theta: ScenarioParams):
-    """Callable (i, k) -> mu_i - mu_k on 0-based index arrays."""
-    mu = theta.mu
-
-    def gap(i, k):
-        return mu[i] - mu[k]
-
-    return gap
-
-
-def pair_var_oracle(theta: ScenarioParams):
-    """Callable (i, k) -> Var[P_i - P_k] on 0-based index arrays."""
-    sigma = theta.sigma
-
-    def var(i, k):
-        return pair_variance(sigma, i, k)
-
-    return var
-
-
 def selection_term(
-    q_prev: int,
-    q_next: int,
-    n_paths: int,
-    gaps,
-    variances,
-    sub: SubGammaParams,
-    *,
-    n_w: int,
-    n_s: int,
-) -> float:
-    """One level's inversion-risk term of the deterministic bound.
+    n_paths: int, gaps: np.ndarray, variances: np.ndarray, sub: SubGammaParams
+) -> np.ndarray:
+    """Selection-risk row of one path count N.
 
-    (q_prev - q_next)^{1/p} times the max over pairs (i, k) with i among the
-    n_w best and k beyond rank q_next of
-    gap * exp(-N gap^2 / (2 p (var_ik + c gap))).
-    Indexes passed to the oracles are 0-based.
+    ``gaps`` and ``variances`` hold ``mu_i - mu_k`` and ``Var[P_i - P_k]``
+    for i among the n_w best scenarios (rows) and every scenario k
+    (columns).  Entry q of the returned row is the max over i and over
+    k >= q of gap * exp(-N gap^2 / (2 p (var_ik + c gap))): one kernel pass,
+    a max over i, then a running max from the right.  The level term for
+    q_prev -> q_next is (q_prev - q_next)^{1/p} times entry q_next; a max
+    is exact, so the row serves every threshold pair at this N.
     """
-    if q_next >= q_prev:
-        if q_next == q_prev:
-            return 0.0
-        raise InvalidParameterError(f"need q_next <= q_prev, got {q_next} > {q_prev}")
     if n_paths < 0:
         raise InvalidParameterError("n_paths must be >= 0")
-    dq = q_prev - q_next
-    if q_next >= n_s:
-        return 0.0
-    i_idx = np.arange(min(n_w, n_s), dtype=np.intp)
-    k_idx = np.arange(q_next, n_s, dtype=np.intp)
-    ii, kk = np.meshgrid(i_idx, k_idx, indexing="ij")
-    g = np.asarray(gaps(ii, kk), dtype=np.float64)
-    v = np.asarray(variances(ii, kk), dtype=np.float64)
-    kern = _kernel_exp(n_paths, g, v, sub.c, sub.p)
-    vals = g * kern
-    return float(dq ** (1.0 / sub.p) * np.max(vals))
+    vals = gaps * _kernel_exp(n_paths, gaps, variances, sub.c, sub.p)
+    return np.maximum.accumulate(vals.max(axis=0)[::-1])[::-1]
 
 
 def _mc_moment_term(n: float, sigma_p: np.ndarray, sub: SubGammaParams) -> np.ndarray:
@@ -279,45 +239,71 @@ def robust_gap_max(
     return max(g(d) for d in candidates)
 
 
+def _level_dq(q_prev: int, q_next: int) -> int:
+    if q_next > q_prev:
+        raise InvalidParameterError(f"need q_next <= q_prev, got {q_next} > {q_prev}")
+    return q_prev - q_next
+
+
 def term_providers(target, sub: SubGammaParams, n_w: int, n_s: int, select):
     """(selection term, MC terms) evaluators for known parameters or robust
     brackets.
 
     ``target`` is a ScenarioParams (exact terms) or a RobustBounds
-    (worst-case terms over its gap brackets); ``select`` is the per-level
-    selection kernel :func:`selection_term`, passed by the caller so that
-    instrumentation rebinding the caller's name sees every call.  Every
-    bound of a concrete strategy and the planner's dynamic program evaluate
-    through these functions, so their values compare bitwise.
+    (worst-case terms over its gap brackets).  ``sel(q_prev, q_next, N)`` is
+    (q_prev - q_next)^{1/p} times a per-N factor: for a ScenarioParams the
+    entry q_next of the row ``select(N, gaps, variances, sub)`` of
+    :func:`selection_term`, over the n_w x n_s gap and pair-variance
+    matrices built here once, one row per distinct N; for a RobustBounds
+    :func:`robust_gap_max` over the bracket at q_next, once per (q_next, N).
+    ``select`` is passed by the caller so that instrumentation rebinding the
+    caller's name sees every row.  Every bound of a concrete strategy and
+    the planner's dynamic program evaluate through these functions, so
+    their values compare bitwise.
     """
     if isinstance(target, ScenarioParams):
-        gaps = pair_gap_oracle(target)
-        variances = pair_var_oracle(target)
+        if target.n_s != n_s:
+            raise InvalidParameterError(
+                f"target has n_s={target.n_s} scenarios but the plan has n_s={n_s}"
+            )
+        i = np.arange(min(n_w, n_s))[:, None]
+        k = np.arange(n_s)[None, :]
+        gaps = target.mu[i] - target.mu[k]
+        variances = pair_variance(target.sigma, i, k)
         sig_p = np.sort(np.sqrt(np.diag(target.sigma)) ** sub.p)[::-1]
+        rows: dict = {}
 
         def sel(q_prev, q_next, n_paths):
-            return select(
-                q_prev, q_next, n_paths, gaps, variances, sub, n_w=n_w, n_s=n_s
-            )
+            dq = _level_dq(q_prev, q_next)
+            if dq == 0 or q_next >= n_s:
+                return 0.0
+            row = rows.get(n_paths)
+            if row is None:
+                row = rows[n_paths] = select(n_paths, gaps, variances, sub)
+            return dq ** (1.0 / sub.p) * float(row[q_next])
 
         def mc(n_prev, n_last):
             return mc_terms_exact(n_prev, n_last, sig_p, n_w, sub)
 
     elif isinstance(target, RobustBounds):
+        worst: dict = {}
 
         def sel(q_prev, q_next, n_paths):
-            dq = q_prev - q_next
+            dq = _level_dq(q_prev, q_next)
             if dq == 0:
                 return 0.0
-            try:
-                lo, hi = target.delta_lo[q_next], target.delta_hi[q_next]
-            except KeyError:
-                raise InvalidParameterError(
-                    f"RobustBounds does not cover threshold q={q_next}"
-                ) from None
-            return dq ** (1.0 / sub.p) * robust_gap_max(
-                n_paths, lo, hi, target.sigma_bar, sub
-            )
+            m = worst.get((q_next, n_paths))
+            if m is None:
+                try:
+                    lo, hi = target.delta_lo[q_next], target.delta_hi[q_next]
+                except KeyError:
+                    raise InvalidParameterError(
+                        f"RobustBounds does not cover threshold q={q_next}"
+                    ) from None
+                m = worst[q_next, n_paths] = robust_gap_max(
+                    n_paths, lo, hi, target.sigma_bar, sub
+                )
+            return dq ** (1.0 / sub.p) * m
 
         def mc(n_prev, n_last):
             return mc_terms_robust(n_prev, n_last, target.sigma_bar, n_w, n_s, sub)
@@ -337,10 +323,10 @@ def strategy_value(
     that order.  Strategies with ``N_{L-1} == 0`` or ``dN_L == 0`` score
     +inf: their Monte Carlo terms are undefined and such plans must lose any
     minimization."""
+    sel, mc = term_providers(target, sub, n_w, n_s, select)
     n_prev, n_last = strategy.n[-2], strategy.n[-1]
     if n_prev == 0 or n_last == n_prev:
         return math.inf
-    sel, mc = term_providers(target, sub, n_w, n_s, select)
     total = 0.0
     for lvl in range(1, strategy.levels):
         total += sel(strategy.q[lvl - 1], strategy.q[lvl], strategy.n[lvl])

@@ -139,11 +139,18 @@ class ScenarioParams:
         return self._factor_cache[0]
 
     def restrict(self, idx: np.ndarray) -> "ScenarioParams":
-        """Parameters of the sub-model on scenario indexes ``idx``."""
+        """Parameters of the sub-model on scenario indexes ``idx``.
+
+        A principal sub-model of validated parameters is valid, so it is
+        built without re-running the constructor's checks.
+        """
         idx = np.asarray(idx, dtype=np.intp)
-        return ScenarioParams(
-            mu=self.mu[idx], sigma=self.sigma[np.ix_(idx, idx)], equi=self.equi
-        )
+        sub = object.__new__(ScenarioParams)
+        object.__setattr__(sub, "mu", self.mu[idx])
+        object.__setattr__(sub, "sigma", self.sigma[idx[:, None], idx])
+        object.__setattr__(sub, "equi", self.equi)
+        object.__setattr__(sub, "_factor_cache", [])
+        return sub
 
 
 def pair_variance(sigma: np.ndarray, i, k):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -45,8 +46,17 @@ class PlanningGrid:
         n = tuple(sorted(int(v) for v in self.n_grid))
         object.__setattr__(self, "q_grid", q)
         object.__setattr__(self, "n_grid", n)
+        if not q or not n:
+            raise InvalidParameterError("grids must be non-empty")
         if len(set(q)) != len(q) or len(set(n)) != len(n):
             raise InvalidParameterError("grids must be strictly increasing")
+        if q[0] < 1:
+            raise InvalidParameterError(f"n_w = min(q_grid) must be >= 1, got {q[0]}")
+        if not isinstance(self.levels, numbers.Integral):
+            raise InvalidParameterError(
+                f"levels must be an integer, got {self.levels!r}"
+            )
+        object.__setattr__(self, "levels", int(self.levels))
         if self.levels < 2:
             raise InvalidParameterError("need at least 2 levels")
         if not 0 < self.budget < math.inf:
@@ -77,127 +87,131 @@ def dp_optimize(
 ) -> tuple[Strategy, float]:
     """Bound-minimizing grid strategy within the budget.
 
-    Label-setting dynamic program over (level, q, N) nodes.  Each label keeps
-    the selection-term prefix and the budget spent so far; a label is dropped
-    only when another at the same node is at least as good in both, so the
-    surviving labels always contain a prefix of every optimal strategy.  Ties
-    on the final value break toward smaller cost, then lexicographically
-    smaller q, then smaller N.
+    Label-setting dynamic program over (level, q, N) nodes.  A label is a
+    partial strategy: its selection-term prefix ``g`` (summed in level
+    order), the budget ``spent`` so far, and back-pointer, grid indexes and
+    lexicographic ranks of its q path and N path.  Each level's labels are
+    arrays: every label is expanded over the admissible (q', N') at once,
+    and one lexsort on (node, spent, g, q-rank, N-rank) orders the
+    candidates of each node.  A candidate is kept iff its ``g`` is strictly
+    below that of every earlier one at its node, i.e. no other label is at
+    least as good in both g and spent; on an exact (g, spent) tie the
+    lexicographically smaller (q, N) path is kept.  The surviving labels
+    therefore contain a prefix of every optimal strategy.  Ties on the final
+    value break toward smaller cost, then lexicographically smaller q, then
+    smaller N.
 
     Returns the strategy and its bound value.  Raises when no strategy fits
     the budget with nonzero paths at levels L-1 and L.
     """
-    sel_raw, mc_raw = term_providers(
-        target, sub, grid.n_w, grid.n_s, selection_term
-    )
-    sel_cache: dict[tuple[int, int, int], float] = {}
-    mc_cache: dict[tuple[int, int], tuple[float, float]] = {}
-
-    def sel(q_prev, q_next, n_paths):
-        key = (q_prev, q_next, n_paths)
-        v = sel_cache.get(key)
-        if v is None:
-            v = sel_cache[key] = sel_raw(q_prev, q_next, n_paths)
-        return v
-
-    def mc(n_prev, n_last):
-        key = (n_prev, n_last)
-        v = mc_cache.get(key)
-        if v is None:
-            v = mc_cache[key] = mc_raw(n_prev, n_last)
-        return v
-
-    q_grid = grid.q_grid
-    n_grid = grid.n_grid
+    sel, mc = term_providers(target, sub, grid.n_w, grid.n_s, selection_term)
+    q_grid = np.array(grid.q_grid, dtype=np.int64)
+    n_grid = np.array(grid.n_grid, dtype=np.int64)
+    n_q, n_n = q_grid.size, n_grid.size
+    # N index 0 is the start (no paths yet); grid path counts are 1..n_n
+    n_ext = np.concatenate(([0], n_grid))
     budget = grid.budget
-    levels = grid.levels
-    n_s, n_w = grid.n_s, grid.n_w
 
-    # labels[(q, n)] -> list of (g, spent, q_path, n_path)
-    labels = {(n_s, 0): [(0.0, 0, (n_s,), (0,))]}
-    for lvl in range(1, levels):
-        nxt: dict[tuple[int, int], list] = {}
-        q_choices = (n_w,) if lvl == levels - 1 else q_grid
-        for (q_here, n_here), labs in labels.items():
-            for q2 in q_choices:
-                if q2 > q_here:
-                    continue
-                for n2 in n_grid:
-                    if n2 < n_here:
-                        continue
-                    step_cost = q_here * (n2 - n_here)
-                    term = None
-                    for g, spent, qp, npth in labs:
-                        spent2 = spent + step_cost
-                        if spent2 > budget:
-                            continue
-                        if term is None:
-                            term = sel(q_here, q2, n2)
-                        _push_label(
-                            nxt,
-                            (q2, n2),
-                            (g + term, spent2, qp + (q2,), npth + (n2,)),
-                        )
-        labels = nxt
-        if not labels:
+    # the start label sits at (n_s, 0)
+    qi = np.array([n_q - 1])
+    ni = np.array([0])
+    g = np.zeros(1)
+    spent = np.zeros(1, dtype=np.int64)
+    q_rank = np.zeros(1, dtype=np.int32)
+    n_rank = np.zeros(1, dtype=np.int32)
+    trail = []  # per level: (back-pointer, q index, N index) of its labels
+    for lvl in range(1, grid.levels):
+        q_choices = np.arange(1 if lvl == grid.levels - 1 else n_q)
+        q_here = q_grid[qi]
+        n_here = n_ext[ni]
+        step = q_here[:, None] * (n_grid - n_here[:, None])
+        ok_n = (n_grid >= n_here[:, None]) & (spent[:, None] + step <= budget)
+        ok_q = q_grid[q_choices] <= q_here[:, None]
+        lab, a, b = np.nonzero(ok_q[:, :, None] & ok_n[:, None, :])
+        if lab.size == 0:
             raise InfeasiblePlanError(
                 f"no feasible strategy on the grid within budget {budget}"
             )
+        q_next = q_choices[a]
+        g_next = g[lab] + _level_terms(sel, q_grid, n_grid, qi[lab], q_next, b)
+        spent_next = spent[lab] + step[lab, b]
+        # the paths into one node differ only in the prefix each extends, so
+        # the extended labels' ranks order them
+        keep = _pareto_frontier(
+            q_next * n_n + b, spent_next, g_next, q_rank[lab], n_rank[lab]
+        )
+        lab, qi, ni = lab[keep], q_next[keep], b[keep] + 1
+        g, spent = g_next[keep], spent_next[keep]
+        trail.append((lab, qi, ni))
+        q_rank = _dense_rank(q_rank[lab].astype(np.int64) * n_q + qi)
+        n_rank = _dense_rank(n_rank[lab].astype(np.int64) * (n_n + 1) + ni)
 
-    best = None  # (F, cost, q_path, n_path)
-    for (q_here, n_here), labs in labels.items():
-        for n_last in n_grid:
-            if n_last < n_here:
-                continue
-            for g, spent, qp, npth in labs:
-                total_cost = spent + q_here * (n_last - n_here)
-                if total_cost > budget:
-                    continue
-                tb, tc = mc(n_here, n_last)
-                value = g + tb
-                value = value + tc
-                cand = (value, total_cost, qp, npth + (n_last,))
-                if best is None or _final_key(cand) < _final_key(best):
-                    best = cand
-    if best is None or not math.isfinite(best[0]):
+    n_here = n_ext[ni]
+    total = spent[:, None] + q_grid[qi][:, None] * (n_grid - n_here[:, None])
+    lab, b = np.nonzero((n_grid >= n_here[:, None]) & (total <= budget))
+    pairs, inverse = np.unique(ni[lab] * n_n + b, return_inverse=True)
+    tb, tc = np.array([mc(int(n_ext[k // n_n]), int(n_grid[k % n_n])) for k in pairs]).T
+    value = (g[lab] + tb[inverse]) + tc[inverse]
+    order = np.lexsort((b, n_rank[lab], q_rank[lab], total[lab, b], value))
+    best = order[0]  # N_L == N_{L-1} always fits, so there is a candidate
+    if not math.isfinite(value[best]):
         raise InfeasiblePlanError(
             f"no strategy with finite bound fits budget {budget} "
             "(levels L-1 and L need at least one path each)"
         )
-    value, total_cost, qp, npth = best
-    return Strategy(q=qp, n=npth), value
+    q_path, n_path = [], []
+    label = lab[best]
+    for back, q_idx, n_idx in reversed(trail):
+        q_path.append(q_grid[q_idx[label]])
+        n_path.append(n_ext[n_idx[label]])
+        label = back[label]
+    strategy = Strategy(
+        q=(grid.n_s, *q_path[::-1]), n=(0, *n_path[::-1], n_grid[b[best]])
+    )
+    return strategy, float(value[best])
 
 
-def _final_key(cand):
-    value, total_cost, qp, npth = cand
-    return (value, total_cost, qp, npth)
+def _level_terms(sel, q_grid, n_grid, q_from, q_to, n_to) -> np.ndarray:
+    """``sel(q_grid[q_from], q_grid[q_to], n_grid[n_to])`` per candidate,
+    evaluated once per distinct triple of grid indexes."""
+    n_q, n_n = q_grid.size, n_grid.size
+    key = (q_from * n_q + q_to) * n_n + n_to
+    triples, inverse = np.unique(key, return_inverse=True)
+    i, rest = np.divmod(triples, n_q * n_n)
+    j, k = np.divmod(rest, n_n)
+    terms = [
+        sel(int(q_grid[a]), int(q_grid[c]), int(n_grid[d])) for a, c, d in zip(i, j, k)
+    ]
+    return np.array(terms, dtype=float)[inverse]
 
 
-def _push_label(store: dict, node, lab) -> None:
-    """Insert a label, keeping only the (g, spent) Pareto frontier per node.
+def _dense_rank(key: np.ndarray) -> np.ndarray:
+    """Rank of each key among the distinct keys (equal keys, equal rank)."""
+    return np.unique(key, return_inverse=True)[1].astype(np.int32)
 
-    On exact (g, spent) ties the lexicographically smaller (q, N) path wins,
-    matching the planner's final tie rule.
+
+def _pareto_frontier(node, spent, g, q_rank, n_rank) -> np.ndarray:
+    """Indexes of the labels no other label at their node dominates.
+
+    Sorted by (node, spent, g, q path, N path), a label is dominated iff an
+    earlier label at its node has ``g`` at most its own: such a label spent
+    no more, and on an exact (g, spent) tie has the smaller path.  So the
+    kept labels are those whose ``g`` is strictly below every earlier ``g``
+    of their node.
     """
-    g, spent, qp, npth = lab
-    labs = store.get(node)
-    if labs is None:
-        store[node] = [lab]
-        return
-    keep = []
-    for other in labs:
-        og, ospent, oqp, onp = other
-        if og <= g and ospent <= spent:
-            if og == g and ospent == spent:
-                if (oqp, onp) <= (qp, npth):
-                    return
-                continue  # same scores, new path preferred: drop the old label
-            return  # dominated: drop the new label
-        if g <= og and spent <= ospent:
-            continue  # new label dominates the old one
-        keep.append(other)
-    keep.append(lab)
-    store[node] = keep
+    order = np.lexsort((n_rank, q_rank, g, spent, node))
+    node, g = node[order], g[order]
+    start = np.ones(node.size, dtype=bool)
+    start[1:] = node[1:] != node[:-1]
+    g_rank = np.unique(g, return_inverse=True)[1]
+    # each node's keys lie below every earlier node's, so the running min
+    # restarts at each node's first label
+    key = g_rank - np.cumsum(start) * (g_rank.max() + 1)
+    run_min = np.minimum.accumulate(key)
+    # a node's first label is kept, a later one iff it sets a new strict min
+    keep = start
+    keep[1:] |= key[1:] < run_min[:-1]
+    return order[keep]
 
 
 @dataclass(frozen=True)

@@ -16,10 +16,9 @@ from esscreen.bounds import (
     bernstein_tail,
     f_p_ad,
     gamma_constants,
-    pair_gap_oracle,
-    pair_var_oracle,
     robust_gap_max,
     selection_term,
+    term_providers,
 )
 from esscreen.errors import InvalidParameterError
 from esscreen.model import (
@@ -102,48 +101,51 @@ def _theta(n_s=20, delta0=5.0, sigma=6.0, rho=0.4):
     )
 
 
+def _sel(theta, sub, n_w=3):
+    """The exact-parameter level term q_prev -> q_next at N paths."""
+    return term_providers(theta, sub, n_w, theta.n_s, selection_term)[0]
+
+
 class TestSelectionTerm:
     def test_brute_force_max(self):
         theta = _theta()
         sub = SubGammaParams(c=0.7, p=2.0)
         n_w, n_s, q_next = 3, theta.n_s, 8
-        got = selection_term(
-            15,
-            q_next,
-            40,
-            pair_gap_oracle(theta),
-            pair_var_oracle(theta),
-            sub,
-            n_w=n_w,
-            n_s=n_s,
-        )
-        best = -np.inf
-        for i in range(n_w):
-            for k in range(q_next, n_s):
-                g = theta.mu[i] - theta.mu[k]
-                v = (
-                    theta.sigma[i, i]
-                    + theta.sigma[k, k]
-                    - 2 * theta.sigma[i, k]
-                )
-                best = max(
-                    best, g * math.exp(-40 * g * g / (2 * sub.p * (v + sub.c * g)))
-                )
-        assert got == pytest.approx((15 - q_next) ** (1 / sub.p) * best, rel=1e-12)
+
+        def brute(q):
+            best = -np.inf
+            for i in range(n_w):
+                for k in range(q, n_s):
+                    g = theta.mu[i] - theta.mu[k]
+                    v = (
+                        theta.sigma[i, i]
+                        + theta.sigma[k, k]
+                        - 2 * theta.sigma[i, k]
+                    )
+                    kern = math.exp(-40 * g * g / (2 * sub.p * (v + sub.c * g)))
+                    best = max(best, g * kern)
+            return best
+
+        got = _sel(theta, sub, n_w)(15, q_next, 40)
+        want = (15 - q_next) ** (1 / sub.p) * brute(q_next)
+        assert got == pytest.approx(want, rel=1e-12)
+        # the row holds the max over k >= q for every threshold q >= n_w at once
+        gaps = theta.mu[:n_w, None] - theta.mu[None, :]
+        d = np.diag(theta.sigma)
+        variances = d[:n_w, None] + d[None, :] - 2 * theta.sigma[:n_w]
+        row = selection_term(40, gaps, variances, sub)
+        assert row.shape == (n_s,)
+        for q in range(n_w, n_s):
+            assert row[q] == pytest.approx(brute(q), rel=1e-12)
 
     def test_vanishes_with_many_paths(self):
         theta = _theta()
-        sub = SubGammaParams()
-        args = (pair_gap_oracle(theta), pair_var_oracle(theta))
-        assert selection_term(
-            15, 8, 10**9, *args, sub, n_w=3, n_s=20
-        ) == pytest.approx(0.0, abs=1e-300)
+        assert _sel(theta, SubGammaParams())(15, 8, 10**9) == pytest.approx(
+            0.0, abs=1e-300
+        )
 
     def test_zero_dq_is_zero(self):
-        theta = _theta()
-        sub = SubGammaParams()
-        args = (pair_gap_oracle(theta), pair_var_oracle(theta))
-        assert selection_term(8, 8, 10, *args, sub, n_w=3, n_s=20) == 0.0
+        assert _sel(_theta(), SubGammaParams())(8, 8, 10) == 0.0
 
     def test_linear_book_reduces_to_gap_scan(self):
         # constant pair variance: the pair max is a 1-D scan over gap sizes
@@ -151,16 +153,7 @@ class TestSelectionTerm:
         sub = SubGammaParams(c=0.0, p=1.0)
         sig2 = 2 * 36.0 * (1 - 0.6)
         q_next, n_w, n = 8, 3, 60
-        got = selection_term(
-            theta.n_s,
-            q_next,
-            n,
-            pair_gap_oracle(theta),
-            pair_var_oracle(theta),
-            sub,
-            n_w=n_w,
-            n_s=theta.n_s,
-        )
+        got = _sel(theta, sub, n_w)(theta.n_s, q_next, n)
         gaps = np.array(
             [
                 (k - i) * 5.0
@@ -170,6 +163,24 @@ class TestSelectionTerm:
         )
         scan = np.max(gaps * np.exp(-n * gaps**2 / (2 * sig2)))
         assert got == pytest.approx((theta.n_s - q_next) * scan, rel=1e-12)
+
+    def test_rising_threshold_rejected(self):
+        with pytest.raises(InvalidParameterError, match="q_next <= q_prev"):
+            _sel(_theta(), SubGammaParams())(8, 9, 10)
+
+    def test_one_row_per_path_count(self, monkeypatch):
+        calls = []
+
+        def counting(n_paths, *args):
+            calls.append(n_paths)
+            return selection_term(n_paths, *args)
+
+        sel, _ = term_providers(_theta(), SubGammaParams(), 3, 20, counting)
+        for q_prev, q_next in ((20, 8), (15, 8), (8, 3), (20, 3)):
+            for n in (10, 40):
+                sel(q_prev, q_next, n)
+        sel(8, 8, 99)  # dq = 0 needs no row
+        assert calls == [10, 40]
 
 
 class TestFp:
@@ -221,11 +232,8 @@ class TestFp:
     def test_selection_terms_monotone_in_paths(self):
         theta = _theta()
         sub = SubGammaParams(c=0.2, p=1.5)
-        args = (pair_gap_oracle(theta), pair_var_oracle(theta))
-        vals = [
-            selection_term(20, 8, n, *args, sub, n_w=3, n_s=20)
-            for n in (1, 5, 20, 100, 400)
-        ]
+        sel = _sel(theta, sub)
+        vals = [sel(20, 8, n) for n in (1, 5, 20, 100, 400)]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
 

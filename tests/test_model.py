@@ -217,3 +217,32 @@ def _niw(**kw):
 def test_non_finite_parameters_rejected(build, field):
     with pytest.raises(InvalidParameterError, match=rf"\b{field} must be finite"):
         build()
+
+
+@pytest.mark.parametrize("equi", [False, True], ids=["general", "equi"])
+def test_restrict_is_the_validated_sub_model_without_revalidation(equi, monkeypatch):
+    rng = substream(2, 3)
+    if equi:
+        theta = ScenarioParams.equicorrelated(
+            synthetic_book(9, 2.0), EquicorrelatedSpec(3.0, 0.4)
+        )
+    else:
+        a = rng.standard_normal((9, 9))
+        theta = ScenarioParams(mu=rng.standard_normal(9), sigma=a @ a.T)
+    theta.factor()  # a cached full factor must not leak into the sub-model
+    ids = np.array([0, 2, 3, 7])
+    want = ScenarioParams(
+        mu=theta.mu[ids], sigma=theta.sigma[np.ix_(ids, ids)], equi=theta.equi
+    )
+
+    def no_validation(self):
+        raise AssertionError("restrict re-ran the constructor's checks")
+
+    monkeypatch.setattr(ScenarioParams, "__post_init__", no_validation)
+    sub = theta.restrict(ids)
+    assert np.array_equal(sub.mu, want.mu) and np.array_equal(sub.sigma, want.sigma)
+    assert sub.mu.dtype == sub.sigma.dtype == np.float64
+    assert sub.equi == want.equi and sub.n_s == 4
+    np.testing.assert_array_equal(sub.factor(), want.factor())
+    draws = simulate_prices(sub, 5, substream(2, 4))
+    assert np.array_equal(draws, simulate_prices(want, 5, substream(2, 4)))

@@ -7,9 +7,23 @@ import math
 import numpy as np
 import pytest
 
-from esscreen.bounds import RobustBounds, SubGammaParams
+import esscreen.planner
+from esscreen.bounds import (
+    RobustBounds,
+    SubGammaParams,
+    mc_terms_exact,
+    mc_terms_robust,
+    robust_gap_max,
+)
 from esscreen.errors import InfeasiblePlanError, InvalidParameterError
-from esscreen.model import EquicorrelatedSpec, ScenarioParams, synthetic_book
+from esscreen.model import (
+    EquicorrelatedSpec,
+    NIWParams,
+    ScenarioParams,
+    build_equicorrelated,
+    sample_niw,
+    synthetic_book,
+)
 from esscreen.planner import (
     HeuristicParams,
     PlanningGrid,
@@ -74,6 +88,279 @@ def random_small_grid(rng):
     sigma = a @ a.T / n_s + np.eye(n_s) * rng.uniform(0.5, 3.0)
     theta = ScenarioParams(mu=mu, sigma=sigma)
     return grid, theta
+
+
+# --- frozen copy of the label-setting planner before it was array-valued ---
+# One selection term per (q_prev, q_next, N) triple over pair callables, a
+# dict of label lists per node and a tuple dominance check per insertion.
+# It shares no term provider with the package, only the Monte Carlo terms
+# and the robust gap maximiser.
+
+
+def _frozen_kernel_exp(n, x, var, c, p):
+    x = np.asarray(x, dtype=np.float64)
+    denom = 2.0 * p * (var + c * x)
+    safe = np.where(denom > 0, denom, 1.0)
+    with np.errstate(over="ignore"):
+        expo = -n * x * x / safe
+    out = np.where(expo > -745.0, np.exp(np.maximum(expo, -745.0)), 0.0)
+    out = np.where((x > 0) & (denom <= 0), 0.0, out)
+    return np.where(x <= 0, 1.0, out)
+
+
+def _frozen_selection_term(q_prev, q_next, n_paths, gaps, variances, sub, n_w, n_s):
+    if q_next >= q_prev:
+        return 0.0
+    dq = q_prev - q_next
+    if q_next >= n_s:
+        return 0.0
+    i_idx = np.arange(min(n_w, n_s), dtype=np.intp)
+    k_idx = np.arange(q_next, n_s, dtype=np.intp)
+    ii, kk = np.meshgrid(i_idx, k_idx, indexing="ij")
+    g = np.asarray(gaps(ii, kk), dtype=np.float64)
+    v = np.asarray(variances(ii, kk), dtype=np.float64)
+    vals = g * _frozen_kernel_exp(n_paths, g, v, sub.c, sub.p)
+    return float(dq ** (1.0 / sub.p) * np.max(vals))
+
+
+def _frozen_providers(target, sub, n_w, n_s):
+    if isinstance(target, ScenarioParams):
+        mu, sigma = target.mu, target.sigma
+
+        def gaps(i, k):
+            return mu[i] - mu[k]
+
+        def variances(i, k):
+            return sigma[i, i] + sigma[k, k] - 2.0 * sigma[i, k]
+
+        sig_p = np.sort(np.sqrt(np.diag(sigma)) ** sub.p)[::-1]
+
+        def sel(q_prev, q_next, n_paths):
+            return _frozen_selection_term(
+                q_prev, q_next, n_paths, gaps, variances, sub, n_w, n_s
+            )
+
+        def mc(n_prev, n_last):
+            return mc_terms_exact(n_prev, n_last, sig_p, n_w, sub)
+
+        return sel, mc
+
+    def sel(q_prev, q_next, n_paths):
+        dq = q_prev - q_next
+        if dq == 0:
+            return 0.0
+        lo, hi = target.delta_lo[q_next], target.delta_hi[q_next]
+        return dq ** (1.0 / sub.p) * robust_gap_max(
+            n_paths, lo, hi, target.sigma_bar, sub
+        )
+
+    def mc(n_prev, n_last):
+        return mc_terms_robust(n_prev, n_last, target.sigma_bar, n_w, n_s, sub)
+
+    return sel, mc
+
+
+def _frozen_push_label(store, node, lab):
+    g, spent, qp, npth = lab
+    labs = store.get(node)
+    if labs is None:
+        store[node] = [lab]
+        return
+    keep = []
+    for other in labs:
+        og, ospent, oqp, onp = other
+        if og <= g and ospent <= spent:
+            if og == g and ospent == spent:
+                if (oqp, onp) <= (qp, npth):
+                    return
+                continue
+            return
+        if g <= og and spent <= ospent:
+            continue
+        keep.append(other)
+    keep.append(lab)
+    store[node] = keep
+
+
+def frozen_dp_optimize(grid, target, sub):
+    """The planner as it was before its labels became arrays; returns
+    ``(q path, N path, value)`` or raises InfeasiblePlanError."""
+    sel_raw, mc = _frozen_providers(target, sub, grid.n_w, grid.n_s)
+    sel_cache = {}
+
+    def sel(*key):
+        if key not in sel_cache:
+            sel_cache[key] = sel_raw(*key)
+        return sel_cache[key]
+
+    n_s, n_w, budget = grid.n_s, grid.n_w, grid.budget
+    labels = {(n_s, 0): [(0.0, 0, (n_s,), (0,))]}
+    for lvl in range(1, grid.levels):
+        nxt = {}
+        q_choices = (n_w,) if lvl == grid.levels - 1 else grid.q_grid
+        for (q_here, n_here), labs in labels.items():
+            for q2 in q_choices:
+                if q2 > q_here:
+                    continue
+                for n2 in grid.n_grid:
+                    if n2 < n_here:
+                        continue
+                    step_cost = q_here * (n2 - n_here)
+                    for g, spent, qp, npth in labs:
+                        if spent + step_cost > budget:
+                            continue
+                        _frozen_push_label(
+                            nxt,
+                            (q2, n2),
+                            (
+                                g + sel(q_here, q2, n2),
+                                spent + step_cost,
+                                qp + (q2,),
+                                npth + (n2,),
+                            ),
+                        )
+        labels = nxt
+        if not labels:
+            raise InfeasiblePlanError("no feasible label")
+    best = None
+    for (q_here, n_here), labs in labels.items():
+        for n_last in grid.n_grid:
+            if n_last < n_here:
+                continue
+            for g, spent, qp, npth in labs:
+                total_cost = spent + q_here * (n_last - n_here)
+                if total_cost > budget:
+                    continue
+                tb, tc = mc(n_here, n_last)
+                value = g + tb
+                value = value + tc
+                cand = (value, total_cost, qp, npth + (n_last,))
+                if best is None or cand < best:
+                    best = cand
+    if best is None or not math.isfinite(best[0]):
+        raise InfeasiblePlanError("no finite plan")
+    return best[2], best[3], best[0]
+
+
+def assert_matches_frozen(grid, target, sub):
+    """dp_optimize returns the frozen planner's plan and bound bit for bit
+    (or both raise InfeasiblePlanError); returns whether a plan exists."""
+    try:
+        want = frozen_dp_optimize(grid, target, sub)
+    except InfeasiblePlanError:
+        with pytest.raises(InfeasiblePlanError):
+            dp_optimize(grid, target, sub)
+        return False
+    strat, value = dp_optimize(grid, target, sub)
+    assert (strat.q, strat.n) == want[:2]
+    assert value.hex() == want[2].hex()
+    assert strategy_bound(strat, target, sub, grid).hex() == value.hex()
+    return True
+
+
+PAPER_Q_GRID = (
+    6, 10, 15, 20, 25, 30, 35, 40, 45, 50, 60, 70, 80, 90, 100, 150, 200, 253,
+)
+PAPER_N_GRID = (
+    1000, 2000, 4000, 6000, 10_000, 17_000, 25_000, 40_000, 60_000,
+    100_000, 150_000, 250_000, 400_000, 700_000, 1_000_000, 1_500_000,
+)
+
+
+def paper_theta(general):
+    """The paper book under the one-factor covariance, or one
+    inverse-Wishart draw around it (2000 degrees of freedom above d+1)."""
+    mu = synthetic_book(253, 2766.0)
+    spec = EquicorrelatedSpec(2.2e6, 0.6)
+    if not general:
+        return ScenarioParams.equicorrelated(mu, spec)
+    sigma = build_equicorrelated(spec, 253)
+    prior = NIWParams(
+        m=mu, k=1.0, i=253 + 1 + 2000, s=2000 * sigma, index_map=np.arange(253)
+    )
+    return ScenarioParams(mu=mu, sigma=sample_niw(prior, substream(23, 9)).sigma)
+
+
+def paper_grid(levels):
+    return PlanningGrid(
+        q_grid=PAPER_Q_GRID, n_grid=PAPER_N_GRID, budget=10**7, levels=levels
+    )
+
+
+class TestMatchesFrozenPlanner:
+    @pytest.mark.parametrize("general", [False, True], ids=["equi", "iw"])
+    @pytest.mark.parametrize("levels", [3, 4, 5])
+    def test_paper_grid(self, levels, general):
+        assert assert_matches_frozen(
+            paper_grid(levels), paper_theta(general), SubGammaParams(c=0.0, p=1.0)
+        )
+
+    @pytest.mark.parametrize("c,p", [(0.0, 1.0), (0.7, 1.5), (0.3, 2.0)])
+    def test_random_small_grids(self, c, p):
+        rng = substream(23, 10)
+        feasible = sum(
+            assert_matches_frozen(*random_small_grid(rng), SubGammaParams(c=c, p=p))
+            for _ in range(30)
+        )
+        assert feasible >= 20
+
+    @pytest.mark.parametrize("c,p", [(0.0, 1.0), (0.8, 1.0), (0.3, 2.0)])
+    def test_robust_targets(self, c, p):
+        rng = substream(23, 11)
+        feasible = 0
+        for _ in range(15):
+            grid, _theta = random_small_grid(rng)
+            rb = RobustBounds(
+                delta_lo={q: 0.5 * q for q in grid.q_grid},
+                delta_hi={q: 3.0 * q for q in grid.q_grid},
+                sigma_bar=4.0,
+            )
+            feasible += assert_matches_frozen(grid, rb, SubGammaParams(c=c, p=p))
+        assert feasible >= 10
+
+    def test_exact_tie_at_a_node(self):
+        # (8, 5, 5) and (8, 8, 5) reach node (5, 9) at level 2 with the same
+        # spend and prefix sums 0 + x + 0 == 0 + 0 + x; (8, 5, 2, 2) ties
+        # with both at the end, and the smallest q path wins
+        theta = ScenarioParams(mu=-2.0 * np.arange(1.0, 9.0), sigma=np.eye(8))
+        sub = SubGammaParams()
+        grid = PlanningGrid(q_grid=(2, 5, 8), n_grid=(9, 30), budget=200, levels=4)
+        tied = [
+            Strategy(q=q, n=(0, 9, 9, 9, 30))
+            for q in ((8, 5, 2, 2), (8, 5, 5, 2), (8, 8, 5, 2))
+        ]
+        values = {strategy_bound(s, theta, sub, grid) for s in tied}
+        assert len(values) == 1 and len({cost(s) for s in tied}) == 1
+        assert assert_matches_frozen(grid, theta, sub)
+        assert dp_optimize(grid, theta, sub) == (tied[0], values.pop())
+
+    def test_frontier_keeps_what_label_insertion_keeps(self):
+        # many exact (g, spent) ties: integer-valued scores on a few nodes
+        rng = substream(23, 12)
+        for _ in range(50):
+            m = int(rng.integers(1, 28))
+            node = rng.integers(0, 3, size=m)
+            spent = rng.integers(0, 4, size=m)
+            g = rng.integers(0, 4, size=m) * 0.5
+            paths = rng.permutation(
+                [(a, b, c) for a in range(3) for b in range(3) for c in range(3)]
+            )[:m]
+            q_paths = [tuple(int(v) for v in pth[:2]) for pth in paths]
+            n_paths = [(int(pth[2]),) for pth in paths]
+            store = {}
+            for j in rng.permutation(m):
+                lab = (g[j], spent[j], q_paths[j], n_paths[j])
+                _frozen_push_label(store, int(node[j]), lab)
+            want = {(nd, lab[2], lab[3]) for nd, labs in store.items() for lab in labs}
+
+            def rank(keys):
+                return np.array([sorted(set(keys)).index(k) for k in keys])
+
+            kept = esscreen.planner._pareto_frontier(
+                node, spent, g, rank(q_paths), rank(n_paths)
+            )
+            got = {(int(node[j]), q_paths[j], n_paths[j]) for j in kept}
+            assert got == want and len(kept) == len(got)
 
 
 class TestDpOptimize:
@@ -167,23 +454,47 @@ class TestDpOptimize:
     def test_paper_scale_beats_uniform(self):
         # Table-size problem: the planned strategy's bound must not exceed
         # the uniform benchmark's at equal budget.
-        spec = EquicorrelatedSpec(2.2e6, 0.6)
-        theta = ScenarioParams.equicorrelated(synthetic_book(253, 2766.0), spec)
+        theta = paper_theta(general=False)
         sub = SubGammaParams(c=0.0, p=1.0)
-        q_grid = (6, 10, 15, 20, 25, 30, 35, 40, 45, 50, 60, 70, 80, 90, 100, 150, 200, 253)
-        n_grid = tuple(
-            int(v)
-            for v in [
-                1000, 2000, 4000, 6000, 10_000, 17_000, 25_000, 40_000, 60_000,
-                100_000, 150_000, 250_000, 400_000, 700_000, 1_000_000, 1_500_000,
-            ]
-        )
-        grid = PlanningGrid(q_grid=q_grid, n_grid=n_grid, budget=10**7, levels=4)
+        grid = paper_grid(4)
         strat, value = dp_optimize(grid, theta, sub)
         assert cost(strat) <= 10**7
         n1 = 10**7 // 253
         uniform = Strategy(q=(253, 6), n=(0, n1 - 1, n1))
         assert value <= strategy_bound(uniform, theta, sub, grid)
+
+
+    def test_one_selection_row_per_path_count(self, monkeypatch):
+        # work guard: the kernel runs once per distinct N, not per
+        # (q_prev, q_next, N) triple; no timing is asserted
+        from esscreen.bounds import selection_term
+
+        calls = []
+
+        def counting(*args):
+            calls.append(args[0])
+            return selection_term(*args)
+
+        monkeypatch.setattr(esscreen.planner, "selection_term", counting)
+        grid = paper_grid(5)
+        theta = paper_theta(general=False)
+        strat, value = dp_optimize(grid, theta, SubGammaParams())
+        assert 0 < len(calls) <= len(grid.n_grid)
+        calls.clear()
+        assert strategy_bound(strat, theta, SubGammaParams(), grid) == value
+        assert 0 < len(calls) <= grid.levels - 1
+
+    @pytest.mark.parametrize("width", [15, 25])
+    def test_theta_and_grid_must_agree_on_n_s(self, width):
+        # a narrower grid used to plan on the first scenarios only, a wider
+        # one to fail with an IndexError
+        theta = ScenarioParams(mu=-np.arange(1.0, 21.0), sigma=np.eye(20))
+        grid = PlanningGrid(q_grid=(2, 8, width), n_grid=(3, 9), budget=500, levels=3)
+        strat = Strategy(q=(width, 8, 2), n=(0, 3, 9, 12))
+        with pytest.raises(InvalidParameterError, match=rf"n_s=20.*n_s={width}"):
+            dp_optimize(grid, theta, SubGammaParams())
+        with pytest.raises(InvalidParameterError, match=rf"n_s=20.*n_s={width}"):
+            strategy_bound(strat, theta, SubGammaParams(), grid)
 
 
 class TestHeuristicNumeric:
@@ -320,6 +631,27 @@ def test_heuristic_params_reject_a_bad_budget(budget):
         HeuristicParams(
             delta0=1.0, sigma_bar=1.0, c=0.0, budget=budget, n2=100, n_s=20, n_w=3
         )
+
+
+@pytest.mark.parametrize(
+    "q_grid,levels,match",
+    [
+        ((0, 3, 8), 3, "n_w"),
+        ((-1, 3, 8), 3, "n_w"),
+        ((), 3, "non-empty"),
+        ((2, 3, 8), 2.5, "levels"),
+        ((2, 3, 8), "3", "levels"),
+        ((2, 3, 8), 1, "levels"),
+    ],
+)
+def test_planning_grid_rejects_bad_thresholds_and_levels(q_grid, levels, match):
+    with pytest.raises(InvalidParameterError, match=match):
+        PlanningGrid(q_grid=q_grid, n_grid=(10, 20), budget=100, levels=levels)
+
+
+def test_planning_grid_accepts_numpy_integer_levels():
+    grid = PlanningGrid(q_grid=(2, 5), n_grid=(10, 20), budget=100, levels=np.int64(3))
+    assert grid.levels == 3 and type(grid.levels) is int
 
 
 def test_objective_vanishes_with_budget():
