@@ -12,7 +12,6 @@ from .net import (
 )
 from .niw import (
     niw_update_diag_stats,
-    niw_update_stats,
     restrict_niw,
 )
 from .policy import (
@@ -56,7 +55,6 @@ __all__ = [
     "net_forward",
     "net_loss_and_grads",
     "niw_update_diag_stats",
-    "niw_update_stats",
     "restrict_niw",
     "run_adaptive",
     "train_level",

@@ -28,6 +28,9 @@ __all__ = [
 
 HIDDEN_UNITS = 256
 
+#: Gradient steps between two minibatch draws in :func:`train_level`.
+BATCH_CHANGE = 1000
+
 _log = logging.getLogger(__name__)
 
 
@@ -125,7 +128,7 @@ class TrainSchedule:
 
     A fresh minibatch (the cross product of ``j_batch`` sample indexes and
     ``k_batch`` strategy indexes, drawn from random permutations) is selected
-    every ``batch_change`` steps.
+    every ``BATCH_CHANGE`` steps.
     """
 
     n_iter: int
@@ -133,7 +136,6 @@ class TrainSchedule:
     r: float = 2.0
     j_batch: int = 4
     k_batch: int = 4
-    batch_change: int = 1000
     seed: int = 0
 
 
@@ -167,7 +169,7 @@ def train_level(
     rows = np.arange(x.shape[0])
     batch = rows
     for t in range(schedule.n_iter):
-        if t % schedule.batch_change == 0:
+        if t % BATCH_CHANGE == 0:
             if k_of is not None and j_of is not None:
                 ks = np.unique(k_of)
                 js = np.unique(j_of)
@@ -205,10 +207,13 @@ def learning_rate_search(
     Trains ``candidates`` fresh nets at rates base/10^(i-1) for
     ``probe_steps`` each, ranks the converged ones by mean log loss, then
     continues the best for the full schedule at one notch below its probe
-    rate.  If that final run diverges, the next-best converged probe is
-    continued the same way (logged at WARNING).  Returns (net, final_rate,
-    losses of the final run).  Raises only if every attempt diverges,
-    listing each probe's and each final run's fate.
+    rate.  A probe has converged when its loss stayed finite and the mean of
+    its last tenth of losses is not above the mean of its first tenth; a
+    probe whose loss grew is never continued.  If the final run diverges,
+    the next-best converged probe is continued the same way (logged at
+    WARNING).  Returns (net, final_rate, losses of the final run).  Raises
+    only if no attempt converges, listing each probe's and each final run's
+    fate.
     """
     base = schedule.rate
     outcomes = []
@@ -221,6 +226,11 @@ def learning_rate_search(
             net_i, losses = train_level(x, y, net0, probe, k_of=k_of, j_of=j_of)
         except TrainingDivergedError as exc:
             outcomes.append(f"rate {rate:g}: diverged at {exc.iteration}")
+            continue
+        tenth = max(1, losses.size // 10)
+        first, last = float(np.mean(losses[:tenth])), float(np.mean(losses[-tenth:]))
+        if last > first:
+            outcomes.append(f"rate {rate:g}: grew, loss {first:.4g} -> {last:.4g}")
             continue
         mean_log = float(np.mean(np.log(np.maximum(losses, 1e-300))))
         outcomes.append(f"rate {rate:g}: mean log loss {mean_log:.4f}")
@@ -243,5 +253,5 @@ def learning_rate_search(
             continue
         return net, final_rate, losses
     raise TrainingDivergedError(
-        "every training attempt diverged: " + "; ".join(outcomes)
+        "no training attempt converged: " + "; ".join(outcomes)
     )

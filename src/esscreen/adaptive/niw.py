@@ -1,10 +1,11 @@
-"""Conjugate Normal-inverse-Wishart filtering of Gaussian pricing batches.
+"""Normal-inverse-Wishart filtering of Gaussian pricing batches.
 
 The posterior over (mean vector, covariance) of the pricing noise stays in
 the NIW family under batch updates; the update may simultaneously restrict
-the tracked coordinates to a survivor subset.  A cheaper diagonal variant
-updates only the variance diagonal and reconstructs off-diagonal entries by
-holding the prior's correlations fixed.
+the tracked coordinates to a survivor subset.  The update consumes the
+batch's variance diagonal only: the scale-matrix diagonal follows the exact
+conjugate update and off-diagonal entries are rebuilt by holding the
+correlations fixed.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from ..model import NIWParams, correlation
 
 __all__ = [
     "restrict_niw",
-    "niw_update_stats",
     "niw_update_diag_stats",
 ]
 
@@ -41,46 +41,6 @@ def restrict_niw(p: NIWParams, keep_ids: np.ndarray) -> NIWParams:
         k=p.k,
         i=p.i,
         s=p.s[np.ix_(pos, pos)],
-        index_map=p.index_map[pos],
-    )
-
-
-def niw_update_stats(
-    p: NIWParams,
-    delta_mean: np.ndarray,
-    scatter: np.ndarray,
-    delta_n: int,
-    keep_ids: np.ndarray,
-) -> NIWParams:
-    """Full-matrix conjugate update from batch sufficient statistics.
-
-    ``delta_mean``/``scatter`` are the fresh-batch column means and centered
-    scatter over the *current* coordinates; both are restricted to
-    ``keep_ids`` before the update, matching an update computed directly on
-    the restricted batch.
-    """
-    pos = _positions(p, keep_ids)
-    if delta_n == 0:
-        return restrict_niw(p, keep_ids)
-    delta_mean = np.asarray(delta_mean, dtype=np.float64)
-    scatter = np.asarray(scatter, dtype=np.float64)
-    if delta_mean.size != p.dim:
-        raise InvalidParameterError(
-            f"stats cover {delta_mean.size} coordinates, posterior has {p.dim}"
-        )
-    dm = delta_mean[pos]
-    sc = scatter[np.ix_(pos, pos)]
-    m_r = p.m[pos]
-    s_r = p.s[np.ix_(pos, pos)]
-    k_new = p.k + delta_n
-    gap = m_r - dm
-    s_new = s_r + sc + (p.k * delta_n / k_new) * np.outer(gap, gap)
-    m_new = (p.k * m_r + delta_n * dm) / k_new
-    return NIWParams(
-        m=m_new,
-        k=k_new,
-        i=p.i + delta_n,
-        s=(s_new + s_new.T) / 2.0,
         index_map=p.index_map[pos],
     )
 

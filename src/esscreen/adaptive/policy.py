@@ -25,7 +25,7 @@ from ..screener import (
     step,
 )
 from .net import PolicyNet, net_forward
-from .niw import niw_update_diag_stats, restrict_niw
+from .niw import niw_update_diag_stats
 
 __all__ = [
     "PosteriorState",

@@ -1,33 +1,35 @@
 """Offline training of the adaptive allocator.
 
 Pipeline: draw a pool of randomized screening schedules and a set of worlds
-from the prior, execute every (schedule, world) pair while filtering the
-posterior (the forward pass), then fit the per-level value nets backward:
-the final-level net regresses the Monte Carlo estimate of the terminal
-error, earlier nets regress the simulated one-step lookahead of the next
-level's fitted value plus the selection-risk term, and the opening move is
-tabulated directly (the initial state is known).
+from the prior, execute every (schedule, world) pair through the screening
+engine while filtering the posterior with the online policy's own level
+step (the forward pass, which keeps every posterior state it visits), then
+fit the per-level value nets backward: the final-level net regresses the
+Monte Carlo estimate of the terminal error, earlier nets regress the
+simulated one-step lookahead of the next level's fitted value plus the
+selection-risk term, and the opening move is tabulated directly (the
+initial state is known).  Every simulated level draws its batch statistics
+from the posterior predictive and goes through the same ``step`` +
+``advance`` kernel.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import ClassVar
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ..bounds import AdaptiveState, SubGammaParams, f_p_ad
-from ..errors import ConfigError, InvalidParameterError
+from ..errors import InvalidParameterError
 from ..model import (
     NIWParams,
     ScenarioParams,
-    correlation,
     inverse_wishart_factor,
     psd_factor,
     sample_niw,
 )
-from ..screener import GaussianSource, Strategy, run_screening, step
+from ..screener import GaussianSource, LevelStats, Strategy, run_screening, step
 from ..streams import substream
 from .net import TrainSchedule, learning_rate_search, net_forward, xavier_net
 from .niw import niw_update_diag_stats
@@ -39,15 +41,13 @@ from .policy import (
     advance,
     assemble_rows,
     f_plugin,
-    open_artifact,
-    save_artifact,
+    scan_actions,
     state_block,
     trained_windows,
 )
 
 __all__ = [
     "AdaptiveConfig",
-    "LevelRecord",
     "Trajectory",
     "TrajectorySet",
     "generate_strategies",
@@ -86,11 +86,9 @@ class AdaptiveConfig:
     probe_steps: int = 2_000
     lr_candidates: int = 5
     base_rate: float = 1.0  # on standardized data; probes walk down by 10x
-    base_rates: dict = field(default_factory=dict)  # (level, q) -> rate override
     r: float = 2.0
     j_batch: int = 4
     k_batch: int = 4
-    batch_change: int = 1000
     n_e_final: int = 10_000
     n_p_final: int = 1_000
     n_e_mid: int = 128
@@ -118,9 +116,6 @@ class AdaptiveConfig:
             dn_quantum=self.quantum(),
             max_scan=self.max_scan,
         )
-
-    def rate_for(self, level: int, q: int) -> float:
-        return self.base_rates.get((level, q), self.base_rate)
 
 
 def generate_strategies(
@@ -175,164 +170,33 @@ def generate_strategies(
 
 
 @dataclass
-class LevelRecord:
-    """Per-level trajectory snapshot.
+class Trajectory:
+    """One executed (schedule, world) pair, as the engine saw it.
 
-    Posterior scale matrices are stored as diagonals; the full matrix is the
-    prior's correlation pattern stretched to the current diagonal (the
-    diagonal update preserves correlations exactly).  The ``half_*`` fields
-    are the unrestricted (pre-selection) update used by the selection-risk
-    plug-in.
+    ``levels`` are the per-level statistics that :func:`run_screening`
+    returned, and ``states[l - 1]`` is the decision state that
+    :func:`advance` produced after level ``l``.
     """
 
-    level: int
-    entered: np.ndarray
-    kept: np.ndarray
-    mu_hat_entered: np.ndarray
-    mu_hat_kept: np.ndarray
-    m: np.ndarray
-    kappa: float
-    dof: float
-    s_diag: np.ndarray
-    half_m: np.ndarray
-    half_s_diag: np.ndarray
-    half_dof: float
-    n_cum: int
-    delta_n: int
-    c_run: int
-
-
-#: Array fields of a LevelRecord and their key suffixes in a saved TrajectorySet.
-_RECORD_ARRAYS = {"entered": "entered", "kept": "kept", "mu_hat_entered": "mue",
-                  "mu_hat_kept": "muk", "m": "m", "s_diag": "sd", "half_m": "hm",
-                  "half_s_diag": "hsd"}
-
-
-@dataclass
-class Trajectory:
     k: int
     j: int
-    records: list[LevelRecord]
+    levels: list[LevelStats]
+    states: list[PosteriorState]
 
 
 @dataclass
 class TrajectorySet:
-    """Forward-pass output: every (schedule, world) execution trace.
+    """Forward-pass output: every (schedule, world) execution trace."""
 
-    ``version`` is the artifact format that :meth:`save` writes and
-    :meth:`load` accepts.
-    """
-
-    version: ClassVar[int] = 1
     strategies: list[Strategy]
     books: list[ScenarioParams]
     trajectories: list[Trajectory]
-    corr_prior: np.ndarray
     prior: NIWParams
     n_w: int
 
-    def get(self, k: int, j: int) -> Trajectory:
-        return self.trajectories[k * len(self.books) + j]
-
-    def s_full(self, rec: LevelRecord, half: bool = False) -> np.ndarray:
-        ids = rec.entered if half else rec.kept
-        diag = rec.half_s_diag if half else rec.s_diag
-        corr = self.corr_prior[np.ix_(ids, ids)]
-        s = corr * np.sqrt(np.outer(diag, diag))
-        np.fill_diagonal(s, diag)
-        return s
-
-    def niw_at(self, rec: LevelRecord) -> NIWParams:
-        return NIWParams(
-            m=rec.m,
-            k=rec.kappa,
-            i=rec.dof,
-            s=self.s_full(rec),
-            index_map=rec.kept,
-        )
-
     def state_at(self, traj: Trajectory, level: int) -> PosteriorState:
-        """Decision state after executing ``level`` (1-based records)."""
-        rec = traj.records[level - 1]
-        return PosteriorState(
-            level=level,
-            ids=rec.kept,
-            mu_hat=rec.mu_hat_kept,
-            sums=rec.n_cum * rec.mu_hat_kept,
-            niw=self.niw_at(rec),
-            n_cum=rec.n_cum,
-            cost=rec.c_run,
-        )
-
-    def save(self, path) -> None:
-        arrays = {"corr_prior": self.corr_prior, "prior_m": self.prior.m,
-                  "prior_s": self.prior.s, "prior_ids": self.prior.index_map,
-                  "prior_ki": np.array([self.prior.k, self.prior.i])}
-        header = {
-            "version": self.version,
-            "n_w": self.n_w,
-            "strategies": [s.to_dict() for s in self.strategies],
-            "n_books": len(self.books),
-            "n_traj": len(self.trajectories),
-            "levels": len(self.trajectories[0].records) if self.trajectories else 0,
-        }
-        for t, traj in enumerate(self.trajectories):
-            for rec in traj.records:
-                tag = f"t{t}_l{rec.level}"
-                for name, key in _RECORD_ARRAYS.items():
-                    arrays[f"{tag}_{key}"] = getattr(rec, name)
-                arrays[f"{tag}_scal"] = np.array(
-                    [rec.kappa, rec.dof, rec.half_dof, rec.n_cum, rec.delta_n, rec.c_run]
-                )
-        for j, book in enumerate(self.books):
-            arrays[f"book{j}_mu"] = book.mu
-            arrays[f"book{j}_sigma"] = book.sigma
-        save_artifact(path, header, arrays)
-
-    @classmethod
-    def load(cls, path) -> "TrajectorySet":
-        with open_artifact(path, cls.version, ConfigError) as (header, data):
-            prior = NIWParams(
-                m=data["prior_m"], k=float(data["prior_ki"][0]),
-                i=float(data["prior_ki"][1]), s=data["prior_s"],
-                index_map=data["prior_ids"],
-            )
-            strategies = [Strategy.from_dict(d) for d in header["strategies"]]
-            books = [
-                ScenarioParams(mu=data[f"book{j}_mu"], sigma=data[f"book{j}_sigma"])
-                for j in range(header["n_books"])
-            ]
-            trajectories = []
-            n_books = header["n_books"]
-            for t in range(header["n_traj"]):
-                records = []
-                for lvl in range(1, header["levels"] + 1):
-                    tag = f"t{t}_l{lvl}"
-                    scal = data[f"{tag}_scal"]
-                    arrs = {n: data[f"{tag}_{k}"] for n, k in _RECORD_ARRAYS.items()}
-                    records.append(
-                        LevelRecord(
-                            level=lvl,
-                            **arrs,
-                            kappa=float(scal[0]),
-                            dof=float(scal[1]),
-                            half_dof=float(scal[2]),
-                            n_cum=int(scal[3]),
-                            delta_n=int(scal[4]),
-                            c_run=int(scal[5]),
-                        )
-                    )
-                trajectories.append(
-                    Trajectory(k=t // n_books, j=t % n_books, records=records)
-                )
-            return cls(
-                strategies=strategies,
-                books=books,
-                trajectories=trajectories,
-                corr_prior=data["corr_prior"],
-                prior=prior,
-                n_w=header["n_w"],
-            )
+        """Decision state after executing ``level`` (1-based)."""
+        return traj.states[level - 1]
 
 
 def forward_pass(
@@ -340,12 +204,12 @@ def forward_pass(
     books: list[ScenarioParams],
     cfg: AdaptiveConfig,
 ) -> TrajectorySet:
-    """Execute every schedule on every world, tracking the diagonal posterior.
+    """Execute every schedule on every world, filtering the posterior.
 
     Price generation goes through the screening engine (chunked, survivor
-    columns only); the posterior update consumes the per-level batch mean and
-    scatter diagonal, both before (for the selection-risk plug-in) and after
-    the level's survivor restriction.
+    columns only), and each level's batch statistics update the posterior
+    through the same :func:`advance` the online policy uses, so training
+    sees exactly the states the policy will see.
     """
     trajectories = []
     for k, strat in enumerate(strategies):
@@ -353,37 +217,15 @@ def forward_pass(
             rng = substream(cfg.seed, _STREAM_PATHS, k, j)
             run = run_screening(strat, GaussianSource(theta, rng))
             state = PosteriorState.opening(cfg.prior)
-            records: list[LevelRecord] = []
+            states = []
             for stats in run.levels:
-                half = niw_update_diag_stats(
-                    state.niw, stats.batch_mean, stats.scatter, stats.dn, stats.entered
-                )
                 state = advance(state, stats)
-                records.append(
-                    LevelRecord(
-                        level=state.level,
-                        entered=stats.entered,
-                        kept=stats.kept,
-                        mu_hat_entered=stats.mu_hat,
-                        mu_hat_kept=state.mu_hat,
-                        m=state.niw.m,
-                        kappa=state.niw.k,
-                        dof=state.niw.i,
-                        s_diag=np.diag(state.niw.s).copy(),
-                        half_m=half.m,
-                        half_s_diag=np.diag(half.s).copy(),
-                        half_dof=half.i,
-                        n_cum=stats.n_cum,
-                        delta_n=stats.dn,
-                        c_run=state.cost,
-                    )
-                )
-            trajectories.append(Trajectory(k=k, j=j, records=records))
+                states.append(state)
+            trajectories.append(Trajectory(k=k, j=j, levels=run.levels, states=states))
     return TrajectorySet(
         strategies=strategies,
         books=books,
         trajectories=trajectories,
-        corr_prior=correlation(cfg.prior.s),
         prior=cfg.prior,
         n_w=cfg.n_w,
     )
@@ -395,33 +237,34 @@ def f_precompute(
     """Plug-in estimate of the selection-risk term of one executed level.
 
     Values and pair variances come from the unrestricted posterior right
-    after the level's batch; the pairing permutation comes from the previous
-    step's empirical ranking (ties to the smaller index, so the opening level
-    is ranked in book order).
+    after the level's batch (the previous state updated over every entered
+    scenario); the pairing permutation comes from the previous step's
+    empirical ranking (ties to the smaller index, so the opening level is
+    ranked in book order).
     """
-    if not (1 <= level <= len(traj.records) - 1):
+    if not (1 <= level <= len(traj.levels) - 1):
         raise InvalidParameterError(
             f"level must be a selection level in [1, L-1], got {level}"
         )
-    rec = traj.records[level - 1]
-    if rec.kept.size == rec.entered.size:
+    stats = traj.levels[level - 1]
+    if stats.kept.size == stats.entered.size:
         return 0.0  # no selection happens at a dq = 0 level
-    prev_mu = (
-        traj.records[level - 2].mu_hat_kept
-        if level >= 2
-        else np.zeros(rec.entered.size)
+    if level >= 2:
+        prev = ts.state_at(traj, level - 1)
+    else:
+        prev = PosteriorState.opening(ts.prior)
+    half = niw_update_diag_stats(
+        prev.niw, stats.batch_mean, stats.scatter, stats.dn, stats.entered
     )
-    d = rec.entered.size
-    sigma_est = ts.s_full(rec, half=True) / (rec.half_dof - d - 1)
-    q_next = rec.kept.size
+    q_next = stats.kept.size
     state = AdaptiveState(
-        mu_hat_prev=prev_mu,
-        n_prev=rec.n_cum - rec.delta_n,
-        delta_n=rec.delta_n,
+        mu_hat_prev=prev.mu_hat,
+        n_prev=stats.n_cum - stats.dn,
+        delta_n=stats.dn,
         q_next=q_next,
         n_w=min(ts.n_w, q_next),
     )
-    return f_p_ad(level, rec.half_m, sigma_est, state, sub, rank_by=prev_mu)
+    return f_p_ad(level, half.m, half.sigma_mean(), state, sub, rank_by=prev.mu_hat)
 
 
 def mc_value_final(
@@ -437,14 +280,13 @@ def mc_value_final(
     over ``n_e`` draws, reusing each inverse-Wishart draw for ``n_p``
     Gaussian location draws.
     """
-    rec = traj.records[-1]
-    niw = ts.niw_at(rec)
-    mu_hat = rec.mu_hat_kept
+    final = traj.states[-1]
+    niw = final.niw
     d = niw.dim
     ls = psd_factor(niw.s)
     total = 0.0
     done = 0
-    mean_hat = float(np.mean(mu_hat))
+    mean_hat = float(np.mean(final.mu_hat))
     while done < n_e:
         take = min(n_p, n_e - done)
         phi = inverse_wishart_factor(niw.i, ls, rng)
@@ -475,8 +317,6 @@ def _value_of_states(
     caps: dict,
 ) -> np.ndarray:
     """min over admissible actions of the next-level net, batched per state."""
-    from .policy import scan_actions
-
     out = np.empty(len(states))
     for idx, st in enumerate(states):
         net = bundle_nets[(st.level, st.q)]
@@ -499,6 +339,53 @@ def _value_of_states(
     return out
 
 
+def _predictive_draws(niw: NIWParams, n_e: int, n_p: int, rng: np.random.Generator):
+    """Lazy posterior-predictive draws ``(mu_tilde, noise, sig_diag)``.
+
+    Each block of ``n_p`` draws shares one inverse-Wishart factor ``phi`` of
+    the covariance, whose diagonal is ``sig_diag``; per draw, ``mu_tilde`` is
+    the drawn impacts and ``noise`` a unit-path deviation ``phi^T z``.  The
+    generator draws nothing ahead, so a consumer's own draws between two
+    items keep their place in the stream.
+    """
+    ls = psd_factor(niw.s)
+    d = niw.dim
+    done = 0
+    while done < n_e:
+        take = min(n_p, n_e - done)
+        phi = inverse_wishart_factor(niw.i, ls, rng)
+        sig_diag = np.sum(phi * phi, axis=0)
+        for _ in range(take):
+            mu_tilde = niw.m + (phi.T @ rng.standard_normal(d)) / math.sqrt(niw.k)
+            noise = phi.T @ rng.standard_normal(d)
+            yield mu_tilde, noise, sig_diag
+        done += take
+
+
+def _simulated_advance(
+    state: PosteriorState,
+    draw: tuple,
+    dn: int,
+    q_next: int,
+    rng: np.random.Generator,
+) -> PosteriorState:
+    """The decision state after a simulated level of ``dn`` paths.
+
+    Simulates the batch sufficient statistics directly: the batch mean is
+    Gaussian around the drawn impacts and the scatter diagonal is a chi^2
+    stretch of the drawn variances, which is exactly what the diagonal
+    posterior update consumes.
+    """
+    mu_tilde, noise, sig_diag = draw
+    d = state.q
+    delta_mean = mu_tilde + noise / math.sqrt(dn)
+    scatter = sig_diag * rng.chisquare(dn - 1, size=d) if dn > 1 else np.zeros(d)
+    stats = step(
+        state.ids, state.sums, state.n_cum, dn * delta_mean, scatter, dn, q_next
+    )
+    return advance(state, stats)
+
+
 def _simulate_next_states(
     ts: TrajectorySet,
     traj: Trajectory,
@@ -506,37 +393,15 @@ def _simulate_next_states(
     cfg: AdaptiveConfig,
     rng: np.random.Generator,
 ) -> list[PosteriorState]:
-    """Draws of the next decision state under the executed schedule's action.
-
-    Simulates the batch sufficient statistics directly: the batch mean is
-    Gaussian around the drawn impacts and the scatter diagonal is a chi^2
-    stretch of the drawn variances, which is exactly what the diagonal
-    posterior update consumes.
-    """
+    """Draws of the next decision state under the executed schedule's action."""
     strat = ts.strategies[traj.k]
     state = ts.state_at(traj, level)
     dn = strat.n[level + 1] - strat.n[level]
     q_next = strat.q[level + 1]
-    d = state.q
-    ls = psd_factor(state.niw.s)
-    out = []
-    done = 0
-    while done < cfg.n_e_mid:
-        take = min(cfg.n_p_mid, cfg.n_e_mid - done)
-        phi = inverse_wishart_factor(state.niw.i, ls, rng)
-        sig_diag = np.sum(phi * phi, axis=0)
-        for _ in range(take):
-            mu_tilde = state.niw.m + (phi.T @ rng.standard_normal(d)) / math.sqrt(
-                state.niw.k
-            )
-            delta_mean = mu_tilde + (phi.T @ rng.standard_normal(d)) / math.sqrt(dn)
-            scatter = sig_diag * rng.chisquare(dn - 1, size=d) if dn > 1 else np.zeros(d)
-            stats = step(
-                state.ids, state.sums, state.n_cum, dn * delta_mean, scatter, dn, q_next
-            )
-            out.append(advance(state, stats))
-        done += take
-    return out
+    return [
+        _simulated_advance(state, draw, dn, q_next, rng)
+        for draw in _predictive_draws(state.niw, cfg.n_e_mid, cfg.n_p_mid, rng)
+    ]
 
 
 def fit_value_functions(cfg: AdaptiveConfig) -> tuple[PolicyBundle, TrainingReport]:
@@ -551,11 +416,8 @@ def fit_value_functions(cfg: AdaptiveConfig) -> tuple[PolicyBundle, TrainingRepo
     ts = forward_pass(strategies, books, cfg)
     spec = cfg.action_spec()
     levels = cfg.levels
-    n_k, n_j = len(strategies), len(books)
     caps = {
-        lvl: max(
-            _cost_through(s, lvl) for s in strategies
-        )
+        lvl: max(_cost_through(s, lvl) for s in strategies)
         for lvl in range(1, levels + 1)
     }
 
@@ -625,7 +487,7 @@ def fit_value_functions(cfg: AdaptiveConfig) -> tuple[PolicyBundle, TrainingRepo
             )
 
     # --- opening move: tabulate over the admissible set ---------------------
-    opening = _tabulate_opening(ts, cfg, spec, nets, caps)
+    opening = _tabulate_opening(cfg, spec, nets, caps)
     report.opening_values = opening
     best = min(opening, key=lambda t: (t[2], t[0], t[1]))
     first_action = (best[0], best[1])
@@ -679,11 +541,10 @@ def _fit_net(nets, report, cfg, *, level, q, layout, x, y, k_of, j_of):
     yt = (y - y_c) / y_s
     sched = TrainSchedule(
         n_iter=cfg.n_iter,
-        rate=cfg.rate_for(level, q),
+        rate=cfg.base_rate,
         r=cfg.r,
         j_batch=cfg.j_batch,
         k_batch=cfg.k_batch,
-        batch_change=cfg.batch_change,
         seed=int(
             substream(cfg.seed, _STREAM_NETS, level, q).integers(0, 2**31 - 1)
         ),
@@ -723,7 +584,7 @@ def _fit_net(nets, report, cfg, *, level, q, layout, x, y, k_of, j_of):
     report.target_stats[(level, q)] = (y_c, y_s, int(y.size))
 
 
-def _tabulate_opening(ts, cfg, spec, nets, caps):
+def _tabulate_opening(cfg, spec, nets, caps):
     """Expected value of each admissible opening action from the known
     initial state, sharing world draws across actions."""
     levels = cfg.levels
@@ -736,45 +597,13 @@ def _tabulate_opening(ts, cfg, spec, nets, caps):
         raise InvalidParameterError(
             "no admissible opening action is covered by the trained windows"
         )
-    d = cfg.n_s
-    ls = psd_factor(cfg.prior.s)
     rng = substream(cfg.seed, _STREAM_OPENING)
-    n_e = cfg.n_e_open
-    draws = []
-    done = 0
-    while done < n_e:
-        take = min(cfg.n_p_mid, n_e - done)
-        phi = inverse_wishart_factor(cfg.prior.i, ls, rng)
-        sig_diag = np.sum(phi * phi, axis=0)
-        for _ in range(take):
-            mu_tilde = cfg.prior.m + (phi.T @ rng.standard_normal(d)) / math.sqrt(
-                cfg.prior.k
-            )
-            noise = phi.T @ rng.standard_normal(d)
-            draws.append((mu_tilde, noise, sig_diag))
-        done += take
+    draws = list(_predictive_draws(cfg.prior, cfg.n_e_open, cfg.n_p_mid, rng))
     table = []
     for dq, dn in acts:
         q_next = cfg.n_s - dq
-        vals = np.empty(len(draws))
-        for e, (mu_tilde, noise, sig_diag) in enumerate(draws):
-            delta_mean = mu_tilde + noise / math.sqrt(dn)
-            scatter = (
-                sig_diag * rng.chisquare(dn - 1, size=d) if dn > 1 else np.zeros(d)
-            )
-            stats = step(
-                state0.ids,
-                state0.sums,
-                state0.n_cum,
-                dn * delta_mean,
-                scatter,
-                dn,
-                q_next,
-            )
-            st = advance(state0, stats)
-            vals[e] = _value_of_states(
-                nets, spec, [st], cfg.n_w, cfg.sub, levels, caps
-            )[0]
+        states = [_simulated_advance(state0, draw, dn, q_next, rng) for draw in draws]
+        vals = _value_of_states(nets, spec, states, cfg.n_w, cfg.sub, levels, caps)
         f0 = f_plugin(state0, dq, dn, cfg.n_w, cfg.sub)
         table.append((int(dq), int(dn), float(np.mean(vals) + f0)))
     return table

@@ -2,6 +2,7 @@
 terminal-value Monte Carlo, policy training and online execution."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,13 +12,13 @@ from esscreen.adaptive import (
     AdaptiveConfig,
     PolicyBundle,
     PosteriorState,
-    TrajectorySet,
     f_plugin,
     f_precompute,
     fit_value_functions,
     forward_pass,
     generate_strategies,
     mc_value_final,
+    niw_update_diag_stats,
     run_adaptive,
 )
 from esscreen.bounds import AdaptiveState, SubGammaParams, f_p_ad
@@ -127,27 +128,28 @@ class TestForwardPass:
         cfg, ts = toy_trajectories
         for traj in ts.trajectories:
             strat = ts.strategies[traj.k]
-            for rec in traj.records:
-                assert rec.kappa == cfg.prior.k + strat.n[rec.level]
-                assert rec.dof == cfg.prior.i + strat.n[rec.level]
+            for st in traj.states:
+                assert st.niw.k == cfg.prior.k + strat.n[st.level]
+                assert st.niw.i == cfg.prior.i + strat.n[st.level]
 
     def test_running_cost_identity(self, toy_trajectories):
         cfg, ts = toy_trajectories
         for traj in ts.trajectories:
             strat = ts.strategies[traj.k]
             c = 0
-            for rec in traj.records:
-                c += rec.entered.size * rec.delta_n
-                assert rec.c_run == c
+            for stats, st in zip(traj.levels, traj.states, strict=True):
+                c += stats.entered.size * stats.dn
+                assert st.cost == c
             assert c == cost(strat)
 
     def test_replayable(self, toy_trajectories):
         cfg, ts = toy_trajectories
         ts2 = forward_pass(ts.strategies, ts.books, cfg)
-        a = ts.trajectories[5].records[-1]
-        b = ts2.trajectories[5].records[-1]
-        np.testing.assert_array_equal(a.mu_hat_kept, b.mu_hat_kept)
-        np.testing.assert_array_equal(a.s_diag, b.s_diag)
+        for t1, t2 in zip(ts.trajectories, ts2.trajectories, strict=True):
+            for a, b in zip(t1.states, t2.states, strict=True):
+                np.testing.assert_array_equal(a.mu_hat, b.mu_hat)
+                np.testing.assert_array_equal(a.niw.m, b.niw.m)
+                np.testing.assert_array_equal(a.niw.s, b.niw.s)
 
     def test_zero_variance_book_locks_posterior_mean(self):
         cfg = toy_config(k_bar=1, j_bar=1)
@@ -155,35 +157,12 @@ class TestForwardPass:
         book = ScenarioParams(mu=mu, sigma=np.zeros((cfg.n_s, cfg.n_s)))
         strat = Strategy(q=(12, 4, 2), n=(0, 40, 120, 400))
         ts = forward_pass([strat], [book], cfg)
-        rec = ts.trajectories[0].records[-1]
+        final = ts.trajectories[0].states[-1]
         # with noiseless prices the location posterior contracts onto mu
-        w = rec.kappa
-        want = (cfg.prior.k * cfg.prior.m[rec.kept] + (w - cfg.prior.k) * mu[rec.kept]) / w
-        np.testing.assert_allclose(rec.m, want, rtol=1e-9)
-
-    def test_save_load_roundtrip(self, toy_trajectories, tmp_path):
-        cfg, ts = toy_trajectories
-        path = tmp_path / "traj.npz"
-        ts.save(path)
-        ts2 = TrajectorySet.load(path)
-        assert len(ts2.trajectories) == len(ts.trajectories)
-        a = ts.trajectories[3].records[1]
-        b = ts2.trajectories[3].records[1]
-        np.testing.assert_array_equal(a.kept, b.kept)
-        np.testing.assert_array_equal(a.half_s_diag, b.half_s_diag)
-        assert ts2.strategies[ts2.trajectories[3].k] == ts.strategies[ts.trajectories[3].k]
-
-    @pytest.mark.parametrize(
-        "edit", [{"drop": "book1_mu"}, {"drop": "n_traj"}, {"header": {"version": 0}}]
-    )
-    def test_malformed_artifact_rejected(self, toy_trajectories, tmp_path, edit):
-        from esscreen.errors import ConfigError
-
-        path = tmp_path / "traj.npz"
-        toy_trajectories[1].save(path)
-        _edit_artifact(path, **edit)
-        with pytest.raises(ConfigError, match=edit.get("drop", "version 0")):
-            TrajectorySet.load(path)
+        w = final.niw.k
+        ids = final.ids
+        want = (cfg.prior.k * cfg.prior.m[ids] + (w - cfg.prior.k) * mu[ids]) / w
+        np.testing.assert_allclose(final.niw.m, want, rtol=1e-9)
 
 
 class TestFPrecompute:
@@ -191,27 +170,33 @@ class TestFPrecompute:
         cfg, ts = toy_trajectories
         traj = ts.trajectories[2]
         for level in (1, 2):
-            rec = traj.records[level - 1]
-            if rec.kept.size == rec.entered.size:
+            stats = traj.levels[level - 1]
+            if stats.kept.size == stats.entered.size:
                 continue
             got = f_precompute(ts, traj, level, cfg.sub)
-            prev_mu = (
-                traj.records[level - 2].mu_hat_kept
-                if level >= 2
-                else np.zeros(rec.entered.size)
+            # the unrestricted update of the previous posterior by the
+            # level's batch, over every entered scenario
+            prev_niw = traj.states[level - 2].niw if level >= 2 else cfg.prior
+            half = niw_update_diag_stats(
+                prev_niw, stats.batch_mean, stats.scatter, stats.dn, stats.entered
             )
-            d = rec.entered.size
+            prev_mu = (
+                traj.states[level - 2].mu_hat
+                if level >= 2
+                else np.zeros(stats.entered.size)
+            )
+            d = stats.entered.size
             state = AdaptiveState(
                 mu_hat_prev=prev_mu,
-                n_prev=rec.n_cum - rec.delta_n,
-                delta_n=rec.delta_n,
-                q_next=rec.kept.size,
-                n_w=min(ts.n_w, rec.kept.size),
+                n_prev=stats.n_cum - stats.dn,
+                delta_n=stats.dn,
+                q_next=stats.kept.size,
+                n_w=min(ts.n_w, stats.kept.size),
             )
             want = f_p_ad(
                 level,
-                rec.half_m,
-                ts.s_full(rec, half=True) / (rec.half_dof - d - 1),
+                half.m,
+                half.s / (half.i - d - 1),
                 state,
                 cfg.sub,
                 rank_by=prev_mu,
@@ -277,11 +262,10 @@ class TestMcValueFinal:
     def test_zero_posterior_variance(self):
         cfg, ts = self._small_ts()
         traj = ts.trajectories[0]
-        rec = traj.records[-1]
-        rec.s_diag = np.zeros_like(rec.s_diag)
-        rec.kappa = 1e18
+        final = traj.states[-1]
+        final.niw = replace(final.niw, s=np.zeros_like(final.niw.s), k=1e18)
         got = mc_value_final(ts, traj, 100, 10, substream(8, 0))
-        want = abs(np.mean(rec.mu_hat_kept - rec.m))
+        want = abs(np.mean(final.mu_hat - final.niw.m))
         assert got == pytest.approx(want, rel=1e-6)
 
     def test_stderr_shrinks_with_draws(self):

@@ -293,3 +293,69 @@ class TestFinalRunFallback:
             assert f"rate {rate:g}: mean log loss" in msg  # each probe's outcome
         for rate in rates:
             assert f"final rate {rate:g}: diverged at 4" in msg
+
+
+class TestGrowingProbe:
+    """A probe whose loss stays finite but grows has not converged."""
+
+    def _task(self):
+        rng = np.random.default_rng(18)
+        x = rng.normal(size=(40, 3))
+        y = x @ np.array([1.0, 0.5, -1.0])
+        sched = TrainSchedule(n_iter=120, rate=0.1, seed=7)
+        return x, y, sched, lambda r: xavier_net(3, r, hidden=8)
+
+    def _patch_probes(self, monkeypatch, probe_steps, edit):
+        """Probe runs return ``edit(rate, losses)`` in place of their losses;
+        returns the (n_iter, rate) of every training run."""
+        real = net_mod.train_level
+        calls = []
+
+        def train_level(x, y, net, schedule, **kw):
+            calls.append((schedule.n_iter, schedule.rate))
+            net, losses = real(x, y, net, schedule, **kw)
+            if schedule.n_iter == probe_steps:
+                losses = edit(schedule.rate, losses)
+            return net, losses
+
+        monkeypatch.setattr(net_mod, "train_level", train_level)
+        return calls
+
+    def test_growing_best_probe_is_not_continued(self, monkeypatch):
+        # reversing the winning probe's losses keeps its mean log loss, so it
+        # would still rank first; grown, it must not be continued
+        x, y, sched, make = self._task()
+        candidates, probe_steps = 3, 30
+        _, best_final, _ = learning_rate_search(
+            x, y, make, sched, candidates=candidates, probe_steps=probe_steps
+        )
+        rates = [sched.rate / 10.0**i for i in range(candidates)]
+        finals = [sched.rate / 10.0 ** (i + 1) for i in range(candidates)]
+        best_probe = rates[finals.index(best_final)]
+        grown = {}
+
+        def reverse_best(rate, losses):
+            if rate != best_probe:
+                return losses
+            tenth = losses.size // 10
+            grown["first"] = losses[:tenth].mean()
+            grown["last"] = losses[-tenth:].mean()
+            return losses[::-1]
+
+        calls = self._patch_probes(monkeypatch, probe_steps, reverse_best)
+        _, rate, losses = learning_rate_search(
+            x, y, make, sched, candidates=candidates, probe_steps=probe_steps
+        )
+        assert grown["last"] < grown["first"]  # the reversed losses grow
+        assert rate != best_final and rate in finals
+        ran = [r for n_iter, r in calls if n_iter == sched.n_iter]
+        assert ran == [rate]
+        assert losses.size == sched.n_iter and np.all(np.isfinite(losses))
+
+    def test_outcome_recorded_as_grew(self, monkeypatch):
+        x, y, sched, make = self._task()
+        self._patch_probes(monkeypatch, 30, lambda rate, _: np.linspace(1.0, 2.0, 30))
+        with pytest.raises(TrainingDivergedError) as exc:
+            learning_rate_search(x, y, make, sched, candidates=2, probe_steps=30)
+        for rate in (0.1, 0.01):
+            assert f"rate {rate:g}: grew, loss" in str(exc.value)

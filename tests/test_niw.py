@@ -5,14 +5,37 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from esscreen.adaptive.niw import (
-    niw_update_diag_stats,
-    niw_update_stats,
-    restrict_niw,
-)
+from esscreen.adaptive.niw import niw_update_diag_stats, restrict_niw
 from esscreen.errors import InvalidParameterError
 from esscreen.model import NIWParams, sample_niw
 from esscreen.streams import substream
+
+
+def niw_update_stats(p, delta_mean, scatter, delta_n, keep_ids):
+    """Full-matrix conjugate update from batch sufficient statistics, the
+    oracle of the diagonal update.
+
+    ``delta_mean``/``scatter`` are the fresh-batch column means and centered
+    scatter over the *current* coordinates; both are restricted to
+    ``keep_ids`` before the update, matching an update computed directly on
+    the restricted batch.
+    """
+    restricted = restrict_niw(p, keep_ids)
+    if delta_n == 0:
+        return restricted
+    pos = np.searchsorted(p.index_map, restricted.index_map)
+    dm = np.asarray(delta_mean, dtype=np.float64)[pos]
+    sc = np.asarray(scatter, dtype=np.float64)[np.ix_(pos, pos)]
+    k_new = p.k + delta_n
+    gap = restricted.m - dm
+    s_new = restricted.s + sc + (p.k * delta_n / k_new) * np.outer(gap, gap)
+    return NIWParams(
+        m=(p.k * restricted.m + delta_n * dm) / k_new,
+        k=k_new,
+        i=p.i + delta_n,
+        s=(s_new + s_new.T) / 2.0,
+        index_map=restricted.index_map,
+    )
 
 
 def niw_update(p, batch, keep_ids):
