@@ -4,6 +4,10 @@ Each network maps a raw state/action feature vector to a predicted
 cost-to-go: 256 softplus units and a linear read-out, Xavier-initialized,
 trained by plain minibatch gradient descent on the mean |prediction -
 target|^r loss with exact (hand-written) gradients.
+
+The softplus is ``max(z, 0) + log1p(e)`` with ``e = exp(-|z|)``, in training
+and prediction alike; training reuses ``e`` for its derivative, the sigmoid
+``where(z >= 0, 1, e) / (1 + e)``.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ __all__ = [
     "xavier_net",
     "net_forward",
     "net_loss_and_grads",
-    "apply_grads",
     "train_level",
     "learning_rate_search",
 ]
@@ -67,24 +70,19 @@ def xavier_net(
     )
 
 
-def _softplus(z: np.ndarray) -> np.ndarray:
-    return np.logaddexp(0.0, z)
+def _softplus(z: np.ndarray, e: np.ndarray) -> np.ndarray:
+    return np.maximum(z, 0.0) + np.log1p(e)
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+def _sigmoid(z: np.ndarray, e: np.ndarray) -> np.ndarray:
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def net_forward(net: PolicyNet, x: np.ndarray) -> np.ndarray:
     """Predictions for feature rows ``x`` of shape (n, d)."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     z = x @ net.w1.T + net.b1
-    return _softplus(z) @ net.w2 + net.b2
+    return _softplus(z, np.exp(-np.abs(z))) @ net.w2 + net.b2
 
 
 def net_loss_and_grads(net: PolicyNet, x: np.ndarray, y: np.ndarray, r: float):
@@ -98,7 +96,8 @@ def net_loss_and_grads(net: PolicyNet, x: np.ndarray, y: np.ndarray, r: float):
     n = x.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
         z = x @ net.w1.T + net.b1
-        h = _softplus(z)
+        e = np.exp(-np.abs(z))
+        h = _softplus(z, e)
         pred = h @ net.w2 + net.b2
         err = pred - y
         abs_err = np.abs(err)
@@ -106,20 +105,10 @@ def net_loss_and_grads(net: PolicyNet, x: np.ndarray, y: np.ndarray, r: float):
         dpred = r * abs_err ** (r - 1.0) * np.sign(err) / n
         dw2 = h.T @ dpred
         db2 = float(np.sum(dpred))
-        dz = np.outer(dpred, net.w2) * _sigmoid(z)
+        dz = np.outer(dpred, net.w2) * _sigmoid(z, e)
         dw1 = dz.T @ x
         db1 = dz.sum(axis=0)
     return loss, {"w1": dw1, "b1": db1, "w2": dw2, "b2": db2}
-
-
-def apply_grads(net: PolicyNet, grads: dict, rate: float) -> PolicyNet:
-    return replace(
-        net,
-        w1=net.w1 - rate * grads["w1"],
-        b1=net.b1 - rate * grads["b1"],
-        w2=net.w2 - rate * grads["w2"],
-        b2=net.b2 - rate * grads["b2"],
-    )
 
 
 @dataclass(frozen=True)
@@ -168,6 +157,9 @@ def train_level(
     losses = np.empty(schedule.n_iter)
     rows = np.arange(x.shape[0])
     batch = rows
+    # a private copy, stepped in place
+    w1, b1, w2 = net.w1.copy(), net.b1.copy(), net.w2.copy()
+    net = replace(net, w1=w1, b1=b1, w2=w2)
     for t in range(schedule.n_iter):
         if t % BATCH_CHANGE == 0:
             if k_of is not None and j_of is not None:
@@ -181,13 +173,17 @@ def train_level(
             else:
                 size = min(schedule.j_batch * schedule.k_batch, rows.size)
                 batch = rng.permutation(rows)[:size]
-        loss, grads = net_loss_and_grads(net, x[batch], y[batch], schedule.r)
+            xb, yb = x[batch], y[batch]
+        loss, grads = net_loss_and_grads(net, xb, yb, schedule.r)
         if not np.isfinite(loss):
             raise TrainingDivergedError(
                 f"loss became non-finite at iteration {t}", iteration=t
             )
         losses[t] = loss
-        net = apply_grads(net, grads, schedule.rate)
+        w1 -= schedule.rate * grads["w1"]
+        b1 -= schedule.rate * grads["b1"]
+        w2 -= schedule.rate * grads["w2"]
+        object.__setattr__(net, "b2", net.b2 - schedule.rate * grads["b2"])
     return net, losses
 
 
@@ -211,9 +207,9 @@ def learning_rate_search(
     its last tenth of losses is not above the mean of its first tenth; a
     probe whose loss grew is never continued.  If the final run diverges,
     the next-best converged probe is continued the same way (logged at
-    WARNING).  Returns (net, final_rate, losses of the final run).  Raises
-    only if no attempt converges, listing each probe's and each final run's
-    fate.
+    WARNING); a success logs every outcome and the final rate at DEBUG.
+    Returns (net, final_rate, losses of the final run).  Raises only if no
+    attempt converges, listing each probe's and each final run's fate.
     """
     base = schedule.rate
     outcomes = []
@@ -251,6 +247,7 @@ def learning_rate_search(
                 len(converged) - rank - 1,
             )
             continue
+        _log.debug("rate search: %s; final rate %g", "; ".join(outcomes), final_rate)
         return net, final_rate, losses
     raise TrainingDivergedError(
         "no training attempt converged: " + "; ".join(outcomes)

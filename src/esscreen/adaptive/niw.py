@@ -33,16 +33,18 @@ def _positions(p: NIWParams, keep_ids: np.ndarray) -> np.ndarray:
     return pos
 
 
+def _trusted_niw(m, k, i, s, index_map) -> NIWParams:
+    """NIWParams from already-valid fields, without the constructor's checks."""
+    p = object.__new__(NIWParams)
+    p.__dict__.update(m=m, k=k, i=i, s=s, index_map=index_map)
+    return p
+
+
 def restrict_niw(p: NIWParams, keep_ids: np.ndarray) -> NIWParams:
-    """Marginal NIW over a subset of the tracked scenarios."""
+    """Marginal NIW over a subset of the tracked scenarios; a principal
+    sub-NIW of a valid NIW is valid, so it is built unchecked."""
     pos = _positions(p, keep_ids)
-    return NIWParams(
-        m=p.m[pos],
-        k=p.k,
-        i=p.i,
-        s=p.s[np.ix_(pos, pos)],
-        index_map=p.index_map[pos],
-    )
+    return _trusted_niw(p.m[pos], p.k, p.i, p.s[np.ix_(pos, pos)], p.index_map[pos])
 
 
 def niw_update_diag_stats(
@@ -56,13 +58,17 @@ def niw_update_diag_stats(
 
     The scale-matrix diagonal follows the exact update; off-diagonal entries
     are rebuilt as prior_corr_ij * sqrt(S_ii S_jj).  Coordinates whose prior
-    diagonal is zero get zero correlation.
+    diagonal is zero get zero correlation.  The result skips the NIWParams
+    checks (``S`` is symmetric by construction); a batch that makes ``m`` or
+    ``S`` non-finite raises InvalidParameterError.
     """
     pos = _positions(p, keep_ids)
     if delta_n == 0:
         return restrict_niw(p, keep_ids)
     delta_mean = np.asarray(delta_mean, dtype=np.float64)
     scatter_diag = np.asarray(scatter_diag, dtype=np.float64)
+    if delta_n < 0 or delta_mean.shape != p.m.shape or scatter_diag.shape != p.m.shape:
+        raise InvalidParameterError("NIW batch: delta_n < 0 or stats not shaped like m")
     dm = delta_mean[pos]
     sd = scatter_diag[pos]
     m_r = p.m[pos]
@@ -73,10 +79,7 @@ def niw_update_diag_stats(
     s_new = correlation(s_r) * np.sqrt(np.outer(diag_new, diag_new))
     np.fill_diagonal(s_new, diag_new)
     m_new = (p.k * m_r + delta_n * dm) / k_new
-    return NIWParams(
-        m=m_new,
-        k=k_new,
-        i=p.i + delta_n,
-        s=(s_new + s_new.T) / 2.0,
-        index_map=p.index_map[pos],
-    )
+    s_new = (s_new + s_new.T) / 2.0
+    if not (np.isfinite(m_new).all() and np.isfinite(s_new).all()):
+        raise InvalidParameterError("NIW update made m or S non-finite")
+    return _trusted_niw(m_new, k_new, p.i + delta_n, s_new, p.index_map[pos])

@@ -1,6 +1,8 @@
 """Value-function nets: forward pass, exact gradients, training loop."""
 
 import logging
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,8 +34,6 @@ def _with_params(net, vec):
     b1 = vec[h * d : h * d + h]
     w2 = vec[h * d + h : h * d + 2 * h]
     b2 = float(vec[-1])
-    from dataclasses import replace
-
     return replace(net, w1=w1, b1=b1, w2=w2, b2=b2)
 
 
@@ -67,6 +67,47 @@ class TestGradients:
         net = _net()
         x = np.random.default_rng(3).normal(size=(5, 7))
         np.testing.assert_array_equal(net_forward(net, x), net_forward(net, x))
+
+
+class TestActivations:
+    """One ``e = exp(-|z|)`` gives the softplus and the sigmoid."""
+
+    SPECIAL = [0.0, -0.0, 40.0, -40.0, 745.0, -745.0, 1000.0, -1000.0, np.inf, -np.inf]
+
+    def _grid(self):
+        dense = np.linspace(-800.0, 800.0, 160_001)
+        fine = np.linspace(-40.0, 40.0, 80_001)
+        tiny = np.concatenate([-np.logspace(-320, 2, 3000), np.logspace(-320, 2, 3000)])
+        return np.concatenate([self.SPECIAL, dense, fine, tiny])
+
+    def _both(self, z):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            e = np.exp(-np.abs(z))
+            return net_mod._softplus(z, e), net_mod._sigmoid(z, e)
+
+    def test_sigmoid_equals_two_branch_formula(self):
+        z = self._grid()
+        pos = z >= 0
+        want = np.empty_like(z)
+        want[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+        want[~pos] = np.exp(z[~pos]) / (1.0 + np.exp(z[~pos]))
+        np.testing.assert_array_equal(self._both(z)[1], want)
+
+    def test_softplus_matches_logaddexp(self):
+        z = self._grid()
+        want = np.logaddexp(0.0, z)
+        got = self._both(z)[0]
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+        exact = np.abs(z) >= 1000.0
+        assert exact.sum() == 4
+        np.testing.assert_array_equal(got[exact], want[exact])
+
+    def test_nan_maps_to_nan(self):
+        z = np.array([np.nan, 1.0, -np.nan])
+        h, s = self._both(z)
+        assert np.isnan(h[[0, 2]]).all() and np.isnan(s[[0, 2]]).all()
+        assert np.isfinite(h[1]) and np.isfinite(s[1])
 
 
 class TestStandardizationFold:
@@ -179,6 +220,72 @@ class TestTraining:
         assert np.all(np.isfinite(losses))
 
 
+class TestInPlaceTrainer:
+    """train_level steps a private copy in place; the arithmetic is the
+    reference loop's out-of-place ``p - rate * g``."""
+
+    def _task(self):
+        rng = np.random.default_rng(19)
+        n_k, n_j = 5, 6
+        k_of = np.repeat(np.arange(n_k), n_j)
+        j_of = np.tile(np.arange(n_j), n_k)
+        x = rng.normal(size=(n_k * n_j, 4))
+        y = x @ np.array([1.0, -0.5, 0.25, 2.0]) + rng.normal(size=n_k * n_j)
+        return x, y, k_of, j_of
+
+    @staticmethod
+    def _reference(x, y, net, sched, k_of, j_of):
+        rng = np.random.default_rng(sched.seed)
+        ks, js = np.unique(k_of), np.unique(j_of)
+        losses = []
+        for t in range(sched.n_iter):
+            if t % net_mod.BATCH_CHANGE == 0:
+                k_pick = rng.permutation(ks)[: sched.k_batch]
+                j_pick = rng.permutation(js)[: sched.j_batch]
+                batch = np.flatnonzero(np.isin(k_of, k_pick) & np.isin(j_of, j_pick))
+            loss, g = net_loss_and_grads(net, x[batch], y[batch], sched.r)
+            losses.append(loss)
+            params = ("w1", "b1", "w2", "b2")
+            net = replace(net, **{p: getattr(net, p) - sched.rate * g[p] for p in params})
+        return net, np.array(losses)
+
+    def test_matches_out_of_place_reference_over_batch_changes(self):
+        x, y, k_of, j_of = self._task()
+        sched = TrainSchedule(
+            n_iter=2 * net_mod.BATCH_CHANGE + 40, rate=0.01, j_batch=3, k_batch=2, seed=8
+        )
+        start = _net(d=4, seed=6, hidden=8)
+        net, losses = train_level(x, y, start, sched, k_of=k_of, j_of=j_of)
+        ref, ref_losses = self._reference(x, y, start, sched, k_of, j_of)
+        np.testing.assert_array_equal(losses, ref_losses)
+        for p in ("w1", "b1", "w2"):
+            np.testing.assert_array_equal(getattr(net, p), getattr(ref, p))
+        assert net.b2 == ref.b2
+
+    def test_caller_net_untouched(self):
+        x, y, k_of, j_of = self._task()
+        start = _net(d=4, seed=7, hidden=8)
+        before = {p: np.copy(getattr(start, p)) for p in ("w1", "b1", "w2", "b2")}
+        sched = TrainSchedule(n_iter=60, rate=0.01, seed=9)
+        net, _ = train_level(x, y, start, sched, k_of=k_of, j_of=j_of)
+        for p, value in before.items():
+            np.testing.assert_array_equal(getattr(start, p), value)
+            assert not np.array_equal(getattr(net, p), value)
+
+    def test_one_loss_and_grads_call_per_step(self, monkeypatch):
+        calls = []
+        real = net_mod.net_loss_and_grads
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(net_mod, "net_loss_and_grads", counted)
+        x, y, _, _ = self._task()
+        train_level(x, y, _net(d=4, hidden=8), TrainSchedule(n_iter=37, rate=0.01))
+        assert len(calls) == 37
+
+
 class TestLearningRateSearch:
     def test_degenerate_single_candidate(self):
         rng = np.random.default_rng(12)
@@ -281,6 +388,19 @@ class TestFinalRunFallback:
         assert losses.size == sched.n_iter and np.all(np.isfinite(losses))
         warned = [r for r in caplog.records if r.name == "esscreen.adaptive.net"]
         assert len(warned) == 1 and warned[0].levelno == logging.WARNING
+
+    def test_success_logs_outcomes_and_final_rate(self, caplog):
+        x, y, sched, make = self._task()
+        with caplog.at_level(logging.DEBUG, logger="esscreen.adaptive.net"):
+            _, rate, _ = learning_rate_search(
+                x, y, make, sched, candidates=3, probe_steps=30
+            )
+        (record,) = [r for r in caplog.records if r.name == "esscreen.adaptive.net"]
+        assert record.levelno == logging.DEBUG
+        msg = record.getMessage()
+        assert f"final rate {rate:g}" in msg
+        for probe in (0.1, 0.01, 0.001):
+            assert f"rate {probe:g}: " in msg
 
     def test_raises_listing_every_attempt(self, monkeypatch):
         x, y, sched, make = self._task()

@@ -201,6 +201,66 @@ class TestNiwUpdateDiag:
         np.testing.assert_allclose(a.s, b.s, rtol=1e-12)
 
 
+class TestTrustedConstruction:
+    """Restriction and the diagonal update skip the NIWParams checks but
+    return exactly what the validated constructor would."""
+
+    def _no_validation(self, monkeypatch):
+        def fail(self):
+            raise AssertionError("NIWParams validation ran")
+
+        monkeypatch.setattr(NIWParams, "__post_init__", fail)
+
+    def _assert_as_validated(self, out):
+        fields = ("m", "k", "i", "s", "index_map")
+        want = NIWParams(**{f: getattr(out, f) for f in fields})
+        for f in fields:
+            got, ref = getattr(out, f), getattr(want, f)
+            assert type(got) is type(ref)
+            if isinstance(ref, np.ndarray):
+                assert got.dtype == ref.dtype
+                np.testing.assert_array_equal(got, ref, strict=True)
+            else:
+                assert got == ref
+
+    def test_restrict_and_update_match_validated_construction(self, monkeypatch):
+        rng = substream(32, 4)
+        p = random_niw(rng, 6, ids=[1, 3, 4, 7, 8, 11])
+        batch = rng.normal(size=(5, 6))
+        mean = batch.mean(axis=0)
+        sd = np.sum((batch - mean) ** 2, axis=0)
+        keep = np.array([3, 7, 11])
+        self._no_validation(monkeypatch)
+        restricted = restrict_niw(p, keep)
+        updated = niw_update_diag_stats(p, mean, sd, 5, keep)
+        monkeypatch.undo()
+        pos = np.array([1, 3, 5])
+        np.testing.assert_array_equal(restricted.m, p.m[pos])
+        np.testing.assert_array_equal(restricted.s, p.s[np.ix_(pos, pos)])
+        for out in (restricted, updated):
+            np.testing.assert_array_equal(out.index_map, keep)
+            self._assert_as_validated(out)
+
+    @pytest.mark.parametrize("bad", ["delta_mean", "scatter_diag"])
+    def test_non_finite_batch_rejected(self, bad):
+        rng = substream(32, 5)
+        p = random_niw(rng, 3)
+        stats = {"delta_mean": rng.normal(size=3), "scatter_diag": np.ones(3)}
+        stats[bad][1] = np.nan
+        with pytest.raises(InvalidParameterError, match="non-finite"):
+            niw_update_diag_stats(p, **stats, delta_n=4, keep_ids=p.index_map)
+
+    @pytest.mark.parametrize(
+        "delta_n, size", [(-1, 3), (4, 2), (4, 4)]
+    )
+    def test_malformed_batch_rejected(self, delta_n, size):
+        p = random_niw(substream(32, 6), 3)
+        with pytest.raises(InvalidParameterError, match="NIW batch"):
+            niw_update_diag_stats(
+                p, np.zeros(size), np.ones(size), delta_n, p.index_map
+            )
+
+
 def test_conjugacy_closure_concentrates_posterior():
     # a prior draw used as data tightens the posterior: pseudo-counts grow by
     # the batch size and the location moves toward the sample mean
