@@ -17,7 +17,6 @@ from .niw import (
 from .policy import (
     ActionSpec,
     AdaptiveRunResult,
-    FeatureLayout,
     PolicyBundle,
     PosteriorState,
     f_plugin,
@@ -38,7 +37,6 @@ __all__ = [
     "ActionSpec",
     "AdaptiveConfig",
     "AdaptiveRunResult",
-    "FeatureLayout",
     "PolicyBundle",
     "PolicyNet",
     "PosteriorState",

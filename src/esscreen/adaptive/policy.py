@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import io
 import json
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -30,10 +29,11 @@ from .niw import niw_update_diag_stats
 __all__ = [
     "PosteriorState",
     "ActionSpec",
-    "FeatureLayout",
     "PolicyBundle",
     "AdaptiveRunResult",
+    "action_values",
     "advance",
+    "features",
     "f_plugin",
     "run_adaptive",
 ]
@@ -163,78 +163,45 @@ class ActionSpec:
         return q_now * dn <= room
 
 
-@dataclass(frozen=True)
-class FeatureLayout:
-    """Feature-vector layout of one value net.
+def features(
+    state: PosteriorState,
+    actions: list[tuple[int, int]],
+    with_f: bool,
+    n_w: int,
+    sub: SubGammaParams,
+) -> np.ndarray:
+    """Raw feature rows of a value net, one per candidate action at ``state``.
 
     Column order: dq, dn, q, N, C, mu_hat (q, best-first), posterior m (q,
-    same order), k, i, then the scale-matrix block (full q*q for small
-    windows, else diagonal plus mean off-diagonal correlation), then the
-    selection-bound feature when ``with_f``.
+    same order), k, i, then the scale-matrix block (full q*q, same order,
+    for windows up to ``FULL_S_MAX_Q``, else its diagonal plus the mean
+    off-diagonal correlation), then, when ``with_f``, the action's
+    :func:`f_plugin` selection-bound feature.  Vector inputs are presented
+    best-estimate-first so the net sees a canonical, permutation-free
+    ordering.
     """
-
-    q: int
-    full_s: bool
-    with_f: bool
-
-    @property
-    def dim(self) -> int:
-        s_part = self.q * self.q if self.full_s else self.q + 1
-        return 7 + 2 * self.q + s_part + (1 if self.with_f else 0)
-
-    @classmethod
-    def for_q(cls, q: int, with_f: bool) -> "FeatureLayout":
-        return cls(q=q, full_s=q <= FULL_S_MAX_Q, with_f=with_f)
-
-
-def state_block(layout: FeatureLayout, state: PosteriorState) -> np.ndarray:
-    """State-dependent feature segment (everything except dq, dn, f).
-
-    Vector inputs are presented best-estimate-first so the net sees a
-    canonical, permutation-free ordering.
-    """
-    order = np.lexsort((np.arange(state.q), -state.mu_hat))
-    mu_sorted = state.mu_hat[order]
-    m_sorted = state.niw.m[order]
+    q = state.q
+    order = np.lexsort((np.arange(q), -state.mu_hat))
     s = state.niw.s
-    if layout.full_s:
+    if q <= FULL_S_MAX_Q:
         s_part = s[np.ix_(order, order)].ravel()
     else:
-        diag = np.diag(s)[order]
-        if state.q > 1:
-            mean_corr = float(
-                (correlation(s).sum() - state.q) / (state.q * (state.q - 1))
-            )
-        else:
-            mean_corr = 0.0
-        s_part = np.concatenate([diag, [mean_corr]])
-    return np.concatenate(
+        mean_corr = float((correlation(s).sum() - q) / (q * (q - 1)))
+        s_part = np.concatenate([np.diag(s)[order], [mean_corr]])
+    block = np.concatenate(
         [
-            [state.q, state.n_cum, state.cost],
-            mu_sorted,
-            m_sorted,
+            [q, state.n_cum, state.cost],
+            state.mu_hat[order],
+            state.niw.m[order],
             [state.niw.k, state.niw.i],
             s_part,
         ]
     )
-
-
-def assemble_rows(
-    layout: FeatureLayout,
-    state_part: np.ndarray,
-    actions: list[tuple[int, int]],
-    f_values: np.ndarray | None,
-) -> np.ndarray:
-    """Full raw feature matrix for a batch of actions at one state."""
-    n = len(actions)
-    rows = np.empty((n, layout.dim))
-    acts = np.asarray(actions, dtype=np.float64)
-    rows[:, 0] = acts[:, 0]
-    rows[:, 1] = acts[:, 1]
-    base = 2 + state_part.size
-    rows[:, 2:base] = state_part
-    if layout.with_f:
-        rows[:, base:] = np.asarray(f_values, dtype=np.float64)[:, None]
+    rows = np.empty((len(actions), 2 + block.size + int(with_f)))
+    rows[:, :2] = actions
+    rows[:, 2 : 2 + block.size] = block
+    if with_f:
+        rows[:, -1] = [f_plugin(state, dq, dn, n_w, sub) for dq, dn in actions]
     return rows
 
 
@@ -265,41 +232,6 @@ def f_plugin(
         sub,
         rank_by=state.mu_hat,
     )
-
-
-def save_artifact(path, header: dict, arrays: dict) -> None:
-    """Write a JSON ``header`` and named arrays to one compressed npz file."""
-    buf = io.BytesIO()
-    np.savez_compressed(
-        buf, header=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8), **arrays
-    )
-    with open(path, "wb") as fh:
-        fh.write(buf.getvalue())
-
-
-@contextmanager
-def open_artifact(path, version: int, error: type[Exception]):
-    """``(header, arrays)`` of a file written by :func:`save_artifact`.
-
-    Raises ``error`` when the file is missing, when its header ``version``
-    is not ``version``, and when the ``with`` block reads a header key or an
-    array that the file does not hold.
-    """
-    try:
-        data = np.load(path, allow_pickle=False)
-    except FileNotFoundError:
-        raise error(f"artifact not found: {path}") from None
-    with data:
-        try:
-            header = json.loads(bytes(data["header"]).decode())
-            if header.get("version") != version:
-                raise error(
-                    f"{path} holds artifact version {header.get('version')}, "
-                    f"expected {version}"
-                )
-            yield header, data
-        except KeyError as exc:
-            raise error(f"malformed artifact {path}: missing {exc}") from None
 
 
 @dataclass
@@ -372,48 +304,68 @@ class PolicyBundle:
             arrays[f"{tag}_b1"] = net.b1
             arrays[f"{tag}_w2"] = net.w2
             arrays[f"{tag}_b2"] = np.array([net.b2])
-        save_artifact(path, header, arrays)
+        buf = io.BytesIO()
+        np.savez_compressed(
+            buf, header=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8), **arrays
+        )
+        with open(path, "wb") as fh:
+            fh.write(buf.getvalue())
 
     @classmethod
     def load(cls, path) -> "PolicyBundle":
-        with open_artifact(path, cls.version, PolicyError) as (header, data):
-            prior = NIWParams(
-                m=data["prior_m"],
-                k=float(data["prior_ki"][0]),
-                i=float(data["prior_ki"][1]),
-                s=data["prior_s"],
-                index_map=data["prior_ids"],
-            )
-            nets = {}
-            for (lvl, q), meta in zip(header["net_keys"], header["net_meta"]):
-                tag = f"net_{lvl}_{q}"
-                nets[(lvl, q)] = PolicyNet(
-                    w1=data[f"{tag}_w1"],
-                    b1=data[f"{tag}_b1"],
-                    w2=data[f"{tag}_w2"],
-                    b2=float(data[f"{tag}_b2"][0]),
-                    meta=meta,
+        """The bundle that :meth:`save` wrote to ``path``.
+
+        Raises PolicyError when the file is missing, when its header holds
+        another artifact version, and when a header key or an array is
+        missing.
+        """
+        try:
+            data = np.load(path, allow_pickle=False)
+        except FileNotFoundError:
+            raise PolicyError(f"artifact not found: {path}") from None
+        with data:
+            try:
+                header = json.loads(bytes(data["header"]).decode())
+                if header.get("version") != cls.version:
+                    raise PolicyError(
+                        f"{path} holds artifact version {header.get('version')}, "
+                        f"expected {cls.version}"
+                    )
+                prior = NIWParams(
+                    m=data["prior_m"],
+                    k=float(data["prior_ki"][0]),
+                    i=float(data["prior_ki"][1]),
+                    s=data["prior_s"],
+                    index_map=data["prior_ids"],
                 )
-            return cls(
-                seed=header["seed"],
-                levels=header["levels"],
-                budget=header["budget"],
-                n_s=header["n_s"],
-                n_w=header["n_w"],
-                q_grid=tuple(header["q_grid"]),
-                dn_quantum=header["dn_quantum"],
-                max_scan=header["max_scan"],
-                sub=SubGammaParams(**header["sub"]),
-                prior=prior,
-                nets=nets,
-                first_action=tuple(header["first_action"]),
-                first_action_table=[tuple(t) for t in header["first_action_table"]],
-                meta=header.get("meta", {}),
-            )
-
-
-def trained_windows(nets: dict, level: int) -> set[int]:
-    return {q for (lvl, q) in nets if lvl == level}
+                nets = {}
+                for (lvl, q), meta in zip(header["net_keys"], header["net_meta"]):
+                    tag = f"net_{lvl}_{q}"
+                    nets[(lvl, q)] = PolicyNet(
+                        w1=data[f"{tag}_w1"],
+                        b1=data[f"{tag}_b1"],
+                        w2=data[f"{tag}_w2"],
+                        b2=float(data[f"{tag}_b2"][0]),
+                        meta=meta,
+                    )
+                return cls(
+                    seed=header["seed"],
+                    levels=header["levels"],
+                    budget=header["budget"],
+                    n_s=header["n_s"],
+                    n_w=header["n_w"],
+                    q_grid=tuple(header["q_grid"]),
+                    dn_quantum=header["dn_quantum"],
+                    max_scan=header["max_scan"],
+                    sub=SubGammaParams(**header["sub"]),
+                    prior=prior,
+                    nets=nets,
+                    first_action=tuple(header["first_action"]),
+                    first_action_table=[tuple(t) for t in header["first_action_table"]],
+                    meta=header.get("meta", {}),
+                )
+            except KeyError as exc:
+                raise PolicyError(f"malformed artifact {path}: missing {exc}") from None
 
 
 def scan_actions(
@@ -438,7 +390,7 @@ def scan_actions(
     if state.level + 1 >= levels:
         return acts[-1:]
     if state.level + 1 < levels - 1:
-        usable = trained_windows(nets, state.level + 1)
+        usable = {q for (lvl, q) in nets if lvl == state.level + 1}
         acts = [(dq, dn) for dq, dn in acts if state.q - dq in usable]
     net = nets.get((state.level, state.q))
     if net is not None and "dn_lo" in net.meta and acts:
@@ -454,36 +406,46 @@ def scan_actions(
     return acts
 
 
-def choose_action(
-    bundle: PolicyBundle,
+def action_values(
+    nets: dict,
+    spec: ActionSpec,
     state: PosteriorState,
+    n_w: int,
+    sub: SubGammaParams,
+    levels: int,
     cap: int | None = None,
-) -> tuple[int, int]:
-    """argmin of the fitted level net over the admissible scan actions."""
-    spec = bundle.action_spec()
-    net = bundle.nets.get((state.level, state.q))
+) -> tuple[list[tuple[int, int]], np.ndarray]:
+    """``(acts, preds)``: the :func:`scan_actions` candidates at ``state``
+    and the state's value net's prediction for each.
+
+    The online policy takes the argmin of ``preds`` and the trainer's
+    one-step lookahead takes its min, so both score an action alike.
+    """
+    net = nets.get((state.level, state.q))
     if net is None:
         raise PolicyError(
             f"no value net for level {state.level}, window {state.q}; "
             "the policy was trained on an incompatible strategy pool"
         )
-    acts = scan_actions(bundle.nets, spec, state, bundle.levels, cap)
+    acts = scan_actions(nets, spec, state, levels, cap)
+    if not acts:
+        return acts, np.empty(0)
+    rows = features(state, acts, net.meta.get("with_f", False), n_w, sub)
+    return acts, net_forward(net, rows)
+
+
+def choose_action(bundle: PolicyBundle, state: PosteriorState) -> tuple[int, int]:
+    """argmin of the fitted level net over the admissible scan actions."""
+    spec = bundle.action_spec()
+    acts, preds = action_values(
+        bundle.nets, spec, state, bundle.n_w, bundle.sub, bundle.levels
+    )
     if not acts:
         raise PolicyError(
             f"no admissible action at level {state.level} "
             f"(q={state.q}, cost={state.cost}, budget={spec.budget})"
         )
-    layout = FeatureLayout.for_q(state.q, with_f=net.meta.get("with_f", False))
-    sp = state_block(layout, state)
-    fvals = None
-    if layout.with_f:
-        fvals = np.array(
-            [f_plugin(state, dq, dn, bundle.n_w, bundle.sub) for dq, dn in acts]
-        )
-    rows = assemble_rows(layout, sp, acts, fvals)
-    preds = net_forward(net, rows)
-    pick = int(np.argmin(preds))
-    return acts[pick]
+    return acts[int(np.argmin(preds))]
 
 
 @dataclass

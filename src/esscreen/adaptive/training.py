@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..bounds import AdaptiveState, SubGammaParams, f_p_ad
+from ..bounds import SubGammaParams
 from ..errors import InvalidParameterError
 from ..model import (
     NIWParams,
@@ -29,21 +29,19 @@ from ..model import (
     psd_factor,
     sample_niw,
 )
-from ..screener import GaussianSource, LevelStats, Strategy, run_screening, step
+from ..screener import GaussianSource, LevelStats, Strategy, cost, run_screening, step
 from ..streams import substream
 from .net import TrainSchedule, learning_rate_search, net_forward, xavier_net
 from .niw import niw_update_diag_stats
 from .policy import (
     ActionSpec,
-    FeatureLayout,
     PolicyBundle,
     PosteriorState,
+    action_values,
     advance,
-    assemble_rows,
     f_plugin,
+    features,
     scan_actions,
-    state_block,
-    trained_windows,
 )
 
 __all__ = [
@@ -194,10 +192,6 @@ class TrajectorySet:
     prior: NIWParams
     n_w: int
 
-    def state_at(self, traj: Trajectory, level: int) -> PosteriorState:
-        """Decision state after executing ``level`` (1-based)."""
-        return traj.states[level - 1]
-
 
 def forward_pass(
     strategies: list[Strategy],
@@ -250,25 +244,17 @@ def f_precompute(
     if stats.kept.size == stats.entered.size:
         return 0.0  # no selection happens at a dq = 0 level
     if level >= 2:
-        prev = ts.state_at(traj, level - 1)
+        prev = traj.states[level - 2]
     else:
         prev = PosteriorState.opening(ts.prior)
     half = niw_update_diag_stats(
         prev.niw, stats.batch_mean, stats.scatter, stats.dn, stats.entered
     )
-    q_next = stats.kept.size
-    state = AdaptiveState(
-        mu_hat_prev=prev.mu_hat,
-        n_prev=stats.n_cum - stats.dn,
-        delta_n=stats.dn,
-        q_next=q_next,
-        n_w=min(ts.n_w, q_next),
-    )
-    return f_p_ad(level, half.m, half.sigma_mean(), state, sub, rank_by=prev.mu_hat)
+    dq = stats.entered.size - stats.kept.size
+    return f_plugin(replace(prev, niw=half), dq, stats.dn, ts.n_w, sub)
 
 
 def mc_value_final(
-    ts: TrajectorySet,
     traj: Trajectory,
     n_e: int,
     n_p: int,
@@ -319,23 +305,20 @@ def _value_of_states(
     """min over admissible actions of the next-level net, batched per state."""
     out = np.empty(len(states))
     for idx, st in enumerate(states):
-        net = bundle_nets[(st.level, st.q)]
-        layout = FeatureLayout.for_q(st.q, with_f=net.meta.get("with_f", False))
-        acts = scan_actions(bundle_nets, spec, st, levels, caps.get(st.level + 1))
+        acts, preds = action_values(
+            bundle_nets, spec, st, n_w, sub, levels, caps.get(st.level + 1)
+        )
         if not acts:
             # pool-edge state without cap room: fall back to the cheapest
             # legal continuation so the target stays defined (prediction
             # only, never executed)
+            net = bundle_nets[(st.level, st.q)]
             dq_fb = st.q - spec.n_w if st.level + 1 == levels - 1 else 0
-            acts = [(dq_fb, spec.dn_quantum)]
-        sp = state_block(layout, st)
-        fv = (
-            np.array([f_plugin(st, dq, dn, n_w, sub) for dq, dn in acts])
-            if layout.with_f
-            else None
-        )
-        rows = assemble_rows(layout, sp, acts, fv)
-        out[idx] = float(np.min(net_forward(net, rows)))
+            rows = features(
+                st, [(dq_fb, spec.dn_quantum)], net.meta.get("with_f", False), n_w, sub
+            )
+            preds = net_forward(net, rows)
+        out[idx] = float(np.min(preds))
     return out
 
 
@@ -395,7 +378,7 @@ def _simulate_next_states(
 ) -> list[PosteriorState]:
     """Draws of the next decision state under the executed schedule's action."""
     strat = ts.strategies[traj.k]
-    state = ts.state_at(traj, level)
+    state = traj.states[level - 1]
     dn = strat.n[level + 1] - strat.n[level]
     q_next = strat.q[level + 1]
     return [
@@ -416,8 +399,9 @@ def fit_value_functions(cfg: AdaptiveConfig) -> tuple[PolicyBundle, TrainingRepo
     ts = forward_pass(strategies, books, cfg)
     spec = cfg.action_spec()
     levels = cfg.levels
+    # the most any pooled schedule spends through each level
     caps = {
-        lvl: max(_cost_through(s, lvl) for s in strategies)
+        lvl: max(cost(Strategy(s.q[:lvl], s.n[: lvl + 1])) for s in strategies)
         for lvl in range(1, levels + 1)
     }
 
@@ -427,14 +411,12 @@ def fit_value_functions(cfg: AdaptiveConfig) -> tuple[PolicyBundle, TrainingRepo
     # --- final-level net: window is always n_w -------------------------------
     rng_t = substream(cfg.seed, _STREAM_TARGETS, levels)
     rows, targets, k_of, j_of = [], [], [], []
-    layout_final = FeatureLayout.for_q(cfg.n_w, with_f=False)
     for traj in ts.trajectories:
         strat = ts.strategies[traj.k]
-        st = ts.state_at(traj, levels - 1)
+        st = traj.states[levels - 2]
         dn_last = strat.n[levels] - strat.n[levels - 1]
-        sp = state_block(layout_final, st)
-        rows.append(assemble_rows(layout_final, sp, [(0, dn_last)], None)[0])
-        targets.append(mc_value_final(ts, traj, cfg.n_e_final, cfg.n_p_final, rng_t))
+        rows.append(features(st, [(0, dn_last)], False, cfg.n_w, cfg.sub)[0])
+        targets.append(mc_value_final(traj, cfg.n_e_final, cfg.n_p_final, rng_t))
         k_of.append(traj.k)
         j_of.append(traj.j)
     _fit_net(
@@ -443,7 +425,7 @@ def fit_value_functions(cfg: AdaptiveConfig) -> tuple[PolicyBundle, TrainingRepo
         cfg,
         level=levels - 1,
         q=cfg.n_w,
-        layout=layout_final,
+        with_f=False,
         x=np.array(rows),
         y=np.array(targets),
         k_of=np.array(k_of),
@@ -464,11 +446,8 @@ def fit_value_functions(cfg: AdaptiveConfig) -> tuple[PolicyBundle, TrainingRepo
             target = float(np.mean(values)) + f_precompute(
                 ts, traj, level + 1, cfg.sub
             )
-            st = ts.state_at(traj, level)
-            layout = FeatureLayout.for_q(q_here, with_f=True)
             action = (q_here - strat.q[level + 1], strat.n[level + 1] - strat.n[level])
-            fv = np.array([f_plugin(st, *action, cfg.n_w, cfg.sub)])
-            row = assemble_rows(layout, state_block(layout, st), [action], fv)[0]
+            row = features(traj.states[level - 1], [action], True, cfg.n_w, cfg.sub)[0]
             groups.setdefault(q_here, []).append((row, target, traj.k, traj.j))
         for q_here, samples in groups.items():
             x = np.array([s[0] for s in samples])
@@ -479,7 +458,7 @@ def fit_value_functions(cfg: AdaptiveConfig) -> tuple[PolicyBundle, TrainingRepo
                 cfg,
                 level=level,
                 q=q_here,
-                layout=FeatureLayout.for_q(q_here, with_f=True),
+                with_f=True,
                 x=x,
                 y=y,
                 k_of=np.array([s[2] for s in samples]),
@@ -511,13 +490,7 @@ def fit_value_functions(cfg: AdaptiveConfig) -> tuple[PolicyBundle, TrainingRepo
     return bundle, report
 
 
-def _cost_through(strategy: Strategy, level: int) -> int:
-    q = np.asarray(strategy.q[:level], dtype=np.int64)
-    dn = np.diff(np.asarray(strategy.n[: level + 1], dtype=np.int64))
-    return int(np.sum(q * dn))
-
-
-def _fit_net(nets, report, cfg, *, level, q, layout, x, y, k_of, j_of):
+def _fit_net(nets, report, cfg, *, level, q, with_f, x, y, k_of, j_of):
     """Train one value net on standardized data, then fold the
     standardization into the stored net's affine parameters.
 
@@ -552,9 +525,7 @@ def _fit_net(nets, report, cfg, *, level, q, layout, x, y, k_of, j_of):
 
     def make(rng):
         return xavier_net(
-            layout.dim,
-            rng,
-            meta={"level": level, "q": q, "with_f": layout.with_f},
+            x.shape[1], rng, meta={"level": level, "q": q, "with_f": with_f}
         )
 
     net, rate, losses = learning_rate_search(
@@ -589,10 +560,7 @@ def _tabulate_opening(cfg, spec, nets, caps):
     initial state, sharing world draws across actions."""
     levels = cfg.levels
     state0 = PosteriorState.opening(cfg.prior)
-    acts = spec.actions(0, cfg.n_s, 0, caps.get(1))
-    if levels - 1 > 1:
-        usable = trained_windows(nets, 1)
-        acts = [(dq, dn) for dq, dn in acts if cfg.n_s - dq in usable]
+    acts = scan_actions(nets, spec, state0, levels, caps.get(1))
     if not acts:
         raise InvalidParameterError(
             "no admissible opening action is covered by the trained windows"

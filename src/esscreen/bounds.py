@@ -435,11 +435,6 @@ def f_p_ad(
     var = pair_variance(sigma_tilde, ii, kk)
     ratio = state.n_prev / state.delta_n if state.n_prev else 0.0
     rho = gap + ratio * (state.mu_hat_prev[ii] - state.mu_hat_prev[kk])
-    denom = 2.0 * (var + sub.c * rho)
-    safe = np.where(denom > 0, denom, 1.0)
-    expo = -state.delta_n * rho * rho / safe
-    kern = np.where(expo > _EXP_FLOOR, np.exp(np.maximum(expo, _EXP_FLOOR)), 0.0)
-    kern = np.where((rho > 0) & (denom <= 0), 0.0, kern)
-    kern = np.where(rho < 0, 1.0, kern)  # inverted prior margin: full weight
-    vals = np.abs(gap) ** sub.p * kern
+    # an inverted prior margin (rho <= 0) gets the kernel's full weight 1
+    vals = np.abs(gap) ** sub.p * _kernel_exp(state.delta_n, rho, var, sub.c)
     return float(dq * np.max(vals))

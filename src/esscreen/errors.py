@@ -31,7 +31,3 @@ class TrainingDivergedError(EsscreenError):
 class PolicyError(EsscreenError):
     """A trained policy is missing, incompatible, or requested an
     infeasible action at run time."""
-
-
-class ConfigError(EsscreenError, ValueError):
-    """An experiment configuration document is invalid."""

@@ -3,8 +3,7 @@
 The basic object is a Gaussian pricing model per historical scenario: scenario
 ``i`` has loss impact ``mu[i]`` and one simulated price path contributes one
 draw of ``P_i ~ N(mu[i], sigma[i, i])``, with cross-scenario correlation given
-by the covariance matrix.  Indexing is 0-based internally; report files
-translate to 1-based scenario ranks.
+by the covariance matrix.  Scenario indexes are 0-based.
 """
 
 from __future__ import annotations

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import InvalidParameterError
+
 __all__ = ["substream", "spawn_key"]
 
 
@@ -18,7 +20,7 @@ def spawn_key(*key: int) -> tuple[int, ...]:
     """Normalize a counter tuple (all entries must be non-negative ints)."""
     out = tuple(int(k) for k in key)
     if any(k < 0 for k in out):
-        raise ValueError(f"substream key entries must be >= 0, got {out}")
+        raise InvalidParameterError(f"substream key entries must be >= 0, got {out}")
     return out
 
 

@@ -264,7 +264,7 @@ class TestMcValueFinal:
         traj = ts.trajectories[0]
         final = traj.states[-1]
         final.niw = replace(final.niw, s=np.zeros_like(final.niw.s), k=1e18)
-        got = mc_value_final(ts, traj, 100, 10, substream(8, 0))
+        got = mc_value_final(traj, 100, 10, substream(8, 0))
         want = abs(np.mean(final.mu_hat - final.niw.m))
         assert got == pytest.approx(want, rel=1e-6)
 
@@ -274,7 +274,7 @@ class TestMcValueFinal:
 
         def spread(n_e, reps, tag):
             vals = [
-                mc_value_final(ts, traj, n_e, 10, substream(9, tag, r))
+                mc_value_final(traj, n_e, 10, substream(9, tag, r))
                 for r in range(reps)
             ]
             return np.std(vals)
@@ -288,10 +288,10 @@ class TestMcValueFinal:
         cfg, ts = self._small_ts()
         traj = ts.trajectories[0]
         pooled = [
-            mc_value_final(ts, traj, 3000, 50, substream(10, 0, r)) for r in range(8)
+            mc_value_final(traj, 3000, 50, substream(10, 0, r)) for r in range(8)
         ]
         fresh = [
-            mc_value_final(ts, traj, 3000, 1, substream(10, 1, r)) for r in range(8)
+            mc_value_final(traj, 3000, 1, substream(10, 1, r)) for r in range(8)
         ]
         se = math.hypot(np.std(pooled) / math.sqrt(8), np.std(fresh) / math.sqrt(8))
         assert abs(np.mean(pooled) - np.mean(fresh)) < 4 * se + 1e-12
@@ -393,6 +393,31 @@ class TestFitAndRun:
         _edit_artifact(path, header={"version": 1})
         with pytest.raises(PolicyError, match="version 1"):
             PolicyBundle.load(path)
+
+    def test_lookahead_value_is_the_served_actions_prediction(
+        self, toy_bundle, toy_trajectories
+    ):
+        # training's one-step lookahead scores a state as the min over the
+        # actions the online policy picks its argmin from, so the value a
+        # target uses is the prediction at the action the policy serves
+        from esscreen.adaptive.policy import action_values, choose_action
+        from esscreen.adaptive.training import _value_of_states
+
+        cfg, bundle, _ = toy_bundle
+        _, ts = toy_trajectories
+        spec = bundle.action_spec()
+        levels_seen = set()
+        for traj in ts.trajectories:
+            for st in traj.states[:-1]:
+                acts, preds = action_values(
+                    bundle.nets, spec, st, cfg.n_w, cfg.sub, cfg.levels
+                )
+                (value,) = _value_of_states(
+                    bundle.nets, spec, [st], cfg.n_w, cfg.sub, cfg.levels, {}
+                )
+                assert value == preds[acts.index(choose_action(bundle, st))]
+                levels_seen.add(st.level)
+        assert levels_seen == set(range(1, cfg.levels))
 
     @pytest.mark.parametrize("drop", ["first_action", "net_2_2_w1"])
     def test_missing_key_rejected(self, toy_bundle, tmp_path, drop):

@@ -246,3 +246,8 @@ def test_restrict_is_the_validated_sub_model_without_revalidation(equi, monkeypa
     np.testing.assert_array_equal(sub.factor(), want.factor())
     draws = simulate_prices(sub, 5, substream(2, 4))
     assert np.array_equal(draws, simulate_prices(want, 5, substream(2, 4)))
+
+
+def test_negative_substream_key_is_an_invalid_parameter():
+    with pytest.raises(InvalidParameterError, match="key entries must be >= 0"):
+        substream(0, 3, -1)

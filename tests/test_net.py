@@ -115,15 +115,14 @@ class TestStandardizationFold:
         # _fit_net trains on standardized rows and stores a net over raw rows;
         # the two agree, and both ignore the columns constant in training
         from esscreen.adaptive import training
-        from esscreen.adaptive.policy import FeatureLayout
         from esscreen.model import NIWParams
 
-        layout = FeatureLayout.for_q(2, with_f=False)
+        dim = 15  # the feature width of a q = 2 window without f
         rng = np.random.default_rng(17)
         n = 24
-        scales = np.logspace(-3, 12, layout.dim)
-        offsets = rng.uniform(-20.0, 20.0, size=layout.dim)
-        x = scales * (offsets + rng.normal(size=(n, layout.dim)))
+        scales = np.logspace(-3, 12, dim)
+        offsets = rng.uniform(-20.0, 20.0, size=dim)
+        x = scales * (offsets + rng.normal(size=(n, dim)))
         const = np.array([2, 4, 5])
         x[:, 2] = 6.0
         x[:, 4] = 0.0
@@ -152,7 +151,7 @@ class TestStandardizationFold:
         monkeypatch.setattr(training, "learning_rate_search", capture)
         nets, report = {}, training.TrainingReport({}, {}, {}, [])
         training._fit_net(
-            nets, report, cfg, level=1, q=2, layout=layout, x=x, y=y,
+            nets, report, cfg, level=1, q=2, with_f=False, x=x, y=y,
             k_of=np.zeros(n, dtype=int), j_of=np.arange(n),
         )
         ((xt, net),) = trained
@@ -162,7 +161,7 @@ class TestStandardizationFold:
         np.testing.assert_allclose(
             net_forward(folded, x), y_c + y_s * net_forward(net, xt), rtol=1e-10
         )
-        keep = np.ones(layout.dim, dtype=bool)
+        keep = np.ones(dim, dtype=bool)
         keep[const] = False
         col_c, col_s = x.mean(axis=0), x.std(axis=0)
         x_new = col_c + col_s * rng.normal(size=x.shape)
