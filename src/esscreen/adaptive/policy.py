@@ -33,9 +33,11 @@ __all__ = [
     "AdaptiveRunResult",
     "action_values",
     "advance",
+    "choose_action",
     "features",
     "f_plugin",
     "run_adaptive",
+    "scan_actions",
 ]
 
 #: Survivor windows up to this size feed the full scale-matrix block to the
@@ -153,14 +155,10 @@ class ActionSpec:
     def is_admissible(self, level, q_now, cost_now, dq, dn) -> bool:
         """Membership in the full (unthinned) admissible set."""
         q_next = q_now - dq
-        if q_next not in self.next_q_options(level, q_now) and not (
-            level + 1 >= self.levels and dq == 0
-        ):
+        if q_next not in self.next_q_options(level, q_now) or dn % self.dn_quantum:
             return False
-        if dn < 1 or dn % self.dn_quantum != 0:
-            return False
-        room = self.budget - cost_now - self.min_future_cost(level + 1, q_next)
-        return q_now * dn <= room
+        j_max = self.max_quanta(level, q_now, q_next, cost_now)
+        return 1 <= dn // self.dn_quantum <= j_max
 
 
 def features(
@@ -225,7 +223,6 @@ def f_plugin(
         n_w=min(n_w, q_next),
     )
     return f_p_ad(
-        state.level + 1,
         state.niw.m,
         state.niw.sigma_mean(),
         kern_state,
@@ -372,7 +369,6 @@ def scan_actions(
     nets: dict,
     spec: ActionSpec,
     state: PosteriorState,
-    levels: int,
     cap: int | None = None,
 ) -> list[tuple[int, int]]:
     """Candidate actions for the fitted argmin at one state.
@@ -387,9 +383,9 @@ def scan_actions(
     the largest admissible increment, which spends the remaining budget.
     """
     acts = spec.actions(state.level, state.q, state.cost, cap)
-    if state.level + 1 >= levels:
+    if state.level + 1 >= spec.levels:
         return acts[-1:]
-    if state.level + 1 < levels - 1:
+    if state.level + 1 < spec.levels - 1:
         usable = {q for (lvl, q) in nets if lvl == state.level + 1}
         acts = [(dq, dn) for dq, dn in acts if state.q - dq in usable]
     net = nets.get((state.level, state.q))
@@ -410,9 +406,7 @@ def action_values(
     nets: dict,
     spec: ActionSpec,
     state: PosteriorState,
-    n_w: int,
     sub: SubGammaParams,
-    levels: int,
     cap: int | None = None,
 ) -> tuple[list[tuple[int, int]], np.ndarray]:
     """``(acts, preds)``: the :func:`scan_actions` candidates at ``state``
@@ -427,19 +421,17 @@ def action_values(
             f"no value net for level {state.level}, window {state.q}; "
             "the policy was trained on an incompatible strategy pool"
         )
-    acts = scan_actions(nets, spec, state, levels, cap)
+    acts = scan_actions(nets, spec, state, cap)
     if not acts:
         return acts, np.empty(0)
-    rows = features(state, acts, net.meta.get("with_f", False), n_w, sub)
+    rows = features(state, acts, net.meta.get("with_f", False), spec.n_w, sub)
     return acts, net_forward(net, rows)
 
 
 def choose_action(bundle: PolicyBundle, state: PosteriorState) -> tuple[int, int]:
     """argmin of the fitted level net over the admissible scan actions."""
     spec = bundle.action_spec()
-    acts, preds = action_values(
-        bundle.nets, spec, state, bundle.n_w, bundle.sub, bundle.levels
-    )
+    acts, preds = action_values(bundle.nets, spec, state, bundle.sub)
     if not acts:
         raise PolicyError(
             f"no admissible action at level {state.level} "

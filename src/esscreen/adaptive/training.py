@@ -16,6 +16,7 @@ from the posterior predictive and goes through the same ``step`` +
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -52,6 +53,7 @@ __all__ = [
     "forward_pass",
     "f_precompute",
     "mc_value_final",
+    "TrainingReport",
     "fit_value_functions",
 ]
 
@@ -97,6 +99,10 @@ class AdaptiveConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.levels, numbers.Integral) or self.levels < 2:
+            raise InvalidParameterError(
+                f"levels must be an integer >= 2, got {self.levels!r}"
+            )
         if not 0 < self.budget < math.inf:
             raise InvalidParameterError(f"budget must be in (0, inf): {self.budget}")
 
@@ -297,26 +303,23 @@ def _value_of_states(
     bundle_nets: dict,
     spec: ActionSpec,
     states: list[PosteriorState],
-    n_w: int,
     sub: SubGammaParams,
-    levels: int,
     caps: dict,
 ) -> np.ndarray:
     """min over admissible actions of the next-level net, batched per state."""
     out = np.empty(len(states))
     for idx, st in enumerate(states):
         acts, preds = action_values(
-            bundle_nets, spec, st, n_w, sub, levels, caps.get(st.level + 1)
+            bundle_nets, spec, st, sub, caps.get(st.level + 1)
         )
         if not acts:
             # pool-edge state without cap room: fall back to the cheapest
             # legal continuation so the target stays defined (prediction
             # only, never executed)
             net = bundle_nets[(st.level, st.q)]
-            dq_fb = st.q - spec.n_w if st.level + 1 == levels - 1 else 0
-            rows = features(
-                st, [(dq_fb, spec.dn_quantum)], net.meta.get("with_f", False), n_w, sub
-            )
+            dq_fb = st.q - spec.n_w if st.level + 1 == spec.levels - 1 else 0
+            with_f = net.meta.get("with_f", False)
+            rows = features(st, [(dq_fb, spec.dn_quantum)], with_f, spec.n_w, sub)
             preds = net_forward(net, rows)
         out[idx] = float(np.min(preds))
     return out
@@ -440,9 +443,7 @@ def fit_value_functions(cfg: AdaptiveConfig) -> tuple[PolicyBundle, TrainingRepo
             q_here = strat.q[level]
             rng_mc = substream(cfg.seed, _STREAM_TARGETS, level, traj.k, traj.j)
             next_states = _simulate_next_states(ts, traj, level, cfg, rng_mc)
-            values = _value_of_states(
-                nets, spec, next_states, cfg.n_w, cfg.sub, levels, caps
-            )
+            values = _value_of_states(nets, spec, next_states, cfg.sub, caps)
             target = float(np.mean(values)) + f_precompute(
                 ts, traj, level + 1, cfg.sub
             )
@@ -558,9 +559,8 @@ def _fit_net(nets, report, cfg, *, level, q, with_f, x, y, k_of, j_of):
 def _tabulate_opening(cfg, spec, nets, caps):
     """Expected value of each admissible opening action from the known
     initial state, sharing world draws across actions."""
-    levels = cfg.levels
     state0 = PosteriorState.opening(cfg.prior)
-    acts = scan_actions(nets, spec, state0, levels, caps.get(1))
+    acts = scan_actions(nets, spec, state0, caps.get(1))
     if not acts:
         raise InvalidParameterError(
             "no admissible opening action is covered by the trained windows"
@@ -571,7 +571,7 @@ def _tabulate_opening(cfg, spec, nets, caps):
     for dq, dn in acts:
         q_next = cfg.n_s - dq
         states = [_simulated_advance(state0, draw, dn, q_next, rng) for draw in draws]
-        vals = _value_of_states(nets, spec, states, cfg.n_w, cfg.sub, levels, caps)
+        vals = _value_of_states(nets, spec, states, cfg.sub, caps)
         f0 = f_plugin(state0, dq, dn, cfg.n_w, cfg.sub)
         table.append((int(dq), int(dn), float(np.mean(vals) + f0)))
     return table

@@ -1,10 +1,12 @@
 """Error-bound evaluation: Bernstein tails, the deterministic L^p bound, its
 robust variant, and the adaptive (posterior-aware) selection bound.
 
-All bounds share one exponential kernel, exp(-n x^2 / (2 (v + c x))), the
-sub-gamma tail of an n-sample mean with variance proxy v and scale constant c.
-Setting c = 0 gives the pure sub-Gaussian case (valid for Gaussian pricing
-errors).
+All bounds share one exponential kernel, exp(-n x^2 / (2 p (v + c x))), the
+sub-gamma tail of an n-sample mean with variance proxy v and scale constant c,
+taken to the power 1/p for an L^p bound of order p.  Setting c = 0 gives the
+pure sub-Gaussian case (valid for Gaussian pricing errors).  ``_kernel_exp``
+is the kernel's only evaluation; every bound here and the planner's two-level
+heuristic go through it.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ __all__ = [
     "selection_term",
     "robust_gap_max",
     "mc_terms_exact",
-    "mc_terms_robust",
     "term_providers",
     "strategy_value",
     "F_p",
@@ -107,15 +108,7 @@ def bernstein_tail(x: float, n: int, var: float, c: float = 0.0) -> float:
         raise InvalidParameterError(
             f"invalid arguments: x={x}, n={n}, var={var}, c={c}"
         )
-    if x == 0:
-        return 1.0
-    denom = 2.0 * (var + c * x)
-    if denom == 0.0:
-        return 0.0
-    expo = -n * x * x / denom
-    if expo <= _EXP_FLOOR:
-        return 0.0
-    return min(1.0, math.exp(expo))
+    return float(_kernel_exp(n, x, var, c))
 
 
 def gamma_constants(p: float) -> tuple[float, float]:
@@ -182,47 +175,19 @@ def mc_terms_exact(
     return term_b, term_c
 
 
-def mc_terms_robust(
-    n_prev: int,
-    n_last: int,
-    sigma_bar: float,
-    n_w: int,
-    n_s: int,
-    sub: SubGammaParams,
-) -> tuple[float, float]:
-    """Monte Carlo terms under the uniform std bound only."""
-    dn_last = n_last - n_prev
-    if n_prev == 0 or dn_last == 0:
-        return math.inf, math.inf
-    sbar_p = np.array([sigma_bar**sub.p])
-    term_b = (dn_last / n_last) * float(_mc_moment_term(dn_last, sbar_p, sub)[0])
-    term_c = (
-        (n_prev / n_last) * (n_s / n_w) * float(_mc_moment_term(n_prev, sbar_p, sub)[0])
-    )
-    return term_b, term_c
-
-
 def robust_gap_max(
     n_paths: float, lo: float, hi: float, sigma_bar: float, sub: SubGammaParams
 ) -> float:
     """max over delta in [lo, hi] of delta * exp(-N delta^2 / (2p(sbar^2 + c delta)))."""
     if hi <= 0.0:
         return 0.0
-
-    def g(delta):
-        if delta <= 0:
-            return 0.0
-        expo = -n_paths * delta * delta / (2.0 * sub.p * (sigma_bar**2 + sub.c * delta))
-        if expo <= _EXP_FLOOR:
-            return 0.0
-        return delta * math.exp(expo)
-
     candidates = [lo, hi]
     if n_paths > 0 and sigma_bar > 0:
         if sub.c == 0.0:
             stat = sigma_bar * math.sqrt(sub.p / n_paths)
         else:
-            # Stationary point of log g: 2p (sbar^2 + c d)^2 = N d^2 (2 sbar^2 + c d).
+            # Stationary point of log(d * kernel(d)):
+            # 2p (sbar^2 + c d)^2 = N d^2 (2 sbar^2 + c d).
             def h(d):
                 s2 = sigma_bar**2 + sub.c * d
                 return 2.0 * sub.p * s2 * s2 - n_paths * d * d * (
@@ -236,7 +201,9 @@ def robust_gap_max(
             stat = brentq(h, 1e-300, d_hi, xtol=1e-300, rtol=8.9e-16)
         if lo < stat < hi:
             candidates.append(stat)
-    return max(g(d) for d in candidates)
+    cands = np.array(candidates)
+    kern = _kernel_exp(n_paths, cands, sigma_bar**2, sub.c, sub.p)
+    return float(np.max(cands * kern))
 
 
 def _level_dq(q_prev: int, q_next: int) -> int:
@@ -282,11 +249,10 @@ def term_providers(target, sub: SubGammaParams, n_w: int, n_s: int, select):
                 row = rows[n_paths] = select(n_paths, gaps, variances, sub)
             return dq ** (1.0 / sub.p) * float(row[q_next])
 
-        def mc(n_prev, n_last):
-            return mc_terms_exact(n_prev, n_last, sig_p, n_w, sub)
-
     elif isinstance(target, RobustBounds):
         worst: dict = {}
+        # a uniform std bound is the exact Monte Carlo term with every sigma_i = sbar
+        sig_p = np.full(n_s, target.sigma_bar**sub.p)
 
         def sel(q_prev, q_next, n_paths):
             dq = _level_dq(q_prev, q_next)
@@ -305,13 +271,14 @@ def term_providers(target, sub: SubGammaParams, n_w: int, n_s: int, select):
                 )
             return dq ** (1.0 / sub.p) * m
 
-        def mc(n_prev, n_last):
-            return mc_terms_robust(n_prev, n_last, target.sigma_bar, n_w, n_s, sub)
-
     else:
         raise InvalidParameterError(
             f"target must be ScenarioParams or RobustBounds, got {type(target)!r}"
         )
+
+    def mc(n_prev, n_last):
+        return mc_terms_exact(n_prev, n_last, sig_p, n_w, sub)
+
     return sel, mc
 
 
@@ -321,16 +288,13 @@ def strategy_value(
     """Bound of a concrete strategy: the per-level selection terms, then the
     final level's fresh-path and carried-over Monte Carlo terms, summed in
     that order.  Strategies with ``N_{L-1} == 0`` or ``dN_L == 0`` score
-    +inf: their Monte Carlo terms are undefined and such plans must lose any
-    minimization."""
+    +inf through :func:`mc_terms_exact`: their Monte Carlo terms are
+    undefined and such plans must lose any minimization."""
     sel, mc = term_providers(target, sub, n_w, n_s, select)
-    n_prev, n_last = strategy.n[-2], strategy.n[-1]
-    if n_prev == 0 or n_last == n_prev:
-        return math.inf
     total = 0.0
     for lvl in range(1, strategy.levels):
         total += sel(strategy.q[lvl - 1], strategy.q[lvl], strategy.n[lvl])
-    term_b, term_c = mc(n_prev, n_last)
+    term_b, term_c = mc(strategy.n[-2], strategy.n[-1])
     total += term_b
     total += term_c
     return total
@@ -354,8 +318,9 @@ def F_robust(strategy: Strategy, rb: RobustBounds, sub: SubGammaParams) -> float
     """Worst-case variant of the deterministic bound from a-priori brackets.
 
     Per-pair selection terms become the worst case over the gap interval at
-    each threshold with the uniform std bound; Monte Carlo terms use the
-    uniform bound for every scenario.
+    each threshold with the uniform std bound; Monte Carlo terms are
+    :func:`mc_terms_exact` with the uniform bound for every scenario, +inf
+    when ``N_{L-1} == 0`` or ``dN_L == 0``.
     """
     return strategy_value(strategy, rb, sub, strategy.n_w, strategy.n_s, selection_term)
 
@@ -393,7 +358,6 @@ class AdaptiveState:
 
 
 def f_p_ad(
-    level: int,
     mu_tilde: np.ndarray,
     sigma_tilde: np.ndarray,
     state: AdaptiveState,
@@ -414,8 +378,6 @@ def f_p_ad(
     Plug-in callers may supply ``rank_by`` to take the pairing permutation
     from a different (e.g. previous-step empirical) ordering than the values.
     """
-    if level < 1:
-        raise InvalidParameterError("level must be >= 1")
     mu_tilde = np.asarray(mu_tilde, dtype=np.float64)
     sigma_tilde = np.asarray(sigma_tilde, dtype=np.float64)
     q_prev = mu_tilde.size

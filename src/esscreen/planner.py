@@ -15,7 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import SubGammaParams, selection_term, strategy_value, term_providers
+from .bounds import (
+    SubGammaParams,
+    _kernel_exp,
+    selection_term,
+    strategy_value,
+    term_providers,
+)
 from .errors import InfeasiblePlanError, InvalidParameterError
 from .screener import Strategy, cost
 
@@ -23,9 +29,11 @@ __all__ = [
     "PlanningGrid",
     "HeuristicParams",
     "HeuristicSolution",
+    "strategy_bound",
     "dp_optimize",
     "heuristic_numeric",
     "heuristic_closed_form",
+    "heuristic_strategy",
     "h0",
     "plan_to_json",
     "plan_from_json",
@@ -257,15 +265,9 @@ def h0(hp: HeuristicParams, q1: float) -> float:
     if rem <= 0 or hp.budget - q1 * hp.n2 < 0:
         return math.inf
     gap = u * hp.delta0
-    expo = (
-        -(hp.budget - q1 * hp.n2)
-        * gap
-        * gap
-        / (2.0 * hp.p * rem * (hp.sigma_bar**2 + hp.c * gap))
-    )
-    if expo <= -745.0:
-        return 0.0
-    return rem ** (1.0 / hp.p) * gap * math.exp(expo)
+    n1 = (hp.budget - q1 * hp.n2) / rem
+    kern = _kernel_exp(n1, gap, hp.sigma_bar**2, hp.c, hp.p)
+    return rem ** (1.0 / hp.p) * gap * float(kern)
 
 
 def _n1_for(hp: HeuristicParams, q1: int) -> int:

@@ -194,7 +194,6 @@ class TestFPrecompute:
                 n_w=min(ts.n_w, stats.kept.size),
             )
             want = f_p_ad(
-                level,
                 half.m,
                 half.s / (half.i - d - 1),
                 state,
@@ -322,6 +321,29 @@ class TestActionSpec:
         assert not spec.is_admissible(0, 12, 0, 4, 15)  # off-quantum
         assert not spec.is_admissible(0, 12, 0, 4, 10_000)  # over budget
 
+    @pytest.mark.parametrize("levels", [2, 3, 4])
+    def test_admissibility_is_membership_in_the_unthinned_grid(self, levels):
+        spec = ActionSpec(
+            q_grid=(2, 4, 6, 8, 12),
+            n_w=2,
+            levels=levels,
+            budget=600,
+            dn_quantum=10,
+            max_scan=10**6,
+        )
+        admitted = 0
+        for level in range(levels):
+            for q in spec.q_grid:
+                for spent in range(0, spec.budget + 1, 50):
+                    grid = set(spec.actions(level, q, spent))
+                    admitted += len(grid)
+                    for dq in range(q + 1):
+                        for dn in range(-10, spec.budget // q + 20, 5):
+                            want = (dq, dn) in grid
+                            got = spec.is_admissible(level, q, spent, dq, dn)
+                            assert got == want, (level, q, spent, dq, dn)
+        assert admitted > 0
+
 
 @pytest.fixture(scope="module")
 def toy_bundle():
@@ -409,12 +431,8 @@ class TestFitAndRun:
         levels_seen = set()
         for traj in ts.trajectories:
             for st in traj.states[:-1]:
-                acts, preds = action_values(
-                    bundle.nets, spec, st, cfg.n_w, cfg.sub, cfg.levels
-                )
-                (value,) = _value_of_states(
-                    bundle.nets, spec, [st], cfg.n_w, cfg.sub, cfg.levels, {}
-                )
+                acts, preds = action_values(bundle.nets, spec, st, cfg.sub)
+                (value,) = _value_of_states(bundle.nets, spec, [st], cfg.sub, {})
                 assert value == preds[acts.index(choose_action(bundle, st))]
                 levels_seen.add(st.level)
         assert levels_seen == set(range(1, cfg.levels))
@@ -558,6 +576,12 @@ def test_run_adaptive_rejects_an_over_budget_run(monkeypatch):
 def test_adaptive_config_rejects_a_bad_budget(budget):
     with pytest.raises(InvalidParameterError, match="budget"):
         toy_config(budget=budget)
+
+
+@pytest.mark.parametrize("levels", [1, 0, 2.5, "3"])
+def test_adaptive_config_rejects_a_bad_level_count(levels):
+    with pytest.raises(InvalidParameterError, match="levels"):
+        toy_config(levels=levels)
 
 
 @pytest.mark.parametrize("config_seed", [21, 22])

@@ -27,6 +27,7 @@ from esscreen.model import (
     build_equicorrelated,
     synthetic_book,
 )
+from esscreen.planner import HeuristicParams, h0
 from esscreen.screener import Strategy
 from esscreen.streams import substream
 
@@ -65,6 +66,131 @@ class TestBernsteinTail:
             bound = bernstein_tail(float(x), n, 1.0, 0.0)
             se = math.sqrt(max(emp * (1 - emp), 1e-12) / m)
             assert emp <= bound + 3 * se
+
+
+# The scalar formulas the bounds used before they shared ``_kernel_exp``,
+# kept as oracles: the tail of bernstein_tail, the per-candidate objective
+# of robust_gap_max and the heuristic objective h0.
+def _scalar_tail(x, n, var, c):
+    if x == 0:
+        return 1.0
+    denom = 2.0 * (var + c * x)
+    if denom == 0.0:
+        return 0.0
+    expo = -n * x * x / denom
+    if expo <= -745.0:
+        return 0.0
+    return min(1.0, math.exp(expo))
+
+
+def _scalar_gap_term(delta, n, sbar, c, p):
+    if delta <= 0:
+        return 0.0
+    expo = -n * delta * delta / (2.0 * p * (sbar**2 + c * delta))
+    if expo <= -745.0:
+        return 0.0
+    return delta * math.exp(expo)
+
+
+def _scalar_h0(hp, q1):
+    u = q1 + 1.0 - hp.n_w
+    rem = hp.n_s - q1
+    if rem <= 0 or hp.budget - q1 * hp.n2 < 0:
+        return math.inf
+    gap = u * hp.delta0
+    expo = (
+        -(hp.budget - q1 * hp.n2)
+        * gap
+        * gap
+        / (2.0 * hp.p * rem * (hp.sigma_bar**2 + hp.c * gap))
+    )
+    if expo <= -745.0:
+        return 0.0
+    return rem ** (1.0 / hp.p) * gap * math.exp(expo)
+
+
+def _agrees(got, want):
+    return got == want or abs(got - want) <= 1e-12 * abs(want)
+
+
+def _log_uniform(rng, lo, hi):
+    return float(math.exp(rng.uniform(math.log(lo), math.log(hi))))
+
+
+class TestKernelTranscription:
+    """The shared kernel reproduces each bound's former scalar formula, over
+    x = 0, var = 0, c > 0, p in {1, 1.5, 2} and deep underflow."""
+
+    def test_bernstein_tail(self):
+        rng = substream(31, 0)
+        cases = [(0.0, 5, 1.0, 0.0), (0.3, 5, 0.0, 0.0), (0.3, 5, 0.0, 2.0)]
+        cases += [(1.0, 10**9, 1.0, 0.0), (4.0, 10**6, 0.1, 0.5)]  # underflow
+        for _ in range(2000):
+            x = 0.0 if rng.random() < 0.05 else _log_uniform(rng, 1e-3, 10.0)
+            var = 0.0 if rng.random() < 0.1 else _log_uniform(rng, 1e-3, 10.0)
+            c = 0.0 if rng.random() < 0.3 else _log_uniform(rng, 1e-3, 10.0)
+            n = int(_log_uniform(rng, 1.0, 1e5))
+            cases.append((x, n, var, c))
+        for x, n, var, c in cases:
+            got, want = bernstein_tail(x, n, var, c), _scalar_tail(x, n, var, c)
+            assert _agrees(got, want), (x, n, var, c, got, want)
+        assert bernstein_tail(1.0, 10**9, 1.0, 0.0) == 0.0
+
+    def test_robust_gap_term(self):
+        # a one-point bracket scores only its point, the former g(delta)
+        rng = substream(31, 1)
+        cases = [(0.0, 50, 1.0, 0.0, 1.0), (0.7, 50, 0.0, 1.5, 2.0)]
+        cases += [(5.0, 10**8, 1.0, 0.0, 1.5), (3.0, 10**7, 0.0, 0.2, 1.0)]
+        for _ in range(2000):
+            delta = 0.0 if rng.random() < 0.05 else _log_uniform(rng, 1e-3, 10.0)
+            c = 0.0 if rng.random() < 0.3 else _log_uniform(rng, 1e-3, 10.0)
+            sbar = _log_uniform(rng, 1e-2, 10.0)
+            if c > 0 and rng.random() < 0.1:
+                sbar = 0.0
+            n = int(_log_uniform(rng, 1.0, 1e5))
+            p = float(rng.choice([1.0, 1.5, 2.0]))
+            cases.append((delta, n, sbar, c, p))
+        for delta, n, sbar, c, p in cases:
+            sub = SubGammaParams(c=c, p=p)
+            got = robust_gap_max(n, delta, delta, sbar, sub)
+            want = _scalar_gap_term(delta, n, sbar, c, p)
+            assert _agrees(got, want), (delta, n, sbar, c, p, got, want)
+        assert robust_gap_max(10**8, 5.0, 5.0, 1.0, SubGammaParams(p=1.5)) == 0.0
+
+    def test_heuristic_objective(self):
+        rng = substream(31, 2)
+        hps = [
+            HeuristicParams(
+                delta0=0.05, sigma_bar=5.0, c=0.3, budget=1e6, n2=100, n_s=40, n_w=4
+            ),
+            HeuristicParams(
+                delta0=2.0, sigma_bar=0.0, c=0.5, budget=1e7, n2=10, n_s=60, n_w=3
+            ),
+        ]
+        for _ in range(200):
+            n_s = int(rng.integers(10, 300))
+            n_w = int(rng.integers(1, 10))
+            n2 = int(rng.integers(1, 1000))
+            c = 0.0 if rng.random() < 0.3 else _log_uniform(rng, 1e-3, 10.0)
+            hps.append(
+                HeuristicParams(
+                    delta0=_log_uniform(rng, 1e-3, 10.0),
+                    sigma_bar=_log_uniform(rng, 1e-2, 50.0),
+                    c=c,
+                    budget=n_w * n2 * _log_uniform(rng, 1.0, 1e4),
+                    n2=n2,
+                    n_s=n_s,
+                    n_w=n_w,
+                    p=float(rng.choice([1.0, 1.5, 2.0])),
+                )
+            )
+        for hp in hps:
+            # q1 = n_w - 1 has a zero gap; q1 = n_s an empty fast level
+            for q1 in range(hp.n_w - 1, hp.n_s + 1):
+                if q1 == hp.n_w - 1 and hp.sigma_bar == 0.0:
+                    continue  # the former formula divides by zero there
+                got, want = h0(hp, q1), _scalar_h0(hp, q1)
+                assert _agrees(got, want), (hp, q1, got, want)
 
 
 class TestGammaConstants:
@@ -254,10 +380,17 @@ class TestFRobust:
         kern = 30.0 * math.exp(-2 * 30.0**2 / (2 * 40.0**2))
         manual = (20 - 3) * kern
         assert manual > 100.0  # the selection part genuinely contributes
-        # remove the MC terms to isolate the selection part
-        from esscreen.bounds import mc_terms_robust
+        # remove the MC terms to isolate the selection part: with p = 1 and
+        # c = 0 the moment term is m(n) = C_sig sbar / sqrt(n), and the
+        # uniform bound gives (dN/N_L) m(dN) + (N_{L-1}/N_L)(n_s/n_w) m(N_{L-1})
+        c_sig, _ = gamma_constants(1.0)
 
-        tb, tc = mc_terms_robust(2, 200, 40.0, 3, 20, sub)
+        def m(n):
+            return c_sig * 40.0 / math.sqrt(n)
+
+        tb, tc = term_providers(rb, sub, 3, 20, selection_term)[1](2, 200)
+        assert tb == pytest.approx(198 / 200 * m(198), rel=1e-12)
+        assert tc == pytest.approx(2 / 200 * (20 / 3) * m(2), rel=1e-12)
         assert val - tb - tc == pytest.approx(manual, rel=1e-9)
 
     def test_stationary_point_c0(self):
@@ -327,7 +460,7 @@ class TestAdaptiveBound:
             n_w=n_w,
         )
         sub = SubGammaParams(c=0.4, p=1.0)
-        got = f_p_ad(1, mu, sigma, state, sub)
+        got = f_p_ad(mu, sigma, state, sub)
         order = np.argsort(-mu, kind="stable")
         best, tail = order[:n_w], order[q_next:]
         vals = []
@@ -357,7 +490,7 @@ class TestAdaptiveBound:
             q_next=q_next,
             n_w=n_w,
         )
-        got = f_p_ad(2, mu, sigma, state, SubGammaParams(c=0.0, p=2.0))
+        got = f_p_ad(mu, sigma, state, SubGammaParams(c=0.0, p=2.0))
         assert got == pytest.approx((q_prev - q_next) * 10.0**2, rel=1e-12)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -366,7 +499,7 @@ class TestAdaptiveBound:
         mu, sigma = self._draw(q_prev, seed=seed)
         state = self._state(q_prev, q_next, n_w, n_prev=30, dn=7, seed=seed)
         sub = SubGammaParams(c=1.3, p=1.0)
-        got = f_p_ad(3, mu, sigma, state, sub)
+        got = f_p_ad(mu, sigma, state, sub)
         order = sorted(range(q_prev), key=lambda j: (-mu[j], j))
         best, tail = order[:n_w], order[q_next:]
         vals = []

@@ -12,7 +12,6 @@ from esscreen.bounds import (
     RobustBounds,
     SubGammaParams,
     mc_terms_exact,
-    mc_terms_robust,
     robust_gap_max,
 )
 from esscreen.errors import InfeasiblePlanError, InvalidParameterError
@@ -154,8 +153,10 @@ def _frozen_providers(target, sub, n_w, n_s):
             n_paths, lo, hi, target.sigma_bar, sub
         )
 
+    sbar_p = np.full(n_s, target.sigma_bar**sub.p)
+
     def mc(n_prev, n_last):
-        return mc_terms_robust(n_prev, n_last, target.sigma_bar, n_w, n_s, sub)
+        return mc_terms_exact(n_prev, n_last, sbar_p, n_w, sub)
 
     return sel, mc
 
