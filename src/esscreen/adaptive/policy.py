@@ -16,7 +16,6 @@ from ..bounds import AdaptiveState, SubGammaParams, f_p_ad
 from ..errors import InvalidParameterError, PolicyError
 from ..model import NIWParams, ScenarioParams, correlation
 from ..screener import (
-    DEFAULT_CHUNK_ROWS,
     GaussianSource,
     LevelStats,
     Strategy,
@@ -490,7 +489,7 @@ def run_adaptive(
                 f"policy requested infeasible action {action} at level {level}"
             )
         actions.append(action)
-        batch_sum, scatter = draw_batch(source, state.ids, dn, DEFAULT_CHUNK_ROWS)
+        batch_sum, scatter = draw_batch(source, state.ids, dn)
         stats = step(
             state.ids, state.sums, state.n_cum, batch_sum, scatter, dn, state.q - dq
         )

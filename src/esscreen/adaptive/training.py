@@ -103,6 +103,17 @@ class AdaptiveConfig:
             raise InvalidParameterError(
                 f"levels must be an integer >= 2, got {self.levels!r}"
             )
+        # these reach the saved bundle's JSON header, which takes no numpy
+        # integers
+        names = ("n_s", "n_w", "levels", "budget", "dn_quantum", "max_scan", "seed")
+        for name in names:
+            value = getattr(self, name)
+            if isinstance(value, numbers.Integral):
+                object.__setattr__(self, name, int(value))
+        q_grid = tuple(
+            int(v) if isinstance(v, numbers.Integral) else v for v in self.q_grid
+        )
+        object.__setattr__(self, "q_grid", q_grid)
         if not 0 < self.budget < math.inf:
             raise InvalidParameterError(f"budget must be in (0, inf): {self.budget}")
 

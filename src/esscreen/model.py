@@ -266,8 +266,11 @@ def simulate_prices(
     additional work per scalar); anything else goes through the cached
     covariance factor.  Draw order is fixed (one ``standard_normal`` block of
     shape ``(count, width)``), so replay under a fixed substream is
-    bit-identical.  To draw a subset ``ids``, pass ``theta.restrict(ids)``:
-    its principal sub-covariance is factored once; rows have ``len(ids)`` columns.
+    bit-identical.  Each row is ``mu + sigma * (sqrt(rho) z_0 + sqrt(1-rho) z)``
+    or ``mu + z @ F.T``, built in place in the one output array, so the only
+    full-size blocks a call holds are the normals and that array.  To draw a
+    subset ``ids``, pass ``theta.restrict(ids)``: its principal
+    sub-covariance is factored once; rows have ``len(ids)`` columns.
     """
     if count < 0:
         raise InvalidParameterError(f"count must be >= 0, got {count}")
@@ -277,9 +280,12 @@ def simulate_prices(
     if theta.equi is not None:
         spec = theta.equi
         z = rng.standard_normal((count, n + 1))
-        common = np.sqrt(spec.rho) * z[:, :1]
-        own = np.sqrt(1.0 - spec.rho) * z[:, 1:]
-        return theta.mu + spec.sigma_scalar * (common + own)
-    f = theta.factor()
-    z = rng.standard_normal((count, f.shape[1]))
-    return theta.mu + z @ f.T
+        x = np.multiply(z[:, 1:], np.sqrt(1.0 - spec.rho))
+        x += np.sqrt(spec.rho) * z[:, :1]
+        x *= spec.sigma_scalar
+    else:
+        f = theta.factor()
+        z = rng.standard_normal((count, f.shape[1]))
+        x = z @ f.T
+    x += theta.mu
+    return x

@@ -99,15 +99,17 @@ def dp_optimize(
     partial strategy: its selection-term prefix ``g`` (summed in level
     order), the budget ``spent`` so far, and back-pointer, grid indexes and
     lexicographic ranks of its q path and N path.  Each level's labels are
-    arrays: every label is expanded over the admissible (q', N') at once,
-    and one lexsort on (node, spent, g, q-rank, N-rank) orders the
-    candidates of each node.  A candidate is kept iff its ``g`` is strictly
-    below that of every earlier one at its node, i.e. no other label is at
-    least as good in both g and spent; on an exact (g, spent) tie the
-    lexicographically smaller (q, N) path is kept.  The surviving labels
-    therefore contain a prefix of every optimal strategy.  Ties on the final
-    value break toward smaller cost, then lexicographically smaller q, then
-    smaller N.
+    arrays, expanded one target threshold q' at a time in ascending q':
+    every label is expanded over the admissible N' at once, and one lexsort
+    on (node, spent, g, q-rank, N-rank) orders the candidates of each node.
+    Only one q' slice of candidates is alive at a time, so the planner's
+    memory is bounded by the largest slice, not by the whole level.  A
+    candidate is kept iff its ``g`` is strictly below that of every earlier
+    one at its node, i.e. no other label is at least as good in both g and
+    spent; on an exact (g, spent) tie the lexicographically smaller (q, N)
+    path is kept.  The surviving labels therefore contain a prefix of every
+    optimal strategy.  Ties on the final value break toward smaller cost,
+    then lexicographically smaller q, then smaller N.
 
     Returns the strategy and its bound value.  Raises when no strategy fits
     the budget with nonzero paths at levels L-1 and L.
@@ -129,27 +131,32 @@ def dp_optimize(
     n_rank = np.zeros(1, dtype=np.int32)
     trail = []  # per level: (back-pointer, q index, N index) of its labels
     for lvl in range(1, grid.levels):
-        q_choices = np.arange(1 if lvl == grid.levels - 1 else n_q)
         q_here = q_grid[qi]
         n_here = n_ext[ni]
         step = q_here[:, None] * (n_grid - n_here[:, None])
         ok_n = (n_grid >= n_here[:, None]) & (spent[:, None] + step <= budget)
-        ok_q = q_grid[q_choices] <= q_here[:, None]
-        lab, a, b = np.nonzero(ok_q[:, :, None] & ok_n[:, None, :])
-        if lab.size == 0:
+        # a node (q', N') never spans two values of q', and the frontier's
+        # sort has the node as its first key, so the labels kept per q',
+        # joined in ascending q', are those (in the order) that one pass
+        # over every q' would keep
+        parts = []
+        for q_next in range(1 if lvl == grid.levels - 1 else n_q):
+            lab, b = np.nonzero(ok_n & (q_grid[q_next] <= q_here)[:, None])
+            if lab.size == 0:
+                continue
+            g_next = g[lab] + _level_terms(sel, q_grid, n_grid, qi[lab], q_next, b)
+            spent_next = spent[lab] + step[lab, b]
+            # the paths into one node differ only in the prefix each
+            # extends, so the extended labels' ranks order them
+            keep = _pareto_frontier(b, spent_next, g_next, q_rank[lab], n_rank[lab])
+            q_col = np.full(keep.size, q_next)
+            parts.append((lab[keep], q_col, b[keep], g_next[keep], spent_next[keep]))
+        if not parts:
             raise InfeasiblePlanError(
                 f"no feasible strategy on the grid within budget {budget}"
             )
-        q_next = q_choices[a]
-        g_next = g[lab] + _level_terms(sel, q_grid, n_grid, qi[lab], q_next, b)
-        spent_next = spent[lab] + step[lab, b]
-        # the paths into one node differ only in the prefix each extends, so
-        # the extended labels' ranks order them
-        keep = _pareto_frontier(
-            q_next * n_n + b, spent_next, g_next, q_rank[lab], n_rank[lab]
-        )
-        lab, qi, ni = lab[keep], q_next[keep], b[keep] + 1
-        g, spent = g_next[keep], spent_next[keep]
+        lab, qi, b, g, spent = (np.concatenate(col) for col in zip(*parts))
+        ni = b + 1
         trail.append((lab, qi, ni))
         q_rank = _dense_rank(q_rank[lab].astype(np.int64) * n_q + qi)
         n_rank = _dense_rank(n_rank[lab].astype(np.int64) * (n_n + 1) + ni)

@@ -11,6 +11,7 @@ means over the ``n_w`` survivors.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,8 +34,10 @@ __all__ = [
     "worst_indexes",
 ]
 
-#: Rows per simulation chunk; keeps peak memory bounded when dN is large.
-DEFAULT_CHUNK_ROWS = 65536
+#: Prices per simulation chunk (1 MiB of float64).  A chunk of the default
+#: size holds ``CHUNK_PRICINGS // width`` rows, so a level's draw memory does
+#: not grow with dN or with the number of scenarios priced.
+CHUNK_PRICINGS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -150,17 +153,30 @@ class GaussianSource:
 
 
 def draw_batch(
-    source, ids: np.ndarray, dn: int, chunk_rows: int
+    source, ids: np.ndarray, dn: int, chunk_rows: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sum and centred scatter (per column) of ``dn`` fresh rows over ``ids``.
 
-    Rows are drawn in chunks of at most ``chunk_rows``.  Each chunk is
-    centred in place on its rounded mean ``hi``; the centred residual sum
-    restores the mean's lost digits, and the chunks are merged by the
-    Chan-Golub-LeVeque update ``M2 = M2_a + M2_b + delta^2 n_a n_b / n``.
-    The running mean is carried as an offset from the first chunk's ``hi``,
-    so ``delta`` keeps full precision when a column's mean dwarfs its spread.
+    Rows are drawn in chunks of at most ``chunk_rows``; the default ``None``
+    takes ``max(1, CHUNK_PRICINGS // len(ids))`` rows, so memory is bounded
+    whatever ``dn`` and the width.  Each chunk is centred in place on its
+    rounded mean ``hi``; the centred residual sum restores the mean's lost
+    digits, and the chunks are merged by the Chan-Golub-LeVeque update
+    ``M2 = M2_a + M2_b + delta^2 n_a n_b / n``.  The running mean is carried
+    as an offset from the first chunk's ``hi``, so ``delta`` keeps full
+    precision when a column's mean dwarfs its spread.  The rows drawn do not
+    depend on the chunk size; the sums and scatter do, in their last bits.
     """
+    if chunk_rows is None:
+        chunk_rows = max(1, CHUNK_PRICINGS // max(ids.size, 1))
+    elif (
+        isinstance(chunk_rows, bool)
+        or not isinstance(chunk_rows, numbers.Integral)
+        or chunk_rows < 1
+    ):
+        raise InvalidParameterError(
+            f"chunk_rows must be an integer >= 1 or None, got {chunk_rows!r}"
+        )
     total = np.zeros(ids.size)
     m2 = np.zeros(ids.size)
     offset = np.zeros(ids.size)  # running mean minus ``ref``
@@ -273,14 +289,16 @@ def run_screening(
     source,
     rng: np.random.Generator | None = None,
     *,
-    chunk_rows: int = DEFAULT_CHUNK_ROWS,
+    chunk_rows: int | None = None,
 ) -> ScreeningRun:
     """Execute the screening recursion for one fixed strategy.
 
     ``source`` is either a ScenarioParams (then ``rng`` is required and a
     GaussianSource is built on it) or any price source: an object with
     ``n_s`` and ``draw(ids, count)``.  Paths are generated only for
-    scenarios still alive, in chunks of at most ``chunk_rows`` rows.
+    scenarios still alive, in chunks of at most ``chunk_rows`` rows (``None``:
+    about ``CHUNK_PRICINGS`` prices per chunk, see :func:`draw_batch`, which
+    also rejects a bad ``chunk_rows``).
     """
     if isinstance(source, ScenarioParams):
         if rng is None:

@@ -584,6 +584,29 @@ def test_adaptive_config_rejects_a_bad_level_count(levels):
         toy_config(levels=levels)
 
 
+def test_adaptive_config_with_numpy_integers_fits_saves_and_loads(tmp_path):
+    cfg = toy_config(
+        n_s=np.int64(12),
+        n_w=np.int64(2),
+        levels=np.int64(3),
+        budget=np.int64(4000),
+        q_grid=np.array([2, 4, 6, 8, 12]),
+        dn_quantum=np.int64(3),
+        max_scan=np.int64(8),
+        seed=np.int64(3),
+        n_iter=100,
+        probe_steps=30,
+    )
+    bundle, _ = fit_value_functions(cfg)
+    path = tmp_path / "policy.npz"
+    bundle.save(path)  # the JSON header takes only built-in integers
+    loaded = PolicyBundle.load(path)
+    assert (loaded.levels, loaded.budget, loaded.q_grid) == (3, 4000, (2, 4, 6, 8, 12))
+    names = ("n_s", "n_w", "levels", "budget", "dn_quantum", "max_scan", "seed")
+    assert {type(getattr(cfg, name)) for name in names} == {int}
+    assert {type(v) for v in cfg.q_grid} == {int}
+
+
 @pytest.mark.parametrize("config_seed", [21, 22])
 def test_policy_close_to_enumerated_optimum(config_seed):
     # 10-scenario problem with a 3-point opening grid: the learned policy's

@@ -3,6 +3,7 @@ heuristic in both its numeric-scan and closed-form variants."""
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -484,6 +485,19 @@ class TestDpOptimize:
         calls.clear()
         assert strategy_bound(strat, theta, SubGammaParams(), grid) == value
         assert 0 < len(calls) <= grid.levels - 1
+
+    def test_memory_is_bounded_by_one_threshold_slice(self):
+        # memory guard: a level is expanded one target threshold at a time,
+        # so the peak stays far below the 85k-candidate L=5 level at once
+        theta = paper_theta(general=False)
+        for levels in (3, 4, 5):
+            tracemalloc.start()
+            try:
+                dp_optimize(paper_grid(levels), theta, SubGammaParams())
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 6 * 2**20, (levels, peak)
 
     @pytest.mark.parametrize("width", [15, 25])
     def test_theta_and_grid_must_agree_on_n_s(self, width):

@@ -1,6 +1,7 @@
 """Screening estimator: cost, ranking, the level recursion and its oracle."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from esscreen.model import (
     synthetic_book,
 )
 from esscreen.screener import (
+    CHUNK_PRICINGS,
     GaussianSource,
     Strategy,
     correct_selection,
@@ -181,6 +183,21 @@ class TestRunScreening:
         np.testing.assert_array_equal(a.final_survivors, b.final_survivors)
         assert a.es_hat == pytest.approx(b.es_hat, rel=1e-12)
 
+    def test_default_chunks_match_one_chunk_per_level_at_paper_width(self):
+        # 253 columns: the default takes CHUNK_PRICINGS // 253 = 518 rows per
+        # chunk, so every level here is merged from several chunks
+        theta = ScenarioParams.equicorrelated(
+            synthetic_book(253, 2766.0), EquicorrelatedSpec(2.2e6, 0.6)
+        )
+        s = Strategy(q=(253, 45, 15, 6), n=(0, 2000, 6000, 10_000, 20_000))
+        a = run_screening(s, theta, substream(5, 2))
+        b = run_screening(s, theta, substream(5, 2), chunk_rows=10_000)
+        for x, y in zip(a.survivors, b.survivors):
+            np.testing.assert_array_equal(x, y)
+        np.testing.assert_array_equal(a.counts, b.counts)
+        np.testing.assert_allclose(a.sums, b.sums, rtol=1e-12, atol=0)
+        assert a.es_hat == pytest.approx(b.es_hat, rel=1e-12)
+
     def test_uniform_one_level_form(self):
         # One pricing level plus a reusing final level: the estimate is the
         # mean of the n_w largest single-level Monte Carlo means.
@@ -227,6 +244,21 @@ class TestGaussianSourceDraw:
         for count in (5, 3, 0):
             got = src.draw(np.arange(10), count)
             np.testing.assert_array_equal(got, simulate_prices(theta, count, rng))
+
+    @pytest.mark.parametrize("general", [False, True])
+    def test_simulate_prices_is_the_replayed_formula_bit_for_bit(self, general):
+        theta = _general_theta() if general else _equi_theta(10)
+        got = simulate_prices(theta, 40, substream(9, 4))
+        rng = substream(9, 4)
+        if general:
+            f = theta.factor()
+            want = theta.mu + rng.standard_normal((40, f.shape[1])) @ f.T
+        else:
+            spec = theta.equi
+            z = rng.standard_normal((40, 11))
+            mix = np.sqrt(spec.rho) * z[:, :1] + np.sqrt(1.0 - spec.rho) * z[:, 1:]
+            want = theta.mu + spec.sigma_scalar * mix
+        np.testing.assert_array_equal(got, want)
 
     def test_equicorrelated_subset_uses_one_factor_formula(self):
         # width q + 1: one common normal, then one per survivor column
@@ -393,6 +425,47 @@ class TestDrawBatch:
         np.testing.assert_allclose(scatter, want, rtol=1e-12)
         total, scatter = draw_batch(_ReplaySource(x), ids, 0, chunk_rows=4)
         assert total.tolist() == [0.0, 0.0] and scatter.tolist() == [0.0, 0.0]
+
+    @pytest.mark.parametrize("chunk_rows", [0, -3, 2.5, "4", True, np.float64(8)])
+    def test_bad_chunk_rows_rejected(self, chunk_rows):
+        x = np.zeros((10, 3))
+        with pytest.raises(InvalidParameterError, match="chunk_rows"):
+            draw_batch(_ReplaySource(x), np.arange(3), 10, chunk_rows=chunk_rows)
+        with pytest.raises(InvalidParameterError, match="chunk_rows"):
+            run_screening(
+                Strategy(q=(3, 1), n=(0, 5, 10)), _ReplaySource(x), chunk_rows=chunk_rows
+            )
+
+    def test_explicit_numpy_chunk_rows_accepted(self):
+        rng = np.random.default_rng(2)
+        x = rng.standard_normal((30, 4))
+        ids = np.arange(4)
+        a = draw_batch(_ReplaySource(x), ids, 30, chunk_rows=np.int64(7))
+        b = draw_batch(_ReplaySource(x), ids, 30, chunk_rows=7)
+        np.testing.assert_array_equal(a[0], b[0])
+        np.testing.assert_array_equal(a[1], b[1])
+
+    @pytest.mark.parametrize("general", [False, True], ids=["equi", "dense"])
+    def test_draw_memory_is_bounded_whatever_dn(self, general):
+        # the default chunks hold CHUNK_PRICINGS prices; at a draw the
+        # previous chunk, the new one's normals and its output are alive
+        mu = synthetic_book(253, 2766.0)
+        spec = EquicorrelatedSpec(2.2e6, 0.6)
+        if general:
+            theta = ScenarioParams(mu=mu, sigma=build_full_equi(253, 2.2e6, 0.6))
+        else:
+            theta = ScenarioParams.equicorrelated(mu, spec)
+        ids = np.arange(253)
+        src = GaussianSource(theta, substream(9, 5))
+        src.draw(ids, 1)  # factor the covariance outside the measurement
+        for dn in (2000, 20_000):
+            tracemalloc.start()
+            try:
+                draw_batch(src, ids, dn)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 4 * CHUNK_PRICINGS * 8, (dn, peak)
 
 
 @st.composite
