@@ -75,7 +75,8 @@ def _softplus(z: np.ndarray, e: np.ndarray) -> np.ndarray:
 
 
 def _sigmoid(z: np.ndarray, e: np.ndarray) -> np.ndarray:
-    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+    sig = np.where(z >= 0, 1.0, e)  # then e becomes 1 + e, in place
+    return np.divide(sig, np.add(e, 1.0, out=e), out=sig)
 
 
 def net_forward(net: PolicyNet, x: np.ndarray) -> np.ndarray:
@@ -89,23 +90,28 @@ def net_loss_and_grads(net: PolicyNet, x: np.ndarray, y: np.ndarray, r: float):
     """Mean |pred - target|^r and its exact parameter gradients.
 
     Returns (loss, grads) with grads keyed like the parameter fields.
-    Backprop is closed-form: d softplus = sigmoid.
+    Backprop is closed-form: d softplus = sigmoid.  A step makes one exp
+    pass for both activations and builds ``z``, the sigmoid and ``dz`` in
+    place.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = np.asarray(y, dtype=np.float64)
     n = x.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        z = x @ net.w1.T + net.b1
+        z = x @ net.w1.T
+        z += net.b1
         e = np.exp(-np.abs(z))
         h = _softplus(z, e)
+        sig = _sigmoid(z, e)
         pred = h @ net.w2 + net.b2
         err = pred - y
         abs_err = np.abs(err)
-        loss = float(np.mean(abs_err**r))
+        loss = float(np.add.reduce(abs_err**r) / n)
         dpred = r * abs_err ** (r - 1.0) * np.sign(err) / n
         dw2 = h.T @ dpred
         db2 = float(np.sum(dpred))
-        dz = np.outer(dpred, net.w2) * _sigmoid(z, e)
+        dz = dpred[:, None] * net.w2
+        dz *= sig
         dw1 = dz.T @ x
         db1 = dz.sum(axis=0)
     return loss, {"w1": dw1, "b1": db1, "w2": dw2, "b2": db2}

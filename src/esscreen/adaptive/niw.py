@@ -44,7 +44,7 @@ def restrict_niw(p: NIWParams, keep_ids: np.ndarray) -> NIWParams:
     """Marginal NIW over a subset of the tracked scenarios; a principal
     sub-NIW of a valid NIW is valid, so it is built unchecked."""
     pos = _positions(p, keep_ids)
-    return _trusted_niw(p.m[pos], p.k, p.i, p.s[np.ix_(pos, pos)], p.index_map[pos])
+    return _trusted_niw(p.m[pos], p.k, p.i, p.s[pos[:, None], pos], p.index_map[pos])
 
 
 def niw_update_diag_stats(
@@ -60,7 +60,8 @@ def niw_update_diag_stats(
     are rebuilt as prior_corr_ij * sqrt(S_ii S_jj).  Coordinates whose prior
     diagonal is zero get zero correlation.  The result skips the NIWParams
     checks (``S`` is symmetric by construction); a batch that makes ``m`` or
-    ``S`` non-finite raises InvalidParameterError.
+    ``S`` non-finite raises InvalidParameterError.  The masked
+    :func:`correlation` runs only when a prior diagonal entry is zero.
     """
     pos = _positions(p, keep_ids)
     if delta_n == 0:
@@ -72,11 +73,14 @@ def niw_update_diag_stats(
     dm = delta_mean[pos]
     sd = scatter_diag[pos]
     m_r = p.m[pos]
-    s_r = p.s[np.ix_(pos, pos)]
+    s_r = p.s[pos[:, None], pos]
     k_new = p.k + delta_n
     gap = m_r - dm
-    diag_new = np.diag(s_r) + sd + (p.k * delta_n / k_new) * gap * gap
-    s_new = correlation(s_r) * np.sqrt(np.outer(diag_new, diag_new))
+    d = np.diag(s_r)
+    diag_new = d + sd + (p.k * delta_n / k_new) * gap * gap
+    denom = np.sqrt(d[:, None] * d)
+    corr = s_r / denom if (denom > 0).all() else correlation(s_r)
+    s_new = corr * np.sqrt(diag_new[:, None] * diag_new)
     np.fill_diagonal(s_new, diag_new)
     m_new = (p.k * m_r + delta_n * dm) / k_new
     s_new = (s_new + s_new.T) / 2.0

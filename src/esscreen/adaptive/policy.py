@@ -5,6 +5,7 @@ bundle, and online execution of the learned policy.
 
 from __future__ import annotations
 
+import functools
 import io
 import json
 from dataclasses import dataclass, field
@@ -98,6 +99,17 @@ def advance(state: PosteriorState, stats: LevelStats) -> PosteriorState:
     )
 
 
+@functools.lru_cache(maxsize=1024)
+def _scan_quanta(j_max: int, max_scan: int) -> np.ndarray:
+    """1..j_max geometrically thinned to ``max_scan`` entries (read-only)."""
+    if j_max <= max_scan:
+        js = np.arange(1, j_max + 1, dtype=np.int64)
+    else:
+        js = np.unique(np.rint(np.geomspace(1, j_max, max_scan)).astype(np.int64))
+    js.flags.writeable = False
+    return js
+
+
 @dataclass(frozen=True)
 class ActionSpec:
     """Admissible (dq, dN) grid: thresholds on ``q_grid``, path increments in
@@ -135,20 +147,14 @@ class ActionSpec:
     ) -> np.ndarray:
         """Quantum multiples to scan, geometrically thinned to ``max_scan``."""
         j_max = self.max_quanta(level, q_now, q_next, cost_now, cap)
-        if j_max < 1:
-            return np.empty(0, dtype=np.int64)
-        if j_max <= self.max_scan:
-            js = np.arange(1, j_max + 1)
-        else:
-            js = np.unique(np.rint(np.geomspace(1, j_max, self.max_scan)).astype(np.int64))
-        return js * self.dn_quantum
+        return _scan_quanta(int(j_max), self.max_scan) * self.dn_quantum
 
     def actions(self, level: int, q_now: int, cost_now: int, cap=None):
         """Scan list of (dq, dn) pairs admissible at the given state."""
         out = []
         for q_next in self.next_q_options(level, q_now):
-            for dn in self.dn_options(level, q_now, q_next, cost_now, cap):
-                out.append((q_now - q_next, int(dn)))
+            dns = self.dn_options(level, q_now, q_next, cost_now, cap).tolist()
+            out += [(q_now - q_next, dn) for dn in dns]
         return out
 
     def is_admissible(self, level, q_now, cost_now, dq, dn) -> bool:
@@ -173,15 +179,15 @@ def features(
     same order), k, i, then the scale-matrix block (full q*q, same order,
     for windows up to ``FULL_S_MAX_Q``, else its diagonal plus the mean
     off-diagonal correlation), then, when ``with_f``, the action's
-    :func:`f_plugin` selection-bound feature.  Vector inputs are presented
-    best-estimate-first so the net sees a canonical, permutation-free
-    ordering.
+    :func:`f_plugin` selection-bound feature (one call per distinct ``dq``,
+    over all its ``dn``).  Vector inputs are presented best-estimate-first
+    so the net sees a canonical, permutation-free ordering.
     """
     q = state.q
     order = np.lexsort((np.arange(q), -state.mu_hat))
     s = state.niw.s
     if q <= FULL_S_MAX_Q:
-        s_part = s[np.ix_(order, order)].ravel()
+        s_part = s[order[:, None], order].ravel()
     else:
         mean_corr = float((correlation(s).sum() - q) / (q * (q - 1)))
         s_part = np.concatenate([np.diag(s)[order], [mean_corr]])
@@ -194,26 +200,35 @@ def features(
             s_part,
         ]
     )
-    rows = np.empty((len(actions), 2 + block.size + int(with_f)))
-    rows[:, :2] = actions
+    acts = np.array(actions, dtype=np.int64).reshape(-1, 2)
+    rows = np.empty((len(acts), _feature_width(q, with_f)))
+    rows[:, :2] = acts
     rows[:, 2 : 2 + block.size] = block
     if with_f:
-        rows[:, -1] = [f_plugin(state, dq, dn, n_w, sub) for dq, dn in actions]
+        for dq in np.unique(acts[:, 0]).tolist():
+            hit = acts[:, 0] == dq
+            rows[hit, -1] = f_plugin(state, dq, acts[hit, 1], n_w, sub)
     return rows
 
 
+def _feature_width(q: int, with_f: bool) -> int:
+    """Length of a :func:`features` row at a window of ``q`` survivors."""
+    return 7 + 2 * q + (q * q if q <= FULL_S_MAX_Q else q + 1) + int(with_f)
+
+
 def f_plugin(
-    state: PosteriorState, dq: int, dn: int, n_w: int, sub: SubGammaParams
-) -> float:
+    state: PosteriorState, dq: int, dn, n_w: int, sub: SubGammaParams
+) -> float | np.ndarray:
     """Selection-bound feature for a candidate action, from live data only.
 
     Plugs the current posterior mean (values and pair variances from the
     posterior scale matrix) and the current empirical ranking into the
     adaptive selection bound for the transition the action would take.
+    An int array ``dn`` gives an array from one :func:`f_p_ad` pass.
     """
     q_next = state.q - dq
     if dq == 0:
-        return 0.0
+        return np.zeros(np.shape(dn)) if np.ndim(dn) else 0.0
     kern_state = AdaptiveState(
         mu_hat_prev=state.mu_hat,
         n_prev=state.n_cum,
@@ -279,9 +294,7 @@ class PolicyBundle:
             "max_scan": self.max_scan,
             "sub": {"c": self.sub.c, "p": self.sub.p},
             "net_keys": [[lvl, q] for (lvl, q) in sorted(self.nets)],
-            "net_meta": [
-                self.nets[key].meta for key in sorted(self.nets)
-            ],
+            "net_meta": [self.nets[key].meta for key in sorted(self.nets)],
             "first_action": list(self.first_action),
             "first_action_table": [
                 [int(a), int(b), float(v)] for a, b, v in self.first_action_table
@@ -295,11 +308,9 @@ class PolicyBundle:
             "prior_ids": self.prior.index_map,
         }
         for (lvl, q), net in self.nets.items():
-            tag = f"net_{lvl}_{q}"
-            arrays[f"{tag}_w1"] = net.w1
-            arrays[f"{tag}_b1"] = net.b1
-            arrays[f"{tag}_w2"] = net.w2
-            arrays[f"{tag}_b2"] = np.array([net.b2])
+            tag = f"net_{lvl}_{q}_"
+            arrays.update({tag + "w1": net.w1, tag + "b1": net.b1, tag + "w2": net.w2})
+            arrays[tag + "b2"] = np.array([net.b2])
         buf = io.BytesIO()
         np.savez_compressed(
             buf, header=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8), **arrays
@@ -312,8 +323,9 @@ class PolicyBundle:
         """The bundle that :meth:`save` wrote to ``path``.
 
         Raises PolicyError when the file is missing, when its header holds
-        another artifact version, and when a header key or an array is
-        missing.
+        another artifact version, when a header key or an array is missing,
+        and when a net's arrays are non-finite or do not fit together and
+        its window's feature width.
         """
         try:
             data = np.load(path, allow_pickle=False)
@@ -336,14 +348,21 @@ class PolicyBundle:
                 )
                 nets = {}
                 for (lvl, q), meta in zip(header["net_keys"], header["net_meta"]):
-                    tag = f"net_{lvl}_{q}"
-                    nets[(lvl, q)] = PolicyNet(
-                        w1=data[f"{tag}_w1"],
-                        b1=data[f"{tag}_b1"],
-                        w2=data[f"{tag}_w2"],
-                        b2=float(data[f"{tag}_b2"][0]),
-                        meta=meta,
-                    )
+                    tag = f"net_{lvl}_{q}_"
+                    w1, b1, w2, b2 = (data[tag + a] for a in ("w1", "b1", "w2", "b2"))
+                    width = _feature_width(q, meta.get("with_f", False))
+                    if not (
+                        w1.shape[1:] == (width,)
+                        and b1.shape == w2.shape == w1.shape[:1]
+                        and b2.shape == (1,)
+                        and all(np.isfinite(a).all() for a in (w1, b1, w2, b2))
+                    ):
+                        raise PolicyError(
+                            f"malformed artifact {path}: net ({lvl}, {q}) needs finite "
+                            f"w1 (H, {width}), b1 (H,), w2 (H,) and b2 (1,), got "
+                            f"{w1.shape}, {b1.shape}, {w2.shape}, {b2.shape}"
+                        )
+                    nets[(lvl, q)] = PolicyNet(w1, b1, w2, float(b2[0]), meta)
                 return cls(
                     seed=header["seed"],
                     levels=header["levels"],
@@ -395,9 +414,7 @@ def scan_actions(
             acts = inside
         else:
             nearest = min(acts, key=lambda a: min(abs(a[1] - lo), abs(a[1] - hi)))
-            acts = [
-                (dq, dn) for dq, dn in acts if dn == nearest[1]
-            ]
+            acts = [(dq, dn) for dq, dn in acts if dn == nearest[1]]
     return acts
 
 

@@ -331,13 +331,13 @@ class AdaptiveState:
 
     ``mu_hat_prev`` are the cumulative estimates over the surviving scenarios
     after the previous level (aligned with the posterior draw's coordinates);
-    ``n_prev``/``delta_n`` are the cumulative and incremental path counts and
-    ``q_next`` the number of survivors the level keeps.
+    ``n_prev``/``delta_n`` are the cumulative and incremental path counts
+    (``delta_n`` may be an int array) and ``q_next`` the number kept.
     """
 
     mu_hat_prev: np.ndarray
     n_prev: int
-    delta_n: int
+    delta_n: int | np.ndarray
     q_next: int
     n_w: int
 
@@ -345,7 +345,7 @@ class AdaptiveState:
         object.__setattr__(
             self, "mu_hat_prev", np.asarray(self.mu_hat_prev, dtype=np.float64)
         )
-        if self.delta_n < 1:
+        if np.min(self.delta_n) < 1:
             raise InvalidParameterError(
                 "delta_n must be >= 1 at a selection level (the posterior "
                 "inversion margin is undefined without fresh paths)"
@@ -363,7 +363,7 @@ def f_p_ad(
     state: AdaptiveState,
     sub: SubGammaParams,
     rank_by: np.ndarray | None = None,
-) -> float:
+) -> float | np.ndarray:
     """Posterior selection-risk bound for one level.
 
     Given a draw (or plug-in) of the parameters over the surviving scenarios,
@@ -377,15 +377,15 @@ def f_p_ad(
     accumulated empirical margin into the fresh-batch inversion bound.
     Plug-in callers may supply ``rank_by`` to take the pairing permutation
     from a different (e.g. previous-step empirical) ordering than the values.
+    An array ``state.delta_n`` gives one bound per increment (each equal to
+    the scalar call) from one ranking, pair block and kernel pass.
     """
     mu_tilde = np.asarray(mu_tilde, dtype=np.float64)
     sigma_tilde = np.asarray(sigma_tilde, dtype=np.float64)
     q_prev = mu_tilde.size
     if state.mu_hat_prev.size != q_prev or sigma_tilde.shape != (q_prev, q_prev):
         raise InvalidParameterError("state, mu_tilde and sigma_tilde must align")
-    dq = q_prev - state.q_next
-    if dq == 0:
-        return 0.0
+    dq = q_prev - state.q_next  # >= 1: AdaptiveState requires q_next < q_prev
     ranker = mu_tilde if rank_by is None else np.asarray(rank_by, dtype=np.float64)
     if ranker.size != q_prev:
         raise InvalidParameterError("rank_by must align with mu_tilde")
@@ -395,8 +395,10 @@ def f_p_ad(
     ii, kk = np.meshgrid(best, tail, indexing="ij")
     gap = mu_tilde[ii] - mu_tilde[kk]
     var = pair_variance(sigma_tilde, ii, kk)
-    ratio = state.n_prev / state.delta_n if state.n_prev else 0.0
+    dn = np.asarray(state.delta_n)[..., None, None]
+    ratio = state.n_prev / dn if state.n_prev else 0.0
     rho = gap + ratio * (state.mu_hat_prev[ii] - state.mu_hat_prev[kk])
     # an inverted prior margin (rho <= 0) gets the kernel's full weight 1
-    vals = np.abs(gap) ** sub.p * _kernel_exp(state.delta_n, rho, var, sub.c)
-    return float(dq * np.max(vals))
+    vals = np.abs(gap) ** sub.p * _kernel_exp(dn, rho, var, sub.c)
+    out = dq * vals.max(axis=(-2, -1))
+    return float(out) if out.ndim == 0 else out

@@ -2,6 +2,7 @@
 terminal-value Monte Carlo, policy training and online execution."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -251,6 +252,78 @@ class TestFPrecompute:
         assert got == pytest.approx(3 * max(vals), rel=1e-12)
 
 
+def _random_state(seed, q=9, n_cum=0):
+    """A posterior state over ``q`` survivors with a seeded random posterior
+    and, when ``n_cum`` > 0, random running estimates."""
+    rng = substream(61, seed)
+    a = rng.standard_normal((q, q))
+    niw = NIWParams(
+        m=5.0 * rng.normal(size=q),
+        k=float(rng.uniform(2.0, 50.0)),
+        i=float(q + 2 + rng.uniform(1.0, 30.0)),
+        s=a @ a.T + q * np.eye(q),
+        index_map=np.arange(q),
+    )
+    mu_hat = 5.0 * rng.normal(size=q) if n_cum else np.zeros(q)
+    return PosteriorState(
+        level=1,
+        ids=np.arange(q),
+        mu_hat=mu_hat,
+        sums=n_cum * mu_hat,
+        niw=niw,
+        n_cum=n_cum,
+        cost=q * n_cum,
+    )
+
+
+_SUBS = [SubGammaParams(c=0.0, p=1.0), SubGammaParams(c=0.9, p=2.0)]
+
+
+class TestFPluginIncrements:
+    """An array of increments is scored in one pass, each entry equal to
+    the scalar call."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("n_cum", [0, 40])
+    @pytest.mark.parametrize("sub", _SUBS)
+    def test_array_dn_equals_scalar_calls(self, seed, n_cum, sub):
+        state = _random_state(seed, n_cum=n_cum)
+        dns = np.array([1, 5, 20, 20, 600, 7000])
+        for dq in (0, 3, state.q - 2):  # no selection, and q_next == n_w
+            got = f_plugin(state, dq, dns, 2, sub)
+            want = [f_plugin(state, dq, int(dn), 2, sub) for dn in dns]
+            assert all(type(w) is float for w in want)
+            assert got.shape == dns.shape and got.tolist() == want
+
+    @pytest.mark.parametrize("n_cum", [0, 40])
+    @pytest.mark.parametrize("sub", _SUBS)
+    def test_feature_column_is_per_action_f_plugin(self, n_cum, sub, monkeypatch):
+        from esscreen.adaptive import policy
+
+        state = _random_state(7, n_cum=n_cum)
+        acts = [(0, 10), (3, 10), (3, 50), (7, 10), (3, 1), (7, 400), (0, 5)]
+        want = [f_plugin(state, dq, dn, 2, sub) for dq, dn in acts]
+        calls = []
+
+        def counted(*args):
+            calls.append(args[1])
+            return f_plugin(*args)
+
+        monkeypatch.setattr(policy, "f_plugin", counted)
+        rows = policy.features(state, acts, True, 2, sub)
+        assert rows[:, -1].tolist() == want
+        assert rows[:, :2].tolist() == [list(a) for a in acts]
+        np.testing.assert_array_equal(
+            rows[:, :-1], policy.features(state, acts, False, 2, sub)
+        )
+        assert sorted(calls) == [0, 3, 7]  # one call per distinct dq
+
+    def test_increment_below_one_rejected(self):
+        state = _random_state(0, n_cum=40)
+        with pytest.raises(InvalidParameterError):
+            f_plugin(state, 3, np.array([5, 0, 9]), 2, SubGammaParams())
+
+
 class TestMcValueFinal:
     def _small_ts(self):
         cfg = toy_config(k_bar=2, j_bar=2)
@@ -320,6 +393,23 @@ class TestActionSpec:
         assert not spec.is_admissible(0, 12, 0, 1, 10)  # 11 not on grid
         assert not spec.is_admissible(0, 12, 0, 4, 15)  # off-quantum
         assert not spec.is_admissible(0, 12, 0, 4, 10_000)  # over budget
+
+    @pytest.mark.parametrize("max_scan", [1, 8, 24, 64])
+    def test_cached_scan_grid_equals_uncached_formula(self, max_scan):
+        # one level, one survivor and quantum 3: j_max = (budget - cost) // 3
+        spec = ActionSpec(
+            q_grid=(1,), n_w=1, levels=1, budget=1800, dn_quantum=3, max_scan=max_scan
+        )
+        for j_max in range(601):
+            if j_max <= max_scan:
+                want = np.arange(1, j_max + 1)
+            else:
+                want = np.unique(np.rint(np.geomspace(1, j_max, max_scan)).astype(np.int64))
+            got = spec.dn_options(0, 1, 1, 3 * (600 - j_max))
+            assert got.dtype == np.int64 and got.tolist() == (3 * want).tolist()
+            got[:] = -1  # a caller's edit must not reach the next call
+            again = spec.dn_options(0, 1, 1, 3 * (600 - j_max))
+            assert again.tolist() == (3 * want).tolist()
 
     @pytest.mark.parametrize("levels", [2, 3, 4])
     def test_admissibility_is_membership_in_the_unthinned_grid(self, levels):
@@ -445,6 +535,45 @@ class TestFitAndRun:
         toy_bundle[1].save(path)  # net_2_2 is the final-level net, q = n_w
         _edit_artifact(path, drop=drop)
         with pytest.raises(PolicyError, match=drop):
+            PolicyBundle.load(path)
+
+
+def _set(a, idx, value):
+    a = a.copy()
+    a[idx] = value
+    return a
+
+
+#: one edited array of a saved net each: (array suffix, edit)
+_TAMPERED_NETS = {
+    "w1 column removed": ("w1", lambda a: a[:, :-1]),
+    "w1 flattened": ("w1", np.ravel),
+    "w1 row removed": ("w1", lambda a: a[1:]),
+    "b1 short": ("b1", lambda a: a[:-1]),
+    "w2 as a column": ("w2", lambda a: a[:, None]),
+    "w1 nan": ("w1", lambda a: _set(a, (0, 1), np.nan)),
+    "b1 inf": ("b1", lambda a: _set(a, 3, -np.inf)),
+    "w2 nan": ("w2", lambda a: _set(a, -1, np.nan)),
+    "b2 inf": ("b2", lambda a: _set(a, 0, np.inf)),
+    "b2 empty": ("b2", lambda a: a[:0]),
+}
+
+
+@pytest.mark.parametrize("which", sorted(_TAMPERED_NETS))
+def test_tampered_net_rejected_naming_its_key(toy_bundle, tmp_path, which):
+    from esscreen.errors import PolicyError
+
+    bundle = toy_bundle[1]
+    part, edit = _TAMPERED_NETS[which]
+    path = tmp_path / "policy.npz"
+    for lvl, q in sorted(bundle.nets):  # nets with and without the f column
+        bundle.save(path)
+        with np.load(path) as data:
+            arrays = dict(data)
+        key = f"net_{lvl}_{q}_{part}"
+        arrays[key] = edit(arrays[key])
+        np.savez_compressed(path, **arrays)
+        with pytest.raises(PolicyError, match=re.escape(f"net ({lvl}, {q})")):
             PolicyBundle.load(path)
 
 

@@ -2,6 +2,7 @@
 bound and its robust/adaptive variants."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -525,3 +526,29 @@ class TestAdaptiveBound:
             AdaptiveState(
                 mu_hat_prev=np.zeros(5), n_prev=3, delta_n=0, q_next=2, n_w=1
             )
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("n_prev", [0, 37])
+    @pytest.mark.parametrize(
+        "sub", [SubGammaParams(c=0.0, p=1.0), SubGammaParams(c=0.7, p=2.0)]
+    )
+    @pytest.mark.parametrize("q_next, n_w", [(5, 3), (3, 3)])
+    def test_increment_array_equals_scalar_calls(self, seed, n_prev, sub, q_next, n_w):
+        # one pass over an array of increments gives, entry by entry, the
+        # exact float of the scalar call at that increment
+        q_prev = 9
+        mu, sigma = self._draw(q_prev, seed=seed)
+        dns = np.array([1, 2, 7, 7, 40, 333, 5000])
+        base = self._state(q_prev, q_next, n_w, n_prev=n_prev, dn=1, seed=seed)
+        got = f_p_ad(mu, sigma, replace(base, delta_n=dns), sub, rank_by=-mu[::-1])
+        want = [
+            f_p_ad(mu, sigma, replace(base, delta_n=int(dn)), sub, rank_by=-mu[::-1])
+            for dn in dns
+        ]
+        assert isinstance(want[0], float)
+        assert got.shape == dns.shape
+        assert got.tolist() == want
+
+    def test_increment_array_below_one_rejected(self):
+        with pytest.raises(InvalidParameterError):
+            self._state(6, 3, 2, dn=np.array([4, 0, 9]))

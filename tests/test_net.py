@@ -69,6 +69,37 @@ class TestGradients:
         np.testing.assert_array_equal(net_forward(net, x), net_forward(net, x))
 
 
+def _out_of_place_loss_and_grads(net, x, y, r):
+    """The step written with fresh temporaries, ``np.outer`` and ``np.mean``."""
+    n = x.shape[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = x @ net.w1.T + net.b1
+        e = np.exp(-np.abs(z))
+        h = np.maximum(z, 0.0) + np.log1p(e)
+        err = h @ net.w2 + net.b2 - y
+        abs_err = np.abs(err)
+        dpred = r * abs_err ** (r - 1.0) * np.sign(err) / n
+        sig = np.where(z >= 0, 1.0, e) / (1.0 + e)
+        dz = np.outer(dpred, net.w2) * sig
+    grads = {"w1": dz.T @ x, "b1": dz.sum(axis=0), "w2": h.T @ dpred}
+    return float(np.mean(abs_err**r)), grads | {"b2": float(np.sum(dpred))}
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("r", [2.0, 1.5])
+@pytest.mark.parametrize("n, d", [(1, 3), (16, 15), (16, 150), (40, 7)])
+def test_step_is_bitwise_the_out_of_place_formula(seed, r, n, d):
+    rng = np.random.default_rng(seed)
+    net = replace(_net(d=d, seed=seed, hidden=256), b1=rng.normal(size=256))
+    x = rng.normal(size=(n, d)) * np.logspace(-2, 3, d)
+    y = rng.normal(size=n) * 100.0
+    loss, grads = net_loss_and_grads(net, x, y, r)
+    want_loss, want = _out_of_place_loss_and_grads(net, x, y, r)
+    assert loss == want_loss and grads["b2"] == want["b2"]
+    for p in ("w1", "b1", "w2"):
+        assert grads[p].tobytes() == want[p].tobytes(), p
+
+
 class TestActivations:
     """One ``e = exp(-|z|)`` gives the softplus and the sigmoid."""
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from esscreen.adaptive.niw import niw_update_diag_stats, restrict_niw
 from esscreen.errors import InvalidParameterError
-from esscreen.model import NIWParams, sample_niw
+from esscreen.model import NIWParams, correlation, sample_niw
 from esscreen.streams import substream
 
 
@@ -199,6 +199,49 @@ class TestNiwUpdateDiag:
         a = niw_update_diag(p, batch[:, keep], keep)
         b = niw_update_diag_stats(p, mean, sd, 6, keep)
         np.testing.assert_allclose(a.s, b.s, rtol=1e-12)
+
+
+def masked_diag_update(p, delta_mean, scatter_diag, delta_n, keep_ids):
+    """``(m, S)`` of the diagonal update written with the masked
+    :func:`correlation` and ``np.outer`` for every prior."""
+    pos = np.searchsorted(p.index_map, keep_ids)
+    dm, sd, m_r = delta_mean[pos], scatter_diag[pos], p.m[pos]
+    s_r = p.s[np.ix_(pos, pos)]
+    k_new = p.k + delta_n
+    gap = m_r - dm
+    diag_new = np.diag(s_r) + sd + (p.k * delta_n / k_new) * gap * gap
+    s_new = correlation(s_r) * np.sqrt(np.outer(diag_new, diag_new))
+    np.fill_diagonal(s_new, diag_new)
+    m_new = (p.k * m_r + delta_n * dm) / k_new
+    return m_new, (s_new + s_new.T) / 2.0
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("zeros", [(), (2,), (0, 5)])
+def test_diag_update_is_bitwise_the_masked_correlation_formula(seed, zeros):
+    # scales spread over many decades; a zero prior diagonal entry (its
+    # row and column zero) sends the update through the masked branch
+    rng = substream(33, seed)
+    d = 7
+    a = rng.standard_normal((d, d))
+    scale = np.logspace(-6, 6, d)[rng.permutation(d)]
+    s = scale[:, None] * (a @ a.T + np.eye(d)) * scale
+    s[list(zeros), :] = 0.0
+    s[:, list(zeros)] = 0.0
+    p = NIWParams(
+        m=rng.normal(size=d) * scale,
+        k=float(rng.uniform(0.5, 30.0)),
+        i=float(d + 2 + rng.uniform(0.5, 20.0)),
+        s=s,
+        index_map=np.arange(10, 10 + d),
+    )
+    mean = rng.normal(size=d) * scale
+    sd = rng.uniform(0.0, 5.0, size=d) * scale**2
+    for keep in (p.index_map, p.index_map[[0, 2, 3, 5, 6]]):
+        out = niw_update_diag_stats(p, mean, sd, 17, keep)
+        m_want, s_want = masked_diag_update(p, mean, sd, 17, keep)
+        assert out.m.tobytes() == m_want.tobytes()
+        assert out.s.tobytes() == s_want.tobytes()
 
 
 class TestTrustedConstruction:
