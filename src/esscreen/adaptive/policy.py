@@ -15,7 +15,7 @@ import numpy as np
 
 from ..bounds import AdaptiveState, SubGammaParams, f_p_ad
 from ..errors import InvalidParameterError, PolicyError
-from ..model import NIWParams, ScenarioParams, correlation
+from ..model import NIWParams, ScenarioParams
 from ..screener import (
     GaussianSource,
     LevelStats,
@@ -39,12 +39,6 @@ __all__ = [
     "run_adaptive",
     "scan_actions",
 ]
-
-#: Survivor windows up to this size feed the full scale-matrix block to the
-#: net; larger windows use its diagonal plus the mean off-diagonal
-#: correlation (a q*q input block is untrainable at window 253).
-FULL_S_MAX_Q = 25
-
 
 @dataclass
 class PosteriorState:
@@ -169,51 +163,46 @@ class ActionSpec:
 def features(
     state: PosteriorState,
     actions: list[tuple[int, int]],
-    with_f: bool,
     n_w: int,
     sub: SubGammaParams,
 ) -> np.ndarray:
     """Raw feature rows of a value net, one per candidate action at ``state``.
 
-    Column order: dq, dn, q, N, C, mu_hat (q, best-first), posterior m (q,
-    same order), k, i, then the scale-matrix block (full q*q, same order,
-    for windows up to ``FULL_S_MAX_Q``, else its diagonal plus the mean
-    off-diagonal correlation), then, when ``with_f``, the action's
+    Column order, ``8 + 3 q`` columns at a window of ``q`` survivors: dq,
+    dn, q, N, C, mu_hat (q, best-first), posterior m (q, same order), k, i,
+    the posterior scale diagonal (q, same order), then the action's
     :func:`f_plugin` selection-bound feature (one call per distinct ``dq``,
-    over all its ``dn``).  Vector inputs are presented best-estimate-first
-    so the net sees a canonical, permutation-free ordering.
+    over all its ``dn``; 0 at ``dq == 0``).  The scale matrix enters as its
+    diagonal only: :func:`niw_update_diag_stats` rebuilds each off-diagonal
+    entry from the prior correlation and that diagonal, and the correlations
+    reach the net through :func:`f_plugin`'s pair variances.  Vector inputs
+    are presented best-estimate-first so the net sees a canonical,
+    permutation-free ordering.
     """
     q = state.q
     order = np.lexsort((np.arange(q), -state.mu_hat))
-    s = state.niw.s
-    if q <= FULL_S_MAX_Q:
-        s_part = s[order[:, None], order].ravel()
-    else:
-        mean_corr = float((correlation(s).sum() - q) / (q * (q - 1)))
-        s_part = np.concatenate([np.diag(s)[order], [mean_corr]])
     block = np.concatenate(
         [
             [q, state.n_cum, state.cost],
             state.mu_hat[order],
             state.niw.m[order],
             [state.niw.k, state.niw.i],
-            s_part,
+            np.diag(state.niw.s)[order],
         ]
     )
     acts = np.array(actions, dtype=np.int64).reshape(-1, 2)
-    rows = np.empty((len(acts), _feature_width(q, with_f)))
+    rows = np.empty((len(acts), _feature_width(q)))
     rows[:, :2] = acts
-    rows[:, 2 : 2 + block.size] = block
-    if with_f:
-        for dq in np.unique(acts[:, 0]).tolist():
-            hit = acts[:, 0] == dq
-            rows[hit, -1] = f_plugin(state, dq, acts[hit, 1], n_w, sub)
+    rows[:, 2:-1] = block
+    for dq in np.unique(acts[:, 0]).tolist():
+        hit = acts[:, 0] == dq
+        rows[hit, -1] = f_plugin(state, dq, acts[hit, 1], n_w, sub)
     return rows
 
 
-def _feature_width(q: int, with_f: bool) -> int:
+def _feature_width(q: int) -> int:
     """Length of a :func:`features` row at a window of ``q`` survivors."""
-    return 7 + 2 * q + (q * q if q <= FULL_S_MAX_Q else q + 1) + int(with_f)
+    return 8 + 3 * q
 
 
 def f_plugin(
@@ -253,9 +242,13 @@ class PolicyBundle:
     ``first_action`` is the tabulated optimal opening move and
     ``first_action_table`` its full (dq, dn, value) scan.  ``version`` is
     the artifact format that :meth:`save` writes and :meth:`load` accepts.
+    Version 3 nets read the one :func:`features` layout, ``8 + 3 q`` raw
+    columns at every window, and their meta holds no layout flag; version 2
+    nets read the full scale block at windows up to 25 and had the
+    :func:`f_plugin` column only above the final level.
     """
 
-    version: ClassVar[int] = 2
+    version: ClassVar[int] = 3
     seed: int
     levels: int
     budget: int
@@ -350,7 +343,7 @@ class PolicyBundle:
                 for (lvl, q), meta in zip(header["net_keys"], header["net_meta"]):
                     tag = f"net_{lvl}_{q}_"
                     w1, b1, w2, b2 = (data[tag + a] for a in ("w1", "b1", "w2", "b2"))
-                    width = _feature_width(q, meta.get("with_f", False))
+                    width = _feature_width(q)
                     if not (
                         w1.shape[1:] == (width,)
                         and b1.shape == w2.shape == w1.shape[:1]
@@ -440,7 +433,7 @@ def action_values(
     acts = scan_actions(nets, spec, state, cap)
     if not acts:
         return acts, np.empty(0)
-    rows = features(state, acts, net.meta.get("with_f", False), spec.n_w, sub)
+    rows = features(state, acts, spec.n_w, sub)
     return acts, net_forward(net, rows)
 
 

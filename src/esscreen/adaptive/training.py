@@ -116,6 +116,14 @@ class AdaptiveConfig:
         object.__setattr__(self, "q_grid", q_grid)
         if not 0 < self.budget < math.inf:
             raise InvalidParameterError(f"budget must be in (0, inf): {self.budget}")
+        # PosteriorState.opening and the engine number scenarios 0..n_s-1
+        if self.prior.dim != self.n_s or not np.array_equal(
+            self.prior.index_map, np.arange(self.n_s)
+        ):
+            raise InvalidParameterError(
+                f"prior must cover scenarios 0..{self.n_s - 1} in order, got "
+                f"dim {self.prior.dim} with index_map {self.prior.index_map.tolist()}"
+            )
 
     def quantum(self) -> int:
         if self.dn_quantum > 0:
@@ -327,11 +335,9 @@ def _value_of_states(
             # pool-edge state without cap room: fall back to the cheapest
             # legal continuation so the target stays defined (prediction
             # only, never executed)
-            net = bundle_nets[(st.level, st.q)]
             dq_fb = st.q - spec.n_w if st.level + 1 == spec.levels - 1 else 0
-            with_f = net.meta.get("with_f", False)
-            rows = features(st, [(dq_fb, spec.dn_quantum)], with_f, spec.n_w, sub)
-            preds = net_forward(net, rows)
+            rows = features(st, [(dq_fb, spec.dn_quantum)], spec.n_w, sub)
+            preds = net_forward(bundle_nets[(st.level, st.q)], rows)
         out[idx] = float(np.min(preds))
     return out
 
@@ -429,7 +435,7 @@ def fit_value_functions(cfg: AdaptiveConfig) -> tuple[PolicyBundle, TrainingRepo
         strat = ts.strategies[traj.k]
         st = traj.states[levels - 2]
         dn_last = strat.n[levels] - strat.n[levels - 1]
-        rows.append(features(st, [(0, dn_last)], False, cfg.n_w, cfg.sub)[0])
+        rows.append(features(st, [(0, dn_last)], cfg.n_w, cfg.sub)[0])
         targets.append(mc_value_final(traj, cfg.n_e_final, cfg.n_p_final, rng_t))
         k_of.append(traj.k)
         j_of.append(traj.j)
@@ -439,7 +445,6 @@ def fit_value_functions(cfg: AdaptiveConfig) -> tuple[PolicyBundle, TrainingRepo
         cfg,
         level=levels - 1,
         q=cfg.n_w,
-        with_f=False,
         x=np.array(rows),
         y=np.array(targets),
         k_of=np.array(k_of),
@@ -459,7 +464,7 @@ def fit_value_functions(cfg: AdaptiveConfig) -> tuple[PolicyBundle, TrainingRepo
                 ts, traj, level + 1, cfg.sub
             )
             action = (q_here - strat.q[level + 1], strat.n[level + 1] - strat.n[level])
-            row = features(traj.states[level - 1], [action], True, cfg.n_w, cfg.sub)[0]
+            row = features(traj.states[level - 1], [action], cfg.n_w, cfg.sub)[0]
             groups.setdefault(q_here, []).append((row, target, traj.k, traj.j))
         for q_here, samples in groups.items():
             x = np.array([s[0] for s in samples])
@@ -470,7 +475,6 @@ def fit_value_functions(cfg: AdaptiveConfig) -> tuple[PolicyBundle, TrainingRepo
                 cfg,
                 level=level,
                 q=q_here,
-                with_f=True,
                 x=x,
                 y=y,
                 k_of=np.array([s[2] for s in samples]),
@@ -502,7 +506,7 @@ def fit_value_functions(cfg: AdaptiveConfig) -> tuple[PolicyBundle, TrainingRepo
     return bundle, report
 
 
-def _fit_net(nets, report, cfg, *, level, q, with_f, x, y, k_of, j_of):
+def _fit_net(nets, report, cfg, *, level, q, x, y, k_of, j_of):
     """Train one value net on standardized data, then fold the
     standardization into the stored net's affine parameters.
 
@@ -536,9 +540,7 @@ def _fit_net(nets, report, cfg, *, level, q, with_f, x, y, k_of, j_of):
     )
 
     def make(rng):
-        return xavier_net(
-            x.shape[1], rng, meta={"level": level, "q": q, "with_f": with_f}
-        )
+        return xavier_net(x.shape[1], rng, meta={"level": level, "q": q})
 
     net, rate, losses = learning_rate_search(
         xt,
@@ -578,11 +580,12 @@ def _tabulate_opening(cfg, spec, nets, caps):
         )
     rng = substream(cfg.seed, _STREAM_OPENING)
     draws = list(_predictive_draws(cfg.prior, cfg.n_e_open, cfg.n_p_mid, rng))
+    # the selection-bound column: one f_plugin pass per distinct dq
+    f0 = features(state0, acts, cfg.n_w, cfg.sub)[:, -1].tolist()
     table = []
-    for dq, dn in acts:
+    for (dq, dn), f in zip(acts, f0, strict=True):
         q_next = cfg.n_s - dq
         states = [_simulated_advance(state0, draw, dn, q_next, rng) for draw in draws]
         vals = _value_of_states(nets, spec, states, cfg.sub, caps)
-        f0 = f_plugin(state0, dq, dn, cfg.n_w, cfg.sub)
-        table.append((int(dq), int(dn), float(np.mean(vals) + f0)))
+        table.append((int(dq), int(dn), float(np.mean(vals) + f)))
     return table

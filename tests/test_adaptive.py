@@ -310,18 +310,42 @@ class TestFPluginIncrements:
             return f_plugin(*args)
 
         monkeypatch.setattr(policy, "f_plugin", counted)
-        rows = policy.features(state, acts, True, 2, sub)
+        rows = policy.features(state, acts, 2, sub)
         assert rows[:, -1].tolist() == want
         assert rows[:, :2].tolist() == [list(a) for a in acts]
-        np.testing.assert_array_equal(
-            rows[:, :-1], policy.features(state, acts, False, 2, sub)
-        )
         assert sorted(calls) == [0, 3, 7]  # one call per distinct dq
 
     def test_increment_below_one_rejected(self):
         state = _random_state(0, n_cum=40)
         with pytest.raises(InvalidParameterError):
             f_plugin(state, 3, np.array([5, 0, 9]), 2, SubGammaParams())
+
+
+@pytest.mark.parametrize("q", [1, 2, 25, 26, 253])
+def test_feature_rows_have_one_layout_at_every_window(q):
+    # 25 -> 26 crosses the window up to which the scale block once entered
+    # in full
+    from esscreen.adaptive.policy import _feature_width, features
+
+    state = _random_state(q, q=q, n_cum=40)
+    acts = [(0, 10), (0, 3)] + ([(q - 1, 10), (q // 2, 3)] if q > 1 else [])
+    rows = features(state, acts, 1, SubGammaParams())
+    assert _feature_width(q) == 8 + 3 * q
+    assert rows.shape == (len(acts), 8 + 3 * q)
+    order = np.lexsort((np.arange(q), -state.mu_hat))
+    block = np.concatenate(
+        [
+            [q, state.n_cum, state.cost],
+            state.mu_hat[order],
+            state.niw.m[order],
+            [state.niw.k, state.niw.i],
+            np.diag(state.niw.s)[order],
+        ]
+    )
+    np.testing.assert_array_equal(rows[:, :2], acts)
+    np.testing.assert_array_equal(rows[:, 2:-1], np.tile(block, (len(acts), 1)))
+    # no selection at dq = 0, as at every final-level row
+    assert rows[:2, -1].tolist() == [0.0, 0.0]
 
 
 class TestMcValueFinal:
@@ -496,15 +520,49 @@ class TestFitAndRun:
         with pytest.raises(PolicyError, match="nope.npz"):
             PolicyBundle.load(missing)
 
-    def test_other_version_rejected(self, toy_bundle, tmp_path):
-        # a version-1 artifact's first layer expects pre-divided inputs
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_other_version_rejected(self, toy_bundle, tmp_path, version):
+        # a version-1 artifact's first layer expects pre-divided inputs; a
+        # version-2 net reads the full scale block at windows up to 25 and
+        # has no selection-bound column at the final level
         from esscreen.errors import PolicyError
 
         path = tmp_path / "policy.npz"
         toy_bundle[1].save(path)
-        _edit_artifact(path, header={"version": 1})
-        with pytest.raises(PolicyError, match="version 1"):
+        _edit_artifact(path, header={"version": version})
+        with pytest.raises(PolicyError, match=f"version {version}"):
             PolicyBundle.load(path)
+
+    def test_opening_table_takes_one_f_plugin_call_per_dq(
+        self, toy_bundle, monkeypatch
+    ):
+        # the table equals the one scored with a scalar f_plugin call per
+        # action, bit for bit
+        from esscreen.adaptive import policy, training
+
+        cfg, bundle, _ = toy_bundle
+        spec = cfg.action_spec()
+        real = policy.f_plugin
+        opening_calls = []
+
+        def per_action(state, dq, dn, *args):
+            if np.ndim(dn):
+                return np.array([real(state, dq, int(d), *args) for d in dn])
+            return real(state, dq, dn, *args)
+
+        def counted(state, dq, dn, *args):
+            if state.level == 0:
+                opening_calls.append(dq)
+            return real(state, dq, dn, *args)
+
+        monkeypatch.setattr(policy, "f_plugin", per_action)
+        want = training._tabulate_opening(cfg, spec, bundle.nets, {})
+        monkeypatch.setattr(policy, "f_plugin", counted)
+        got = training._tabulate_opening(cfg, spec, bundle.nets, {})
+        assert got == want
+        dqs = sorted({dq for dq, _, _ in got})
+        assert len(dqs) >= 2 and len(got) > len(dqs)
+        assert sorted(opening_calls) == dqs
 
     def test_lookahead_value_is_the_served_actions_prediction(
         self, toy_bundle, toy_trajectories
@@ -711,6 +769,30 @@ def test_adaptive_config_rejects_a_bad_budget(budget):
 def test_adaptive_config_rejects_a_bad_level_count(levels):
     with pytest.raises(InvalidParameterError, match="levels"):
         toy_config(levels=levels)
+
+
+def test_adaptive_config_rejects_a_prior_with_other_scenario_ids():
+    prior = replace(make_prior(), index_map=np.arange(12) + 5)
+    with pytest.raises(InvalidParameterError, match="prior"):
+        toy_config(prior=prior)
+
+
+def test_adaptive_config_rejects_a_prior_of_another_dimension():
+    with pytest.raises(InvalidParameterError, match="prior"):
+        toy_config(n_s=10, q_grid=(2, 4, 6, 8, 10), prior=make_prior(n_s=12))
+
+
+def test_single_worst_scenario_fits_and_runs():
+    # n_w = 1: the final window, and the grid's smallest, is one survivor
+    cfg = toy_config(n_w=1, q_grid=(1, 4, 6, 8, 12), n_iter=100, probe_steps=30)
+    bundle, report = fit_value_functions(cfg)
+    assert (cfg.levels - 1, 1) in bundle.nets
+    assert all(np.isfinite(v) for v in report.final_losses.values())
+    for r in range(20):
+        theta = sample_niw(cfg.prior, substream(90, r))
+        res = run_adaptive(bundle, theta, substream(91, r))
+        assert res.final_survivors.size == 1 and res.pricings <= cfg.budget
+        assert np.isfinite(res.es_hat)
 
 
 def test_adaptive_config_with_numpy_integers_fits_saves_and_loads(tmp_path):

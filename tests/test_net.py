@@ -148,7 +148,7 @@ class TestStandardizationFold:
         from esscreen.adaptive import training
         from esscreen.model import NIWParams
 
-        dim = 15  # the feature width of a q = 2 window without f
+        dim = 14  # the feature width of a q = 2 window
         rng = np.random.default_rng(17)
         n = 24
         scales = np.logspace(-3, 12, dim)
@@ -182,7 +182,7 @@ class TestStandardizationFold:
         monkeypatch.setattr(training, "learning_rate_search", capture)
         nets, report = {}, training.TrainingReport({}, {}, {}, [])
         training._fit_net(
-            nets, report, cfg, level=1, q=2, with_f=False, x=x, y=y,
+            nets, report, cfg, level=1, q=2, x=x, y=y,
             k_of=np.zeros(n, dtype=int), j_of=np.arange(n),
         )
         ((xt, net),) = trained
