@@ -16,7 +16,6 @@ from .niw import (
 )
 from .policy import (
     ActionSpec,
-    AdaptiveRunResult,
     PolicyBundle,
     PosteriorState,
     f_plugin,
@@ -36,7 +35,6 @@ from .training import (
 __all__ = [
     "ActionSpec",
     "AdaptiveConfig",
-    "AdaptiveRunResult",
     "PolicyBundle",
     "PolicyNet",
     "PosteriorState",

@@ -15,14 +15,8 @@ import numpy as np
 
 from ..bounds import AdaptiveState, SubGammaParams, f_p_ad
 from ..errors import InvalidParameterError, PolicyError
-from ..model import NIWParams, ScenarioParams
-from ..screener import (
-    GaussianSource,
-    LevelStats,
-    Strategy,
-    draw_batch,
-    step,
-)
+from ..model import NIWParams
+from ..screener import LevelStats, ScreeningRun, run_levels
 from .net import PolicyNet, net_forward
 from .niw import niw_update_diag_stats
 
@@ -30,7 +24,6 @@ __all__ = [
     "PosteriorState",
     "ActionSpec",
     "PolicyBundle",
-    "AdaptiveRunResult",
     "action_values",
     "advance",
     "choose_action",
@@ -449,75 +442,42 @@ def choose_action(bundle: PolicyBundle, state: PosteriorState) -> tuple[int, int
     return acts[int(np.argmin(preds))]
 
 
-@dataclass
-class AdaptiveRunResult:
-    """Outcome of one adaptive screening run."""
-
-    es_hat: float
-    strategy: Strategy
-    survivors: list[np.ndarray]
-    actions: list[tuple[int, int]]
-    pricings: int
-
-    @property
-    def final_survivors(self) -> np.ndarray:
-        return self.survivors[-1]
-
-
 def run_adaptive(
-    bundle: PolicyBundle,
-    source,
-    rng: np.random.Generator | None = None,
-) -> AdaptiveRunResult:
-    """Execute screening with each level's (dq, dN) chosen by the policy.
+    bundle: PolicyBundle, source, rng: np.random.Generator | None = None
+) -> ScreeningRun:
+    """Screening with the policy as :func:`~esscreen.screener.run_levels`'
+    next-action rule (``source`` and ``rng`` as there).
 
-    ``source`` is a ScenarioParams (then ``rng`` is required) or a price
-    source as in :func:`run_screening`.  The opening action is the
-    tabulated one; later actions minimize the fitted value nets over the
-    live posterior state.  Every chosen action is re-audited against the
-    full admissible set, and the total cost against the budget (a violation
-    raises, and means the action construction is broken).
+    The opening action is the tabulated one; before each later level the
+    rule folds the previous one into the posterior (:func:`advance`) and
+    minimizes the fitted value nets over that state (:func:`choose_action`).
+    Every action is re-audited against the full admissible set, and the total
+    cost against the budget (a violation raises: the action construction is
+    broken).
     """
-    if isinstance(source, ScenarioParams):
-        if rng is None:
-            raise InvalidParameterError("rng required when passing ScenarioParams")
-        source = GaussianSource(source, rng)
     if source.n_s != bundle.n_s:
         raise PolicyError(
             f"policy trained for {bundle.n_s} scenarios, source has {source.n_s}"
         )
     spec = bundle.action_spec()
     state = PosteriorState.opening(bundle.prior)
-    action = tuple(bundle.first_action)
-    actions = []
-    survivors = [state.ids]
-    n_path = [0]
-    for level in range(bundle.levels):
-        dq, dn = action
-        if not spec.is_admissible(level, state.q, state.cost, dq, dn):
+
+    def next_action(level: int, stats: LevelStats | None) -> tuple[int, int]:
+        nonlocal state
+        if stats is None:
+            action = tuple(bundle.first_action)
+        else:
+            state = advance(state, stats)
+            action = choose_action(bundle, state)
+        if not spec.is_admissible(level, state.q, state.cost, *action):
             raise PolicyError(
                 f"policy requested infeasible action {action} at level {level}"
             )
-        actions.append(action)
-        batch_sum, scatter = draw_batch(source, state.ids, dn)
-        stats = step(
-            state.ids, state.sums, state.n_cum, batch_sum, scatter, dn, state.q - dq
-        )
-        state = advance(state, stats)
-        survivors.append(state.ids)
-        n_path.append(state.n_cum)
-        if level + 1 < bundle.levels:
-            action = choose_action(bundle, state)
-    if state.cost > bundle.budget:
+        return action
+
+    run = run_levels(source, rng, bundle.levels, next_action)
+    if run.pricings > bundle.budget:
         raise PolicyError(
-            f"policy spent {state.cost} pricings, over the budget {bundle.budget}"
+            f"policy spent {run.pricings} pricings, over the budget {bundle.budget}"
         )
-    return AdaptiveRunResult(
-        es_hat=float(np.mean(state.mu_hat)),
-        strategy=Strategy(
-            q=tuple(ids.size for ids in survivors[:-1]), n=tuple(n_path)
-        ),
-        survivors=survivors[:-1],
-        actions=actions,
-        pricings=state.cost,
-    )
+    return run

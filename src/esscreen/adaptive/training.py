@@ -65,6 +65,9 @@ _STREAM_TARGETS = 3
 _STREAM_OPENING = 4
 _STREAM_NETS = 5
 
+#: Consecutive rejected schedule draws after which the strategy pool gives up.
+MAX_REJECTS = 10_000
+
 
 @dataclass(frozen=True)
 class AdaptiveConfig:
@@ -86,9 +89,6 @@ class AdaptiveConfig:
     probe_steps: int = 2_000
     lr_candidates: int = 5
     base_rate: float = 1.0  # on standardized data; probes walk down by 10x
-    r: float = 2.0
-    j_batch: int = 4
-    k_batch: int = 4
     n_e_final: int = 10_000
     n_p_final: int = 1_000
     n_e_mid: int = 128
@@ -142,10 +142,7 @@ class AdaptiveConfig:
 
 
 def generate_strategies(
-    k_bar: int,
-    cfg: AdaptiveConfig,
-    rng: np.random.Generator,
-    max_rejects: int = 10_000,
+    k_bar: int, cfg: AdaptiveConfig, rng: np.random.Generator
 ) -> list[Strategy]:
     """Randomized schedule pool used as training data.
 
@@ -155,7 +152,8 @@ def generate_strategies(
     thresholds follow a random strictly decreasing walk on the grid between
     the forced endpoints; path increments are the allowance divided by the
     number of scenarios priced.  Schedules with any zero increment are
-    rejected and redrawn (path counts must strictly increase).
+    rejected and redrawn (path counts must strictly increase), at most
+    ``MAX_REJECTS`` times in a row.
     """
     grid = cfg.q_grid
     levels = cfg.levels
@@ -180,9 +178,9 @@ def generate_strategies(
         dn = [int(allowance[lvl] // q[lvl]) for lvl in range(levels)]
         if min(dn) < 1:
             rejects += 1
-            if rejects > max_rejects:
+            if rejects > MAX_REJECTS:
                 raise InvalidParameterError(
-                    f"{max_rejects} consecutive rejections: the budget cannot "
+                    f"{MAX_REJECTS} consecutive rejections: the budget cannot "
                     "fund one path per level on this grid"
                 )
             continue
@@ -279,6 +277,18 @@ def f_precompute(
     return f_plugin(replace(prev, niw=half), dq, stats.dn, ts.n_w, sub)
 
 
+def _inverse_wishart_blocks(niw: NIWParams, n_e: int, n_p: int, rng):
+    """``(phi, take)`` per block of ``take <= n_p`` of ``n_e`` posterior
+    draws: one inverse-Wishart factor of the covariance (``niw.s`` factored
+    once).  Nothing is drawn ahead, so a consumer's draws keep their place."""
+    ls = psd_factor(niw.s)
+    done = 0
+    while done < n_e:
+        take = min(n_p, n_e - done)
+        yield inverse_wishart_factor(niw.i, ls, rng), take
+        done += take
+
+
 def mc_value_final(
     traj: Trajectory,
     n_e: int,
@@ -293,18 +303,12 @@ def mc_value_final(
     """
     final = traj.states[-1]
     niw = final.niw
-    d = niw.dim
-    ls = psd_factor(niw.s)
     total = 0.0
-    done = 0
     mean_hat = float(np.mean(final.mu_hat))
-    while done < n_e:
-        take = min(n_p, n_e - done)
-        phi = inverse_wishart_factor(niw.i, ls, rng)
-        z = rng.standard_normal((take, d))
+    for phi, take in _inverse_wishart_blocks(niw, n_e, n_p, rng):
+        z = rng.standard_normal((take, niw.dim))
         mu_tilde = niw.m + (z @ phi) / math.sqrt(niw.k)
         total += float(np.sum(np.abs(mean_hat - mu_tilde.mean(axis=1))))
-        done += take
     return total / n_e
 
 
@@ -346,23 +350,18 @@ def _predictive_draws(niw: NIWParams, n_e: int, n_p: int, rng: np.random.Generat
     """Lazy posterior-predictive draws ``(mu_tilde, noise, sig_diag)``.
 
     Each block of ``n_p`` draws shares one inverse-Wishart factor ``phi`` of
-    the covariance, whose diagonal is ``sig_diag``; per draw, ``mu_tilde`` is
-    the drawn impacts and ``noise`` a unit-path deviation ``phi^T z``.  The
-    generator draws nothing ahead, so a consumer's own draws between two
-    items keep their place in the stream.
+    the covariance (:func:`_inverse_wishart_blocks`), whose diagonal is
+    ``sig_diag``; per draw, ``mu_tilde`` is the drawn impacts and ``noise``
+    a unit-path deviation ``phi^T z``.  Like the blocks, the generator draws
+    nothing ahead.
     """
-    ls = psd_factor(niw.s)
     d = niw.dim
-    done = 0
-    while done < n_e:
-        take = min(n_p, n_e - done)
-        phi = inverse_wishart_factor(niw.i, ls, rng)
+    for phi, take in _inverse_wishart_blocks(niw, n_e, n_p, rng):
         sig_diag = np.sum(phi * phi, axis=0)
         for _ in range(take):
             mu_tilde = niw.m + (phi.T @ rng.standard_normal(d)) / math.sqrt(niw.k)
             noise = phi.T @ rng.standard_normal(d)
             yield mu_tilde, noise, sig_diag
-        done += take
 
 
 def _simulated_advance(
@@ -531,9 +530,6 @@ def _fit_net(nets, report, cfg, *, level, q, x, y, k_of, j_of):
     sched = TrainSchedule(
         n_iter=cfg.n_iter,
         rate=cfg.base_rate,
-        r=cfg.r,
-        j_batch=cfg.j_batch,
-        k_batch=cfg.k_batch,
         seed=int(
             substream(cfg.seed, _STREAM_NETS, level, q).integers(0, 2**31 - 1)
         ),

@@ -7,11 +7,15 @@ folds them into the running means (the same paths are reused by every later
 level), and keeps the ``q_l`` scenarios with the largest estimates.  The last
 level is a pure Monte Carlo step: the estimator is the average of the final
 means over the ``n_w`` survivors.
+
+:func:`run_levels` is the one level loop; a next-action rule gives each
+level's ``(dq, dN)``.  :func:`run_screening` replays a fixed strategy's, and
+the adaptive policy chooses each from the posterior after the level before.
 """
 
 from __future__ import annotations
 
-import numbers
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,15 +32,16 @@ __all__ = [
     "step",
     "cost",
     "rank_select",
+    "run_levels",
     "run_screening",
     "exact_es",
     "correct_selection",
     "worst_indexes",
 ]
 
-#: Prices per simulation chunk (1 MiB of float64).  A chunk of the default
-#: size holds ``CHUNK_PRICINGS // width`` rows, so a level's draw memory does
-#: not grow with dN or with the number of scenarios priced.
+#: Prices per simulation chunk (1 MiB of float64).  A chunk holds
+#: ``CHUNK_PRICINGS // width`` rows (at least one), so a level's draw memory
+#: does not grow with dN or with the number of scenarios priced.
 CHUNK_PRICINGS = 1 << 17
 
 
@@ -86,6 +91,13 @@ class Strategy:
     def delta_n(self) -> np.ndarray:
         return np.diff(np.asarray(self.n, dtype=np.int64))
 
+    @property
+    def actions(self) -> list[tuple[int, int]]:
+        """Per level ``(dq, dN)``: survivors dropped (0 at the last level)
+        and paths added."""
+        q, n = self.q + (self.n_w,), self.n
+        return [(q0 - q1, n1 - n0) for q0, q1, n0, n1 in zip(q, q[1:], n, n[1:])]
+
     def to_dict(self) -> dict:
         return {"q": list(self.q), "N": list(self.n)}
 
@@ -111,9 +123,9 @@ def rank_select(estimates: np.ndarray, index_set: np.ndarray, keep: int) -> np.n
     estimates = np.asarray(estimates, dtype=np.float64)
     if estimates.shape != index_set.shape:
         raise InvalidParameterError("estimates and index_set must align")
-    if keep > index_set.size:
+    if not 0 <= keep <= index_set.size:
         raise InvalidParameterError(
-            f"keep = {keep} exceeds index set size {index_set.size}"
+            f"keep = {keep} must be in [0, {index_set.size}], the index set size"
         )
     order = np.lexsort((index_set, -estimates))
     return index_set[order[:keep]]
@@ -152,31 +164,20 @@ class GaussianSource:
         return simulate_prices(self._sub, count, self.rng)
 
 
-def draw_batch(
-    source, ids: np.ndarray, dn: int, chunk_rows: int | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def draw_batch(source, ids: np.ndarray, dn: int) -> tuple[np.ndarray, np.ndarray]:
     """Sum and centred scatter (per column) of ``dn`` fresh rows over ``ids``.
 
-    Rows are drawn in chunks of at most ``chunk_rows``; the default ``None``
-    takes ``max(1, CHUNK_PRICINGS // len(ids))`` rows, so memory is bounded
-    whatever ``dn`` and the width.  Each chunk is centred in place on its
-    rounded mean ``hi``; the centred residual sum restores the mean's lost
-    digits, and the chunks are merged by the Chan-Golub-LeVeque update
-    ``M2 = M2_a + M2_b + delta^2 n_a n_b / n``.  The running mean is carried
-    as an offset from the first chunk's ``hi``, so ``delta`` keeps full
-    precision when a column's mean dwarfs its spread.  The rows drawn do not
-    depend on the chunk size; the sums and scatter do, in their last bits.
+    Rows are drawn in chunks of ``max(1, CHUNK_PRICINGS // len(ids))`` rows,
+    so memory is bounded whatever ``dn`` and the width.  Each chunk is
+    centred in place on its rounded mean ``hi``; the centred residual sum
+    restores the mean's lost digits, and the chunks are merged by the
+    Chan-Golub-LeVeque update ``M2 = M2_a + M2_b + delta^2 n_a n_b / n``.
+    The running mean is carried as an offset from the first chunk's ``hi``,
+    so ``delta`` keeps full precision when a column's mean dwarfs its
+    spread.  The rows drawn do not depend on the chunk size; the sums and
+    scatter do, in their last bits.
     """
-    if chunk_rows is None:
-        chunk_rows = max(1, CHUNK_PRICINGS // max(ids.size, 1))
-    elif (
-        isinstance(chunk_rows, bool)
-        or not isinstance(chunk_rows, numbers.Integral)
-        or chunk_rows < 1
-    ):
-        raise InvalidParameterError(
-            f"chunk_rows must be an integer >= 1 or None, got {chunk_rows!r}"
-        )
+    chunk_rows = max(1, CHUNK_PRICINGS // max(ids.size, 1))
     total = np.zeros(ids.size)
     m2 = np.zeros(ids.size)
     offset = np.zeros(ids.size)  # running mean minus ``ref``
@@ -265,10 +266,12 @@ def step(
 class ScreeningRun:
     """Everything a finished screening run produced.
 
+    ``strategy`` is the schedule the run took, whether replayed or chosen
+    level by level, and ``actions`` its per-level ``(dq, dN)``.
     ``survivors[l]`` is the ascending index set alive after level ``l``'s
     selection (``survivors[0]`` is the full index range); ``levels[l-1]``
     holds level ``l``'s statistics.  ``sums``/``counts`` freeze at a
-    scenario's elimination level.
+    scenario's elimination level; ``pricings`` counts the prices drawn.
     """
 
     strategy: Strategy
@@ -277,80 +280,92 @@ class ScreeningRun:
     sums: np.ndarray
     counts: np.ndarray
     es_hat: float
-    pricings: int = 0
+    pricings: int
+
+    @property
+    def actions(self) -> list[tuple[int, int]]:
+        return self.strategy.actions
 
     @property
     def final_survivors(self) -> np.ndarray:
         return self.survivors[-1]
 
 
-def run_screening(
-    strategy: Strategy,
+def run_levels(
     source,
-    rng: np.random.Generator | None = None,
-    *,
-    chunk_rows: int | None = None,
+    rng: np.random.Generator | None,
+    levels: int,
+    next_action: Callable[[int, LevelStats | None], tuple[int, int]],
 ) -> ScreeningRun:
-    """Execute the screening recursion for one fixed strategy.
+    """The screening recursion, with level ``l``'s ``(dq, dN)`` taken from
+    ``next_action(l, stats)`` (``stats``: level ``l - 1``'s, None at ``l = 0``).
 
     ``source`` is either a ScenarioParams (then ``rng`` is required and a
     GaussianSource is built on it) or any price source: an object with
-    ``n_s`` and ``draw(ids, count)``.  Paths are generated only for
-    scenarios still alive, in chunks of at most ``chunk_rows`` rows (``None``:
-    about ``CHUNK_PRICINGS`` prices per chunk, see :func:`draw_batch`, which
-    also rejects a bad ``chunk_rows``).
+    ``n_s`` and ``draw(ids, count)``.  Each level draws ``dN`` paths for the
+    scenarios alive (:func:`draw_batch`) and keeps all but ``dq`` of them
+    (:func:`step`); the last keeps every one.  The run's strategy is the
+    actions taken.
     """
     if isinstance(source, ScenarioParams):
         if rng is None:
             raise InvalidParameterError("rng required when passing ScenarioParams")
         source = GaussianSource(source, rng)
-    n_s = source.n_s
-    if strategy.n_s != n_s:
-        raise InvalidStrategyError(
-            f"strategy covers {strategy.n_s} scenarios, source has {n_s}"
-        )
-    sums = np.zeros(n_s)
-    counts = np.zeros(n_s, dtype=np.int64)
-    alive = np.arange(n_s, dtype=np.intp)
-    survivors = [alive]
-    levels: list[LevelStats] = []
-    pricings = 0
-    dn = strategy.delta_n()
-    for lvl in range(1, strategy.levels + 1):
-        d = int(dn[lvl - 1])
-        keep = strategy.q[lvl] if lvl < strategy.levels else alive.size
-        batch_sum, scatter = draw_batch(source, alive, d, chunk_rows)
-        stats = step(
-            alive, sums[alive], strategy.n[lvl - 1], batch_sum, scatter, d, keep
-        )
-        pricings += d * alive.size
+    sums = np.zeros(source.n_s)
+    counts = np.zeros(source.n_s, dtype=np.int64)
+    alive = np.arange(source.n_s, dtype=np.intp)
+    done: list[LevelStats] = []
+    stats = None
+    for lvl in range(levels):
+        dq, dn = next_action(lvl, stats)
+        keep = alive.size - dq if lvl + 1 < levels else alive.size
+        n_prev = stats.n_cum if stats is not None else 0
+        batch_sum, scatter = draw_batch(source, alive, dn)
+        stats = step(alive, sums[alive], n_prev, batch_sum, scatter, dn, keep)
         sums[alive] = stats.sums
         counts[alive] = stats.n_cum
-        levels.append(stats)
+        done.append(stats)
         alive = stats.kept
-        if lvl < strategy.levels:
-            survivors.append(alive)
     return ScreeningRun(
-        strategy=strategy,
-        survivors=survivors,
-        levels=levels,
+        strategy=Strategy(
+            q=tuple(ls.entered.size for ls in done),
+            n=(0, *(ls.n_cum for ls in done)),
+        ),
+        survivors=[ls.entered for ls in done],
+        levels=done,
         sums=sums,
         counts=counts,
-        es_hat=float(np.mean(levels[-1].mu_hat)),
-        pricings=pricings,
+        es_hat=float(np.mean(stats.mu_hat)),
+        pricings=sum(ls.dn * ls.entered.size for ls in done),
     )
+
+
+def run_screening(
+    strategy: Strategy, source, rng: np.random.Generator | None = None
+) -> ScreeningRun:
+    """Execute the screening recursion for one fixed strategy: the
+    :func:`run_levels` loop replaying ``strategy.actions`` on ``source``
+    (with ``rng``, as there)."""
+    if strategy.n_s != source.n_s:
+        raise InvalidStrategyError(
+            f"strategy covers {strategy.n_s} scenarios, source has {source.n_s}"
+        )
+    actions = strategy.actions
+    return run_levels(source, rng, strategy.levels, lambda lvl, _: actions[lvl])
 
 
 def worst_indexes(mu: np.ndarray, n_w: int) -> np.ndarray:
     """Indexes of the ``n_w`` largest impacts, ties to the smaller index."""
+    if n_w < 1:
+        raise InvalidParameterError(f"n_w must be >= 1, got {n_w}")
     mu = np.asarray(mu, dtype=np.float64)
     return rank_select(mu, np.arange(mu.size, dtype=np.intp), n_w)
 
 
 def exact_es(theta: ScenarioParams, n_w: int) -> float:
     """Average of the ``n_w`` largest true impacts."""
-    if n_w > theta.n_s:
-        raise InvalidParameterError(f"n_w = {n_w} exceeds n_s = {theta.n_s}")
+    if not 1 <= n_w <= theta.n_s:
+        raise InvalidParameterError(f"n_w = {n_w} must be in [1, n_s = {theta.n_s}]")
     top = np.sort(theta.mu)[::-1][:n_w]
     return float(np.mean(top))
 

@@ -742,6 +742,35 @@ def test_adaptive_replay_of_a_strategy_equals_run_screening(general, monkeypatch
         assert len(res.survivors) == len(run.survivors)
         for a, b in zip(res.survivors, run.survivors):
             np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(res.sums, run.sums)
+        np.testing.assert_array_equal(res.counts, run.counts)
+        assert len(res.levels) == len(run.levels) == strategy.levels
+        for a, b in zip(res.levels, run.levels):
+            assert (a.dn, a.n_cum) == (b.dn, b.n_cum)
+            for name in ("entered", "kept", "sums", "mu_hat", "batch_mean", "scatter"):
+                np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+
+def test_run_adaptive_updates_the_posterior_once_per_decision(monkeypatch):
+    # the posterior is folded before each of the L - 1 later actions; no
+    # decision follows the last level, so its batch updates nothing
+    from esscreen.adaptive import policy
+
+    strategy = Strategy(q=(12, 6, 4, 2), n=(0, 5, 13, 30, 61))
+    actions = _replay_actions(strategy)
+    bundle = _replay_bundle(strategy, make_prior(), budget=cost(strategy))
+    monkeypatch.setattr(policy, "choose_action", lambda b, state: actions[state.level])
+    calls = []
+
+    def counting_update(*args):
+        calls.append(args[3])
+        return niw_update_diag_stats(*args)
+
+    monkeypatch.setattr(policy, "niw_update_diag_stats", counting_update)
+    theta = sample_niw(bundle.prior, substream(83, 0))
+    res = run_adaptive(bundle, theta, substream(83, 1))
+    assert res.actions == actions
+    assert calls == [dn for _, dn in actions[:-1]]
 
 
 def test_run_adaptive_rejects_an_over_budget_run(monkeypatch):

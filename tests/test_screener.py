@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from esscreen.errors import InvalidParameterError, InvalidStrategyError
-from esscreen import model
+from esscreen import model, screener
 from esscreen.model import (
     EquicorrelatedSpec,
     ScenarioParams,
@@ -81,6 +81,15 @@ class TestRankSelect:
         with pytest.raises(InvalidParameterError):
             rank_select(np.zeros(3), np.arange(3), 4)
 
+    @pytest.mark.parametrize("keep", [-1, -3])
+    def test_negative_keep_rejected(self, keep):
+        # a negative count would slice from the end: all but the last |keep|
+        with pytest.raises(InvalidParameterError, match="keep"):
+            rank_select(np.array([3.0, 1.0, 2.0]), np.arange(3), keep)
+
+    def test_keep_zero_is_empty(self):
+        assert rank_select(np.array([3.0, 1.0]), np.arange(2), 0).size == 0
+
     @given(
         vals=st.lists(st.integers(-3, 3), min_size=1, max_size=12),
         data=st.data(),
@@ -109,6 +118,24 @@ class TestExactEs:
         mu = rng.normal(size=40)
         theta = ScenarioParams(mu=mu, sigma=np.zeros((40, 40)))
         assert exact_es(theta, 6) == pytest.approx(np.sort(mu)[::-1][:6].mean())
+
+    @pytest.mark.parametrize("n_w", [0, -2, 4])
+    def test_bad_window_rejected(self, n_w):
+        # 0 would average an empty set (nan), -2 the top n_s - 2 impacts
+        theta = ScenarioParams(mu=np.array([3.0, 1.0, 2.0]), sigma=np.zeros((3, 3)))
+        with pytest.raises(InvalidParameterError, match="n_w"):
+            exact_es(theta, n_w)
+
+    @pytest.mark.parametrize("n_w", [0, -1])
+    def test_worst_indexes_and_correct_selection_reject_a_window_below_one(
+        self, n_w
+    ):
+        theta = ScenarioParams(mu=np.array([3.0, 1.0, 2.0]), sigma=np.zeros((3, 3)))
+        with pytest.raises(InvalidParameterError, match="n_w"):
+            worst_indexes(theta.mu, n_w)
+        run = run_screening(Strategy(q=(3, 1), n=(0, 1, 2)), theta, substream(7, 1))
+        with pytest.raises(InvalidParameterError, match="n_w"):
+            correct_selection(run, theta, n_w)
 
 
 def _equi_theta(n_s=8, delta0=10.0, sigma=4.0, rho=0.3):
@@ -173,17 +200,21 @@ class TestRunScreening:
         for x, y in zip(a.survivors, b.survivors):
             np.testing.assert_array_equal(x, y)
 
-    def test_chunking_invariance(self):
+    def test_chunking_invariance(self, monkeypatch):
         # Chunked accumulation must not change the selections; the price
         # stream itself is chunk-independent because draws are per level.
         theta = _equi_theta(8)
         s = Strategy(q=(8, 4, 2), n=(0, 100, 300, 500))
-        a = run_screening(s, theta, substream(5, 1), chunk_rows=7)
-        b = run_screening(s, theta, substream(5, 1), chunk_rows=10_000)
+        monkeypatch.setattr(screener, "CHUNK_PRICINGS", 7 * 8)  # 7 rows at width 8
+        a = run_screening(s, theta, substream(5, 1))
+        monkeypatch.setattr(screener, "CHUNK_PRICINGS", 10_000 * 8)
+        b = run_screening(s, theta, substream(5, 1))
         np.testing.assert_array_equal(a.final_survivors, b.final_survivors)
         assert a.es_hat == pytest.approx(b.es_hat, rel=1e-12)
 
-    def test_default_chunks_match_one_chunk_per_level_at_paper_width(self):
+    def test_default_chunks_match_one_chunk_per_level_at_paper_width(
+        self, monkeypatch
+    ):
         # 253 columns: the default takes CHUNK_PRICINGS // 253 = 518 rows per
         # chunk, so every level here is merged from several chunks
         theta = ScenarioParams.equicorrelated(
@@ -191,7 +222,8 @@ class TestRunScreening:
         )
         s = Strategy(q=(253, 45, 15, 6), n=(0, 2000, 6000, 10_000, 20_000))
         a = run_screening(s, theta, substream(5, 2))
-        b = run_screening(s, theta, substream(5, 2), chunk_rows=10_000)
+        monkeypatch.setattr(screener, "CHUNK_PRICINGS", 10_000 * 253)
+        b = run_screening(s, theta, substream(5, 2))
         for x, y in zip(a.survivors, b.survivors):
             np.testing.assert_array_equal(x, y)
         np.testing.assert_array_equal(a.counts, b.counts)
@@ -309,8 +341,9 @@ class TestGaussianSourceDraw:
 
         monkeypatch.setattr(ScenarioParams, "restrict", counting_restrict)
         monkeypatch.setattr(model, "psd_factor", counting_factor)
+        monkeypatch.setattr(screener, "CHUNK_PRICINGS", 7 * 10)  # 7 rows at width 10
         s = Strategy(q=(10, 5, 2), n=(0, 30, 60, 100))
-        run = run_screening(s, _general_theta(), substream(9, 3), chunk_rows=7)
+        run = run_screening(s, _general_theta(), substream(9, 3))
         assert restricts == [tuple(ids) for ids in run.survivors[1:]]
         assert factors == [10, 5, 2]
 
@@ -399,14 +432,15 @@ class _ReplaySource:
 
 
 class TestDrawBatch:
-    def test_matches_two_pass_scatter_at_large_mean(self):
+    def test_matches_two_pass_scatter_at_large_mean(self, monkeypatch):
         # mean 1e9, unit std: the one-pass sum-of-squares form loses every
         # digit here, while the chunk merge must match a two-pass scatter
         # (centred on the correctly rounded column mean) to 1e-12
         rng = np.random.default_rng(0)
         x = 1e9 + rng.standard_normal((200, 5))
         ids = np.arange(5)
-        total, scatter = draw_batch(_ReplaySource(x), ids, 200, chunk_rows=7)
+        monkeypatch.setattr(screener, "CHUNK_PRICINGS", 7 * 5)  # 7 rows per chunk
+        total, scatter = draw_batch(_ReplaySource(x), ids, 200)
         mean = np.array([math.fsum(col) / 200 for col in x.T])
         want = np.sum((x - mean) ** 2, axis=0)
         np.testing.assert_allclose(scatter, want, rtol=1e-12)
@@ -414,40 +448,22 @@ class TestDrawBatch:
         one_pass = np.sum(x * x, axis=0) - x.sum(axis=0) ** 2 / 200
         assert np.all(np.abs(one_pass - want) > want)
 
-    def test_column_subset_and_empty_batch(self):
+    def test_column_subset_and_empty_batch(self, monkeypatch):
         rng = np.random.default_rng(1)
         x = rng.standard_normal((30, 6))
         ids = np.array([1, 4])
-        total, scatter = draw_batch(_ReplaySource(x), ids, 30, chunk_rows=4)
+        monkeypatch.setattr(screener, "CHUNK_PRICINGS", 4 * 2)  # 4 rows per chunk
+        total, scatter = draw_batch(_ReplaySource(x), ids, 30)
         sub = x[:, ids]
         np.testing.assert_allclose(total, sub.sum(axis=0), rtol=1e-13)
         want = np.sum((sub - sub.mean(axis=0)) ** 2, axis=0)
         np.testing.assert_allclose(scatter, want, rtol=1e-12)
-        total, scatter = draw_batch(_ReplaySource(x), ids, 0, chunk_rows=4)
+        total, scatter = draw_batch(_ReplaySource(x), ids, 0)
         assert total.tolist() == [0.0, 0.0] and scatter.tolist() == [0.0, 0.0]
-
-    @pytest.mark.parametrize("chunk_rows", [0, -3, 2.5, "4", True, np.float64(8)])
-    def test_bad_chunk_rows_rejected(self, chunk_rows):
-        x = np.zeros((10, 3))
-        with pytest.raises(InvalidParameterError, match="chunk_rows"):
-            draw_batch(_ReplaySource(x), np.arange(3), 10, chunk_rows=chunk_rows)
-        with pytest.raises(InvalidParameterError, match="chunk_rows"):
-            run_screening(
-                Strategy(q=(3, 1), n=(0, 5, 10)), _ReplaySource(x), chunk_rows=chunk_rows
-            )
-
-    def test_explicit_numpy_chunk_rows_accepted(self):
-        rng = np.random.default_rng(2)
-        x = rng.standard_normal((30, 4))
-        ids = np.arange(4)
-        a = draw_batch(_ReplaySource(x), ids, 30, chunk_rows=np.int64(7))
-        b = draw_batch(_ReplaySource(x), ids, 30, chunk_rows=7)
-        np.testing.assert_array_equal(a[0], b[0])
-        np.testing.assert_array_equal(a[1], b[1])
 
     @pytest.mark.parametrize("general", [False, True], ids=["equi", "dense"])
     def test_draw_memory_is_bounded_whatever_dn(self, general):
-        # the default chunks hold CHUNK_PRICINGS prices; at a draw the
+        # the chunks hold CHUNK_PRICINGS prices; at a draw the
         # previous chunk, the new one's normals and its output are alive
         mu = synthetic_book(253, 2766.0)
         spec = EquicorrelatedSpec(2.2e6, 0.6)
