@@ -24,7 +24,6 @@ from .policy import (
 from .training import (
     AdaptiveConfig,
     Trajectory,
-    TrajectorySet,
     f_precompute,
     fit_value_functions,
     forward_pass,
@@ -39,7 +38,6 @@ __all__ = [
     "PolicyNet",
     "PosteriorState",
     "Trajectory",
-    "TrajectorySet",
     "TrainSchedule",
     "f_plugin",
     "f_precompute",

@@ -3,7 +3,8 @@
 Each network maps a raw state/action feature vector to a predicted
 cost-to-go: 256 softplus units and a linear read-out, Xavier-initialized,
 trained by plain minibatch gradient descent on the mean |prediction -
-target|^r loss with exact (hand-written) gradients.
+target|^``R_LOSS`` loss with exact (hand-written) gradients.  A minibatch is
+the samples of ``K_BATCH`` strategies crossed with ``J_BATCH`` worlds.
 
 The softplus is ``max(z, 0) + log1p(e)`` with ``e = exp(-|z|)``, in training
 and prediction alike; training reuses ``e`` for its derivative, the sigmoid
@@ -33,6 +34,13 @@ HIDDEN_UNITS = 256
 
 #: Gradient steps between two minibatch draws in :func:`train_level`.
 BATCH_CHANGE = 1000
+
+#: Exponent r of the training loss, mean |prediction - target|^r.
+R_LOSS = 2.0
+
+#: Strategies and worlds crossed into one :func:`train_level` minibatch.
+K_BATCH = 4
+J_BATCH = 4
 
 _log = logging.getLogger(__name__)
 
@@ -119,24 +127,12 @@ def net_loss_and_grads(net: PolicyNet, x: np.ndarray, y: np.ndarray, r: float):
 
 @dataclass(frozen=True)
 class TrainSchedule:
-    """Gradient-descent schedule for one network.
-
-    A fresh minibatch (the cross product of ``j_batch`` sample indexes and
-    ``k_batch`` strategy indexes, drawn from random permutations) is selected
-    every ``BATCH_CHANGE`` steps.
-    """
+    """Gradient-descent schedule for one network: ``n_iter`` steps at
+    ``rate``, minibatches drawn from ``seed``."""
 
     n_iter: int
     rate: float
-    r: float = 2.0
-    j_batch: int = 4
-    k_batch: int = 4
-    seed: int = 0
-
-
-def _batch_indexes(k_of, j_of, k_pick, j_pick):
-    mask = np.isin(k_of, k_pick) & np.isin(j_of, j_pick)
-    return np.flatnonzero(mask)
+    seed: int
 
 
 def train_level(
@@ -145,15 +141,17 @@ def train_level(
     net: PolicyNet,
     schedule: TrainSchedule,
     *,
-    k_of: np.ndarray | None = None,
-    j_of: np.ndarray | None = None,
+    k_of: np.ndarray,
+    j_of: np.ndarray,
 ) -> tuple[PolicyNet, np.ndarray]:
     """Fit one network by minibatch gradient descent; returns (net, losses).
 
-    ``k_of``/``j_of`` label each sample with its strategy and book index for
-    the permutation-based batch scheme; without them batches are plain random
-    subsets of ``j_batch * k_batch`` samples.  Raises TrainingDivergedError
-    (carrying the iteration index) if the loss goes non-finite.
+    ``k_of``/``j_of`` label each sample with its strategy and world index.
+    Every ``BATCH_CHANGE`` steps the minibatch becomes the samples of
+    ``K_BATCH`` strategies and ``J_BATCH`` worlds, each set the head of a
+    random permutation of the labels (all samples if that cross is empty).
+    Raises TrainingDivergedError (carrying the iteration index) if the loss
+    goes non-finite.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = np.asarray(y, dtype=np.float64)
@@ -162,25 +160,19 @@ def train_level(
     rng = np.random.default_rng(schedule.seed)
     losses = np.empty(schedule.n_iter)
     rows = np.arange(x.shape[0])
-    batch = rows
+    ks, js = np.unique(k_of), np.unique(j_of)
     # a private copy, stepped in place
     w1, b1, w2 = net.w1.copy(), net.b1.copy(), net.w2.copy()
     net = replace(net, w1=w1, b1=b1, w2=w2)
     for t in range(schedule.n_iter):
         if t % BATCH_CHANGE == 0:
-            if k_of is not None and j_of is not None:
-                ks = np.unique(k_of)
-                js = np.unique(j_of)
-                k_pick = rng.permutation(ks)[: min(schedule.k_batch, ks.size)]
-                j_pick = rng.permutation(js)[: min(schedule.j_batch, js.size)]
-                batch = _batch_indexes(k_of, j_of, k_pick, j_pick)
-                if batch.size == 0:
-                    batch = rows
-            else:
-                size = min(schedule.j_batch * schedule.k_batch, rows.size)
-                batch = rng.permutation(rows)[:size]
+            k_pick = rng.permutation(ks)[:K_BATCH]
+            j_pick = rng.permutation(js)[:J_BATCH]
+            batch = np.flatnonzero(np.isin(k_of, k_pick) & np.isin(j_of, j_pick))
+            if batch.size == 0:
+                batch = rows
             xb, yb = x[batch], y[batch]
-        loss, grads = net_loss_and_grads(net, xb, yb, schedule.r)
+        loss, grads = net_loss_and_grads(net, xb, yb, R_LOSS)
         if not np.isfinite(loss):
             raise TrainingDivergedError(
                 f"loss became non-finite at iteration {t}", iteration=t
@@ -199,10 +191,10 @@ def learning_rate_search(
     make_net,
     schedule: TrainSchedule,
     *,
-    candidates: int = 4,
+    candidates: int,
     probe_steps: int,
-    k_of: np.ndarray | None = None,
-    j_of: np.ndarray | None = None,
+    k_of: np.ndarray,
+    j_of: np.ndarray,
 ) -> tuple[PolicyNet, float, np.ndarray]:
     """Probe geometrically decreasing rates, keep the best, finish training.
 

@@ -108,7 +108,7 @@ class ActionSpec:
     levels: int
     budget: int
     dn_quantum: int
-    max_scan: int = 64
+    max_scan: int
 
     def min_future_cost(self, level: int, q: int) -> int:
         """Cheapest completion from state ``level`` with ``q`` survivors."""

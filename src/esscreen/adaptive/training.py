@@ -4,13 +4,14 @@ Pipeline: draw a pool of randomized screening schedules and a set of worlds
 from the prior, execute every (schedule, world) pair through the screening
 engine while filtering the posterior with the online policy's own level
 step (the forward pass, which keeps every posterior state it visits), then
-fit the per-level value nets backward: the final-level net regresses the
-Monte Carlo estimate of the terminal error, earlier nets regress the
-simulated one-step lookahead of the next level's fitted value plus the
-selection-risk term, and the opening move is tabulated directly (the
-initial state is known).  Every simulated level draws its batch statistics
-from the posterior predictive and goes through the same ``step`` +
-``advance`` kernel.
+fit the per-level value nets by one backward induction over the levels.
+At each level every trajectory contributes one row, its state and its
+schedule's action; the target is the Monte Carlo estimate of the terminal
+error at the final level and, below it, the simulated one-step lookahead of
+the next level's fitted value plus the selection-risk term.  The opening
+move is tabulated with the same lookahead (the initial state is known).
+Every simulated level draws its batch statistics from the posterior
+predictive and goes through the same ``step`` + ``advance`` kernel.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from .policy import (
 __all__ = [
     "AdaptiveConfig",
     "Trajectory",
-    "TrajectorySet",
     "generate_strategies",
     "forward_pass",
     "f_precompute",
@@ -194,39 +194,33 @@ def generate_strategies(
 class Trajectory:
     """One executed (schedule, world) pair, as the engine saw it.
 
+    ``strategy`` is the ``k``-th pooled schedule and ``j`` the world's index;
     ``levels`` are the per-level statistics that :func:`run_screening`
     returned, and ``states[l - 1]`` is the decision state that
-    :func:`advance` produced after level ``l``.
+    :func:`advance` produced after level ``l``.  The backward fit reads one
+    training row per level from it: ``states[l - 1]`` with the schedule's
+    action ``strategy.actions[l]``.
     """
 
     k: int
     j: int
+    strategy: Strategy
     levels: list[LevelStats]
     states: list[PosteriorState]
-
-
-@dataclass
-class TrajectorySet:
-    """Forward-pass output: every (schedule, world) execution trace."""
-
-    strategies: list[Strategy]
-    books: list[ScenarioParams]
-    trajectories: list[Trajectory]
-    prior: NIWParams
-    n_w: int
 
 
 def forward_pass(
     strategies: list[Strategy],
     books: list[ScenarioParams],
     cfg: AdaptiveConfig,
-) -> TrajectorySet:
+) -> list[Trajectory]:
     """Execute every schedule on every world, filtering the posterior.
 
     Price generation goes through the screening engine (chunked, survivor
     columns only), and each level's batch statistics update the posterior
     through the same :func:`advance` the online policy uses, so training
-    sees exactly the states the policy will see.
+    sees exactly the states the policy will see.  Trajectories come
+    schedule-major: ``(k, j)`` in the order of ``strategies``, then ``books``.
     """
     trajectories = []
     for k, strat in enumerate(strategies):
@@ -238,26 +232,18 @@ def forward_pass(
             for stats in run.levels:
                 state = advance(state, stats)
                 states.append(state)
-            trajectories.append(Trajectory(k=k, j=j, levels=run.levels, states=states))
-    return TrajectorySet(
-        strategies=strategies,
-        books=books,
-        trajectories=trajectories,
-        prior=cfg.prior,
-        n_w=cfg.n_w,
-    )
+            trajectories.append(Trajectory(k, j, strat, run.levels, states))
+    return trajectories
 
 
-def f_precompute(
-    ts: TrajectorySet, traj: Trajectory, level: int, sub: SubGammaParams
-) -> float:
+def f_precompute(traj: Trajectory, level: int, cfg: AdaptiveConfig) -> float:
     """Plug-in estimate of the selection-risk term of one executed level.
 
     Values and pair variances come from the unrestricted posterior right
-    after the level's batch (the previous state updated over every entered
-    scenario); the pairing permutation comes from the previous step's
-    empirical ranking (ties to the smaller index, so the opening level is
-    ranked in book order).
+    after the level's batch (the previous state, ``cfg.prior`` at the
+    opening, updated over every entered scenario); the pairing permutation
+    comes from the previous step's empirical ranking (ties to the smaller
+    index, so the opening level is ranked in book order).
     """
     if not (1 <= level <= len(traj.levels) - 1):
         raise InvalidParameterError(
@@ -269,12 +255,12 @@ def f_precompute(
     if level >= 2:
         prev = traj.states[level - 2]
     else:
-        prev = PosteriorState.opening(ts.prior)
+        prev = PosteriorState.opening(cfg.prior)
     half = niw_update_diag_stats(
         prev.niw, stats.batch_mean, stats.scatter, stats.dn, stats.entered
     )
     dq = stats.entered.size - stats.kept.size
-    return f_plugin(replace(prev, niw=half), dq, stats.dn, ts.n_w, sub)
+    return f_plugin(replace(prev, niw=half), dq, stats.dn, cfg.n_w, cfg.sub)
 
 
 def _inverse_wishart_blocks(niw: NIWParams, n_e: int, n_p: int, rng):
@@ -314,12 +300,12 @@ def mc_value_final(
 
 @dataclass
 class TrainingReport:
-    """Diagnostics from one fit: per-net learning-rate winners and losses."""
+    """Diagnostics from one fit: per-net learning-rate winners and losses,
+    and the target's (mean, std, rows) per net."""
 
     rates: dict
     final_losses: dict
     target_stats: dict
-    opening_values: list
 
 
 def _value_of_states(
@@ -364,50 +350,41 @@ def _predictive_draws(niw: NIWParams, n_e: int, n_p: int, rng: np.random.Generat
             yield mu_tilde, noise, sig_diag
 
 
-def _simulated_advance(
-    state: PosteriorState,
-    draw: tuple,
-    dn: int,
-    q_next: int,
-    rng: np.random.Generator,
-) -> PosteriorState:
-    """The decision state after a simulated level of ``dn`` paths.
+def _lookahead(state, action, draws, rng, nets, spec, sub, caps) -> float:
+    """Mean fitted value of the decision state after ``action`` at ``state``,
+    one simulated level per predictive draw (a lazy generator's draws
+    interleave with this function's own ``rng`` use).
 
     Simulates the batch sufficient statistics directly: the batch mean is
     Gaussian around the drawn impacts and the scatter diagonal is a chi^2
     stretch of the drawn variances, which is exactly what the diagonal
-    posterior update consumes.
+    posterior update consumes.  Each next state is scored by
+    :func:`_value_of_states`.
     """
-    mu_tilde, noise, sig_diag = draw
+    dq, dn = action
     d = state.q
-    delta_mean = mu_tilde + noise / math.sqrt(dn)
-    scatter = sig_diag * rng.chisquare(dn - 1, size=d) if dn > 1 else np.zeros(d)
-    stats = step(
-        state.ids, state.sums, state.n_cum, dn * delta_mean, scatter, dn, q_next
-    )
-    return advance(state, stats)
-
-
-def _simulate_next_states(
-    ts: TrajectorySet,
-    traj: Trajectory,
-    level: int,
-    cfg: AdaptiveConfig,
-    rng: np.random.Generator,
-) -> list[PosteriorState]:
-    """Draws of the next decision state under the executed schedule's action."""
-    strat = ts.strategies[traj.k]
-    state = traj.states[level - 1]
-    dn = strat.n[level + 1] - strat.n[level]
-    q_next = strat.q[level + 1]
-    return [
-        _simulated_advance(state, draw, dn, q_next, rng)
-        for draw in _predictive_draws(state.niw, cfg.n_e_mid, cfg.n_p_mid, rng)
-    ]
+    states = []
+    for mu_tilde, noise, sig_diag in draws:
+        delta_mean = mu_tilde + noise / math.sqrt(dn)
+        scatter = sig_diag * rng.chisquare(dn - 1, size=d) if dn > 1 else np.zeros(d)
+        stats = step(
+            state.ids, state.sums, state.n_cum, dn * delta_mean, scatter, dn, d - dq
+        )
+        states.append(advance(state, stats))
+    return float(np.mean(_value_of_states(nets, spec, states, sub, caps)))
 
 
 def fit_value_functions(cfg: AdaptiveConfig) -> tuple[PolicyBundle, TrainingReport]:
-    """Backward fitting of the per-level value nets and the opening move."""
+    """Backward induction over the per-level value nets, then the opening
+    move.
+
+    One loop over ``level = L-1 ... 1``: each trajectory contributes the row
+    of its state after ``level`` levels under its schedule's next action,
+    with target :func:`mc_value_final` at the final level (one shared
+    stream, in trajectory order) and, below it, the lookahead of the nets
+    already fitted plus :func:`f_precompute` of the next level.  The rows of
+    one level are grouped by window and each group fits one net.
+    """
     strategies = generate_strategies(
         cfg.k_bar, cfg, substream(cfg.seed, _STREAM_STRATEGIES)
     )
@@ -415,7 +392,7 @@ def fit_value_functions(cfg: AdaptiveConfig) -> tuple[PolicyBundle, TrainingRepo
         sample_niw(cfg.prior, substream(cfg.seed, _STREAM_BOOKS, j))
         for j in range(cfg.j_bar)
     ]
-    ts = forward_pass(strategies, books, cfg)
+    trajectories = forward_pass(strategies, books, cfg)
     spec = cfg.action_spec()
     levels = cfg.levels
     # the most any pooled schedule spends through each level
@@ -425,67 +402,28 @@ def fit_value_functions(cfg: AdaptiveConfig) -> tuple[PolicyBundle, TrainingRepo
     }
 
     nets: dict[tuple[int, int], object] = {}
-    report = TrainingReport(rates={}, final_losses={}, target_stats={}, opening_values=[])
-
-    # --- final-level net: window is always n_w -------------------------------
-    rng_t = substream(cfg.seed, _STREAM_TARGETS, levels)
-    rows, targets, k_of, j_of = [], [], [], []
-    for traj in ts.trajectories:
-        strat = ts.strategies[traj.k]
-        st = traj.states[levels - 2]
-        dn_last = strat.n[levels] - strat.n[levels - 1]
-        rows.append(features(st, [(0, dn_last)], cfg.n_w, cfg.sub)[0])
-        targets.append(mc_value_final(traj, cfg.n_e_final, cfg.n_p_final, rng_t))
-        k_of.append(traj.k)
-        j_of.append(traj.j)
-    _fit_net(
-        nets,
-        report,
-        cfg,
-        level=levels - 1,
-        q=cfg.n_w,
-        x=np.array(rows),
-        y=np.array(targets),
-        k_of=np.array(k_of),
-        j_of=np.array(j_of),
-    )
-
-    # --- intermediate levels, backward --------------------------------------
-    for level in range(levels - 2, 0, -1):
+    report = TrainingReport(rates={}, final_losses={}, target_stats={})
+    rng_final = substream(cfg.seed, _STREAM_TARGETS, levels)
+    for level in range(levels - 1, 0, -1):
         groups: dict[int, list] = {}
-        for traj in ts.trajectories:
-            strat = ts.strategies[traj.k]
-            q_here = strat.q[level]
-            rng_mc = substream(cfg.seed, _STREAM_TARGETS, level, traj.k, traj.j)
-            next_states = _simulate_next_states(ts, traj, level, cfg, rng_mc)
-            values = _value_of_states(nets, spec, next_states, cfg.sub, caps)
-            target = float(np.mean(values)) + f_precompute(
-                ts, traj, level + 1, cfg.sub
-            )
-            action = (q_here - strat.q[level + 1], strat.n[level + 1] - strat.n[level])
-            row = features(traj.states[level - 1], [action], cfg.n_w, cfg.sub)[0]
-            groups.setdefault(q_here, []).append((row, target, traj.k, traj.j))
-        for q_here, samples in groups.items():
-            x = np.array([s[0] for s in samples])
-            y = np.array([s[1] for s in samples])
-            _fit_net(
-                nets,
-                report,
-                cfg,
-                level=level,
-                q=q_here,
-                x=x,
-                y=y,
-                k_of=np.array([s[2] for s in samples]),
-                j_of=np.array([s[3] for s in samples]),
-            )
+        for traj in trajectories:
+            state = traj.states[level - 1]
+            action = traj.strategy.actions[level]
+            if level == levels - 1:
+                target = mc_value_final(traj, cfg.n_e_final, cfg.n_p_final, rng_final)
+            else:
+                rng = substream(cfg.seed, _STREAM_TARGETS, level, traj.k, traj.j)
+                draws = _predictive_draws(state.niw, cfg.n_e_mid, cfg.n_p_mid, rng)
+                target = _lookahead(
+                    state, action, draws, rng, nets, spec, cfg.sub, caps
+                ) + f_precompute(traj, level + 1, cfg)
+            row = features(state, [action], cfg.n_w, cfg.sub)[0]
+            groups.setdefault(state.q, []).append((row, target, traj.k, traj.j))
+        for q, samples in groups.items():
+            _fit_net(nets, report, cfg, level, q, samples)
 
-    # --- opening move: tabulate over the admissible set ---------------------
     opening = _tabulate_opening(cfg, spec, nets, caps)
-    report.opening_values = opening
     best = min(opening, key=lambda t: (t[2], t[0], t[1]))
-    first_action = (best[0], best[1])
-
     bundle = PolicyBundle(
         seed=cfg.seed,
         levels=levels,
@@ -498,15 +436,16 @@ def fit_value_functions(cfg: AdaptiveConfig) -> tuple[PolicyBundle, TrainingRepo
         sub=cfg.sub,
         prior=cfg.prior,
         nets=nets,
-        first_action=first_action,
+        first_action=(best[0], best[1]),
         first_action_table=opening,
         meta={"k_bar": cfg.k_bar, "j_bar": cfg.j_bar, "n_iter": cfg.n_iter},
     )
     return bundle, report
 
 
-def _fit_net(nets, report, cfg, *, level, q, x, y, k_of, j_of):
-    """Train one value net on standardized data, then fold the
+def _fit_net(nets, report, cfg, level, q, samples):
+    """Train the value net of window ``q`` at ``level`` on ``samples``, its
+    ``(row, target, k, j)`` tuples, on standardized data, then fold the
     standardization into the stored net's affine parameters.
 
     Each feature column is centered and scaled by its own training moments
@@ -518,10 +457,11 @@ def _fit_net(nets, report, cfg, *, level, q, x, y, k_of, j_of):
     the output layer is linear, the target map into (w2, b2), so the stored
     net consumes raw feature rows.
     """
-    col_c = x.mean(axis=0)
-    col_s = x.std(axis=0)
-    col_s[col_s <= 1e-12 * np.max(np.abs(x), axis=0)] = np.inf
-    xt = (x - col_c) / col_s
+    rows, y, k_of, j_of = (np.array(col) for col in zip(*samples))
+    col_c = rows.mean(axis=0)
+    col_s = rows.std(axis=0)
+    col_s[col_s <= 1e-12 * np.max(np.abs(rows), axis=0)] = np.inf
+    xt = (rows - col_c) / col_s
     y_c = float(np.mean(y))
     y_s = float(np.std(y))
     if y_s < 1e-12:
@@ -536,7 +476,7 @@ def _fit_net(nets, report, cfg, *, level, q, x, y, k_of, j_of):
     )
 
     def make(rng):
-        return xavier_net(x.shape[1], rng, meta={"level": level, "q": q})
+        return xavier_net(rows.shape[1], rng, meta={"level": level, "q": q})
 
     net, rate, losses = learning_rate_search(
         xt,
@@ -557,7 +497,7 @@ def _fit_net(nets, report, cfg, *, level, q, x, y, k_of, j_of):
     )
     # record the trained increment support; the argmin scans stay inside it
     folded.meta.update(
-        dn_lo=float(np.min(x[:, 1])), dn_hi=float(np.max(x[:, 1]))
+        dn_lo=float(np.min(rows[:, 1])), dn_hi=float(np.max(rows[:, 1]))
     )
     nets[(level, q)] = folded
     report.rates[(level, q)] = rate
@@ -567,7 +507,8 @@ def _fit_net(nets, report, cfg, *, level, q, x, y, k_of, j_of):
 
 def _tabulate_opening(cfg, spec, nets, caps):
     """Expected value of each admissible opening action from the known
-    initial state, sharing world draws across actions."""
+    initial state: the :func:`_lookahead` over one shared list of world
+    draws, plus the action's selection-bound feature."""
     state0 = PosteriorState.opening(cfg.prior)
     acts = scan_actions(nets, spec, state0, caps.get(1))
     if not acts:
@@ -580,8 +521,6 @@ def _tabulate_opening(cfg, spec, nets, caps):
     f0 = features(state0, acts, cfg.n_w, cfg.sub)[:, -1].tolist()
     table = []
     for (dq, dn), f in zip(acts, f0, strict=True):
-        q_next = cfg.n_s - dq
-        states = [_simulated_advance(state0, draw, dn, q_next, rng) for draw in draws]
-        vals = _value_of_states(nets, spec, states, cfg.sub, caps)
-        table.append((int(dq), int(dn), float(np.mean(vals) + f)))
+        value = _lookahead(state0, (dq, dn), draws, rng, nets, spec, cfg.sub, caps)
+        table.append((int(dq), int(dn), value + f))
     return table

@@ -15,6 +15,7 @@ the adaptive policy chooses each from the posterior after the level before.
 
 from __future__ import annotations
 
+import numbers
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -112,6 +113,12 @@ def cost(strategy: Strategy) -> int:
     return int(np.sum(q * strategy.delta_n()))
 
 
+def _check_count(value, name: str) -> None:
+    """Reject a count that is not an integer (a bool is not a count)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+
+
 def rank_select(estimates: np.ndarray, index_set: np.ndarray, keep: int) -> np.ndarray:
     """Indexes of the ``keep`` largest estimates, ties to the smaller index.
 
@@ -123,6 +130,7 @@ def rank_select(estimates: np.ndarray, index_set: np.ndarray, keep: int) -> np.n
     estimates = np.asarray(estimates, dtype=np.float64)
     if estimates.shape != index_set.shape:
         raise InvalidParameterError("estimates and index_set must align")
+    _check_count(keep, "keep")
     if not 0 <= keep <= index_set.size:
         raise InvalidParameterError(
             f"keep = {keep} must be in [0, {index_set.size}], the index set size"
@@ -356,6 +364,7 @@ def run_screening(
 
 def worst_indexes(mu: np.ndarray, n_w: int) -> np.ndarray:
     """Indexes of the ``n_w`` largest impacts, ties to the smaller index."""
+    _check_count(n_w, "n_w")
     if n_w < 1:
         raise InvalidParameterError(f"n_w must be >= 1, got {n_w}")
     mu = np.asarray(mu, dtype=np.float64)
@@ -364,6 +373,7 @@ def worst_indexes(mu: np.ndarray, n_w: int) -> np.ndarray:
 
 def exact_es(theta: ScenarioParams, n_w: int) -> float:
     """Average of the ``n_w`` largest true impacts."""
+    _check_count(n_w, "n_w")
     if not 1 <= n_w <= theta.n_s:
         raise InvalidParameterError(f"n_w = {n_w} must be in [1, n_s = {theta.n_s}]")
     top = np.sort(theta.mu)[::-1][:n_w]

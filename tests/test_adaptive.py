@@ -121,32 +121,37 @@ def toy_trajectories():
     books = [
         sample_niw(cfg.prior, substream(cfg.seed, 1, j)) for j in range(cfg.j_bar)
     ]
-    return cfg, forward_pass(strategies, books, cfg)
+    return cfg, strategies, books, forward_pass(strategies, books, cfg)
 
 
 class TestForwardPass:
+    def test_one_trajectory_per_pair_schedule_major(self, toy_trajectories):
+        cfg, strategies, books, trajs = toy_trajectories
+        assert [(t.k, t.j) for t in trajs] == [
+            (k, j) for k in range(len(strategies)) for j in range(len(books))
+        ]
+        assert all(t.strategy is strategies[t.k] for t in trajs)
+
     def test_pseudo_counts_track_paths(self, toy_trajectories):
-        cfg, ts = toy_trajectories
-        for traj in ts.trajectories:
-            strat = ts.strategies[traj.k]
+        cfg, _, _, trajs = toy_trajectories
+        for traj in trajs:
             for st in traj.states:
-                assert st.niw.k == cfg.prior.k + strat.n[st.level]
-                assert st.niw.i == cfg.prior.i + strat.n[st.level]
+                assert st.niw.k == cfg.prior.k + traj.strategy.n[st.level]
+                assert st.niw.i == cfg.prior.i + traj.strategy.n[st.level]
 
     def test_running_cost_identity(self, toy_trajectories):
-        cfg, ts = toy_trajectories
-        for traj in ts.trajectories:
-            strat = ts.strategies[traj.k]
+        cfg, _, _, trajs = toy_trajectories
+        for traj in trajs:
             c = 0
             for stats, st in zip(traj.levels, traj.states, strict=True):
                 c += stats.entered.size * stats.dn
                 assert st.cost == c
-            assert c == cost(strat)
+            assert c == cost(traj.strategy)
 
     def test_replayable(self, toy_trajectories):
-        cfg, ts = toy_trajectories
-        ts2 = forward_pass(ts.strategies, ts.books, cfg)
-        for t1, t2 in zip(ts.trajectories, ts2.trajectories, strict=True):
+        cfg, strategies, books, trajs = toy_trajectories
+        again = forward_pass(strategies, books, cfg)
+        for t1, t2 in zip(trajs, again, strict=True):
             for a, b in zip(t1.states, t2.states, strict=True):
                 np.testing.assert_array_equal(a.mu_hat, b.mu_hat)
                 np.testing.assert_array_equal(a.niw.m, b.niw.m)
@@ -157,8 +162,8 @@ class TestForwardPass:
         mu = synthetic_book(cfg.n_s, 5.0)
         book = ScenarioParams(mu=mu, sigma=np.zeros((cfg.n_s, cfg.n_s)))
         strat = Strategy(q=(12, 4, 2), n=(0, 40, 120, 400))
-        ts = forward_pass([strat], [book], cfg)
-        final = ts.trajectories[0].states[-1]
+        (traj,) = forward_pass([strat], [book], cfg)
+        final = traj.states[-1]
         # with noiseless prices the location posterior contracts onto mu
         w = final.niw.k
         ids = final.ids
@@ -168,13 +173,13 @@ class TestForwardPass:
 
 class TestFPrecompute:
     def test_matches_direct_transcription(self, toy_trajectories):
-        cfg, ts = toy_trajectories
-        traj = ts.trajectories[2]
+        cfg, _, _, trajs = toy_trajectories
+        traj = trajs[2]
         for level in (1, 2):
             stats = traj.levels[level - 1]
             if stats.kept.size == stats.entered.size:
                 continue
-            got = f_precompute(ts, traj, level, cfg.sub)
+            got = f_precompute(traj, level, cfg)
             # the unrestricted update of the previous posterior by the
             # level's batch, over every entered scenario
             prev_niw = traj.states[level - 2].niw if level >= 2 else cfg.prior
@@ -192,7 +197,7 @@ class TestFPrecompute:
                 n_prev=stats.n_cum - stats.dn,
                 delta_n=stats.dn,
                 q_next=stats.kept.size,
-                n_w=min(ts.n_w, stats.kept.size),
+                n_w=min(cfg.n_w, stats.kept.size),
             )
             want = f_p_ad(
                 half.m,
@@ -349,15 +354,14 @@ def test_feature_rows_have_one_layout_at_every_window(q):
 
 
 class TestMcValueFinal:
-    def _small_ts(self):
+    def _small_trajectories(self):
         cfg = toy_config(k_bar=2, j_bar=2)
         strategies = generate_strategies(2, cfg, substream(7, 0))
         books = [sample_niw(cfg.prior, substream(7, 1, j)) for j in range(2)]
-        return cfg, forward_pass(strategies, books, cfg)
+        return forward_pass(strategies, books, cfg)
 
     def test_zero_posterior_variance(self):
-        cfg, ts = self._small_ts()
-        traj = ts.trajectories[0]
+        traj = self._small_trajectories()[0]
         final = traj.states[-1]
         final.niw = replace(final.niw, s=np.zeros_like(final.niw.s), k=1e18)
         got = mc_value_final(traj, 100, 10, substream(8, 0))
@@ -365,8 +369,7 @@ class TestMcValueFinal:
         assert got == pytest.approx(want, rel=1e-6)
 
     def test_stderr_shrinks_with_draws(self):
-        cfg, ts = self._small_ts()
-        traj = ts.trajectories[1]
+        traj = self._small_trajectories()[1]
 
         def spread(n_e, reps, tag):
             vals = [
@@ -381,8 +384,7 @@ class TestMcValueFinal:
     def test_matches_fresh_wishart_estimator(self):
         # reusing one covariance draw per block must agree with a fresh draw
         # per sample within combined Monte Carlo error
-        cfg, ts = self._small_ts()
-        traj = ts.trajectories[0]
+        traj = self._small_trajectories()[0]
         pooled = [
             mc_value_final(traj, 3000, 50, substream(10, 0, r)) for r in range(8)
         ]
@@ -396,7 +398,12 @@ class TestMcValueFinal:
 class TestActionSpec:
     def _spec(self):
         return ActionSpec(
-            q_grid=(2, 4, 6, 8, 12), n_w=2, levels=3, budget=4000, dn_quantum=10
+            q_grid=(2, 4, 6, 8, 12),
+            n_w=2,
+            levels=3,
+            budget=4000,
+            dn_quantum=10,
+            max_scan=64,
         )
 
     def test_options_respect_budget_and_grid(self):
@@ -471,6 +478,18 @@ class TestFitAndRun:
         cfg, bundle, report = toy_bundle
         assert all(np.isfinite(v) for v in report.final_losses.values())
         assert bundle.first_action[1] >= 1
+
+    def test_backward_loop_fits_one_row_per_trajectory_per_level(self, toy_bundle):
+        # every (schedule, world) trajectory gives each level one training
+        # row, and the final level's rows all sit at the n_w window
+        cfg, bundle, report = toy_bundle
+        assert set(report.target_stats) == set(bundle.nets)
+        for level in range(1, cfg.levels):
+            stats = report.target_stats.items()
+            rows = [n for (lvl, _), (_, _, n) in stats if lvl == level]
+            assert sum(rows) == cfg.k_bar * cfg.j_bar
+        final = [key for key in report.target_stats if key[0] == cfg.levels - 1]
+        assert final == [(cfg.levels - 1, cfg.n_w)]
 
     def test_policy_actions_always_feasible(self, toy_bundle):
         cfg, bundle, _ = toy_bundle
@@ -574,10 +593,10 @@ class TestFitAndRun:
         from esscreen.adaptive.training import _value_of_states
 
         cfg, bundle, _ = toy_bundle
-        _, ts = toy_trajectories
+        trajs = toy_trajectories[-1]
         spec = bundle.action_spec()
         levels_seen = set()
-        for traj in ts.trajectories:
+        for traj in trajs:
             for st in traj.states[:-1]:
                 acts, preds = action_values(bundle.nets, spec, st, cfg.sub)
                 (value,) = _value_of_states(bundle.nets, spec, [st], cfg.sub, {})
@@ -658,9 +677,9 @@ def test_every_varying_feature_reaches_the_net_standardized(monkeypatch):
     raw, seen = [], []
     real_fit, real_search = training._fit_net, training.learning_rate_search
 
-    def fit(*args, x, **kw):
-        raw.append(x)
-        return real_fit(*args, x=x, **kw)
+    def fit(nets, report, cfg, level, q, samples):
+        raw.append(np.array([row for row, *_ in samples]))
+        return real_fit(nets, report, cfg, level, q, samples)
 
     def search(x, *args, **kw):
         seen.append(x)

@@ -24,6 +24,13 @@ def _net(d=7, seed=0, hidden=32):
     return xavier_net(d, rng, hidden=hidden)
 
 
+def _labels(n, width):
+    """Strategy and world labels of ``n`` samples laid out on a grid
+    ``width`` strategies wide: every sample its own (k, j) pair."""
+    rows = np.arange(n)
+    return {"k_of": rows % width, "j_of": rows // width}
+
+
 def _flatten(net):
     return np.concatenate([net.w1.ravel(), net.b1, net.w2, [net.b2]])
 
@@ -180,11 +187,9 @@ class TestStandardizationFold:
             return out
 
         monkeypatch.setattr(training, "learning_rate_search", capture)
-        nets, report = {}, training.TrainingReport({}, {}, {}, [])
-        training._fit_net(
-            nets, report, cfg, level=1, q=2, x=x, y=y,
-            k_of=np.zeros(n, dtype=int), j_of=np.arange(n),
-        )
+        nets, report = {}, training.TrainingReport({}, {}, {})
+        samples = [(row, target, 0, j) for j, (row, target) in enumerate(zip(x, y))]
+        training._fit_net(nets, report, cfg, 1, 2, samples)
         ((xt, net),) = trained
         folded = nets[(1, 2)]
         y_c, y_s, _ = report.target_stats[(1, 2)]
@@ -212,8 +217,10 @@ class TestTraining:
         x = rng.normal(size=(48, 4))
         y = np.full(48, 3.7)
         net = xavier_net(4, np.random.default_rng(2), hidden=256)
-        sched = TrainSchedule(n_iter=3000, rate=0.5, r=2.0, seed=0, j_batch=48, k_batch=1)
-        net, losses = train_level(x, y, net, sched)
+        sched = TrainSchedule(n_iter=3000, rate=0.5, seed=0)
+        # one (strategy, world) label: every step sees the full batch
+        one = np.zeros(48, dtype=int)
+        net, losses = train_level(x, y, net, sched, k_of=one, j_of=one)
         pred = net_forward(net, x)
         assert np.max(np.abs(pred - 3.7)) < 1e-3
         assert losses[-1] < losses[0]
@@ -223,9 +230,9 @@ class TestTraining:
         x = rng.normal(size=(32, 3)) * 100
         y = rng.normal(size=32) * 100
         net = _net(d=3, seed=3)
-        sched = TrainSchedule(n_iter=2000, rate=1e6, r=2.0, seed=0)
+        sched = TrainSchedule(n_iter=2000, rate=1e6, seed=0)
         with pytest.raises(TrainingDivergedError) as exc:
-            train_level(x, y, net, sched)
+            train_level(x, y, net, sched, **_labels(32, 8))
         assert exc.value.iteration is not None
 
     def test_deterministic_given_seed(self):
@@ -233,19 +240,22 @@ class TestTraining:
         x = rng.normal(size=(40, 5))
         y = x @ rng.normal(size=5)
         sched = TrainSchedule(n_iter=500, rate=0.01, seed=11)
-        n1, l1 = train_level(x, y, _net(d=5, seed=4), sched)
-        n2, l2 = train_level(x, y, _net(d=5, seed=4), sched)
+        labels = _labels(40, 8)
+        n1, l1 = train_level(x, y, _net(d=5, seed=4), sched, **labels)
+        n2, l2 = train_level(x, y, _net(d=5, seed=4), sched, **labels)
         np.testing.assert_array_equal(n1.w1, n2.w1)
         np.testing.assert_array_equal(l1, l2)
 
-    def test_grouped_batches_respect_membership(self):
+    def test_grouped_batches_respect_membership(self, monkeypatch):
+        monkeypatch.setattr(net_mod, "J_BATCH", 2)
+        monkeypatch.setattr(net_mod, "K_BATCH", 2)
         rng = np.random.default_rng(10)
         n_k, n_j = 6, 5
         k_of = np.repeat(np.arange(n_k), n_j)
         j_of = np.tile(np.arange(n_j), n_k)
         x = rng.normal(size=(n_k * n_j, 3))
         y = rng.normal(size=n_k * n_j)
-        sched = TrainSchedule(n_iter=50, rate=1e-3, j_batch=2, k_batch=2, seed=5)
+        sched = TrainSchedule(n_iter=50, rate=1e-3, seed=5)
         net, losses = train_level(x, y, _net(d=3, seed=5), sched, k_of=k_of, j_of=j_of)
         assert np.all(np.isfinite(losses))
 
@@ -270,20 +280,20 @@ class TestInPlaceTrainer:
         losses = []
         for t in range(sched.n_iter):
             if t % net_mod.BATCH_CHANGE == 0:
-                k_pick = rng.permutation(ks)[: sched.k_batch]
-                j_pick = rng.permutation(js)[: sched.j_batch]
+                k_pick = rng.permutation(ks)[: net_mod.K_BATCH]
+                j_pick = rng.permutation(js)[: net_mod.J_BATCH]
                 batch = np.flatnonzero(np.isin(k_of, k_pick) & np.isin(j_of, j_pick))
-            loss, g = net_loss_and_grads(net, x[batch], y[batch], sched.r)
+            loss, g = net_loss_and_grads(net, x[batch], y[batch], net_mod.R_LOSS)
             losses.append(loss)
             params = ("w1", "b1", "w2", "b2")
             net = replace(net, **{p: getattr(net, p) - sched.rate * g[p] for p in params})
         return net, np.array(losses)
 
-    def test_matches_out_of_place_reference_over_batch_changes(self):
+    def test_matches_out_of_place_reference_over_batch_changes(self, monkeypatch):
+        monkeypatch.setattr(net_mod, "J_BATCH", 3)
+        monkeypatch.setattr(net_mod, "K_BATCH", 2)
         x, y, k_of, j_of = self._task()
-        sched = TrainSchedule(
-            n_iter=2 * net_mod.BATCH_CHANGE + 40, rate=0.01, j_batch=3, k_batch=2, seed=8
-        )
+        sched = TrainSchedule(n_iter=2 * net_mod.BATCH_CHANGE + 40, rate=0.01, seed=8)
         start = _net(d=4, seed=6, hidden=8)
         net, losses = train_level(x, y, start, sched, k_of=k_of, j_of=j_of)
         ref, ref_losses = self._reference(x, y, start, sched, k_of, j_of)
@@ -311,8 +321,9 @@ class TestInPlaceTrainer:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(net_mod, "net_loss_and_grads", counted)
-        x, y, _, _ = self._task()
-        train_level(x, y, _net(d=4, hidden=8), TrainSchedule(n_iter=37, rate=0.01))
+        x, y, k_of, j_of = self._task()
+        sched = TrainSchedule(n_iter=37, rate=0.01, seed=0)
+        train_level(x, y, _net(d=4, hidden=8), sched, k_of=k_of, j_of=j_of)
         assert len(calls) == 37
 
 
@@ -329,17 +340,20 @@ class TestLearningRateSearch:
             sched,
             candidates=1,
             probe_steps=50,
+            **_labels(30, 6),
         )
         assert rate == pytest.approx(0.003)
         assert losses.size == 300
 
-    def test_picks_sane_rate_on_quadratic_task(self):
+    def test_picks_sane_rate_on_quadratic_task(self, monkeypatch):
         # probe rates 10, 1, 0.1, 0.01: the early ones diverge or thrash, an
         # interior rate wins, and the finished net actually fits the data
+        monkeypatch.setattr(net_mod, "J_BATCH", 8)
+        monkeypatch.setattr(net_mod, "K_BATCH", 8)
         rng = np.random.default_rng(13)
         x = rng.normal(size=(200, 4))
         y = x @ np.array([2.0, -1.0, 0.0, 1.0]) + 0.5
-        sched = TrainSchedule(n_iter=4000, rate=10.0, j_batch=8, k_batch=8, seed=2)
+        sched = TrainSchedule(n_iter=4000, rate=10.0, seed=2)
         net, rate, losses = learning_rate_search(
             x,
             y,
@@ -347,6 +361,7 @@ class TestLearningRateSearch:
             sched,
             candidates=4,
             probe_steps=400,
+            **_labels(200, 20),
         )
         assert rate < 10.0
         pred = net_forward(net, x)
@@ -358,8 +373,9 @@ class TestLearningRateSearch:
         y = rng.normal(size=50)
         sched = TrainSchedule(n_iter=100, rate=1.0, seed=3)
         make = lambda r: xavier_net(3, r, hidden=8)
-        a = learning_rate_search(x, y, make, sched, candidates=3, probe_steps=40)
-        b = learning_rate_search(x, y, make, sched, candidates=3, probe_steps=40)
+        kw = dict(candidates=3, probe_steps=40, **_labels(50, 5))
+        a = learning_rate_search(x, y, make, sched, **kw)
+        b = learning_rate_search(x, y, make, sched, **kw)
         assert a[1] == b[1]
         np.testing.assert_array_equal(a[0].w1, b[0].w1)
 
@@ -376,8 +392,13 @@ class TestLearningRateSearch:
                 sched,
                 candidates=2,
                 probe_steps=50,
+                **_labels(20, 4),
             )
         assert "rate" in str(exc.value)
+
+
+#: labels of the 40-sample tasks below
+LABELS_40 = _labels(40, 5)
 
 
 class TestFinalRunFallback:
@@ -406,12 +427,12 @@ class TestFinalRunFallback:
     def test_falls_back_to_next_best_probe(self, monkeypatch, caplog):
         x, y, sched, make = self._task()
         _, best_rate, _ = learning_rate_search(
-            x, y, make, sched, candidates=3, probe_steps=30
+            x, y, make, sched, candidates=3, probe_steps=30, **LABELS_40
         )
         calls = self._diverge_finals(monkeypatch, sched.n_iter, {best_rate})
         with caplog.at_level(logging.WARNING, logger="esscreen.adaptive.net"):
             net, rate, losses = learning_rate_search(
-                x, y, make, sched, candidates=3, probe_steps=30
+                x, y, make, sched, candidates=3, probe_steps=30, **LABELS_40
             )
         finals = [rate for n_iter, rate in calls if n_iter == sched.n_iter]
         assert finals == [best_rate, rate] and rate != best_rate
@@ -423,7 +444,7 @@ class TestFinalRunFallback:
         x, y, sched, make = self._task()
         with caplog.at_level(logging.DEBUG, logger="esscreen.adaptive.net"):
             _, rate, _ = learning_rate_search(
-                x, y, make, sched, candidates=3, probe_steps=30
+                x, y, make, sched, candidates=3, probe_steps=30, **LABELS_40
             )
         (record,) = [r for r in caplog.records if r.name == "esscreen.adaptive.net"]
         assert record.levelno == logging.DEBUG
@@ -437,7 +458,9 @@ class TestFinalRunFallback:
         rates = {sched.rate / 10.0**i for i in range(1, 4)}
         self._diverge_finals(monkeypatch, sched.n_iter, rates)
         with pytest.raises(TrainingDivergedError) as exc:
-            learning_rate_search(x, y, make, sched, candidates=3, probe_steps=30)
+            learning_rate_search(
+                x, y, make, sched, candidates=3, probe_steps=30, **LABELS_40
+            )
         msg = str(exc.value)
         for rate in (0.1, 0.01, 0.001):
             assert f"rate {rate:g}: mean log loss" in msg  # each probe's outcome
@@ -477,7 +500,13 @@ class TestGrowingProbe:
         x, y, sched, make = self._task()
         candidates, probe_steps = 3, 30
         _, best_final, _ = learning_rate_search(
-            x, y, make, sched, candidates=candidates, probe_steps=probe_steps
+            x,
+            y,
+            make,
+            sched,
+            candidates=candidates,
+            probe_steps=probe_steps,
+            **LABELS_40,
         )
         rates = [sched.rate / 10.0**i for i in range(candidates)]
         finals = [sched.rate / 10.0 ** (i + 1) for i in range(candidates)]
@@ -494,7 +523,13 @@ class TestGrowingProbe:
 
         calls = self._patch_probes(monkeypatch, probe_steps, reverse_best)
         _, rate, losses = learning_rate_search(
-            x, y, make, sched, candidates=candidates, probe_steps=probe_steps
+            x,
+            y,
+            make,
+            sched,
+            candidates=candidates,
+            probe_steps=probe_steps,
+            **LABELS_40,
         )
         assert grown["last"] < grown["first"]  # the reversed losses grow
         assert rate != best_final and rate in finals
@@ -506,6 +541,8 @@ class TestGrowingProbe:
         x, y, sched, make = self._task()
         self._patch_probes(monkeypatch, 30, lambda rate, _: np.linspace(1.0, 2.0, 30))
         with pytest.raises(TrainingDivergedError) as exc:
-            learning_rate_search(x, y, make, sched, candidates=2, probe_steps=30)
+            learning_rate_search(
+                x, y, make, sched, candidates=2, probe_steps=30, **LABELS_40
+            )
         for rate in (0.1, 0.01):
             assert f"rate {rate:g}: grew, loss" in str(exc.value)

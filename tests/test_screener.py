@@ -90,6 +90,17 @@ class TestRankSelect:
     def test_keep_zero_is_empty(self):
         assert rank_select(np.array([3.0, 1.0]), np.arange(2), 0).size == 0
 
+    @pytest.mark.parametrize("keep", [1.5, 2.0, True, np.float64(1.0), "1"])
+    def test_non_integer_keep_rejected(self, keep):
+        # a float fails inside the slice with a bare TypeError and a bool
+        # counts as 0 or 1 unless they are rejected up front
+        with pytest.raises(InvalidParameterError, match="keep"):
+            rank_select(np.array([3.0, 1.0, 2.0]), np.arange(3), keep)
+
+    def test_numpy_integer_keep_accepted(self):
+        got = rank_select(np.array([3.0, 1.0, 2.0]), np.arange(3), np.int64(2))
+        np.testing.assert_array_equal(got, [0, 2])
+
     @given(
         vals=st.lists(st.integers(-3, 3), min_size=1, max_size=12),
         data=st.data(),
@@ -125,6 +136,24 @@ class TestExactEs:
         theta = ScenarioParams(mu=np.array([3.0, 1.0, 2.0]), sigma=np.zeros((3, 3)))
         with pytest.raises(InvalidParameterError, match="n_w"):
             exact_es(theta, n_w)
+
+    @pytest.mark.parametrize("n_w", [1.5, 2.0, True, False, np.float64(2.0)])
+    def test_non_integer_window_rejected(self, n_w):
+        # a float or a bool is no window: exact_es(theta, 2.0) would fail
+        # with a bare TypeError and worst_indexes(mu, True) return [0]
+        theta = ScenarioParams(mu=np.array([3.0, 1.0, 2.0]), sigma=np.zeros((3, 3)))
+        with pytest.raises(InvalidParameterError, match="n_w"):
+            exact_es(theta, n_w)
+        with pytest.raises(InvalidParameterError, match="n_w"):
+            worst_indexes(theta.mu, n_w)
+        run = run_screening(Strategy(q=(3, 1), n=(0, 1, 2)), theta, substream(7, 1))
+        with pytest.raises(InvalidParameterError, match="n_w"):
+            correct_selection(run, theta, n_w)
+
+    def test_numpy_integer_window_accepted(self):
+        theta = ScenarioParams(mu=np.array([3.0, 1.0, 2.0]), sigma=np.zeros((3, 3)))
+        assert exact_es(theta, np.int64(2)) == 2.5
+        assert worst_indexes(theta.mu, np.int32(2)).tolist() == [0, 2]
 
     @pytest.mark.parametrize("n_w", [0, -1])
     def test_worst_indexes_and_correct_selection_reject_a_window_below_one(
