@@ -30,6 +30,7 @@ __all__ = [
     "learning_rate_search",
 ]
 
+#: Hidden units of every value net; :func:`xavier_net` reads it at call time.
 HIDDEN_UNITS = 256
 
 #: Gradient steps between two minibatch draws in :func:`train_level`.
@@ -60,19 +61,15 @@ class PolicyNet:
         return self.w1.shape[1]
 
 
-def xavier_net(
-    d: int,
-    rng: np.random.Generator,
-    hidden: int = HIDDEN_UNITS,
-    meta: dict | None = None,
-) -> PolicyNet:
-    """Glorot-uniform initialized network for ``d`` raw input features."""
-    lim1 = np.sqrt(6.0 / (d + hidden))
-    lim2 = np.sqrt(6.0 / (hidden + 1))
+def xavier_net(d: int, rng: np.random.Generator, meta: dict | None = None) -> PolicyNet:
+    """Glorot-uniform initialized network of ``HIDDEN_UNITS`` hidden units
+    (read at call time) for ``d`` raw input features."""
+    lim1 = np.sqrt(6.0 / (d + HIDDEN_UNITS))
+    lim2 = np.sqrt(6.0 / (HIDDEN_UNITS + 1))
     return PolicyNet(
-        w1=rng.uniform(-lim1, lim1, size=(hidden, d)),
-        b1=np.zeros(hidden),
-        w2=rng.uniform(-lim2, lim2, size=hidden),
+        w1=rng.uniform(-lim1, lim1, size=(HIDDEN_UNITS, d)),
+        b1=np.zeros(HIDDEN_UNITS),
+        w2=rng.uniform(-lim2, lim2, size=HIDDEN_UNITS),
         b2=0.0,
         meta=dict(meta or {}),
     )

@@ -124,23 +124,22 @@ class ActionSpec:
             return [self.n_w]
         return [g for g in self.q_grid if self.n_w <= g <= q_now]
 
-    def max_quanta(self, level: int, q_now: int, q_next: int, cost_now: int, cap=None):
-        budget = self.budget if cap is None else min(self.budget, cap)
-        room = budget - cost_now - self.min_future_cost(level + 1, q_next)
+    def max_quanta(self, level: int, q_now: int, q_next: int, cost_now: int):
+        room = self.budget - cost_now - self.min_future_cost(level + 1, q_next)
         return room // (q_now * self.dn_quantum)
 
     def dn_options(
-        self, level: int, q_now: int, q_next: int, cost_now: int, cap=None
+        self, level: int, q_now: int, q_next: int, cost_now: int
     ) -> np.ndarray:
         """Quantum multiples to scan, geometrically thinned to ``max_scan``."""
-        j_max = self.max_quanta(level, q_now, q_next, cost_now, cap)
+        j_max = self.max_quanta(level, q_now, q_next, cost_now)
         return _scan_quanta(int(j_max), self.max_scan) * self.dn_quantum
 
-    def actions(self, level: int, q_now: int, cost_now: int, cap=None):
+    def actions(self, level: int, q_now: int, cost_now: int):
         """Scan list of (dq, dn) pairs admissible at the given state."""
         out = []
         for q_next in self.next_q_options(level, q_now):
-            dns = self.dn_options(level, q_now, q_next, cost_now, cap).tolist()
+            dns = self.dn_options(level, q_now, q_next, cost_now).tolist()
             out += [(q_now - q_next, dn) for dn in dns]
         return out
 
@@ -370,10 +369,7 @@ class PolicyBundle:
 
 
 def scan_actions(
-    nets: dict,
-    spec: ActionSpec,
-    state: PosteriorState,
-    cap: int | None = None,
+    nets: dict, spec: ActionSpec, state: PosteriorState
 ) -> list[tuple[int, int]]:
     """Candidate actions for the fitted argmin at one state.
 
@@ -386,7 +382,7 @@ def scan_actions(
     paths only shrink the final estimator's variance: the only candidate is
     the largest admissible increment, which spends the remaining budget.
     """
-    acts = spec.actions(state.level, state.q, state.cost, cap)
+    acts = spec.actions(state.level, state.q, state.cost)
     if state.level + 1 >= spec.levels:
         return acts[-1:]
     if state.level + 1 < spec.levels - 1:
@@ -409,7 +405,6 @@ def action_values(
     spec: ActionSpec,
     state: PosteriorState,
     sub: SubGammaParams,
-    cap: int | None = None,
 ) -> tuple[list[tuple[int, int]], np.ndarray]:
     """``(acts, preds)``: the :func:`scan_actions` candidates at ``state``
     and the state's value net's prediction for each.
@@ -423,7 +418,7 @@ def action_values(
             f"no value net for level {state.level}, window {state.q}; "
             "the policy was trained on an incompatible strategy pool"
         )
-    acts = scan_actions(nets, spec, state, cap)
+    acts = scan_actions(nets, spec, state)
     if not acts:
         return acts, np.empty(0)
     rows = features(state, acts, spec.n_w, sub)

@@ -68,6 +68,14 @@ _STREAM_NETS = 5
 #: Consecutive rejected schedule draws after which the strategy pool gives up.
 MAX_REJECTS = 10_000
 
+#: Smallest value of each count field of :class:`AdaptiveConfig`
+#: (``dn_quantum = 0`` picks the quantum from the budget).
+_COUNT_FLOORS = {"dn_quantum": 0} | dict.fromkeys(
+    "n_s n_w k_bar j_bar n_iter probe_steps lr_candidates n_e_final n_p_final "
+    "n_e_mid n_p_mid n_e_open max_scan".split(),
+    1,
+)
+
 
 @dataclass(frozen=True)
 class AdaptiveConfig:
@@ -103,10 +111,19 @@ class AdaptiveConfig:
             raise InvalidParameterError(
                 f"levels must be an integer >= 2, got {self.levels!r}"
             )
+        for name, floor in _COUNT_FLOORS.items():
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+            if value < floor:
+                raise InvalidParameterError(f"{name} must be >= {floor}, got {value}")
+        if not 0 < self.base_rate < math.inf:
+            raise InvalidParameterError(
+                f"base_rate must be in (0, inf): {self.base_rate!r}"
+            )
         # these reach the saved bundle's JSON header, which takes no numpy
         # integers
-        names = ("n_s", "n_w", "levels", "budget", "dn_quantum", "max_scan", "seed")
-        for name in names:
+        for name in (*_COUNT_FLOORS, "levels", "budget", "seed"):
             value = getattr(self, name)
             if isinstance(value, numbers.Integral):
                 object.__setattr__(self, name, int(value))
@@ -310,17 +327,16 @@ class TrainingReport:
 
 def _value_of_states(
     bundle_nets: dict,
-    spec: ActionSpec,
+    specs: dict[int, ActionSpec],
     states: list[PosteriorState],
     sub: SubGammaParams,
-    caps: dict,
 ) -> np.ndarray:
-    """min over admissible actions of the next-level net, batched per state."""
+    """min over admissible actions of the next-level net, batched per state;
+    a state at ``level`` scans ``specs[level + 1]``."""
     out = np.empty(len(states))
     for idx, st in enumerate(states):
-        acts, preds = action_values(
-            bundle_nets, spec, st, sub, caps.get(st.level + 1)
-        )
+        spec = specs[st.level + 1]
+        acts, preds = action_values(bundle_nets, spec, st, sub)
         if not acts:
             # pool-edge state without cap room: fall back to the cheapest
             # legal continuation so the target stays defined (prediction
@@ -350,7 +366,7 @@ def _predictive_draws(niw: NIWParams, n_e: int, n_p: int, rng: np.random.Generat
             yield mu_tilde, noise, sig_diag
 
 
-def _lookahead(state, action, draws, rng, nets, spec, sub, caps) -> float:
+def _lookahead(state, action, draws, rng, nets, specs, sub) -> float:
     """Mean fitted value of the decision state after ``action`` at ``state``,
     one simulated level per predictive draw (a lazy generator's draws
     interleave with this function's own ``rng`` use).
@@ -371,7 +387,7 @@ def _lookahead(state, action, draws, rng, nets, spec, sub, caps) -> float:
             state.ids, state.sums, state.n_cum, dn * delta_mean, scatter, dn, d - dq
         )
         states.append(advance(state, stats))
-    return float(np.mean(_value_of_states(nets, spec, states, sub, caps)))
+    return float(np.mean(_value_of_states(nets, specs, states, sub)))
 
 
 def fit_value_functions(cfg: AdaptiveConfig) -> tuple[PolicyBundle, TrainingReport]:
@@ -395,11 +411,11 @@ def fit_value_functions(cfg: AdaptiveConfig) -> tuple[PolicyBundle, TrainingRepo
     trajectories = forward_pass(strategies, books, cfg)
     spec = cfg.action_spec()
     levels = cfg.levels
-    # the most any pooled schedule spends through each level
-    caps = {
-        lvl: max(cost(Strategy(s.q[:lvl], s.n[: lvl + 1])) for s in strategies)
-        for lvl in range(1, levels + 1)
-    }
+    # a scan spends no more through level lvl than any pooled schedule does
+    specs = {}
+    for lvl in range(1, levels + 1):
+        cap = max(cost(Strategy(s.q[:lvl], s.n[: lvl + 1])) for s in strategies)
+        specs[lvl] = replace(spec, budget=min(spec.budget, cap))
 
     nets: dict[tuple[int, int], object] = {}
     report = TrainingReport(rates={}, final_losses={}, target_stats={})
@@ -415,14 +431,14 @@ def fit_value_functions(cfg: AdaptiveConfig) -> tuple[PolicyBundle, TrainingRepo
                 rng = substream(cfg.seed, _STREAM_TARGETS, level, traj.k, traj.j)
                 draws = _predictive_draws(state.niw, cfg.n_e_mid, cfg.n_p_mid, rng)
                 target = _lookahead(
-                    state, action, draws, rng, nets, spec, cfg.sub, caps
+                    state, action, draws, rng, nets, specs, cfg.sub
                 ) + f_precompute(traj, level + 1, cfg)
             row = features(state, [action], cfg.n_w, cfg.sub)[0]
             groups.setdefault(state.q, []).append((row, target, traj.k, traj.j))
         for q, samples in groups.items():
             _fit_net(nets, report, cfg, level, q, samples)
 
-    opening = _tabulate_opening(cfg, spec, nets, caps)
+    opening = _tabulate_opening(cfg, specs, nets)
     best = min(opening, key=lambda t: (t[2], t[0], t[1]))
     bundle = PolicyBundle(
         seed=cfg.seed,
@@ -505,12 +521,12 @@ def _fit_net(nets, report, cfg, level, q, samples):
     report.target_stats[(level, q)] = (y_c, y_s, int(y.size))
 
 
-def _tabulate_opening(cfg, spec, nets, caps):
+def _tabulate_opening(cfg, specs, nets):
     """Expected value of each admissible opening action from the known
-    initial state: the :func:`_lookahead` over one shared list of world
-    draws, plus the action's selection-bound feature."""
+    initial state (scanned on ``specs[1]``): the :func:`_lookahead` over one
+    shared list of world draws, plus the action's selection-bound feature."""
     state0 = PosteriorState.opening(cfg.prior)
-    acts = scan_actions(nets, spec, state0, caps.get(1))
+    acts = scan_actions(nets, specs[1], state0)
     if not acts:
         raise InvalidParameterError(
             "no admissible opening action is covered by the trained windows"
@@ -521,6 +537,6 @@ def _tabulate_opening(cfg, spec, nets, caps):
     f0 = features(state0, acts, cfg.n_w, cfg.sub)[:, -1].tolist()
     table = []
     for (dq, dn), f in zip(acts, f0, strict=True):
-        value = _lookahead(state0, (dq, dn), draws, rng, nets, spec, cfg.sub, caps)
+        value = _lookahead(state0, (dq, dn), draws, rng, nets, specs, cfg.sub)
         table.append((int(dq), int(dn), value + f))
     return table

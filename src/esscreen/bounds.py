@@ -6,7 +6,10 @@ sub-gamma tail of an n-sample mean with variance proxy v and scale constant c,
 taken to the power 1/p for an L^p bound of order p.  Setting c = 0 gives the
 pure sub-Gaussian case (valid for Gaussian pricing errors).  ``_kernel_exp``
 is the kernel's only evaluation; every bound here and the planner's two-level
-heuristic go through it.
+heuristic go through it.  ``level_terms`` is the only code that turns a target
+into the deterministic or robust bound's selection terms: one table over a
+set of thresholds and path counts, which the planner's dynamic program and
+every strategy bound index.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ __all__ = [
     "selection_term",
     "robust_gap_max",
     "mc_terms_exact",
-    "term_providers",
+    "level_terms",
     "strategy_value",
     "F_p",
     "F_robust",
@@ -206,28 +209,27 @@ def robust_gap_max(
     return float(np.max(cands * kern))
 
 
-def _level_dq(q_prev: int, q_next: int) -> int:
-    if q_next > q_prev:
-        raise InvalidParameterError(f"need q_next <= q_prev, got {q_next} > {q_prev}")
-    return q_prev - q_next
+def level_terms(
+    target, sub: SubGammaParams, n_w: int, n_s: int, q_values, n_values, select
+) -> tuple[np.ndarray, np.ndarray]:
+    """Selection terms of every level between two thresholds of ``q_values``
+    at every path count of ``n_values``, and the deviations that
+    :func:`mc_terms_exact` takes.
 
-
-def term_providers(target, sub: SubGammaParams, n_w: int, n_s: int, select):
-    """(selection term, MC terms) evaluators for known parameters or robust
-    brackets.
-
-    ``target`` is a ScenarioParams (exact terms) or a RobustBounds
-    (worst-case terms over its gap brackets).  ``sel(q_prev, q_next, N)`` is
-    (q_prev - q_next)^{1/p} times a per-N factor: for a ScenarioParams the
-    entry q_next of the row ``select(N, gaps, variances, sub)`` of
-    :func:`selection_term`, over the n_w x n_s gap and pair-variance
-    matrices built here once, one row per distinct N; for a RobustBounds
-    :func:`robust_gap_max` over the bracket at q_next, once per (q_next, N).
-    ``select`` is passed by the caller so that instrumentation rebinding the
-    caller's name sees every row.  Every bound of a concrete strategy and
-    the planner's dynamic program evaluate through these functions, so
-    their values compare bitwise.
+    ``terms[a, b, d]`` is the term of the level ``q_values[a] ->
+    q_values[b]`` at ``n_values[d]`` paths: (q_a - q_b)^{1/p} times a
+    factor of (q_b, N), and 0 where q_b >= q_a or q_b >= n_s.  For a
+    ScenarioParams ``target`` the factor is entry q_b of the row
+    ``select(N, gaps, variances, sub)`` of :func:`selection_term`, over the
+    n_w x n_s gap and pair-variance matrices, one row per distinct N; for a
+    RobustBounds it is :func:`robust_gap_max` over the bracket at q_b, which
+    must exist for every q_b < n_s.  ``select`` is passed by the caller so
+    that instrumentation rebinding the caller's name sees every row.  Every
+    bound of a concrete strategy and the planner's dynamic program read their
+    terms from this table, so their values compare bitwise.
     """
+    q_values = [int(q) for q in q_values]
+    n_values = [int(n) for n in n_values]
     if isinstance(target, ScenarioParams):
         if target.n_s != n_s:
             raise InvalidParameterError(
@@ -238,48 +240,34 @@ def term_providers(target, sub: SubGammaParams, n_w: int, n_s: int, select):
         gaps = target.mu[i] - target.mu[k]
         variances = pair_variance(target.sigma, i, k)
         sig_p = np.sort(np.sqrt(np.diag(target.sigma)) ** sub.p)[::-1]
-        rows: dict = {}
+        rows = {n: select(n, gaps, variances, sub) for n in dict.fromkeys(n_values)}
 
-        def sel(q_prev, q_next, n_paths):
-            dq = _level_dq(q_prev, q_next)
-            if dq == 0 or q_next >= n_s:
-                return 0.0
-            row = rows.get(n_paths)
-            if row is None:
-                row = rows[n_paths] = select(n_paths, gaps, variances, sub)
-            return dq ** (1.0 / sub.p) * float(row[q_next])
+        def factor(q, n):
+            return float(rows[n][q])
 
     elif isinstance(target, RobustBounds):
-        worst: dict = {}
+        missing = [q for q in q_values if q < n_s and q not in target.delta_lo]
+        if missing:
+            raise InvalidParameterError(
+                f"RobustBounds does not cover threshold q={missing[0]}"
+            )
         # a uniform std bound is the exact Monte Carlo term with every sigma_i = sbar
         sig_p = np.full(n_s, target.sigma_bar**sub.p)
 
-        def sel(q_prev, q_next, n_paths):
-            dq = _level_dq(q_prev, q_next)
-            if dq == 0:
-                return 0.0
-            m = worst.get((q_next, n_paths))
-            if m is None:
-                try:
-                    lo, hi = target.delta_lo[q_next], target.delta_hi[q_next]
-                except KeyError:
-                    raise InvalidParameterError(
-                        f"RobustBounds does not cover threshold q={q_next}"
-                    ) from None
-                m = worst[q_next, n_paths] = robust_gap_max(
-                    n_paths, lo, hi, target.sigma_bar, sub
-                )
-            return dq ** (1.0 / sub.p) * m
+        def factor(q, n):
+            lo, hi = target.delta_lo[q], target.delta_hi[q]
+            return robust_gap_max(n, lo, hi, target.sigma_bar, sub)
 
     else:
         raise InvalidParameterError(
             f"target must be ScenarioParams or RobustBounds, got {type(target)!r}"
         )
-
-    def mc(n_prev, n_last):
-        return mc_terms_exact(n_prev, n_last, sig_p, n_w, sub)
-
-    return sel, mc
+    roots = [
+        [(qa - qb) ** (1.0 / sub.p) if qb < qa else 0.0 for qb in q_values]
+        for qa in q_values
+    ]
+    factors = [[factor(q, n) if q < n_s else 0.0 for n in n_values] for q in q_values]
+    return np.array(roots)[:, :, None] * np.array(factors), sig_p
 
 
 def strategy_value(
@@ -290,11 +278,12 @@ def strategy_value(
     that order.  Strategies with ``N_{L-1} == 0`` or ``dN_L == 0`` score
     +inf through :func:`mc_terms_exact`: their Monte Carlo terms are
     undefined and such plans must lose any minimization."""
-    sel, mc = term_providers(target, sub, n_w, n_s, select)
+    q, n = strategy.q, strategy.n
+    terms, sig_p = level_terms(target, sub, n_w, n_s, q, n[1:-1], select)
     total = 0.0
     for lvl in range(1, strategy.levels):
-        total += sel(strategy.q[lvl - 1], strategy.q[lvl], strategy.n[lvl])
-    term_b, term_c = mc(strategy.n[-2], strategy.n[-1])
+        total += float(terms[lvl - 1, lvl, lvl - 1])
+    term_b, term_c = mc_terms_exact(n[-2], n[-1], sig_p, n_w, sub)
     total += term_b
     total += term_c
     return total

@@ -18,9 +18,10 @@ import numpy as np
 from .bounds import (
     SubGammaParams,
     _kernel_exp,
+    level_terms,
+    mc_terms_exact,
     selection_term,
     strategy_value,
-    term_providers,
 )
 from .errors import InfeasiblePlanError, InvalidParameterError
 from .screener import Strategy, cost
@@ -84,8 +85,9 @@ class PlanningGrid:
 def strategy_bound(strategy: Strategy, target, sub: SubGammaParams, grid: PlanningGrid):
     """Bound value of a concrete strategy, as the planner evaluates it.
 
-    ``target`` is a ScenarioParams or a RobustBounds; see
-    :func:`esscreen.bounds.term_providers`.
+    ``target`` is a ScenarioParams or a RobustBounds; the selection terms
+    come from :func:`esscreen.bounds.level_terms` over the strategy's own
+    thresholds and path counts.
     """
     return strategy_value(strategy, target, sub, grid.n_w, grid.n_s, selection_term)
 
@@ -111,10 +113,16 @@ def dp_optimize(
     optimal strategy.  Ties on the final value break toward smaller cost,
     then lexicographically smaller q, then smaller N.
 
+    Every selection term is read from one :func:`esscreen.bounds.level_terms`
+    table over the grid's thresholds and path counts, built before the first
+    level; a RobustBounds target must bracket every grid threshold below n_s.
+
     Returns the strategy and its bound value.  Raises when no strategy fits
     the budget with nonzero paths at levels L-1 and L.
     """
-    sel, mc = term_providers(target, sub, grid.n_w, grid.n_s, selection_term)
+    terms, sig_p = level_terms(
+        target, sub, grid.n_w, grid.n_s, grid.q_grid, grid.n_grid, selection_term
+    )
     q_grid = np.array(grid.q_grid, dtype=np.int64)
     n_grid = np.array(grid.n_grid, dtype=np.int64)
     n_q, n_n = q_grid.size, n_grid.size
@@ -144,7 +152,7 @@ def dp_optimize(
             lab, b = np.nonzero(ok_n & (q_grid[q_next] <= q_here)[:, None])
             if lab.size == 0:
                 continue
-            g_next = g[lab] + _level_terms(sel, q_grid, n_grid, qi[lab], q_next, b)
+            g_next = g[lab] + terms[qi[lab], q_next, b]
             spent_next = spent[lab] + step[lab, b]
             # the paths into one node differ only in the prefix each
             # extends, so the extended labels' ranks order them
@@ -165,7 +173,8 @@ def dp_optimize(
     total = spent[:, None] + q_grid[qi][:, None] * (n_grid - n_here[:, None])
     lab, b = np.nonzero((n_grid >= n_here[:, None]) & (total <= budget))
     pairs, inverse = np.unique(ni[lab] * n_n + b, return_inverse=True)
-    tb, tc = np.array([mc(int(n_ext[k // n_n]), int(n_grid[k % n_n])) for k in pairs]).T
+    n_pairs = zip(n_ext[pairs // n_n].tolist(), n_grid[pairs % n_n].tolist())
+    tb, tc = np.array([mc_terms_exact(*nn, sig_p, grid.n_w, sub) for nn in n_pairs]).T
     value = (g[lab] + tb[inverse]) + tc[inverse]
     order = np.lexsort((b, n_rank[lab], q_rank[lab], total[lab, b], value))
     best = order[0]  # N_L == N_{L-1} always fits, so there is a candidate
@@ -184,20 +193,6 @@ def dp_optimize(
         q=(grid.n_s, *q_path[::-1]), n=(0, *n_path[::-1], n_grid[b[best]])
     )
     return strategy, float(value[best])
-
-
-def _level_terms(sel, q_grid, n_grid, q_from, q_to, n_to) -> np.ndarray:
-    """``sel(q_grid[q_from], q_grid[q_to], n_grid[n_to])`` per candidate,
-    evaluated once per distinct triple of grid indexes."""
-    n_q, n_n = q_grid.size, n_grid.size
-    key = (q_from * n_q + q_to) * n_n + n_to
-    triples, inverse = np.unique(key, return_inverse=True)
-    i, rest = np.divmod(triples, n_q * n_n)
-    j, k = np.divmod(rest, n_n)
-    terms = [
-        sel(int(q_grid[a]), int(q_grid[c]), int(n_grid[d])) for a, c, d in zip(i, j, k)
-    ]
-    return np.array(terms, dtype=float)[inverse]
 
 
 def _dense_rank(key: np.ndarray) -> np.ndarray:

@@ -560,7 +560,8 @@ class TestFitAndRun:
         from esscreen.adaptive import policy, training
 
         cfg, bundle, _ = toy_bundle
-        spec = cfg.action_spec()
+        # uncapped: every level scans the full budget
+        specs = dict.fromkeys(range(1, cfg.levels + 1), cfg.action_spec())
         real = policy.f_plugin
         opening_calls = []
 
@@ -575,9 +576,9 @@ class TestFitAndRun:
             return real(state, dq, dn, *args)
 
         monkeypatch.setattr(policy, "f_plugin", per_action)
-        want = training._tabulate_opening(cfg, spec, bundle.nets, {})
+        want = training._tabulate_opening(cfg, specs, bundle.nets)
         monkeypatch.setattr(policy, "f_plugin", counted)
-        got = training._tabulate_opening(cfg, spec, bundle.nets, {})
+        got = training._tabulate_opening(cfg, specs, bundle.nets)
         assert got == want
         dqs = sorted({dq for dq, _, _ in got})
         assert len(dqs) >= 2 and len(got) > len(dqs)
@@ -595,11 +596,12 @@ class TestFitAndRun:
         cfg, bundle, _ = toy_bundle
         trajs = toy_trajectories[-1]
         spec = bundle.action_spec()
+        specs = dict.fromkeys(range(1, cfg.levels + 1), spec)
         levels_seen = set()
         for traj in trajs:
             for st in traj.states[:-1]:
                 acts, preds = action_values(bundle.nets, spec, st, cfg.sub)
-                (value,) = _value_of_states(bundle.nets, spec, [st], cfg.sub, {})
+                (value,) = _value_of_states(bundle.nets, specs, [st], cfg.sub)
                 assert value == preds[acts.index(choose_action(bundle, st))]
                 levels_seen.add(st.level)
         assert levels_seen == set(range(1, cfg.levels))
@@ -817,6 +819,31 @@ def test_adaptive_config_rejects_a_bad_budget(budget):
 def test_adaptive_config_rejects_a_bad_level_count(levels):
     with pytest.raises(InvalidParameterError, match="levels"):
         toy_config(levels=levels)
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("k_bar", 0),
+        ("j_bar", 0),
+        ("n_iter", 0),
+        ("probe_steps", 0),
+        ("lr_candidates", 0),
+        ("n_e_final", -1),
+        ("n_p_final", 100.0),
+        ("n_e_mid", 0),
+        ("n_p_mid", True),
+        ("n_e_open", "16"),
+        ("max_scan", 0),
+        ("dn_quantum", -1),
+        ("base_rate", 0.0),
+        ("base_rate", math.nan),
+        ("base_rate", math.inf),
+    ],
+)
+def test_adaptive_config_rejects_a_bad_count_or_rate(name, value):
+    with pytest.raises(InvalidParameterError, match=name):
+        toy_config(**{name: value})
 
 
 def test_adaptive_config_rejects_a_prior_with_other_scenario_ids():

@@ -17,9 +17,10 @@ from esscreen.bounds import (
     bernstein_tail,
     f_p_ad,
     gamma_constants,
+    level_terms,
+    mc_terms_exact,
     robust_gap_max,
     selection_term,
-    term_providers,
 )
 from esscreen.errors import InvalidParameterError
 from esscreen.model import (
@@ -228,9 +229,12 @@ def _theta(n_s=20, delta0=5.0, sigma=6.0, rho=0.4):
     )
 
 
-def _sel(theta, sub, n_w=3):
+def _sel(theta, sub, q_prev, q_next, n_paths, n_w=3):
     """The exact-parameter level term q_prev -> q_next at N paths."""
-    return term_providers(theta, sub, n_w, theta.n_s, selection_term)[0]
+    terms, _ = level_terms(
+        theta, sub, n_w, theta.n_s, (q_prev, q_next), (n_paths,), selection_term
+    )
+    return terms[0, 1, 0]
 
 
 class TestSelectionTerm:
@@ -253,7 +257,7 @@ class TestSelectionTerm:
                     best = max(best, g * kern)
             return best
 
-        got = _sel(theta, sub, n_w)(15, q_next, 40)
+        got = _sel(theta, sub, 15, q_next, 40, n_w)
         want = (15 - q_next) ** (1 / sub.p) * brute(q_next)
         assert got == pytest.approx(want, rel=1e-12)
         # the row holds the max over k >= q for every threshold q >= n_w at once
@@ -267,12 +271,12 @@ class TestSelectionTerm:
 
     def test_vanishes_with_many_paths(self):
         theta = _theta()
-        assert _sel(theta, SubGammaParams())(15, 8, 10**9) == pytest.approx(
+        assert _sel(theta, SubGammaParams(), 15, 8, 10**9) == pytest.approx(
             0.0, abs=1e-300
         )
 
     def test_zero_dq_is_zero(self):
-        assert _sel(_theta(), SubGammaParams())(8, 8, 10) == 0.0
+        assert _sel(_theta(), SubGammaParams(), 8, 8, 10) == 0.0
 
     def test_linear_book_reduces_to_gap_scan(self):
         # constant pair variance: the pair max is a 1-D scan over gap sizes
@@ -280,7 +284,7 @@ class TestSelectionTerm:
         sub = SubGammaParams(c=0.0, p=1.0)
         sig2 = 2 * 36.0 * (1 - 0.6)
         q_next, n_w, n = 8, 3, 60
-        got = _sel(theta, sub, n_w)(theta.n_s, q_next, n)
+        got = _sel(theta, sub, theta.n_s, q_next, n, n_w)
         gaps = np.array(
             [
                 (k - i) * 5.0
@@ -291,23 +295,20 @@ class TestSelectionTerm:
         scan = np.max(gaps * np.exp(-n * gaps**2 / (2 * sig2)))
         assert got == pytest.approx((theta.n_s - q_next) * scan, rel=1e-12)
 
-    def test_rising_threshold_rejected(self):
-        with pytest.raises(InvalidParameterError, match="q_next <= q_prev"):
-            _sel(_theta(), SubGammaParams())(8, 9, 10)
-
-    def test_one_row_per_path_count(self, monkeypatch):
+    def test_one_row_per_path_count(self):
         calls = []
 
         def counting(n_paths, *args):
             calls.append(n_paths)
             return selection_term(n_paths, *args)
 
-        sel, _ = term_providers(_theta(), SubGammaParams(), 3, 20, counting)
-        for q_prev, q_next in ((20, 8), (15, 8), (8, 3), (20, 3)):
-            for n in (10, 40):
-                sel(q_prev, q_next, n)
-        sel(8, 8, 99)  # dq = 0 needs no row
+        q_values, n_values = (20, 15, 8, 8, 3), (10, 40, 10, 40)
+        terms, _ = level_terms(
+            _theta(), SubGammaParams(), 3, 20, q_values, n_values, counting
+        )
         assert calls == [10, 40]
+        assert terms.shape == (5, 5, 4)
+        np.testing.assert_array_equal(terms[:, :, :2], terms[:, :, 2:])
 
 
 class TestFp:
@@ -359,8 +360,7 @@ class TestFp:
     def test_selection_terms_monotone_in_paths(self):
         theta = _theta()
         sub = SubGammaParams(c=0.2, p=1.5)
-        sel = _sel(theta, sub)
-        vals = [sel(20, 8, n) for n in (1, 5, 20, 100, 400)]
+        vals = [_sel(theta, sub, 20, 8, n) for n in (1, 5, 20, 100, 400)]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
 
@@ -389,7 +389,8 @@ class TestFRobust:
         def m(n):
             return c_sig * 40.0 / math.sqrt(n)
 
-        tb, tc = term_providers(rb, sub, 3, 20, selection_term)[1](2, 200)
+        _, sig_p = level_terms(rb, sub, 3, 20, (20, 3), (2,), selection_term)
+        tb, tc = mc_terms_exact(2, 200, sig_p, 3, sub)
         assert tb == pytest.approx(198 / 200 * m(198), rel=1e-12)
         assert tc == pytest.approx(2 / 200 * (20 / 3) * m(2), rel=1e-12)
         assert val - tb - tc == pytest.approx(manual, rel=1e-9)

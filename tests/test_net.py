@@ -19,9 +19,15 @@ from esscreen.adaptive.net import (
 from esscreen.errors import TrainingDivergedError
 
 
+def _xavier(d, rng, hidden):
+    """:func:`xavier_net` with ``hidden`` hidden units."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(net_mod, "HIDDEN_UNITS", hidden)
+        return xavier_net(d, rng)
+
+
 def _net(d=7, seed=0, hidden=32):
-    rng = np.random.default_rng(seed)
-    return xavier_net(d, rng, hidden=hidden)
+    return _xavier(d, np.random.default_rng(seed), hidden)
 
 
 def _labels(n, width):
@@ -216,7 +222,7 @@ class TestTraining:
         rng = np.random.default_rng(7)
         x = rng.normal(size=(48, 4))
         y = np.full(48, 3.7)
-        net = xavier_net(4, np.random.default_rng(2), hidden=256)
+        net = xavier_net(4, np.random.default_rng(2))
         sched = TrainSchedule(n_iter=3000, rate=0.5, seed=0)
         # one (strategy, world) label: every step sees the full batch
         one = np.zeros(48, dtype=int)
@@ -336,7 +342,7 @@ class TestLearningRateSearch:
         net, rate, losses = learning_rate_search(
             x,
             y,
-            lambda r: xavier_net(3, r, hidden=16),
+            lambda r: _xavier(3, r, 16),
             sched,
             candidates=1,
             probe_steps=50,
@@ -357,7 +363,7 @@ class TestLearningRateSearch:
         net, rate, losses = learning_rate_search(
             x,
             y,
-            lambda r: xavier_net(4, r, hidden=32),
+            lambda r: _xavier(4, r, 32),
             sched,
             candidates=4,
             probe_steps=400,
@@ -372,7 +378,7 @@ class TestLearningRateSearch:
         x = rng.normal(size=(50, 3))
         y = rng.normal(size=50)
         sched = TrainSchedule(n_iter=100, rate=1.0, seed=3)
-        make = lambda r: xavier_net(3, r, hidden=8)
+        make = lambda r: _xavier(3, r, 8)
         kw = dict(candidates=3, probe_steps=40, **_labels(50, 5))
         a = learning_rate_search(x, y, make, sched, **kw)
         b = learning_rate_search(x, y, make, sched, **kw)
@@ -388,7 +394,7 @@ class TestLearningRateSearch:
             learning_rate_search(
                 x,
                 y,
-                lambda r: xavier_net(2, r, hidden=8),
+                lambda r: _xavier(2, r, 8),
                 sched,
                 candidates=2,
                 probe_steps=50,
@@ -409,7 +415,7 @@ class TestFinalRunFallback:
         x = rng.normal(size=(40, 3))
         y = x @ np.array([1.0, 0.5, -1.0])
         sched = TrainSchedule(n_iter=120, rate=0.1, seed=6)
-        return x, y, sched, lambda r: xavier_net(3, r, hidden=8)
+        return x, y, sched, lambda r: _xavier(3, r, 8)
 
     def _diverge_finals(self, monkeypatch, n_iter, bad_rates):
         real = net_mod.train_level
@@ -476,7 +482,7 @@ class TestGrowingProbe:
         x = rng.normal(size=(40, 3))
         y = x @ np.array([1.0, 0.5, -1.0])
         sched = TrainSchedule(n_iter=120, rate=0.1, seed=7)
-        return x, y, sched, lambda r: xavier_net(3, r, hidden=8)
+        return x, y, sched, lambda r: _xavier(3, r, 8)
 
     def _patch_probes(self, monkeypatch, probe_steps, edit):
         """Probe runs return ``edit(rate, losses)`` in place of their losses;

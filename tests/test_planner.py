@@ -12,8 +12,10 @@ import esscreen.planner
 from esscreen.bounds import (
     RobustBounds,
     SubGammaParams,
+    level_terms,
     mc_terms_exact,
     robust_gap_max,
+    selection_term,
 )
 from esscreen.errors import InfeasiblePlanError, InvalidParameterError
 from esscreen.model import (
@@ -43,7 +45,7 @@ from esscreen.streams import substream
 def enumerate_optimum(grid, target, sub):
     """Exhaustive search over all grid strategies within budget.
 
-    Uses the same term providers as the planner so values compare bitwise;
+    Reads the same level-term table as the planner so values compare bitwise;
     the tie order is (value, cost, q-path, N-path).
     """
     levels = grid.levels
@@ -289,6 +291,35 @@ def paper_grid(levels):
     )
 
 
+class TestLevelTermsMatchFrozenTerms:
+    @pytest.mark.parametrize("robust", [False, True], ids=["theta", "robust"])
+    @pytest.mark.parametrize("c,p", [(0.0, 1.0), (0.7, 1.0), (0.0, 2.0), (0.7, 2.0)])
+    def test_every_entry_equals_the_frozen_term(self, robust, c, p):
+        # thresholds in a shuffled order: the table holds every dq = 0
+        # entry, every rising pair and the q = n_s column
+        sub = SubGammaParams(c=c, p=p)
+        rng = substream(23, 13)
+        for _ in range(8):
+            grid, target = random_small_grid(rng)
+            if robust:
+                target = RobustBounds(
+                    delta_lo={q: 0.5 * q for q in grid.q_grid},
+                    delta_hi={q: 3.0 * q for q in grid.q_grid},
+                    sigma_bar=4.0,
+                )
+            sel, _ = _frozen_providers(target, sub, grid.n_w, grid.n_s)
+            q_values = rng.permutation(grid.q_grid).tolist()
+            terms, _ = level_terms(
+                target, sub, grid.n_w, grid.n_s, q_values, grid.n_grid, selection_term
+            )
+            assert terms.shape == (len(q_values), len(q_values), len(grid.n_grid))
+            for (a, qa), (b, qb), (d, n) in itertools.product(
+                enumerate(q_values), enumerate(q_values), enumerate(grid.n_grid)
+            ):
+                want = sel(qa, qb, n) if qb <= qa else 0.0
+                assert terms[a, b, d] == want, (qa, qb, n)
+
+
 class TestMatchesFrozenPlanner:
     @pytest.mark.parametrize("general", [False, True], ids=["equi", "iw"])
     @pytest.mark.parametrize("levels", [3, 4, 5])
@@ -411,6 +442,11 @@ class TestDpOptimize:
             dp_optimize(grid, rb, sub)
         with pytest.raises(InvalidParameterError, match="q=5"):
             strategy_bound(Strategy(q=(8, 5, 2), n=(0, 3, 9, 12)), rb, sub, grid)
+        # an L = 2 plan stops at no interior threshold, yet its table spans
+        # the whole grid
+        two = PlanningGrid(q_grid=(2, 5, 8), n_grid=(3, 9), budget=100, levels=2)
+        with pytest.raises(InvalidParameterError, match="q=5"):
+            dp_optimize(two, rb, sub)
 
     def test_strategy_bound_is_the_bounds_module_value(self):
         # one summation serves the planner and both public bounds, bitwise
