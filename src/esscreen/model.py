@@ -22,6 +22,7 @@ __all__ = [
     "synthetic_book",
     "build_equicorrelated",
     "sample_niw",
+    "bartlett_factor",
     "inverse_wishart_factor",
     "simulate_prices",
     "psd_factor",
@@ -32,6 +33,16 @@ __all__ = [
 #: Relative eigenvalue tolerance below which a symmetric matrix is rejected
 #: as not positive semi-definite.
 _PSD_RTOL = 1e-10
+
+
+def _check_symmetric(m: np.ndarray, name: str) -> None:
+    """Reject a matrix that is not symmetric to ``rtol=1e-8``.
+
+    An exactly symmetric matrix (the common case) passes on one elementwise
+    comparison, without the float temporaries of the tolerance test.
+    """
+    if not (np.array_equal(m, m.T) or np.allclose(m, m.T, rtol=1e-8, atol=0.0)):
+        raise InvalidParameterError(f"{name} must be symmetric")
 
 
 def synthetic_book(n_s: int, delta0: float) -> np.ndarray:
@@ -117,8 +128,7 @@ class ScenarioParams:
             raise InvalidParameterError("mu must be finite")
         if not np.isfinite(sigma).all():
             raise InvalidParameterError("sigma must be finite")
-        if not np.allclose(sigma, sigma.T, rtol=1e-8, atol=0.0):
-            raise InvalidParameterError("sigma must be symmetric")
+        _check_symmetric(sigma, "sigma")
 
     @classmethod
     def equicorrelated(
@@ -211,8 +221,7 @@ class NIWParams:
             raise InvalidParameterError("m must be finite")
         if not np.isfinite(s).all():
             raise InvalidParameterError("S must be finite")
-        if not np.allclose(s, s.T, rtol=1e-8, atol=0.0):
-            raise InvalidParameterError("S must be symmetric")
+        _check_symmetric(s, "S")
 
     @property
     def dim(self) -> int:
@@ -223,22 +232,31 @@ class NIWParams:
         return self.s / (self.i - self.dim - 1)
 
 
+def bartlett_factor(dof: float, d: int, rng: np.random.Generator) -> np.ndarray:
+    """Lower-triangular Bartlett factor ``A`` of a Wishart(dof, I_d) draw.
+
+    ``A @ A.T ~ Wishart(dof, I_d)`` for ``dof > d - 1``.  Draw order is
+    fixed: the ``d (d - 1) / 2`` off-diagonal normals first (row-major),
+    then the diagonal ``sqrt(chi^2(dof - i))`` for ``i = 0 .. d - 1``.
+    """
+    a = np.zeros((d, d))
+    tril = np.tril_indices(d, k=-1)
+    a[tril] = rng.standard_normal(tril[0].size)
+    a[np.diag_indices(d)] = np.sqrt(rng.chisquare(dof - np.arange(d)))
+    return a
+
+
 def inverse_wishart_factor(
     dof: float, s_factor: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
     """Row factor ``phi`` with ``phi.T @ phi ~ inverse-Wishart(dof, S)``.
 
     ``s_factor`` is a square factor ``Ls`` of the scale matrix, ``Ls @ Ls.T
-    == S``.  Draws the lower-triangular Bartlett factor ``A`` of a
-    Wishart(dof, I) matrix (off-diagonal normals first, then the chi-square
-    diagonal) and returns ``A^{-1} Ls^T``, so that ``phi.T @ phi = (Ls A^{-T})
-    (Ls A^{-T})^T``.
+    == S``.  Draws the Bartlett factor ``A`` of a Wishart(dof, I) matrix
+    (:func:`bartlett_factor`) and returns ``A^{-1} Ls^T``, so that
+    ``phi.T @ phi = (Ls A^{-T}) (Ls A^{-T})^T``.
     """
-    d = s_factor.shape[0]
-    a = np.zeros((d, d))
-    tril = np.tril_indices(d, k=-1)
-    a[tril] = rng.standard_normal(tril[0].size)
-    a[np.diag_indices(d)] = np.sqrt(rng.chisquare(dof - np.arange(d)))
+    a = bartlett_factor(dof, s_factor.shape[0], rng)
     return solve_triangular(a, s_factor.T, lower=True)
 
 

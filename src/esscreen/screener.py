@@ -11,6 +11,14 @@ means over the ``n_w`` survivors.
 :func:`run_levels` is the one level loop; a next-action rule gives each
 level's ``(dq, dN)``.  :func:`run_screening` replays a fixed strategy's, and
 the adaptive policy chooses each from the posterior after the level before.
+
+The paths come from a price source: any object with ``n_s`` (the number of
+scenarios) and ``draw(ids, count)``, which returns ``(sum, scatter)``, the
+column sums and the centred scatter diagonal (per-column sums of squared
+deviations from the column mean) of ``count`` fresh iid price rows over the
+ascending scenario indexes ``ids``.  That pair is all the engine reads.  A
+source that produces rows folds them with :func:`fold_rows`;
+:class:`GaussianSource` samples the pair exactly when a level is large.
 """
 
 from __future__ import annotations
@@ -22,14 +30,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError, InvalidStrategyError
-from .model import ScenarioParams, simulate_prices
+from .model import ScenarioParams, bartlett_factor, simulate_prices
 
 __all__ = [
     "Strategy",
     "ScreeningRun",
     "LevelStats",
     "GaussianSource",
-    "draw_batch",
+    "fold_rows",
     "step",
     "cost",
     "rank_select",
@@ -40,9 +48,11 @@ __all__ = [
     "worst_indexes",
 ]
 
-#: Prices per simulation chunk (1 MiB of float64).  A chunk holds
-#: ``CHUNK_PRICINGS // width`` rows (at least one), so a level's draw memory
-#: does not grow with dN or with the number of scenarios priced.
+#: Prices per chunk of :func:`fold_rows` (1 MiB of float64).  A chunk holds
+#: ``CHUNK_PRICINGS // width`` rows (at least one), so a level's row memory
+#: does not grow with dN or with the number of scenarios priced.  A
+#: :class:`GaussianSource` draw of more than one chunk samples its batch
+#: statistics exactly instead, where the closed form applies.
 CHUNK_PRICINGS = 1 << 17
 
 
@@ -140,15 +150,19 @@ def rank_select(estimates: np.ndarray, index_set: np.ndarray, keep: int) -> np.n
 
 
 class GaussianSource:
-    """Price source drawing iid Gaussian rows from a ScenarioParams model.
+    """Price source over iid Gaussian rows from a ScenarioParams model.
 
-    A price source is any object with ``n_s`` (the number of scenarios) and
-    ``draw(indexes, count)``, which returns a new ``count x len(indexes)``
-    block of prices (the caller may overwrite it) for the given ascending
-    scenario indexes.  This one consumes its owned substream and returns
-    :func:`simulate_prices` on ``theta.restrict(ids)``: the survivors' law is
-    the principal submatrix ``Sigma[ids, ids]``, factored once per index set,
-    so a row costs ``len(ids)`` normals (one more if equicorrelated).
+    It consumes its owned substream.  The survivors' law is the principal
+    submatrix ``Sigma[ids, ids]`` (``theta.restrict(ids)``), restricted and
+    factored once per index set.  A draw of at most one chunk (``len(ids) *
+    count <= CHUNK_PRICINGS``) folds the rows of :func:`simulate_prices`
+    (:func:`fold_rows`), so a row costs ``len(ids)`` normals (one more if
+    equicorrelated).  A larger draw samples ``(sum, scatter)`` exactly from
+    their joint law when the closed form applies: one-factor models at
+    ``count >= 3`` (:func:`_equicorrelated_stats`) and dense models at
+    ``count > len(ids)`` (:func:`_dense_stats`).  For Gaussian rows the sum
+    is ``N(count mu, count Sigma)`` and independent of the scatter
+    (Cochran), so neither needs the rows.  Any other draw folds rows.
     """
 
     def __init__(self, theta: ScenarioParams, rng: np.random.Generator):
@@ -165,18 +179,68 @@ class GaussianSource:
         """The true impacts ``theta.mu``.  Not read by the screening engines."""
         return self.theta.mu
 
-    def draw(self, indexes: np.ndarray, count: int) -> np.ndarray:
+    def draw(self, indexes: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
         if not np.array_equal(indexes, self._ids):
             self._ids = np.array(indexes, dtype=np.intp)
             self._sub = self.theta.restrict(self._ids)
-        return simulate_prices(self._sub, count, self.rng)
+        sub, rng = self._sub, self.rng
+        if sub.n_s * count > CHUNK_PRICINGS:
+            if sub.equi is not None and count >= 3:
+                return _equicorrelated_stats(sub, count, rng)
+            if sub.equi is None and count > sub.n_s:
+                return _dense_stats(sub, count, rng)
+        return fold_rows(lambda rows: simulate_prices(sub, rows, rng), sub.n_s, count)
 
 
-def draw_batch(source, ids: np.ndarray, dn: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sum and centred scatter (per column) of ``dn`` fresh rows over ``ids``.
+def _equicorrelated_stats(theta: ScenarioParams, count: int, rng: np.random.Generator):
+    """Exact ``(sum, scatter)`` of ``count >= 3`` one-factor rows
+    ``mu + s (a z_0 + b z_j)``, ``a = sqrt(rho)``, ``b = sqrt(1 - rho)``.
 
-    Rows are drawn in chunks of ``max(1, CHUNK_PRICINGS // len(ids))`` rows,
-    so memory is bounded whatever ``dn`` and the width.  Each chunk is
+    The sum is ``count mu + s sqrt(count) (a g_0 + b g_j)``.  Centred over
+    the rows, ``z_0`` and each ``z_j`` are iid ``N(0, I_{count-1})`` vectors
+    ``u_0``, ``u_j``, and column j's scatter is ``s^2 |a u_0 + b u_j|^2 =
+    s^2 (rho S00 + 2ab S0j + (1 - rho) Sjj)``.  With ``c = |u_0|``
+    (``S00 = c^2 ~ chi^2(count - 1)``), ``u_j`` splits into ``w_j`` along
+    ``u_0`` (``S0j = c w_j``, ``w_j ~ N(0, 1)``) and an orthogonal part of
+    squared length ``r_j ~ chi^2(count - 2)`` (``Sjj = w_j^2 + r_j``), so
+    the scatter is ``s^2 ((a c + b w_j)^2 + (1 - rho) r_j)``: a sum of
+    squares, never negative.  Draws ``len(mu) + 1`` normals, one chi^2,
+    ``len(mu)`` normals and ``len(mu)`` chi^2, in that order.
+    """
+    spec, q = theta.equi, theta.n_s
+    a, b = np.sqrt(spec.rho), np.sqrt(1.0 - spec.rho)
+    g = rng.standard_normal(q + 1)
+    total = count * theta.mu + spec.sigma_scalar * np.sqrt(count) * (a * g[0] + b * g[1:])
+    c = np.sqrt(rng.chisquare(count - 1))
+    along = a * c + b * rng.standard_normal(q)
+    scatter = along * along + (1.0 - spec.rho) * rng.chisquare(count - 2, q)
+    scatter *= spec.sigma_scalar**2
+    return total, scatter
+
+
+def _dense_stats(theta: ScenarioParams, count: int, rng: np.random.Generator):
+    """Exact ``(sum, scatter)`` of ``count > len(mu)`` rows ``mu + F z``.
+
+    The sum is ``count mu + sqrt(count) F g``.  The centred scatter matrix
+    is Wishart(count - 1, Sigma) ``= (F A)(F A)^T`` with ``A`` the Bartlett
+    factor of a Wishart(count - 1, I) draw, so its diagonal is the row sums
+    of ``(F A)^2``.  ``F`` is the cached square factor of the covariance.
+    """
+    f = theta.factor()
+    total = count * theta.mu + np.sqrt(count) * (f @ rng.standard_normal(f.shape[1]))
+    fa = f @ bartlett_factor(count - 1, f.shape[1], rng)
+    return total, np.einsum("ij,ij->i", fa, fa)
+
+
+def fold_rows(
+    rows: Callable[[int], np.ndarray], width: int, count: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sum and centred scatter (per column) of ``count`` rows of ``width``
+    prices, drawn by ``rows(k)``: a fresh ``k x width`` block the fold may
+    overwrite.
+
+    Rows are drawn in chunks of ``max(1, CHUNK_PRICINGS // width)`` rows,
+    so memory is bounded whatever ``count`` and the width.  Each chunk is
     centred in place on its rounded mean ``hi``; the centred residual sum
     restores the mean's lost digits, and the chunks are merged by the
     Chan-Golub-LeVeque update ``M2 = M2_a + M2_b + delta^2 n_a n_b / n``.
@@ -185,29 +249,29 @@ def draw_batch(source, ids: np.ndarray, dn: int) -> tuple[np.ndarray, np.ndarray
     spread.  The rows drawn do not depend on the chunk size; the sums and
     scatter do, in their last bits.
     """
-    chunk_rows = max(1, CHUNK_PRICINGS // max(ids.size, 1))
-    total = np.zeros(ids.size)
-    m2 = np.zeros(ids.size)
-    offset = np.zeros(ids.size)  # running mean minus ``ref``
+    chunk_rows = max(1, CHUNK_PRICINGS // max(width, 1))
+    total = np.zeros(width)
+    m2 = np.zeros(width)
+    offset = np.zeros(width)  # running mean minus ``ref``
     ref = None
     done = 0
-    while done < dn:
-        rows = min(chunk_rows, dn - done)
-        x = source.draw(ids, rows)
-        ones = np.ones(rows)
+    while done < count:
+        k = min(chunk_rows, count - done)
+        x = rows(k)
+        ones = np.ones(k)
         chunk_sum = ones @ x
-        hi = chunk_sum / rows
+        hi = chunk_sum / k
         if ref is None:
             ref = hi
         x -= hi
         resid = ones @ x
         x *= x
-        delta = (hi - ref) + resid / rows - offset
-        m2 += ones @ x - resid * resid / rows
-        m2 += delta * delta * (done * rows / (done + rows))
-        offset += delta * (rows / (done + rows))
+        delta = (hi - ref) + resid / k - offset
+        m2 += ones @ x - resid * resid / k
+        m2 += delta * delta * (done * k / (done + k))
+        offset += delta * (k / (done + k))
         total += chunk_sum
-        done += rows
+        done += k
     return total, m2
 
 
@@ -246,7 +310,7 @@ def step(
 
     ``sums`` are the running sums over ``entered`` after ``n_prev`` paths;
     ``batch_sum``/``scatter`` the column sums and centred scatter of the
-    level's ``dn`` fresh paths (from :func:`draw_batch`, or simulated).  The
+    level's ``dn`` fresh paths (from a price source, or simulated).  The
     kept set is the ``keep`` largest cumulative means, ascending; keeping
     every scenario is the final level's no-selection step.
     """
@@ -309,11 +373,11 @@ def run_levels(
     ``next_action(l, stats)`` (``stats``: level ``l - 1``'s, None at ``l = 0``).
 
     ``source`` is either a ScenarioParams (then ``rng`` is required and a
-    GaussianSource is built on it) or any price source: an object with
-    ``n_s`` and ``draw(ids, count)``.  Each level draws ``dN`` paths for the
-    scenarios alive (:func:`draw_batch`) and keeps all but ``dq`` of them
-    (:func:`step`); the last keeps every one.  The run's strategy is the
-    actions taken.
+    GaussianSource is built on it) or any price source (see the module
+    docstring).  Each level takes the batch statistics of ``dN`` fresh
+    paths for the scenarios alive from one ``source.draw(alive, dN)`` call
+    and keeps all but ``dq`` of them (:func:`step`); the last keeps every
+    one.  The run's strategy is the actions taken.
     """
     if isinstance(source, ScenarioParams):
         if rng is None:
@@ -328,7 +392,7 @@ def run_levels(
         dq, dn = next_action(lvl, stats)
         keep = alive.size - dq if lvl + 1 < levels else alive.size
         n_prev = stats.n_cum if stats is not None else 0
-        batch_sum, scatter = draw_batch(source, alive, dn)
+        batch_sum, scatter = source.draw(alive, dn)
         stats = step(alive, sums[alive], n_prev, batch_sum, scatter, dn, keep)
         sums[alive] = stats.sums
         counts[alive] = stats.n_cum

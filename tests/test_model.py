@@ -3,13 +3,16 @@
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.linalg import solve_triangular
 
 from esscreen.errors import InvalidParameterError
 from esscreen.model import (
     EquicorrelatedSpec,
     NIWParams,
     ScenarioParams,
+    bartlett_factor,
     build_equicorrelated,
+    psd_factor,
     sample_niw,
     simulate_prices,
     synthetic_book,
@@ -246,6 +249,58 @@ def test_restrict_is_the_validated_sub_model_without_revalidation(equi, monkeypa
     np.testing.assert_array_equal(sub.factor(), want.factor())
     draws = simulate_prices(sub, 5, substream(2, 4))
     assert np.array_equal(draws, simulate_prices(want, 5, substream(2, 4)))
+
+
+def _replayed_bartlett(dof, d, rng):
+    """Bartlett factor by the formula: off-diagonal normals row by row, then
+    the diagonal square roots of chi^2(dof - i)."""
+    z = iter(rng.standard_normal(d * (d - 1) // 2))
+    a = np.zeros((d, d))
+    for i in range(d):
+        for j in range(i):
+            a[i, j] = next(z)
+    for i, c in enumerate(rng.chisquare(dof - np.arange(d))):
+        a[i, i] = np.sqrt(c)
+    return a
+
+
+def test_bartlett_factor_is_the_replayed_formula_bit_for_bit():
+    for dof, d in [(7.5, 4), (3.0, 1), (300.0, 6)]:
+        got = bartlett_factor(dof, d, substream(3, 9))
+        np.testing.assert_array_equal(got, _replayed_bartlett(dof, d, substream(3, 9)))
+
+
+def test_sample_niw_is_the_replayed_formula_bit_for_bit():
+    # one Bartlett draw inverted against the scale factor, then the location
+    a = np.random.default_rng(1).standard_normal((5, 5))
+    p = NIWParams(m=np.arange(5.0), k=2.0, i=9.0, s=a @ a.T, index_map=np.arange(5))
+    got = sample_niw(p, substream(3, 10))
+    rng = substream(3, 10)
+    phi = solve_triangular(_replayed_bartlett(9.0, 5, rng), psd_factor(p.s).T, lower=True)
+    sigma = phi.T @ phi
+    sigma = (sigma + sigma.T) / 2.0
+    mu = p.m + (phi.T @ rng.standard_normal(5)) / np.sqrt(2.0)
+    np.testing.assert_array_equal(got.sigma, sigma)
+    np.testing.assert_array_equal(got.mu, mu)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda m: ScenarioParams(mu=np.zeros(2), sigma=m),
+        lambda m: _niw(s=m),
+    ],
+    ids=["sigma", "S"],
+)
+def test_symmetry_is_checked_to_a_relative_tolerance(build):
+    # an exactly symmetric matrix passes, so does one asymmetric within
+    # 1e-8 relative; a clearly asymmetric one is rejected
+    build(np.array([[2.0, 0.5], [0.5, 2.0]]))
+    build(np.array([[2.0, 0.5], [0.5 * (1 + 5e-9), 2.0]]))
+    with pytest.raises(InvalidParameterError, match="must be symmetric"):
+        build(np.array([[2.0, 0.5], [0.5 * (1 + 1e-6), 2.0]]))
+    with pytest.raises(InvalidParameterError, match="must be symmetric"):
+        build(np.array([[2.0, 0.5], [0.6, 2.0]]))
 
 
 def test_negative_substream_key_is_an_invalid_parameter():

@@ -22,8 +22,8 @@ from esscreen.screener import (
     Strategy,
     correct_selection,
     cost,
-    draw_batch,
     exact_es,
+    fold_rows,
     rank_select,
     run_screening,
     worst_indexes,
@@ -235,9 +235,9 @@ class TestRunScreening:
         theta = _equi_theta(8)
         s = Strategy(q=(8, 4, 2), n=(0, 100, 300, 500))
         monkeypatch.setattr(screener, "CHUNK_PRICINGS", 7 * 8)  # 7 rows at width 8
-        a = run_screening(s, theta, substream(5, 1))
+        a = run_screening(s, _RowSource(theta, substream(5, 1)))
         monkeypatch.setattr(screener, "CHUNK_PRICINGS", 10_000 * 8)
-        b = run_screening(s, theta, substream(5, 1))
+        b = run_screening(s, _RowSource(theta, substream(5, 1)))
         np.testing.assert_array_equal(a.final_survivors, b.final_survivors)
         assert a.es_hat == pytest.approx(b.es_hat, rel=1e-12)
 
@@ -250,9 +250,9 @@ class TestRunScreening:
             synthetic_book(253, 2766.0), EquicorrelatedSpec(2.2e6, 0.6)
         )
         s = Strategy(q=(253, 45, 15, 6), n=(0, 2000, 6000, 10_000, 20_000))
-        a = run_screening(s, theta, substream(5, 2))
+        a = run_screening(s, _RowSource(theta, substream(5, 2)))
         monkeypatch.setattr(screener, "CHUNK_PRICINGS", 10_000 * 253)
-        b = run_screening(s, theta, substream(5, 2))
+        b = run_screening(s, _RowSource(theta, substream(5, 2)))
         for x, y in zip(a.survivors, b.survivors):
             np.testing.assert_array_equal(x, y)
         np.testing.assert_array_equal(a.counts, b.counts)
@@ -265,8 +265,7 @@ class TestRunScreening:
         theta = _equi_theta(9)
         s = Strategy(q=(9, 3), n=(0, 50, 50))
         run = run_screening(s, theta, substream(6, 0))
-        src = GaussianSource(theta, substream(6, 0))
-        x = src.draw(np.arange(9), 50)
+        x = simulate_prices(theta, 50, substream(6, 0))
         means = x.mean(axis=0)
         top = np.sort(means)[::-1][:3]
         assert run.es_hat == pytest.approx(top.mean(), rel=1e-12)
@@ -296,15 +295,29 @@ def _general_theta(n_s=10, rank=None, seed=0):
     return ScenarioParams(mu=synthetic_book(n_s, 2.0), sigma=a @ a.T)
 
 
+class _RowSource:
+    """The row route at every draw size: folds :func:`simulate_prices`
+    rows of the survivors' sub-model."""
+
+    def __init__(self, theta, rng):
+        self.theta, self.rng, self.n_s = theta, rng, theta.n_s
+
+    def draw(self, ids, count):
+        sub = self.theta.restrict(ids)
+        return fold_rows(lambda k: simulate_prices(sub, k, self.rng), sub.n_s, count)
+
+
 class TestGaussianSourceDraw:
     @pytest.mark.parametrize("general", [False, True])
     def test_full_range_draw_is_simulate_prices(self, general):
+        # below one chunk a draw is the fold of simulate_prices rows
         theta = _general_theta() if general else _equi_theta(10)
         src = GaussianSource(theta, substream(9, 0))
         rng = substream(9, 0)
         for count in (5, 3, 0):
             got = src.draw(np.arange(10), count)
-            np.testing.assert_array_equal(got, simulate_prices(theta, count, rng))
+            want = fold_rows(lambda k: simulate_prices(theta, k, rng), 10, count)
+            np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("general", [False, True])
     def test_simulate_prices_is_the_replayed_formula_bit_for_bit(self, general):
@@ -325,14 +338,15 @@ class TestGaussianSourceDraw:
         # width q + 1: one common normal, then one per survivor column
         theta = _equi_theta(8, sigma=4.0, rho=0.3)
         spec = theta.equi
-        src = GaussianSource(theta, substream(9, 1))
+        draws = substream(9, 1)
         rng = substream(9, 1)
         for ids, count in [(np.arange(8), 7), (np.array([1, 4, 6]), 50), ([2], 3)]:
             ids = np.asarray(ids)
             z = rng.standard_normal((count, ids.size + 1))
             mix = np.sqrt(spec.rho) * z[:, :1] + np.sqrt(1.0 - spec.rho) * z[:, 1:]
             want = theta.mu[ids] + spec.sigma_scalar * mix
-            np.testing.assert_array_equal(src.draw(ids, count), want)
+            got = simulate_prices(theta.restrict(ids), count, draws)
+            np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("rank", [None, 3])
     def test_restricted_draws_have_the_principal_sub_covariance(self, rank):
@@ -344,9 +358,7 @@ class TestGaussianSourceDraw:
         # largest singular value).
         theta = _general_theta(rank=rank, seed=4)
         ids = np.array([0, 3, 4, 8])
-        src = GaussianSource(theta, substream(9, 2))
-        src.draw(np.arange(10), 5)
-        x = src.draw(ids, 200_000)
+        x = simulate_prices(theta.restrict(ids), 200_000, substream(9, 2))
         assert x.shape == (200_000, ids.size)
         want = theta.sigma[np.ix_(ids, ids)]
         tol = 6 * np.sqrt(2 / 200_000) * want.diagonal().max()
@@ -446,18 +458,18 @@ def test_consistency_error_shrinks_with_paths():
     assert errs[0] > errs[1] > errs[2]
 
 
-class _ReplaySource:
-    """Serves the rows of a fixed price matrix in order."""
+def _replay(rows, ids):
+    """Row function serving the ``ids`` columns of a fixed price matrix's
+    rows, in order, as fresh blocks."""
+    at = 0
 
-    def __init__(self, rows):
-        self.rows = rows
-        self.at = 0
-        self.n_s = rows.shape[1]
-
-    def draw(self, ids, count):
-        out = self.rows[self.at : self.at + count][:, ids]
-        self.at += count
+    def draw(count):
+        nonlocal at
+        out = rows[at : at + count][:, ids]
+        at += count
         return out
+
+    return draw
 
 
 class TestDrawBatch:
@@ -469,7 +481,7 @@ class TestDrawBatch:
         x = 1e9 + rng.standard_normal((200, 5))
         ids = np.arange(5)
         monkeypatch.setattr(screener, "CHUNK_PRICINGS", 7 * 5)  # 7 rows per chunk
-        total, scatter = draw_batch(_ReplaySource(x), ids, 200)
+        total, scatter = fold_rows(_replay(x, ids), ids.size, 200)
         mean = np.array([math.fsum(col) / 200 for col in x.T])
         want = np.sum((x - mean) ** 2, axis=0)
         np.testing.assert_allclose(scatter, want, rtol=1e-12)
@@ -482,35 +494,180 @@ class TestDrawBatch:
         x = rng.standard_normal((30, 6))
         ids = np.array([1, 4])
         monkeypatch.setattr(screener, "CHUNK_PRICINGS", 4 * 2)  # 4 rows per chunk
-        total, scatter = draw_batch(_ReplaySource(x), ids, 30)
+        total, scatter = fold_rows(_replay(x, ids), ids.size, 30)
         sub = x[:, ids]
         np.testing.assert_allclose(total, sub.sum(axis=0), rtol=1e-13)
         want = np.sum((sub - sub.mean(axis=0)) ** 2, axis=0)
         np.testing.assert_allclose(scatter, want, rtol=1e-12)
-        total, scatter = draw_batch(_ReplaySource(x), ids, 0)
+        total, scatter = fold_rows(_replay(x, ids), ids.size, 0)
         assert total.tolist() == [0.0, 0.0] and scatter.tolist() == [0.0, 0.0]
 
     @pytest.mark.parametrize("general", [False, True], ids=["equi", "dense"])
     def test_draw_memory_is_bounded_whatever_dn(self, general):
-        # the chunks hold CHUNK_PRICINGS prices; at a draw the
-        # previous chunk, the new one's normals and its output are alive
-        mu = synthetic_book(253, 2766.0)
-        spec = EquicorrelatedSpec(2.2e6, 0.6)
-        if general:
-            theta = ScenarioParams(mu=mu, sigma=build_full_equi(253, 2.2e6, 0.6))
-        else:
-            theta = ScenarioParams.equicorrelated(mu, spec)
+        # above one chunk the draw samples its statistics, in O(q) memory
+        # (equicorrelated) or a few q x q blocks (dense)
+        theta = _paper_theta(general)
         ids = np.arange(253)
         src = GaussianSource(theta, substream(9, 5))
         src.draw(ids, 1)  # factor the covariance outside the measurement
         for dn in (2000, 20_000):
             tracemalloc.start()
             try:
-                draw_batch(src, ids, dn)
+                src.draw(ids, dn)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             assert peak <= 4 * CHUNK_PRICINGS * 8, (dn, peak)
+
+    @pytest.mark.parametrize("general", [False, True], ids=["equi", "dense"])
+    def test_row_fold_memory_is_bounded_whatever_dn(self, general):
+        # the chunks hold CHUNK_PRICINGS prices; at a draw the
+        # previous chunk, the new one's normals and its output are alive
+        theta = _paper_theta(general)
+        theta.factor()  # factor the covariance outside the measurement
+        rng = substream(9, 6)
+        for dn in (2000, 20_000):
+            tracemalloc.start()
+            try:
+                fold_rows(lambda k: simulate_prices(theta, k, rng), 253, dn)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 4 * CHUNK_PRICINGS * 8, (dn, peak)
+
+
+def _paper_theta(general):
+    mu = synthetic_book(253, 2766.0)
+    if general:
+        return ScenarioParams(mu=mu, sigma=build_full_equi(253, 2.2e6, 0.6))
+    return ScenarioParams.equicorrelated(mu, EquicorrelatedSpec(2.2e6, 0.6))
+
+
+def _max_gap_in_se(a, b):
+    """Largest difference between two samples' moments, in standard errors.
+
+    ``a`` and ``b`` hold one draw per row.  Compared per column: means and
+    variances; per pair of columns: correlations.  Each standard error is
+    the plug-in one of the moment's per-draw summand (for a correlation,
+    the delta-method summand ``u v - r (u^2 + v^2) / 2`` of the
+    standardised columns), so skewed scatters get honest errors.
+    """
+
+    def moments(x):
+        n = x.shape[0]
+        c = x - x.mean(axis=0)
+        var = (c * c).mean(axis=0)
+        u = c / np.sqrt(var)
+        i, j = np.triu_indices(x.shape[1], k=1)
+        r = (u[:, i] * u[:, j]).mean(axis=0)
+        corr_terms = u[:, i] * u[:, j] - r * (u[:, i] ** 2 + u[:, j] ** 2) / 2
+        value = np.concatenate([x.mean(axis=0), var, r])
+        se = np.concatenate([c.std(axis=0), (c * c).std(axis=0), corr_terms.std(axis=0)])
+        return value, se / np.sqrt(n)
+
+    (va, sa), (vb, sb) = moments(a), moments(b)
+    return np.max(np.abs(va - vb) / np.hypot(sa, sb))
+
+
+def _stats_sample(theta, ids, count, draws, seed):
+    """``draws`` consecutive ``(sum, scatter)`` draws, one row each."""
+    src = GaussianSource(theta, substream(seed, 0))
+    return np.array([np.concatenate(src.draw(ids, count)) for _ in range(draws)])
+
+
+class TestExactStatistics:
+    """The sampled statistics of draws above one chunk against the row fold."""
+
+    @pytest.mark.parametrize(
+        "theta",
+        [
+            _equi_theta(3, sigma=2.0, rho=0.4),
+            _general_theta(n_s=3, seed=2),
+            _general_theta(n_s=3, rank=2, seed=3),
+        ],
+        ids=["equi", "dense", "rank-deficient"],
+    )
+    def test_moments_and_correlations_match_the_row_fold(self, theta, monkeypatch):
+        # sums and scatters of dN = 5 paths over 3 columns, 6000 draws a
+        # route: every mean, variance and cross-column correlation (sum with
+        # sum, scatter with scatter, sum with scatter) within 4 SE
+        ids = np.arange(3)
+        rows = _stats_sample(theta, ids, 5, 6000, seed=11)
+        monkeypatch.setattr(screener, "CHUNK_PRICINGS", 1)
+        fast = _stats_sample(theta, ids, 5, 6000, seed=12)
+        assert _max_gap_in_se(fast, rows) < 4
+
+    def test_the_trainers_independent_scatter_would_fail(self):
+        # power check: scatters drawn as independent chi^2 per column (zero
+        # cross-column correlation, where the truth is rho^2 = 0.16) are
+        # told apart from the row fold
+        theta = _equi_theta(3, sigma=2.0, rho=0.4)
+        rows = _stats_sample(theta, np.arange(3), 5, 6000, seed=11)
+        rng = np.random.default_rng(0)
+        fake = rows.copy()
+        fake[:, 3:] = 4.0 * rng.chisquare(4, (6000, 3))
+        assert _max_gap_in_se(fake, rows) > 4
+
+    @pytest.mark.parametrize(
+        "theta",
+        [
+            _equi_theta(4),
+            _general_theta(n_s=4),
+            _equi_theta(1),
+            _general_theta(n_s=1),
+            _equi_theta(4, sigma=0.0),
+            ScenarioParams(mu=synthetic_book(4, 1.0), sigma=np.zeros((4, 4))),
+            _equi_theta(4, rho=0.0),
+        ],
+        ids=["equi", "dense", "equi-width-1", "dense-width-1", "equi-sigma-0",
+             "dense-sigma-0", "equi-rho-0"],
+    )
+    def test_routing_edges_give_finite_statistics(self, theta, monkeypatch):
+        # every non-empty draw is above one chunk: the closed form takes
+        # dN >= 3 (one-factor) or dN > q (dense); every other draw folds rows
+        calls = []
+        for name in ("_equicorrelated_stats", "_dense_stats"):
+            fn = getattr(screener, name)
+            monkeypatch.setattr(
+                screener, name, lambda *a, fn=fn, name=name: calls.append(name) or fn(*a)
+            )
+        monkeypatch.setattr(screener, "CHUNK_PRICINGS", 0)
+        q = theta.n_s
+        src = GaussianSource(theta, substream(4, 0))
+        for dn in sorted({0, 1, 2, 3, q, q + 1}):
+            calls.clear()
+            total, scatter = src.draw(np.arange(q), dn)
+            assert total.shape == scatter.shape == (q,)
+            assert np.isfinite(total).all() and np.isfinite(scatter).all()
+            assert (scatter >= 0).all()
+            if dn <= 1:
+                assert scatter.tolist() == [0.0] * q
+            if dn == 0:
+                assert total.tolist() == [0.0] * q
+            if theta.equi is not None:
+                assert calls == (["_equicorrelated_stats"] if dn >= 3 else []), dn
+            else:
+                assert calls == (["_dense_stats"] if dn > q else []), dn
+            if not theta.sigma.any():
+                np.testing.assert_allclose(total, dn * theta.mu, rtol=1e-15)
+                assert scatter.tolist() == [0.0] * q
+
+    @pytest.mark.parametrize("general", [False, True], ids=["equi", "dense"])
+    def test_up_to_one_chunk_is_the_row_fold_bit_for_bit(self, general, monkeypatch):
+        # a draw of exactly one chunk still folds rows; one path more samples
+        theta = _general_theta() if general else _equi_theta(10)
+        ids = np.array([1, 4, 6])
+        monkeypatch.setattr(screener, "CHUNK_PRICINGS", 3 * 50)
+        src = GaussianSource(theta, substream(8, 0))
+        rows = _RowSource(theta, substream(8, 0))
+        for count in (50, 7, 1):
+            got = src.draw(ids, count)
+            want = rows.draw(ids, count)
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1], want[1])
+        got = src.draw(ids, 51)
+        want = rows.draw(ids, 51)
+        assert not np.array_equal(got[0], want[0])
 
 
 @st.composite
