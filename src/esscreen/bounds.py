@@ -96,7 +96,8 @@ def _kernel_exp(n, x, var, c, p=1.0):
     safe = np.where(denom > 0, denom, 1.0)
     with np.errstate(over="ignore"):
         expo = -n * x * x / safe
-    out = np.where(expo > _EXP_FLOOR, np.exp(np.maximum(expo, _EXP_FLOOR)), 0.0)
+    # clamped entries are never passed to exp, so none of them goes subnormal
+    out = np.exp(expo, out=np.zeros_like(expo), where=expo > _EXP_FLOOR)
     out = np.where((x > 0) & (denom <= 0), 0.0, out)
     return np.where(x <= 0, 1.0, out)
 
@@ -140,41 +141,58 @@ def selection_term(
     return np.maximum.accumulate(vals.max(axis=0)[::-1])[::-1]
 
 
-def _mc_moment_term(n: float, sigma_p: np.ndarray, sub: SubGammaParams) -> np.ndarray:
-    """Per-scenario moment bound (C_sig p sigma^p / n^{p/2} + C_c p c^p / n^p)^{1/p}."""
+def _mc_term(n, n_last, sigma_p: np.ndarray, n_w: int, sub: SubGammaParams):
+    """(n / N_L) / n_w times the sum over ``sigma_p`` of the per-scenario
+    moment bound (C_sig p sigma^p / n^{p/2} + C_c p c^p / n^p)^{1/p}.
+
+    ``n`` and ``n_last`` are two path counts, or two lists of them for one
+    term per entry.  A list's powers are taken on its own numbers, one entry
+    at a time, so each entry has the bits of the call on that entry alone.
+    """
     c_sig, c_c = gamma_constants(sub.p)
     p = sub.p
-    inner = c_sig * p * sigma_p / n ** (p / 2.0) + c_c * p * sub.c**p / n**p
-    return inner ** (1.0 / p)
+    if isinstance(n, list):
+        root = np.array([k ** (p / 2.0) for k in n])[:, None]
+        full = np.array([k**p for k in n])[:, None]
+        share = np.array([k / last for k, last in zip(n, n_last)])
+    else:
+        root, full, share = n ** (p / 2.0), n**p, n / n_last
+    inner = c_sig * p * sigma_p / root + c_c * p * sub.c**p / full
+    return share / n_w * np.sum(inner ** (1.0 / p), axis=-1)
 
 
 def mc_terms_exact(
-    n_prev: int,
-    n_last: int,
-    sigma_p_sorted: np.ndarray,
-    n_w: int,
-    sub: SubGammaParams,
-) -> tuple[float, float]:
+    n_prev, n_last, sigma_p_sorted: np.ndarray, n_w: int, sub: SubGammaParams
+):
     """Final-level and carried-over Monte Carlo terms under known parameters.
 
     ``sigma_p_sorted`` holds the per-scenario deviations raised to the p-th
-    power, sorted descending; the fresh-path term takes its ``n_w`` largest
-    entries (the summand grows with sigma, so the max over ordered subsets is
-    attained there), the carried-over term sums all of them.
+    power, sorted descending; the fresh-path term (n = N_L - N_{L-1}) takes
+    its ``n_w`` largest entries (the summand grows with sigma, so the max over
+    ordered subsets is attained there), the carried-over term (n = N_{L-1})
+    sums all of them.  Both terms are +inf unless ``0 < n_prev < n_last``:
+    elsewhere they are undefined, and a plan that needs them must lose any
+    minimization.
+
+    Scalar path counts give a pair of floats.  Path-count arrays broadcast
+    against each other and give two arrays of terms, each entry equal to the
+    scalar call's bit for bit; the planner reads every (N_{L-1}, N_L) pair of
+    its grid from one such table.
     """
-    dn_last = n_last - n_prev
-    if n_prev == 0 or dn_last == 0:
-        return math.inf, math.inf
-    term_b = (
-        (dn_last / n_last)
-        / n_w
-        * float(np.sum(_mc_moment_term(dn_last, sigma_p_sorted[:n_w], sub)))
-    )
-    term_c = (
-        (n_prev / n_last)
-        / n_w
-        * float(np.sum(_mc_moment_term(n_prev, sigma_p_sorted, sub)))
-    )
+    if not (isinstance(n_prev, np.ndarray) or isinstance(n_last, np.ndarray)):
+        if not 0 < n_prev < n_last:
+            return math.inf, math.inf
+        fresh = _mc_term(n_last - n_prev, n_last, sigma_p_sorted[:n_w], n_w, sub)
+        carried = _mc_term(n_prev, n_last, sigma_p_sorted, n_w, sub)
+        return float(fresh), float(carried)
+    n_prev, n_last = np.broadcast_arrays(n_prev, n_last)
+    fine = (n_prev > 0) & (n_last > n_prev)
+    prev, last = n_prev[fine].tolist(), n_last[fine].tolist()
+    fresh = [b - a for a, b in zip(prev, last)]
+    term_b = np.full(fine.shape, math.inf)
+    term_c = np.full(fine.shape, math.inf)
+    term_b[fine] = _mc_term(fresh, last, sigma_p_sorted[:n_w], n_w, sub)
+    term_c[fine] = _mc_term(prev, last, sigma_p_sorted, n_w, sub)
     return term_b, term_c
 
 

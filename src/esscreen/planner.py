@@ -9,6 +9,7 @@ for books whose impacts decrease linearly in rank.
 from __future__ import annotations
 
 import json
+import logging
 import math
 import numbers
 from dataclasses import dataclass
@@ -82,6 +83,16 @@ class PlanningGrid:
         return self.q_grid[0]
 
 
+_log = logging.getLogger(__name__)
+
+#: Candidates that one group of consecutive target thresholds may expand at
+#: once (a single threshold with more is expanded alone).  A candidate takes
+#: about 150 bytes while its group is alive; on the paper grid this cap
+#: joins the small groups (level 1 expands in one) and leaves the planner's
+#: peak at about 2 MiB.
+_GROUP_CANDIDATES = 1 << 12
+
+
 def strategy_bound(strategy: Strategy, target, sub: SubGammaParams, grid: PlanningGrid):
     """Bound value of a concrete strategy, as the planner evaluates it.
 
@@ -97,25 +108,50 @@ def dp_optimize(
 ) -> tuple[Strategy, float]:
     """Bound-minimizing grid strategy within the budget.
 
-    Label-setting dynamic program over (level, q, N) nodes.  A label is a
-    partial strategy: its selection-term prefix ``g`` (summed in level
-    order), the budget ``spent`` so far, and back-pointer, grid indexes and
-    lexicographic ranks of its q path and N path.  Each level's labels are
-    arrays, expanded one target threshold q' at a time in ascending q':
-    every label is expanded over the admissible N' at once, and one lexsort
-    on (node, spent, g, q-rank, N-rank) orders the candidates of each node.
-    Only one q' slice of candidates is alive at a time, so the planner's
-    memory is bounded by the largest slice, not by the whole level.  A
-    candidate is kept iff its ``g`` is strictly below that of every earlier
+    Label-setting dynamic program over (level, q, N) nodes, pruned by an
+    incumbent (branch and bound).  A label is a partial strategy: its
+    selection-term prefix ``g`` (summed in level order), the budget ``spent``
+    so far, and back-pointer, grid indexes and lexicographic ranks of its q
+    path and N path.  Each level's labels are arrays, sorted by q.  They are
+    expanded in groups of consecutive target thresholds q', ascending, each
+    group holding at most ``_GROUP_CANDIDATES`` candidates unless one q'
+    alone holds more: every label is expanded over the admissible N' at once,
+    and one lexsort on (node, spent, g, q-rank, N-rank) orders the candidates
+    of each node.  Only one group of candidates is alive at a time, so the
+    planner's memory is bounded by the largest group, not by the whole level.
+    A candidate is kept iff its ``g`` is strictly below that of every earlier
     one at its node, i.e. no other label is at least as good in both g and
     spent; on an exact (g, spent) tie the lexicographically smaller (q, N)
     path is kept.  The surviving labels therefore contain a prefix of every
     optimal strategy.  Ties on the final value break toward smaller cost,
     then lexicographically smaller q, then smaller N.
 
+    The incumbent ``bound`` is the best value of a completed plan seen so
+    far.  After each level l <= L-2 every label is completed cheaply: idle
+    levels up to L-2 (q' = q, N' = N: no cost, a zero term), then n_w at the
+    label's own N, then the best final N within the budget.  At every later
+    level a candidate whose ``g`` exceeds the bound is dropped before the
+    frontier, and a label above it is not expanded at all.  This is exact:
+    every term is >= 0, and adding a non-negative float never lowers a sum,
+    so such a candidate's final value exceeds the bound, which is at least
+    the optimum.  A candidate that dominates a surviving one has a ``g`` no
+    larger, so it survives too: the frontier keeps what it kept without the
+    incumbent, less the dropped candidates.  Candidates equal to the bound
+    are kept, so every plan that ties the optimum survives and the tie order
+    is that of the unpruned search.  A target whose selection terms go
+    negative (scenarios not sorted by decreasing impact) gets no incumbent.
+    The incumbent and the final level read the Monte Carlo terms of every
+    (N_{L-1}, N_L) pair from one :func:`esscreen.bounds.mc_terms_exact`
+    table, so both compute a plan's value with the same arithmetic.
+
     Every selection term is read from one :func:`esscreen.bounds.level_terms`
     table over the grid's thresholds and path counts, built before the first
     level; a RobustBounds target must bracket every grid threshold below n_s.
+
+    With DEBUG enabled on the ``esscreen.planner`` logger, each level logs
+    the candidates it expanded, dropped by the incumbent, dropped as
+    dominated and kept, and the incumbent it pruned with (record attribute
+    ``dp_level``).
 
     Returns the strategy and its bound value.  Raises when no strategy fits
     the budget with nonzero paths at levels L-1 and L.
@@ -129,6 +165,19 @@ def dp_optimize(
     # N index 0 is the start (no paths yet); grid path counts are 1..n_n
     n_ext = np.concatenate(([0], n_grid))
     budget = grid.budget
+    # mc_b[i, b], mc_c[i, b]: Monte Carlo terms at N_{L-1} = n_ext[i] and
+    # N_L = n_grid[b], +inf where N_L <= N_{L-1}
+    mc_b, mc_c = mc_terms_exact(n_ext[:, None], n_grid[None, :], sig_p, grid.n_w, sub)
+
+    def finish(g, ni, spent):
+        """Value and cost of each label at n_w (rows) ending at each N_L
+        (columns); the value is +inf where the cost exceeds the budget."""
+        total = spent[:, None] + grid.n_w * (n_grid - n_ext[ni][:, None])
+        value = (g[:, None] + mc_b[ni]) + mc_c[ni]
+        return np.where(total <= budget, value, math.inf), total
+
+    prunable = not (terms < 0).any()
+    debug = _log.isEnabledFor(logging.DEBUG)
 
     # the start label sits at (n_s, 0)
     qi = np.array([n_q - 1])
@@ -137,28 +186,55 @@ def dp_optimize(
     spent = np.zeros(1, dtype=np.int64)
     q_rank = np.zeros(1, dtype=np.int32)
     n_rank = np.zeros(1, dtype=np.int32)
+    bound = math.inf
     trail = []  # per level: (back-pointer, q index, N index) of its labels
     for lvl in range(1, grid.levels):
         q_here = q_grid[qi]
         n_here = n_ext[ni]
         step = q_here[:, None] * (n_grid - n_here[:, None])
         ok_n = (n_grid >= n_here[:, None]) & (spent[:, None] + step <= budget)
+        n_targets = 1 if lvl == grid.levels - 1 else n_q
+        # a label above the incumbent has only candidates above it
+        above = g > bound
+        expanded = pruned = kept = 0
+        if debug:
+            reach = np.minimum(qi[above] + 1, n_targets)
+            expanded = pruned = int(ok_n[above].sum(axis=1) @ reach)
+        ok_n[above] = False
+        # the labels are sorted by q, so those that may stop at q' are a
+        # suffix, and the candidates of q' are the admissible (label, N')
+        # pairs from pos[q'] on
+        lab_ok, b_ok = np.nonzero(ok_n)
+        pos = np.searchsorted(lab_ok, np.searchsorted(qi, np.arange(n_targets)))
+        sizes = lab_ok.size - pos
         # a node (q', N') never spans two values of q', and the frontier's
-        # sort has the node as its first key, so the labels kept per q',
+        # sort has the node as its first key, so the labels kept per group,
         # joined in ascending q', are those (in the order) that one pass
         # over every q' would keep
         parts = []
-        for q_next in range(1 if lvl == grid.levels - 1 else n_q):
-            lab, b = np.nonzero(ok_n & (q_grid[q_next] <= q_here)[:, None])
-            if lab.size == 0:
+        for lo, hi in _target_groups(sizes.tolist()):
+            counts = sizes[lo:hi]
+            if not counts.any():
                 continue
+            q_next = np.repeat(np.arange(lo, hi), counts)
+            skip = np.repeat(pos[lo:hi] - (np.cumsum(counts) - counts), counts)
+            pick = np.arange(q_next.size) + skip
+            lab, b = lab_ok[pick], b_ok[pick]
             g_next = g[lab] + terms[qi[lab], q_next, b]
+            live = np.flatnonzero(g_next <= bound)
+            expanded += lab.size
+            pruned += lab.size - live.size
+            q_next, lab, b, g_next = q_next[live], lab[live], b[live], g_next[live]
             spent_next = spent[lab] + step[lab, b]
             # the paths into one node differ only in the prefix each
             # extends, so the extended labels' ranks order them
-            keep = _pareto_frontier(b, spent_next, g_next, q_rank[lab], n_rank[lab])
-            q_col = np.full(keep.size, q_next)
-            parts.append((lab[keep], q_col, b[keep], g_next[keep], spent_next[keep]))
+            keep = _pareto_frontier(
+                q_next * n_n + b, spent_next, g_next, q_rank[lab], n_rank[lab]
+            )
+            kept += keep.size
+            parts.append(
+                (lab[keep], q_next[keep], b[keep], g_next[keep], spent_next[keep])
+            )
         if not parts:
             raise InfeasiblePlanError(
                 f"no feasible strategy on the grid within budget {budget}"
@@ -168,14 +244,17 @@ def dp_optimize(
         trail.append((lab, qi, ni))
         q_rank = _dense_rank(q_rank[lab].astype(np.int64) * n_q + qi)
         n_rank = _dense_rank(n_rank[lab].astype(np.int64) * (n_n + 1) + ni)
+        if debug:
+            _log_level(lvl, expanded, pruned, kept, bound)
+        if prunable and lvl <= grid.levels - 2:
+            # idle to level L-2, then n_w at N_{L-1} = N
+            done, _ = finish(g + terms[qi, 0, b], ni, spent)
+            bound = min(bound, float(done.min()))
 
-    n_here = n_ext[ni]
-    total = spent[:, None] + q_grid[qi][:, None] * (n_grid - n_here[:, None])
-    lab, b = np.nonzero((n_grid >= n_here[:, None]) & (total <= budget))
-    pairs, inverse = np.unique(ni[lab] * n_n + b, return_inverse=True)
-    n_pairs = zip(n_ext[pairs // n_n].tolist(), n_grid[pairs % n_n].tolist())
-    tb, tc = np.array([mc_terms_exact(*nn, sig_p, grid.n_w, sub) for nn in n_pairs]).T
-    value = (g[lab] + tb[inverse]) + tc[inverse]
+    # every label now sits at n_w; an N_L at or below its N_{L-1} scores +inf
+    value, total = finish(g, ni, spent)
+    lab, b = np.nonzero(total <= budget)
+    value = value[lab, b]
     order = np.lexsort((b, n_rank[lab], q_rank[lab], total[lab, b], value))
     best = order[0]  # N_L == N_{L-1} always fits, so there is a candidate
     if not math.isfinite(value[best]):
@@ -193,6 +272,37 @@ def dp_optimize(
         q=(grid.n_s, *q_path[::-1]), n=(0, *n_path[::-1], n_grid[b[best]])
     )
     return strategy, float(value[best])
+
+
+def _target_groups(sizes: list[int]):
+    """Runs [lo, hi) of consecutive target thresholds, each expanding at
+    most ``_GROUP_CANDIDATES`` candidates in all unless it is one threshold."""
+    lo = 0
+    while lo < len(sizes):
+        hi, size = lo + 1, sizes[lo]
+        while hi < len(sizes) and size + sizes[hi] <= _GROUP_CANDIDATES:
+            size += sizes[hi]
+            hi += 1
+        yield lo, hi
+        lo = hi
+
+
+def _log_level(lvl: int, expanded: int, pruned: int, kept: int, bound: float):
+    """One DEBUG record of a level's candidates and the incumbent it used."""
+    record = {
+        "level": lvl,
+        "expanded": expanded,
+        "pruned": pruned,
+        "dominated": expanded - pruned - kept,
+        "kept": kept,
+        "incumbent": bound,
+    }
+    _log.debug(
+        "level %(level)d: %(expanded)d candidates, %(pruned)d above incumbent "
+        "%(incumbent)r, %(dominated)d dominated, %(kept)d kept",
+        record,
+        extra={"dp_level": record},
+    )
 
 
 def _dense_rank(key: np.ndarray) -> np.ndarray:

@@ -364,6 +364,79 @@ class TestFp:
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
 
+def _scalar_mc_terms(n_prev, n_last, sig_p, n_w, sub):
+    """The Monte Carlo terms as computed before they took path-count arrays."""
+    c_sig, c_c = gamma_constants(sub.p)
+    p = sub.p
+
+    def moment(n, sigma_p):
+        inner = c_sig * p * sigma_p / n ** (p / 2.0) + c_c * p * sub.c**p / n**p
+        return inner ** (1.0 / p)
+
+    dn = n_last - n_prev
+    if n_prev == 0 or dn == 0:
+        return math.inf, math.inf
+    term_b = (dn / n_last) / n_w * float(np.sum(moment(dn, sig_p[:n_w])))
+    term_c = (n_prev / n_last) / n_w * float(np.sum(moment(n_prev, sig_p)))
+    return term_b, term_c
+
+
+class TestMcTermsTable:
+    """mc_terms_exact over path-count arrays: the planner's (N_{L-1}, N_L)
+    table must hold the scalar call's bits, and +inf (never nan) where the
+    terms are undefined."""
+
+    def _case(self, rng, sub):
+        n_s = int(rng.integers(3, 300))
+        n_w = int(rng.integers(1, n_s))
+        scale = float(rng.choice([1.0, 1e3, 2.2e6]))
+        sig_p = np.sort(rng.gamma(2.0, scale, n_s) ** sub.p)[::-1]
+        top = int(rng.choice([60, 10**4, 2 * 10**6]))
+        n_grid = np.unique(rng.integers(0, top, size=int(rng.integers(1, 20))))
+        return np.concatenate(([0], n_grid)), n_grid, sig_p, n_w
+
+    @pytest.mark.parametrize("c,p", [(0.0, 1.0), (0.7, 1.5), (0.3, 2.0)])
+    def test_entries_equal_scalar_calls_bitwise(self, c, p):
+        sub = SubGammaParams(c=c, p=p)
+        rng = substream(31, 7)
+        for _ in range(20):
+            n_ext, n_grid, sig_p, n_w = self._case(rng, sub)
+            tb, tc = mc_terms_exact(n_ext[:, None], n_grid[None, :], sig_p, n_w, sub)
+            assert tb.shape == tc.shape == (n_ext.size, n_grid.size)
+            for a, n_prev in enumerate(n_ext.tolist()):
+                for b, n_last in enumerate(n_grid.tolist()):
+                    want = mc_terms_exact(n_prev, n_last, sig_p, n_w, sub)
+                    assert (tb[a, b].hex(), tc[a, b].hex()) == tuple(
+                        v.hex() for v in want
+                    ), (n_prev, n_last)
+                    if n_last >= n_prev:
+                        # the scalar call keeps its former bits
+                        old = _scalar_mc_terms(n_prev, n_last, sig_p, n_w, sub)
+                        assert want == old
+
+    @pytest.mark.parametrize("c,p", [(0.0, 1.0), (0.7, 1.5), (0.3, 2.0)])
+    def test_undefined_entries_are_inf(self, c, p):
+        # a zero N_{L-1}, an empty last level and a shrinking one are all
+        # +inf, without a warning (warnings are errors here)
+        sub = SubGammaParams(c=c, p=p)
+        sig_p = np.sort(substream(31, 8).gamma(2.0, 5.0, 12) ** p)[::-1]
+        n_prev = np.array([0, 0, 5, 5, 5, 40])[:, None]
+        n_last = np.array([0, 7, 40])[None, :]
+        tb, tc = mc_terms_exact(n_prev, n_last, sig_p, 3, sub)
+        undefined = (n_prev == 0) | (n_last <= n_prev)
+        assert not np.isnan(tb).any() and not np.isnan(tc).any()
+        assert np.all(tb[undefined] == math.inf) and np.all(tc[undefined] == math.inf)
+        assert np.isfinite(tb[~undefined]).all() and np.isfinite(tc[~undefined]).all()
+        for a, b in zip(*np.nonzero(undefined)):
+            pair = (int(n_prev[a, 0]), int(n_last[0, b]))
+            assert mc_terms_exact(*pair, sig_p, 3, sub) == (math.inf, math.inf)
+
+    def test_no_defined_entry(self):
+        sub = SubGammaParams()
+        tb, tc = mc_terms_exact(np.array([0, 9]), np.array([4, 9]), np.ones(4), 2, sub)
+        assert tb.tolist() == tc.tolist() == [math.inf, math.inf]
+
+
 class TestFRobust:
     def _rb(self, theta, q_values, slack=1.0):
         delta0 = 5.0

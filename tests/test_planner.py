@@ -2,6 +2,8 @@
 heuristic in both its numeric-scan and closed-form variants."""
 
 import itertools
+import json
+import logging
 import math
 import tracemalloc
 
@@ -12,6 +14,7 @@ import esscreen.planner
 from esscreen.bounds import (
     RobustBounds,
     SubGammaParams,
+    _kernel_exp,
     level_terms,
     mc_terms_exact,
     robust_gap_max,
@@ -320,6 +323,36 @@ class TestLevelTermsMatchFrozenTerms:
                 assert terms[a, b, d] == want, (qa, qb, n)
 
 
+class TestKernelMatchesFrozenKernel:
+    def test_bitwise_over_every_branch(self):
+        # exponents on both sides of the -745 floor, x <= 0, denominators
+        # <= 0, c > 0 and p != 1; a scalar x and an array of path counts
+        rng = substream(23, 14)
+        for _ in range(300):
+            shape = (int(rng.integers(1, 5)), int(rng.integers(1, 40)))
+            x = rng.normal(0.0, 1.0, shape) * 10.0 ** rng.uniform(-3, 3, shape)
+            x[rng.random(shape) < 0.1] = 0.0
+            var = rng.exponential(1.0, shape) * 10.0 ** rng.uniform(-3, 3, shape)
+            var[rng.random(shape) < 0.1] = 0.0
+            var[rng.random(shape) < 0.05] *= -1.0
+            c = float(rng.choice([0.0, 0.3, 5.0]))
+            p = float(rng.choice([1.0, 1.5, 2.0]))
+            n = float(10.0 ** rng.uniform(0, 7))
+            if rng.random() < 0.3:
+                n = rng.integers(1, 10**6, size=(shape[0], 1))
+            got = _kernel_exp(n, x, var, c, p)
+            want = _frozen_kernel_exp(n, x, var, c, p)
+            assert got.tobytes() == want.tobytes()
+        # the floor: exponents just above and below -745, and deep underflow
+        x = np.sqrt(np.array([744.0, 744.9, 745.0, 745.1, 746.0, 1e6]))
+        got = _kernel_exp(2.0, x, 1.0, 0.0, 1.0)
+        want = _frozen_kernel_exp(2.0, x, 1.0, 0.0, 1.0)
+        assert got.tobytes() == want.tobytes() and got[-1] == 0.0 and got[0] > 0.0
+        for x0 in (-1.0, 0.0, 0.5, 40.0):
+            got = _kernel_exp(3, x0, 2.0, 0.1, 1.5)
+            assert got.tobytes() == _frozen_kernel_exp(3, x0, 2.0, 0.1, 1.5).tobytes()
+
+
 class TestMatchesFrozenPlanner:
     @pytest.mark.parametrize("general", [False, True], ids=["equi", "iw"])
     @pytest.mark.parametrize("levels", [3, 4, 5])
@@ -523,8 +556,8 @@ class TestDpOptimize:
         assert 0 < len(calls) <= grid.levels - 1
 
     def test_memory_is_bounded_by_one_threshold_slice(self):
-        # memory guard: a level is expanded one target threshold at a time,
-        # so the peak stays far below the 85k-candidate L=5 level at once
+        # memory guard: a level is expanded one group of target thresholds
+        # at a time, so the peak stays far below the whole L=5 level at once
         theta = paper_theta(general=False)
         for levels in (3, 4, 5):
             tracemalloc.start()
@@ -534,6 +567,102 @@ class TestDpOptimize:
             finally:
                 tracemalloc.stop()
             assert peak <= 6 * 2**20, (levels, peak)
+
+    def test_incumbent_prunes_half_the_frontier_input(self, monkeypatch):
+        # work guard: candidates above the incumbent never reach the
+        # frontier (118,581 did on the paper L=5 grid without it)
+        frontier = esscreen.planner._pareto_frontier
+        sizes = []
+
+        def counting(node, *args):
+            sizes.append(node.size)
+            return frontier(node, *args)
+
+        monkeypatch.setattr(esscreen.planner, "_pareto_frontier", counting)
+        dp_optimize(paper_grid(5), paper_theta(general=False), SubGammaParams())
+        assert 0 < sum(sizes) <= 60_000
+
+    @pytest.mark.parametrize("levels", [3, 4])
+    def test_optimum_ties_the_incumbent(self, levels, caplog):
+        # zero variances and c = 0: every selection and Monte Carlo term is
+        # exactly 0, so every plan ties the first incumbent and every
+        # candidate equals it; the cheapest plan stops with N_{L-1} = N_{L-2}
+        # and the tie order (value, cost, q, N) picks among the rest
+        theta = ScenarioParams(mu=-2.0 * np.arange(1.0, 9.0), sigma=np.zeros((8, 8)))
+        sub = SubGammaParams()
+        grid = PlanningGrid(
+            q_grid=(2, 3, 5, 8), n_grid=(4, 9, 30), budget=10**4, levels=levels
+        )
+        want, _ = enumerate_optimum(grid, theta, sub)
+        with caplog.at_level(logging.DEBUG, logger="esscreen.planner"):
+            strat, value = dp_optimize(grid, theta, sub)
+        assert (value, cost(strat), strat.q, strat.n) == want
+        assert value == 0.0 and strat.n[-2] == strat.n[-3]
+        dearer = Strategy(q=strat.q, n=(*strat.n[:-1], 30))
+        assert strategy_bound(dearer, theta, sub, grid) == value
+        assert cost(dearer) > cost(strat)
+        last = [r.dp_level for r in caplog.records if hasattr(r, "dp_level")][-1]
+        assert last["incumbent"] == value and last["pruned"] == 0
+        assert assert_matches_frozen(grid, theta, sub)
+
+    @pytest.mark.parametrize("levels", [3, 4, 5])
+    def test_negative_terms_get_no_incumbent(self, levels):
+        # impacts in increasing order give negative selection terms, where a
+        # prefix above a completed plan may still end below it
+        rng = substream(23, 15)
+        checked = 0
+        for _ in range(10):
+            grid, theta = random_small_grid(rng)
+            grid = PlanningGrid(
+                q_grid=grid.q_grid,
+                n_grid=grid.n_grid,
+                budget=grid.budget,
+                levels=levels,
+            )
+            flipped = ScenarioParams(mu=theta.mu[::-1].copy(), sigma=theta.sigma)
+            want, _ = enumerate_optimum(grid, flipped, SubGammaParams())
+            if want is None or not math.isfinite(want[0]):
+                continue
+            strat, value = dp_optimize(grid, flipped, SubGammaParams())
+            assert (value, cost(strat), strat.q, strat.n) == want
+            checked += 1
+        assert checked >= 5
+
+    @pytest.mark.parametrize("general", [False, True], ids=["equi", "iw"])
+    def test_trace_accounts_for_every_candidate(self, general, monkeypatch, caplog):
+        # one DEBUG record per level: expanded = pruned + dominated + kept,
+        # with the frontier's own input and output counted independently
+        frontier = esscreen.planner._pareto_frontier
+        seen = []
+
+        def counting(node, *args):
+            keep = frontier(node, *args)
+            seen.append((node.size, keep.size))
+            return keep
+
+        monkeypatch.setattr(esscreen.planner, "_pareto_frontier", counting)
+        grid = paper_grid(5)
+        with caplog.at_level(logging.DEBUG, logger="esscreen.planner"):
+            _, value = dp_optimize(grid, paper_theta(general), SubGammaParams())
+        records = [r.dp_level for r in caplog.records if r.name == "esscreen.planner"]
+        assert [r["level"] for r in records] == list(range(1, grid.levels))
+        for r in records:
+            assert r["expanded"] == r["pruned"] + r["dominated"] + r["kept"]
+            assert min(r["pruned"], r["dominated"], r["kept"]) >= 0
+        assert sum(r["expanded"] - r["pruned"] for r in records) == sum(
+            n for n, _ in seen
+        )
+        assert sum(r["kept"] for r in records) == sum(k for _, k in seen)
+        bounds = [r["incumbent"] for r in records]
+        assert bounds[0] == math.inf and records[0]["pruned"] == 0
+        assert all(a >= b for a, b in zip(bounds, bounds[1:])) and bounds[-1] >= value
+        assert sum(r["pruned"] for r in records) > 0
+        json.dumps(records)
+
+    def test_no_trace_when_debug_is_off(self, caplog):
+        with caplog.at_level(logging.INFO, logger="esscreen.planner"):
+            dp_optimize(paper_grid(3), paper_theta(general=False), SubGammaParams())
+        assert not [r for r in caplog.records if r.name == "esscreen.planner"]
 
     @pytest.mark.parametrize("width", [15, 25])
     def test_theta_and_grid_must_agree_on_n_s(self, width):
