@@ -123,22 +123,27 @@ def gamma_constants(p: float) -> tuple[float, float]:
 
 
 def selection_term(
-    n_paths: int, gaps: np.ndarray, variances: np.ndarray, sub: SubGammaParams
+    n_paths, gaps: np.ndarray, variances: np.ndarray, sub: SubGammaParams
 ) -> np.ndarray:
-    """Selection-risk row of one path count N.
+    """Selection-risk row of one path count N, or one row per entry of an
+    array of path counts.
 
     ``gaps`` and ``variances`` hold ``mu_i - mu_k`` and ``Var[P_i - P_k]``
     for i among the n_w best scenarios (rows) and every scenario k
-    (columns).  Entry q of the returned row is the max over i and over
-    k >= q of gap * exp(-N gap^2 / (2 p (var_ik + c gap))): one kernel pass,
-    a max over i, then a running max from the right.  The level term for
+    (columns).  Entry q of a row is the max over i and over k >= q of
+    gap * exp(-N gap^2 / (2 p (var_ik + c gap))): one kernel pass, a max
+    over i, then a running max from the right.  The level term for
     q_prev -> q_next is (q_prev - q_next)^{1/p} times entry q_next; a max
-    is exact, so the row serves every threshold pair at this N.
+    is exact, so the row serves every threshold pair at this N.  An array
+    of path counts takes one kernel pass for all its rows, each equal to
+    the scalar call's bit for bit.
     """
-    if n_paths < 0:
+    n_paths = np.asarray(n_paths)
+    if (n_paths < 0).any():
         raise InvalidParameterError("n_paths must be >= 0")
-    vals = gaps * _kernel_exp(n_paths, gaps, variances, sub.c, sub.p)
-    return np.maximum.accumulate(vals.max(axis=0)[::-1])[::-1]
+    kern = _kernel_exp(n_paths[..., None, None], gaps, variances, sub.c, sub.p)
+    vals = (gaps * kern).max(axis=-2)
+    return np.maximum.accumulate(vals[..., ::-1], axis=-1)[..., ::-1]
 
 
 def _mc_term(n, n_last, sigma_p: np.ndarray, n_w: int, sub: SubGammaParams):
@@ -237,12 +242,13 @@ def level_terms(
     ``terms[a, b, d]`` is the term of the level ``q_values[a] ->
     q_values[b]`` at ``n_values[d]`` paths: (q_a - q_b)^{1/p} times a
     factor of (q_b, N), and 0 where q_b >= q_a or q_b >= n_s.  For a
-    ScenarioParams ``target`` the factor is entry q_b of the row
-    ``select(N, gaps, variances, sub)`` of :func:`selection_term`, over the
-    n_w x n_s gap and pair-variance matrices, one row per distinct N; for a
-    RobustBounds it is :func:`robust_gap_max` over the bracket at q_b, which
-    must exist for every q_b < n_s.  ``select`` is passed by the caller so
-    that instrumentation rebinding the caller's name sees every row.  Every
+    ScenarioParams ``target`` the factor is entry q_b of the row of N in
+    ``select(distinct N, gaps, variances, sub)`` of :func:`selection_term`,
+    over the n_w x n_s gap and pair-variance matrices: one call builds the
+    row of every distinct N.  For a RobustBounds it is
+    :func:`robust_gap_max` over the bracket at q_b, which must exist for
+    every q_b < n_s.  ``select`` is passed by the caller so that
+    instrumentation rebinding the caller's name sees the call.  Every
     bound of a concrete strategy and the planner's dynamic program read their
     terms from this table, so their values compare bitwise.
     """
@@ -258,7 +264,8 @@ def level_terms(
         gaps = target.mu[i] - target.mu[k]
         variances = pair_variance(target.sigma, i, k)
         sig_p = np.sort(np.sqrt(np.diag(target.sigma)) ** sub.p)[::-1]
-        rows = {n: select(n, gaps, variances, sub) for n in dict.fromkeys(n_values)}
+        distinct = list(dict.fromkeys(n_values))
+        rows = dict(zip(distinct, select(np.array(distinct), gaps, variances, sub)))
 
         def factor(q, n):
             return float(rows[n][q])

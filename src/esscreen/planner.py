@@ -116,40 +116,49 @@ def dp_optimize(
     expanded in groups of consecutive target thresholds q', ascending, each
     group holding at most ``_GROUP_CANDIDATES`` candidates unless one q'
     alone holds more: every label is expanded over the admissible N' at once,
-    and one lexsort on (node, spent, g, q-rank, N-rank) orders the candidates
-    of each node.  Only one group of candidates is alive at a time, so the
-    planner's memory is bounded by the largest group, not by the whole level.
-    A candidate is kept iff its ``g`` is strictly below that of every earlier
-    one at its node, i.e. no other label is at least as good in both g and
-    spent; on an exact (g, spent) tie the lexicographically smaller (q, N)
-    path is kept.  The surviving labels therefore contain a prefix of every
-    optimal strategy.  Ties on the final value break toward smaller cost,
-    then lexicographically smaller q, then smaller N.
+    and one lexsort on (node, g, spent, path) orders the candidates of each
+    node, where the path key orders the q paths, then the N paths.  Only one
+    group of candidates is alive at a time, so the planner's memory is
+    bounded by the largest group, not by the whole level.  A candidate is
+    kept iff its ``spent`` is strictly below that of every earlier one at its
+    node, i.e. no other label is at least as good in both g and spent; on an
+    exact (g, spent) tie the lexicographically smaller (q, N) path is kept.
+    The surviving labels therefore contain a prefix of every optimal
+    strategy.  Ties on the final value break toward smaller cost, then
+    lexicographically smaller q, then smaller N.
 
     The incumbent ``bound`` is the best value of a completed plan seen so
     far.  After each level l <= L-2 every label is completed cheaply: idle
     levels up to L-2 (q' = q, N' = N: no cost, a zero term), then n_w at the
-    label's own N, then the best final N within the budget.  At every later
-    level a candidate whose ``g`` exceeds the bound is dropped before the
-    frontier, and a label above it is not expanded at all.  This is exact:
-    every term is >= 0, and adding a non-negative float never lowers a sum,
-    so such a candidate's final value exceeds the bound, which is at least
-    the optimum.  A candidate that dominates a surviving one has a ``g`` no
-    larger, so it survives too: the frontier keeps what it kept without the
-    incumbent, less the dropped candidates.  Candidates equal to the bound
-    are kept, so every plan that ties the optimum survives and the tie order
-    is that of the unpruned search.  A target whose selection terms go
-    negative (scenarios not sorted by decreasing impact) gets no incumbent.
-    The incumbent and the final level read the Monte Carlo terms of every
-    (N_{L-1}, N_L) pair from one :func:`esscreen.bounds.mc_terms_exact`
-    table, so both compute a plan's value with the same arithmetic.
+    label's own N, then the best final N within the budget.  Every label and
+    candidate is then scored with a lower bound on the value of any of its
+    completions: its ``g`` plus the least Monte Carlo terms over the final
+    (N_{L-1}, N_L) pairs it can still reach (N_{L-1} at least its own N, N_L
+    at most its N plus the budget left over n_w, as every later level prices
+    at least n_w scenarios; see :func:`_tail_bound`).  A label scored above
+    the bound is not expanded, and a candidate scored above it is dropped
+    before the frontier.  This is exact (A* within branch and bound): every
+    term is >= 0 and rounded addition is monotone, so such a candidate's
+    final value exceeds the bound, which is at least the optimum.  A
+    candidate that dominates a surviving one has the same node, a ``g`` no
+    larger and at least as much budget left, so it reaches at least as far
+    and survives too: the frontier keeps what it kept without the incumbent,
+    less the dropped candidates.  Candidates scored equal to the bound are
+    kept, so every plan that ties the optimum survives and the tie order is
+    that of the unpruned search.  A target whose selection terms go negative
+    (scenarios not sorted by decreasing impact) gets no incumbent.  The
+    incumbent, the tail bound and the final level read the Monte Carlo terms
+    of every (N_{L-1}, N_L) pair from one
+    :func:`esscreen.bounds.mc_terms_exact` table, so all three compute with
+    the same arithmetic.
 
     Every selection term is read from one :func:`esscreen.bounds.level_terms`
     table over the grid's thresholds and path counts, built before the first
     level; a RobustBounds target must bracket every grid threshold below n_s.
 
     With DEBUG enabled on the ``esscreen.planner`` logger, each level logs
-    the candidates it expanded, dropped by the incumbent, dropped as
+    the candidates it expanded, dropped with a ``g`` above the incumbent
+    (``pruned``), dropped by the tail bound alone (``bounded``), dropped as
     dominated and kept, and the incumbent it pruned with (record attribute
     ``dp_level``).
 
@@ -168,6 +177,7 @@ def dp_optimize(
     # mc_b[i, b], mc_c[i, b]: Monte Carlo terms at N_{L-1} = n_ext[i] and
     # N_L = n_grid[b], +inf where N_L <= N_{L-1}
     mc_b, mc_c = mc_terms_exact(n_ext[:, None], n_grid[None, :], sig_p, grid.n_w, sub)
+    tail = _tail_bound(mc_b, mc_c, n_ext, grid)
 
     def finish(g, ni, spent):
         """Value and cost of each label at n_w (rows) ending at each N_L
@@ -194,19 +204,27 @@ def dp_optimize(
         step = q_here[:, None] * (n_grid - n_here[:, None])
         ok_n = (n_grid >= n_here[:, None]) & (spent[:, None] + step <= budget)
         n_targets = 1 if lvl == grid.levels - 1 else n_q
-        # a label above the incumbent has only candidates above it
-        above = g > bound
-        expanded = pruned = kept = 0
+        # a label scored above the incumbent has only candidates scored
+        # above it: each has a g and an N no smaller and reaches no further
+        gone = tail(g, ni, spent) > bound
+        expanded = pruned = bounded = kept = 0
         if debug:
-            reach = np.minimum(qi[above] + 1, n_targets)
-            expanded = pruned = int(ok_n[above].sum(axis=1) @ reach)
-        ok_n[above] = False
+            lab, b = np.nonzero(ok_n & gone[:, None])
+            g_drop = g[lab, None] + terms[qi[lab], :n_targets, b]
+            reach = np.arange(n_targets) <= qi[lab, None]
+            expanded = int(reach.sum())
+            pruned = int((reach & (g_drop > bound)).sum())
+            bounded = expanded - pruned
+        ok_n[gone] = False
         # the labels are sorted by q, so those that may stop at q' are a
         # suffix, and the candidates of q' are the admissible (label, N')
         # pairs from pos[q'] on
         lab_ok, b_ok = np.nonzero(ok_n)
         pos = np.searchsorted(lab_ok, np.searchsorted(qi, np.arange(n_targets)))
         sizes = lab_ok.size - pos
+        # the paths into one node differ only in the prefix each extends,
+        # so the extended labels' (q rank, N rank) order them
+        path = q_rank.astype(np.int64) * (int(n_rank.max()) + 1) + n_rank
         # a node (q', N') never spans two values of q', and the frontier's
         # sort has the node as its first key, so the labels kept per group,
         # joined in ascending q', are those (in the order) that one pass
@@ -221,16 +239,19 @@ def dp_optimize(
             pick = np.arange(q_next.size) + skip
             lab, b = lab_ok[pick], b_ok[pick]
             g_next = g[lab] + terms[qi[lab], q_next, b]
-            live = np.flatnonzero(g_next <= bound)
-            expanded += lab.size
-            pruned += lab.size - live.size
-            q_next, lab, b, g_next = q_next[live], lab[live], b[live], g_next[live]
             spent_next = spent[lab] + step[lab, b]
-            # the paths into one node differ only in the prefix each
-            # extends, so the extended labels' ranks order them
-            keep = _pareto_frontier(
-                q_next * n_n + b, spent_next, g_next, q_rank[lab], n_rank[lab]
-            )
+            live = tail(g_next, b + 1, spent_next) <= bound
+            expanded += lab.size
+            if debug:
+                over = g_next > bound
+                pruned += int(over.sum())
+                bounded += int((~over & ~live).sum())
+            live = np.flatnonzero(live)
+            if not live.size:
+                continue
+            q_next, lab, b = q_next[live], lab[live], b[live]
+            g_next, spent_next = g_next[live], spent_next[live]
+            keep = _pareto_frontier(q_next * n_n + b, spent_next, g_next, path[lab])
             kept += keep.size
             parts.append(
                 (lab[keep], q_next[keep], b[keep], g_next[keep], spent_next[keep])
@@ -245,7 +266,7 @@ def dp_optimize(
         q_rank = _dense_rank(q_rank[lab].astype(np.int64) * n_q + qi)
         n_rank = _dense_rank(n_rank[lab].astype(np.int64) * (n_n + 1) + ni)
         if debug:
-            _log_level(lvl, expanded, pruned, kept, bound)
+            _log_level(lvl, expanded, pruned, bounded, kept, bound)
         if prunable and lvl <= grid.levels - 2:
             # idle to level L-2, then n_w at N_{L-1} = N
             done, _ = finish(g + terms[qi, 0, b], ni, spent)
@@ -274,6 +295,39 @@ def dp_optimize(
     return strategy, float(value[best])
 
 
+def _tail_bound(mc_b, mc_c, n_ext, grid: PlanningGrid):
+    """Lower bound on the final value of any completion of a label.
+
+    ``n_ext`` is 0 followed by the grid's path counts, and ``mc_b[i, e]``,
+    ``mc_c[i, e]`` are the Monte Carlo terms at N_{L-1} = ``n_ext[i]`` and
+    N_L = ``n_ext[e + 1]``.  Each table's bound at (i, e) is its least entry
+    over N_{L-1} >= ``n_ext[i]`` and N_L <= ``n_ext[e + 1]``: a suffix
+    minimum down the rows, then a prefix minimum along them.  The returned
+    ``tail(g, ni, spent)`` scores labels with prefix ``g`` at N index ``ni``
+    having spent ``spent``: every later level prices at least n_w
+    scenarios, so N_L is at most N + (budget - spent) // n_w, and
+    ``(g + lb_b) + lb_c`` at that reach is at most the value of every
+    completion (every term is >= 0 and rounded addition is monotone).
+    """
+    lb_b, lb_c = (
+        np.minimum.accumulate(
+            np.minimum.accumulate(t[::-1], axis=0)[::-1], axis=1
+        )
+        for t in (mc_b, mc_c)
+    )
+    n_grid = n_ext[1:]
+    # costs are integers, so the budget counts only whole pricings; no label
+    # spends more than n_s N, so a larger cap reaches the whole grid anyway
+    cap = min(math.floor(grid.budget), grid.n_s * int(n_grid[-1]))
+
+    def tail(g, ni, spent):
+        reach = n_ext[ni] + (cap - spent) // grid.n_w
+        e = np.searchsorted(n_grid, reach, "right") - 1
+        return (g + lb_b[ni, e]) + lb_c[ni, e]
+
+    return tail
+
+
 def _target_groups(sizes: list[int]):
     """Runs [lo, hi) of consecutive target thresholds, each expanding at
     most ``_GROUP_CANDIDATES`` candidates in all unless it is one threshold."""
@@ -287,19 +341,23 @@ def _target_groups(sizes: list[int]):
         lo = hi
 
 
-def _log_level(lvl: int, expanded: int, pruned: int, kept: int, bound: float):
+def _log_level(
+    lvl: int, expanded: int, pruned: int, bounded: int, kept: int, bound: float
+):
     """One DEBUG record of a level's candidates and the incumbent it used."""
     record = {
         "level": lvl,
         "expanded": expanded,
         "pruned": pruned,
-        "dominated": expanded - pruned - kept,
+        "bounded": bounded,
+        "dominated": expanded - pruned - bounded - kept,
         "kept": kept,
         "incumbent": bound,
     }
     _log.debug(
         "level %(level)d: %(expanded)d candidates, %(pruned)d above incumbent "
-        "%(incumbent)r, %(dominated)d dominated, %(kept)d kept",
+        "%(incumbent)r, %(bounded)d above it by the tail bound, "
+        "%(dominated)d dominated, %(kept)d kept",
         record,
         extra={"dp_level": record},
     )
@@ -310,23 +368,23 @@ def _dense_rank(key: np.ndarray) -> np.ndarray:
     return np.unique(key, return_inverse=True)[1].astype(np.int32)
 
 
-def _pareto_frontier(node, spent, g, q_rank, n_rank) -> np.ndarray:
+def _pareto_frontier(node, spent, g, path) -> np.ndarray:
     """Indexes of the labels no other label at their node dominates.
 
-    Sorted by (node, spent, g, q path, N path), a label is dominated iff an
-    earlier label at its node has ``g`` at most its own: such a label spent
-    no more, and on an exact (g, spent) tie has the smaller path.  So the
-    kept labels are those whose ``g`` is strictly below every earlier ``g``
-    of their node.
+    ``path`` orders the labels' (q path, N path) and is distinct within a
+    node.  Sorted by (node, g, spent, path), a label is dominated iff an
+    earlier label at its node spent at most as much: such a label has a
+    ``g`` no larger, and on an exact (g, spent) tie the smaller path.  So
+    the kept labels are those whose integer ``spent`` is strictly below
+    every earlier ``spent`` of their node.  ``node`` must not be empty.
     """
-    order = np.lexsort((n_rank, q_rank, g, spent, node))
-    node, g = node[order], g[order]
+    order = np.lexsort((path, spent, g, node))
+    node, spent = node[order], spent[order]
     start = np.ones(node.size, dtype=bool)
     start[1:] = node[1:] != node[:-1]
-    g_rank = np.unique(g, return_inverse=True)[1]
     # each node's keys lie below every earlier node's, so the running min
     # restarts at each node's first label
-    key = g_rank - np.cumsum(start) * (g_rank.max() + 1)
+    key = spent - np.cumsum(start) * (int(spent.max()) + 1)
     run_min = np.minimum.accumulate(key)
     # a node's first label is kept, a later one iff it sets a new strict min
     keep = start

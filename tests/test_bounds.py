@@ -295,6 +295,35 @@ class TestSelectionTerm:
         scan = np.max(gaps * np.exp(-n * gaps**2 / (2 * sig2)))
         assert got == pytest.approx((theta.n_s - q_next) * scan, rel=1e-12)
 
+    @pytest.mark.parametrize("c,p", [(0.0, 1.0), (0.7, 1.5), (0.3, 2.0), (2.0, 1.0)])
+    def test_rows_of_an_array_equal_scalar_calls(self, c, p):
+        # one kernel pass over every path count, N = 0 included (a zero
+        # exponent), each row bit for bit the row of its own scalar call;
+        # a one-factor book and a general covariance
+        sub = SubGammaParams(c=c, p=p)
+        rng = substream(23, 30)
+        a = rng.standard_normal((20, 20))
+        for sigma in (_theta().sigma, a @ a.T + np.eye(20)):
+            theta = ScenarioParams(mu=synthetic_book(20, 5.0), sigma=sigma)
+            gaps = theta.mu[:3, None] - theta.mu[None, :]
+            d = np.diag(theta.sigma)
+            variances = d[:3, None] + d[None, :] - 2 * theta.sigma[:3]
+            n = np.array([0, 1, 7, 40, 40, 1000, 10**6, 10**9])
+            rows = selection_term(n, gaps, variances, sub)
+            assert rows.shape == (n.size, theta.n_s)
+            for row, k in zip(rows, n.tolist()):
+                want = selection_term(k, gaps, variances, sub)
+                assert row.tobytes() == want.tobytes(), k
+            assert (rows[0] > 0).all() and not rows[-1][3:].any()
+
+    def test_negative_path_counts_raise(self):
+        theta = _theta()
+        gaps = theta.mu[:3, None] - theta.mu[None, :]
+        variances = np.ones_like(gaps)
+        for n in (-1, np.array([3, -1, 5]), np.array([-2])):
+            with pytest.raises(InvalidParameterError, match="n_paths"):
+                selection_term(n, gaps, variances, SubGammaParams())
+
     def test_one_row_per_path_count(self):
         calls = []
 
@@ -306,7 +335,8 @@ class TestSelectionTerm:
         terms, _ = level_terms(
             _theta(), SubGammaParams(), 3, 20, q_values, n_values, counting
         )
-        assert calls == [10, 40]
+        # one call builds the row of every distinct N
+        assert len(calls) == 1 and calls[0].tolist() == [10, 40]
         assert terms.shape == (5, 5, 4)
         np.testing.assert_array_equal(terms[:, :, :2], terms[:, :, 2:])
 

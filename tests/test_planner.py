@@ -45,12 +45,8 @@ from esscreen.screener import Strategy, cost
 from esscreen.streams import substream
 
 
-def enumerate_optimum(grid, target, sub):
-    """Exhaustive search over all grid strategies within budget.
-
-    Reads the same level-term table as the planner so values compare bitwise;
-    the tie order is (value, cost, q-path, N-path).
-    """
+def grid_plans(grid):
+    """Every grid strategy within budget, with its cost."""
     levels = grid.levels
     interior = levels - 2
     q_choices = [
@@ -59,21 +55,28 @@ def enumerate_optimum(grid, target, sub):
         if all(a >= b for a, b in zip((grid.n_s,) + qs, qs))
         and all(q >= grid.n_w for q in qs)
     ]
-    best = None
-    count = 0
     for qs in q_choices:
         q_full = (grid.n_s,) + qs + (grid.n_w,)
         for ns in itertools.combinations_with_replacement(grid.n_grid, levels):
-            count += 1
             strat = Strategy(q=q_full, n=(0,) + ns)
             c = cost(strat)
-            if c > grid.budget:
-                continue
-            value = strategy_bound(strat, target, sub, grid)
-            cand = (value, c, q_full, (0,) + ns)
-            if best is None or cand < best:
-                best = cand
-    return best, count
+            if c <= grid.budget:
+                yield strat, c
+
+
+def enumerate_optimum(grid, target, sub):
+    """Exhaustive search over all grid strategies within budget.
+
+    Reads the same level-term table as the planner so values compare bitwise;
+    the tie order is (value, cost, q-path, N-path).
+    """
+    best = None
+    for strat, c in grid_plans(grid):
+        value = strategy_bound(strat, target, sub, grid)
+        cand = (value, c, strat.q, strat.n)
+        if best is None or cand < best:
+            best = cand
+    return best
 
 
 def random_small_grid(rng):
@@ -422,11 +425,79 @@ class TestMatchesFrozenPlanner:
             def rank(keys):
                 return np.array([sorted(set(keys)).index(k) for k in keys])
 
-            kept = esscreen.planner._pareto_frontier(
-                node, spent, g, rank(q_paths), rank(n_paths)
-            )
+            n_rank = rank(n_paths)
+            path = rank(q_paths) * (n_rank.max() + 1) + n_rank
+            kept = esscreen.planner._pareto_frontier(node, spent, g, path)
             got = {(int(node[j]), q_paths[j], n_paths[j]) for j in kept}
             assert got == want and len(kept) == len(got)
+
+
+def random_robust_bounds(grid, rng):
+    return RobustBounds(
+        delta_lo={q: float(rng.uniform(0.0, 2.0)) * q for q in grid.q_grid},
+        delta_hi={q: float(rng.uniform(2.0, 4.0)) * q for q in grid.q_grid},
+        sigma_bar=float(rng.uniform(1.0, 6.0)),
+    )
+
+
+class TestTailBound:
+    @pytest.mark.parametrize("robust", [False, True], ids=["theta", "robust"])
+    @pytest.mark.parametrize("c,p", [(0.0, 1.0), (0.7, 1.5), (0.3, 2.0), (2.0, 1.0)])
+    def test_no_plan_ends_below_the_bound_of_a_prefix(self, robust, c, p):
+        # admissibility: at every level, the tail bound of a plan's prefix
+        # label (its g, N index and spend, as the planner holds them) is at
+        # most the plan's value, and so is each Monte Carlo table's bound
+        # alone (the fresh-path term falls as N_{L-1} grows, the
+        # carried-over term rises); the pruned planner still returns the
+        # enumerated optimum and cost, and the frozen planner's plan
+        sub = SubGammaParams(c=c, p=p)
+        rng = substream(23, 17)
+        checked = tight = 0
+        for _ in range(6):
+            grid, target = random_small_grid(rng)
+            if robust:
+                target = random_robust_bounds(grid, rng)
+            terms, sig_p = level_terms(
+                target, sub, grid.n_w, grid.n_s, grid.q_grid, grid.n_grid, selection_term
+            )
+            n_ext = np.array((0, *grid.n_grid))
+            mc_b, mc_c = mc_terms_exact(
+                n_ext[:, None], n_ext[None, 1:], sig_p, grid.n_w, sub
+            )
+            zero = np.zeros_like(mc_b)
+            tables = [(mc_b, mc_c), (mc_b, zero), (zero, mc_c)]
+            tails = [
+                esscreen.planner._tail_bound(tb, tc, n_ext, grid) for tb, tc in tables
+            ]
+            q_index = {q: a for a, q in enumerate(grid.q_grid)}
+            n_index = {n: i for i, n in enumerate(n_ext.tolist())}
+            for strat, _ in grid_plans(grid):
+                g, spent, prefixes = 0.0, 0, []
+                for lvl in range(1, grid.levels):
+                    a, b = q_index[strat.q[lvl - 1]], q_index[strat.q[lvl]]
+                    ni = n_index[strat.n[lvl]]
+                    g = g + terms[a, b, ni - 1]
+                    spent += strat.q[lvl - 1] * (strat.n[lvl] - strat.n[lvl - 1])
+                    prefixes.append((np.array([g]), np.array([ni]), np.array([spent])))
+                i, e = n_index[strat.n[-2]], n_index[strat.n[-1]] - 1
+                value = strategy_bound(strat, target, sub, grid)
+                assert value == (g + mc_b[i, e]) + mc_c[i, e]
+                for (tb, tc), tail in zip(tables, tails):
+                    ends = (g + tb[i, e]) + tc[i, e]
+                    for prefix in prefixes:
+                        lb = tail(*prefix)[0]
+                        assert lb <= ends, (strat, prefix, lb, ends)
+                        checked += 1
+                        tight += lb == ends < math.inf
+            best = enumerate_optimum(grid, target, sub)
+            if best is None or not math.isfinite(best[0]):
+                with pytest.raises(InfeasiblePlanError):
+                    dp_optimize(grid, target, sub)
+                continue
+            strat, value = dp_optimize(grid, target, sub)
+            assert (value, cost(strat)) == best[:2]
+            assert assert_matches_frozen(grid, target, sub)
+        assert checked > 1000 and tight > 0
 
 
 class TestDpOptimize:
@@ -435,7 +506,7 @@ class TestDpOptimize:
         rng = substream(23, 0)
         for trial in range(12):
             grid, theta = random_small_grid(rng)
-            want, _ = enumerate_optimum(grid, theta, sub)
+            want = enumerate_optimum(grid, theta, sub)
             if want is None or not math.isfinite(want[0]):
                 with pytest.raises(InfeasiblePlanError):
                     dp_optimize(grid, theta, sub)
@@ -456,7 +527,7 @@ class TestDpOptimize:
                 delta_hi={q: 3.0 * q for q in grid.q_grid},
                 sigma_bar=4.0,
             )
-            want, _ = enumerate_optimum(grid, rb, sub)
+            want = enumerate_optimum(grid, rb, sub)
             if want is None or not math.isfinite(want[0]):
                 continue
             strat, value = dp_optimize(grid, rb, sub)
@@ -536,8 +607,9 @@ class TestDpOptimize:
 
 
     def test_one_selection_row_per_path_count(self, monkeypatch):
-        # work guard: the kernel runs once per distinct N, not per
-        # (q_prev, q_next, N) triple; no timing is asserted
+        # work guard: one kernel call builds the row of every distinct N of
+        # a table, not one call per N or per (q_prev, q_next, N) triple; no
+        # timing is asserted
         from esscreen.bounds import selection_term
 
         calls = []
@@ -550,10 +622,10 @@ class TestDpOptimize:
         grid = paper_grid(5)
         theta = paper_theta(general=False)
         strat, value = dp_optimize(grid, theta, SubGammaParams())
-        assert 0 < len(calls) <= len(grid.n_grid)
+        assert len(calls) == 1 and calls[0].tolist() == list(grid.n_grid)
         calls.clear()
         assert strategy_bound(strat, theta, SubGammaParams(), grid) == value
-        assert 0 < len(calls) <= grid.levels - 1
+        assert len(calls) == 1 and calls[0].tolist() == sorted(set(strat.n[1:-1]))
 
     def test_memory_is_bounded_by_one_threshold_slice(self):
         # memory guard: a level is expanded one group of target thresholds
@@ -569,8 +641,10 @@ class TestDpOptimize:
             assert peak <= 6 * 2**20, (levels, peak)
 
     def test_incumbent_prunes_half_the_frontier_input(self, monkeypatch):
-        # work guard: candidates above the incumbent never reach the
-        # frontier (118,581 did on the paper L=5 grid without it)
+        # work guard: candidates whose prefix, or prefix plus the least
+        # Monte Carlo terms they can still reach, exceeds the incumbent
+        # never reach the frontier (118,581 did on the paper L=5 grid
+        # without an incumbent, 47,495 with the prefix test alone)
         frontier = esscreen.planner._pareto_frontier
         sizes = []
 
@@ -580,7 +654,46 @@ class TestDpOptimize:
 
         monkeypatch.setattr(esscreen.planner, "_pareto_frontier", counting)
         dp_optimize(paper_grid(5), paper_theta(general=False), SubGammaParams())
-        assert 0 < sum(sizes) <= 60_000
+        assert 0 < sum(sizes) <= 32_000
+
+    def test_a_group_pruned_whole_never_reaches_the_frontier(self, monkeypatch):
+        # one target threshold per group, tight budgets and robust brackets:
+        # every candidate of some thresholds scores above the incumbent, and
+        # their empty groups are skipped, not passed to the frontier
+        frontier = esscreen.planner._pareto_frontier
+        groups = esscreen.planner._target_groups
+        seen = {}
+
+        def counting_groups(sizes):
+            for lo, hi in groups(sizes):
+                seen["groups"] += sum(sizes[lo:hi]) > 0
+                yield lo, hi
+
+        def counting_frontier(node, *args):
+            assert node.size > 0
+            seen["frontier"] += 1
+            return frontier(node, *args)
+
+        monkeypatch.setattr(esscreen.planner, "_GROUP_CANDIDATES", 1)
+        monkeypatch.setattr(esscreen.planner, "_target_groups", counting_groups)
+        monkeypatch.setattr(esscreen.planner, "_pareto_frontier", counting_frontier)
+        rng = substream(23, 16)
+        emptied = feasible = 0
+        for trial in range(120):
+            grid, _ = random_small_grid(rng)
+            grid = PlanningGrid(
+                q_grid=grid.q_grid,
+                n_grid=grid.n_grid,
+                budget=max(1, int(grid.budget * rng.uniform(0.05, 1.0))),
+                levels=int(rng.integers(3, 6)),
+            )
+            c, p = [(0.0, 1.0), (0.7, 1.5), (0.3, 2.0), (2.0, 1.0)][trial % 4]
+            seen.update(groups=0, frontier=0)
+            feasible += assert_matches_frozen(
+                grid, random_robust_bounds(grid, rng), SubGammaParams(c=c, p=p)
+            )
+            emptied += seen["groups"] > seen["frontier"]
+        assert feasible >= 40 and emptied >= 4
 
     @pytest.mark.parametrize("levels", [3, 4])
     def test_optimum_ties_the_incumbent(self, levels, caplog):
@@ -593,7 +706,7 @@ class TestDpOptimize:
         grid = PlanningGrid(
             q_grid=(2, 3, 5, 8), n_grid=(4, 9, 30), budget=10**4, levels=levels
         )
-        want, _ = enumerate_optimum(grid, theta, sub)
+        want = enumerate_optimum(grid, theta, sub)
         with caplog.at_level(logging.DEBUG, logger="esscreen.planner"):
             strat, value = dp_optimize(grid, theta, sub)
         assert (value, cost(strat), strat.q, strat.n) == want
@@ -620,7 +733,7 @@ class TestDpOptimize:
                 levels=levels,
             )
             flipped = ScenarioParams(mu=theta.mu[::-1].copy(), sigma=theta.sigma)
-            want, _ = enumerate_optimum(grid, flipped, SubGammaParams())
+            want = enumerate_optimum(grid, flipped, SubGammaParams())
             if want is None or not math.isfinite(want[0]):
                 continue
             strat, value = dp_optimize(grid, flipped, SubGammaParams())
@@ -630,8 +743,9 @@ class TestDpOptimize:
 
     @pytest.mark.parametrize("general", [False, True], ids=["equi", "iw"])
     def test_trace_accounts_for_every_candidate(self, general, monkeypatch, caplog):
-        # one DEBUG record per level: expanded = pruned + dominated + kept,
-        # with the frontier's own input and output counted independently
+        # one DEBUG record per level: expanded = pruned + bounded +
+        # dominated + kept, with the frontier's own input and output
+        # counted independently
         frontier = esscreen.planner._pareto_frontier
         seen = []
 
@@ -647,16 +761,20 @@ class TestDpOptimize:
         records = [r.dp_level for r in caplog.records if r.name == "esscreen.planner"]
         assert [r["level"] for r in records] == list(range(1, grid.levels))
         for r in records:
-            assert r["expanded"] == r["pruned"] + r["dominated"] + r["kept"]
-            assert min(r["pruned"], r["dominated"], r["kept"]) >= 0
-        assert sum(r["expanded"] - r["pruned"] for r in records) == sum(
+            assert r["expanded"] == (
+                r["pruned"] + r["bounded"] + r["dominated"] + r["kept"]
+            )
+            assert min(r["pruned"], r["bounded"], r["dominated"], r["kept"]) >= 0
+        assert sum(r["expanded"] - r["pruned"] - r["bounded"] for r in records) == sum(
             n for n, _ in seen
         )
         assert sum(r["kept"] for r in records) == sum(k for _, k in seen)
         bounds = [r["incumbent"] for r in records]
         assert bounds[0] == math.inf and records[0]["pruned"] == 0
+        assert records[0]["bounded"] == 0
         assert all(a >= b for a, b in zip(bounds, bounds[1:])) and bounds[-1] >= value
         assert sum(r["pruned"] for r in records) > 0
+        assert sum(r["bounded"] for r in records) > 0
         json.dumps(records)
 
     def test_no_trace_when_debug_is_off(self, caplog):
