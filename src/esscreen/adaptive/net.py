@@ -54,14 +54,14 @@ class PolicyNet:
     b1: np.ndarray  # (hidden,)
     w2: np.ndarray  # (hidden,)
     b2: float
-    meta: dict = field(default_factory=dict, compare=False)
+    meta: dict = field(compare=False)
 
     @property
     def dim(self) -> int:
         return self.w1.shape[1]
 
 
-def xavier_net(d: int, rng: np.random.Generator, meta: dict | None = None) -> PolicyNet:
+def xavier_net(d: int, rng: np.random.Generator, meta: dict) -> PolicyNet:
     """Glorot-uniform initialized network of ``HIDDEN_UNITS`` hidden units
     (read at call time) for ``d`` raw input features."""
     lim1 = np.sqrt(6.0 / (d + HIDDEN_UNITS))
@@ -71,7 +71,7 @@ def xavier_net(d: int, rng: np.random.Generator, meta: dict | None = None) -> Po
         b1=np.zeros(HIDDEN_UNITS),
         w2=rng.uniform(-lim2, lim2, size=HIDDEN_UNITS),
         b2=0.0,
-        meta=dict(meta or {}),
+        meta=dict(meta),
     )
 
 

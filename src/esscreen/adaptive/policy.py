@@ -8,7 +8,7 @@ from __future__ import annotations
 import functools
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
@@ -254,7 +254,7 @@ class PolicyBundle:
     nets: dict[tuple[int, int], PolicyNet]
     first_action: tuple[int, int]
     first_action_table: list[tuple[int, int, float]]
-    meta: dict = field(default_factory=dict)
+    meta: dict
 
     def action_spec(self) -> ActionSpec:
         return ActionSpec(

@@ -24,8 +24,8 @@ from .bounds import (
     selection_term,
     strategy_value,
 )
-from .errors import InfeasiblePlanError, InvalidParameterError
-from .screener import Strategy, cost
+from .errors import InfeasiblePlanError, InvalidParameterError, InvalidStrategyError
+from .screener import Strategy, _check_count, _integers, cost
 
 __all__ = [
     "PlanningGrid",
@@ -52,8 +52,8 @@ class PlanningGrid:
     levels: int
 
     def __post_init__(self):
-        q = tuple(sorted(int(v) for v in self.q_grid))
-        n = tuple(sorted(int(v) for v in self.n_grid))
+        q = tuple(sorted(_integers(self.q_grid, "q_grid", InvalidParameterError)))
+        n = tuple(sorted(_integers(self.n_grid, "n_grid", InvalidParameterError)))
         object.__setattr__(self, "q_grid", q)
         object.__setattr__(self, "n_grid", n)
         if not q or not n:
@@ -62,10 +62,7 @@ class PlanningGrid:
             raise InvalidParameterError("grids must be strictly increasing")
         if q[0] < 1:
             raise InvalidParameterError(f"n_w = min(q_grid) must be >= 1, got {q[0]}")
-        if not isinstance(self.levels, numbers.Integral):
-            raise InvalidParameterError(
-                f"levels must be an integer, got {self.levels!r}"
-            )
+        _check_count(self.levels, "levels")
         object.__setattr__(self, "levels", int(self.levels))
         if self.levels < 2:
             raise InvalidParameterError("need at least 2 levels")
@@ -84,14 +81,6 @@ class PlanningGrid:
 
 
 _log = logging.getLogger(__name__)
-
-#: Candidates that one group of consecutive target thresholds may expand at
-#: once (a single threshold with more is expanded alone).  A candidate takes
-#: about 150 bytes while its group is alive; on the paper grid this cap
-#: joins the small groups (level 1 expands in one) and leaves the planner's
-#: peak at about 2 MiB.
-_GROUP_CANDIDATES = 1 << 12
-
 
 def strategy_bound(strategy: Strategy, target, sub: SubGammaParams, grid: PlanningGrid):
     """Bound value of a concrete strategy, as the planner evaluates it.
@@ -112,34 +101,37 @@ def dp_optimize(
     incumbent (branch and bound).  A label is a partial strategy: its
     selection-term prefix ``g`` (summed in level order), the budget ``spent``
     so far, and back-pointer, grid indexes and lexicographic ranks of its q
-    path and N path.  Each level's labels are arrays, sorted by q.  They are
-    expanded in groups of consecutive target thresholds q', ascending, each
-    group holding at most ``_GROUP_CANDIDATES`` candidates unless one q'
-    alone holds more: every label is expanded over the admissible N' at once,
-    and one lexsort on (node, g, spent, path) orders the candidates of each
-    node, where the path key orders the q paths, then the N paths.  Only one
-    group of candidates is alive at a time, so the planner's memory is
-    bounded by the largest group, not by the whole level.  A candidate is
-    kept iff its ``spent`` is strictly below that of every earlier one at its
-    node, i.e. no other label is at least as good in both g and spent; on an
-    exact (g, spent) tie the lexicographically smaller (q, N) path is kept.
-    The surviving labels therefore contain a prefix of every optimal
-    strategy.  Ties on the final value break toward smaller cost, then
-    lexicographically smaller q, then smaller N.
+    path and N path; each level's labels are arrays.  A level expands every
+    admissible (label, N') pair to every target threshold q' <= the label's
+    q at once, and one lexsort on (node, g, spent, path) orders the
+    candidates of each node, where the path key orders the q paths, then the
+    N paths.  A candidate is kept iff its ``spent`` is strictly below that of
+    every earlier one at its node, i.e. no other label is at least as good
+    in both g and spent; on an exact (g, spent) tie the lexicographically
+    smaller (q, N) path is kept.  The surviving labels therefore contain a
+    prefix of some optimal strategy.  The plan returned is the least in
+    (value, cost, q path, N path) among the plans whose every prefix
+    survives.  A prefix with a smaller ``g`` at no larger spend drops the
+    other prefixes at its node, even when the ``g`` differ by rounding only
+    and the completed plans round to the same value: such a tie then goes
+    to the smaller ``g`` at the node where the plans meet, not to the
+    smaller q path.
 
     The incumbent ``bound`` is the best value of a completed plan seen so
     far.  After each level l <= L-2 every label is completed cheaply: idle
     levels up to L-2 (q' = q, N' = N: no cost, a zero term), then n_w at the
-    label's own N, then the best final N within the budget.  Every label and
-    candidate is then scored with a lower bound on the value of any of its
-    completions: its ``g`` plus the least Monte Carlo terms over the final
-    (N_{L-1}, N_L) pairs it can still reach (N_{L-1} at least its own N, N_L
-    at most its N plus the budget left over n_w, as every later level prices
-    at least n_w scenarios; see :func:`_tail_bound`).  A label scored above
-    the bound is not expanded, and a candidate scored above it is dropped
-    before the frontier.  This is exact (A* within branch and bound): every
-    term is >= 0 and rounded addition is monotone, so such a candidate's
-    final value exceeds the bound, which is at least the optimum.  A
+    label's own N, then the best final N within the budget.  Every (label,
+    N') pair and every candidate is then scored with a lower bound on the
+    value of any of its completions: its ``g`` plus the least Monte Carlo
+    terms over the final (N_{L-1}, N_L) pairs it can still reach (N_{L-1} at
+    least its N', N_L at most N' plus the budget left over n_w, as every
+    later level prices at least n_w scenarios; see :func:`_tail_bound`).  A
+    pair scored above the bound is not expanded: its candidates have the
+    same N' and spend and a ``g`` no smaller.  A candidate scored above it
+    is dropped before the frontier.  This is exact (A* within branch and
+    bound): every term is >= 0 and rounded addition is monotone, so such a
+    candidate's final value exceeds the bound, which is at least the
+    optimum.  A
     candidate that dominates a surviving one has the same node, a ``g`` no
     larger and at least as much budget left, so it reaches at least as far
     and survives too: the frontier keeps what it kept without the incumbent,
@@ -204,69 +196,46 @@ def dp_optimize(
         step = q_here[:, None] * (n_grid - n_here[:, None])
         ok_n = (n_grid >= n_here[:, None]) & (spent[:, None] + step <= budget)
         n_targets = 1 if lvl == grid.levels - 1 else n_q
-        # a label scored above the incumbent has only candidates scored
-        # above it: each has a g and an N no smaller and reaches no further
-        gone = tail(g, ni, spent) > bound
-        expanded = pruned = bounded = kept = 0
+        # a (label, N') pair scored above the incumbent has only candidates
+        # scored above it: each has a g no smaller, the same N' and spend
+        lab, b = np.nonzero(ok_n)
+        spent_next = spent[lab] + step[lab, b]
+        fan = np.minimum(qi[lab] + 1, n_targets)
+        live = tail(g[lab], b + 1, spent_next) <= bound
         if debug:
-            lab, b = np.nonzero(ok_n & gone[:, None])
-            g_drop = g[lab, None] + terms[qi[lab], :n_targets, b]
-            reach = np.arange(n_targets) <= qi[lab, None]
-            expanded = int(reach.sum())
+            expanded = int(fan.sum())
+            gone = ~live
+            g_drop = g[lab[gone], None] + terms[qi[lab[gone]], :n_targets, b[gone]]
+            reach = np.arange(n_targets) <= qi[lab[gone], None]
             pruned = int((reach & (g_drop > bound)).sum())
-            bounded = expanded - pruned
-        ok_n[gone] = False
-        # the labels are sorted by q, so those that may stop at q' are a
-        # suffix, and the candidates of q' are the admissible (label, N')
-        # pairs from pos[q'] on
-        lab_ok, b_ok = np.nonzero(ok_n)
-        pos = np.searchsorted(lab_ok, np.searchsorted(qi, np.arange(n_targets)))
-        sizes = lab_ok.size - pos
-        # the paths into one node differ only in the prefix each extends,
-        # so the extended labels' (q rank, N rank) order them
-        path = q_rank.astype(np.int64) * (int(n_rank.max()) + 1) + n_rank
-        # a node (q', N') never spans two values of q', and the frontier's
-        # sort has the node as its first key, so the labels kept per group,
-        # joined in ascending q', are those (in the order) that one pass
-        # over every q' would keep
-        parts = []
-        for lo, hi in _target_groups(sizes.tolist()):
-            counts = sizes[lo:hi]
-            if not counts.any():
-                continue
-            q_next = np.repeat(np.arange(lo, hi), counts)
-            skip = np.repeat(pos[lo:hi] - (np.cumsum(counts) - counts), counts)
-            pick = np.arange(q_next.size) + skip
-            lab, b = lab_ok[pick], b_ok[pick]
-            g_next = g[lab] + terms[qi[lab], q_next, b]
-            spent_next = spent[lab] + step[lab, b]
-            live = tail(g_next, b + 1, spent_next) <= bound
-            expanded += lab.size
-            if debug:
-                over = g_next > bound
-                pruned += int(over.sum())
-                bounded += int((~over & ~live).sum())
-            live = np.flatnonzero(live)
-            if not live.size:
-                continue
-            q_next, lab, b = q_next[live], lab[live], b[live]
-            g_next, spent_next = g_next[live], spent_next[live]
-            keep = _pareto_frontier(q_next * n_n + b, spent_next, g_next, path[lab])
-            kept += keep.size
-            parts.append(
-                (lab[keep], q_next[keep], b[keep], g_next[keep], spent_next[keep])
-            )
-        if not parts:
+        lab, b, spent_next, fan = lab[live], b[live], spent_next[live], fan[live]
+        # each surviving pair stops at every target q' <= its q
+        pair = np.repeat(np.arange(lab.size), fan)
+        q_next = np.arange(pair.size) - (np.cumsum(fan) - fan)[pair]
+        lab, b, spent_next = lab[pair], b[pair], spent_next[pair]
+        g_next = g[lab] + terms[qi[lab], q_next, b]
+        live = np.flatnonzero(tail(g_next, b + 1, spent_next) <= bound)
+        if debug:
+            pruned += int((g_next > bound).sum())
+            bounded = expanded - pruned - live.size
+        if not live.size:
             raise InfeasiblePlanError(
                 f"no feasible strategy on the grid within budget {budget}"
             )
-        lab, qi, b, g, spent = (np.concatenate(col) for col in zip(*parts))
+        q_next, lab, b = q_next[live], lab[live], b[live]
+        g_next, spent_next = g_next[live], spent_next[live]
+        # the paths into one node differ only in the prefix each extends,
+        # so the extended labels' (q rank, N rank) order them
+        path = q_rank.astype(np.int64) * (int(n_rank.max()) + 1) + n_rank
+        keep = _pareto_frontier(q_next * n_n + b, spent_next, g_next, path[lab])
+        lab, qi, b = lab[keep], q_next[keep], b[keep]
+        g, spent = g_next[keep], spent_next[keep]
         ni = b + 1
         trail.append((lab, qi, ni))
         q_rank = _dense_rank(q_rank[lab].astype(np.int64) * n_q + qi)
         n_rank = _dense_rank(n_rank[lab].astype(np.int64) * (n_n + 1) + ni)
         if debug:
-            _log_level(lvl, expanded, pruned, bounded, kept, bound)
+            _log_level(lvl, expanded, pruned, bounded, lab.size, bound)
         if prunable and lvl <= grid.levels - 2:
             # idle to level L-2, then n_w at N_{L-1} = N
             done, _ = finish(g + terms[qi, 0, b], ni, spent)
@@ -326,19 +295,6 @@ def _tail_bound(mc_b, mc_c, n_ext, grid: PlanningGrid):
         return (g + lb_b[ni, e]) + lb_c[ni, e]
 
     return tail
-
-
-def _target_groups(sizes: list[int]):
-    """Runs [lo, hi) of consecutive target thresholds, each expanding at
-    most ``_GROUP_CANDIDATES`` candidates in all unless it is one threshold."""
-    lo = 0
-    while lo < len(sizes):
-        hi, size = lo + 1, sizes[lo]
-        while hi < len(sizes) and size + sizes[hi] <= _GROUP_CANDIDATES:
-            size += sizes[hi]
-            hi += 1
-        yield lo, hi
-        lo = hi
 
 
 def _log_level(
@@ -557,5 +513,16 @@ def plan_to_json(strategy: Strategy, f_value: float | None = None) -> str:
 
 
 def plan_from_json(text: str) -> tuple[Strategy, float | None]:
-    doc = json.loads(text)
-    return Strategy.from_dict(doc), doc.get("F_value")
+    """Strategy and bound value of a :func:`plan_to_json` document; raises
+    InvalidStrategyError on a malformed one."""
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:
+        raise InvalidStrategyError(f"plan is not JSON: {exc}") from None
+    strategy = Strategy.from_dict(doc)
+    f_value = doc.get("F_value")
+    if f_value is not None and (
+        isinstance(f_value, bool) or not isinstance(f_value, numbers.Real)
+    ):
+        raise InvalidStrategyError(f"F_value must be a number or null, got {f_value!r}")
+    return strategy, f_value

@@ -24,6 +24,7 @@ source that produces rows folds them with :func:`fold_rows`;
 from __future__ import annotations
 
 import numbers
+import operator
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -70,8 +71,8 @@ class Strategy:
     n: tuple[int, ...]
 
     def __post_init__(self):
-        q = tuple(int(v) for v in self.q)
-        n = tuple(int(v) for v in self.n)
+        q = _integers(self.q, "q", InvalidStrategyError)
+        n = _integers(self.n, "n", InvalidStrategyError)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "n", n)
         if len(q) < 1 or len(n) != len(q) + 1:
@@ -114,7 +115,9 @@ class Strategy:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Strategy":
-        return cls(q=tuple(d["q"]), n=tuple(d["N"]))
+        if not isinstance(d, dict) or not {"q", "N"} <= d.keys():
+            raise InvalidStrategyError(f"need a dict with keys q and N, got {d!r:.80}")
+        return cls(q=d["q"], n=d["N"])
 
 
 def cost(strategy: Strategy) -> int:
@@ -127,6 +130,19 @@ def _check_count(value, name: str) -> None:
     """Reject a count that is not an integer (a bool is not a count)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+
+
+def _integers(values, name: str, error) -> tuple[int, ...]:
+    """``values`` as a tuple of ints, raising ``error`` unless it is a
+    sequence of integers (a bool is not one)."""
+    try:
+        values = tuple(values)
+        ints = tuple(map(operator.index, values))
+    except TypeError:
+        ints = None
+    if ints is None or bool in map(type, values):
+        raise error(f"{name} must be a sequence of integers, got {values!r}")
+    return ints
 
 
 def rank_select(estimates: np.ndarray, index_set: np.ndarray, keep: int) -> np.ndarray:

@@ -726,6 +726,7 @@ def _replay_bundle(strategy, prior, budget):
         nets={},
         first_action=(strategy.q[0] - strategy.q[1], strategy.n[1]),
         first_action_table=[],
+        meta={},
     )
 
 

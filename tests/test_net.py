@@ -23,7 +23,7 @@ def _xavier(d, rng, hidden):
     """:func:`xavier_net` with ``hidden`` hidden units."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(net_mod, "HIDDEN_UNITS", hidden)
-        return xavier_net(d, rng)
+        return xavier_net(d, rng, {})
 
 
 def _net(d=7, seed=0, hidden=32):
@@ -222,7 +222,7 @@ class TestTraining:
         rng = np.random.default_rng(7)
         x = rng.normal(size=(48, 4))
         y = np.full(48, 3.7)
-        net = xavier_net(4, np.random.default_rng(2))
+        net = xavier_net(4, np.random.default_rng(2), {})
         sched = TrainSchedule(n_iter=3000, rate=0.5, seed=0)
         # one (strategy, world) label: every step sees the full batch
         one = np.zeros(48, dtype=int)

@@ -20,7 +20,11 @@ from esscreen.bounds import (
     robust_gap_max,
     selection_term,
 )
-from esscreen.errors import InfeasiblePlanError, InvalidParameterError
+from esscreen.errors import (
+    InfeasiblePlanError,
+    InvalidParameterError,
+    InvalidStrategyError,
+)
 from esscreen.model import (
     EquicorrelatedSpec,
     NIWParams,
@@ -627,9 +631,10 @@ class TestDpOptimize:
         assert strategy_bound(strat, theta, SubGammaParams(), grid) == value
         assert len(calls) == 1 and calls[0].tolist() == sorted(set(strat.n[1:-1]))
 
-    def test_memory_is_bounded_by_one_threshold_slice(self):
-        # memory guard: a level is expanded one group of target thresholds
-        # at a time, so the peak stays far below the whole L=5 level at once
+    def test_memory_is_bounded_by_the_pruned_level(self):
+        # memory guard: a level expands only the (label, N') pairs that the
+        # tail bound keeps, so the peak (about 4 MiB at L=5) stays far below
+        # what the 118,581 candidates of an unpruned L=5 plan would take
         theta = paper_theta(general=False)
         for levels in (3, 4, 5):
             tracemalloc.start()
@@ -656,29 +661,22 @@ class TestDpOptimize:
         dp_optimize(paper_grid(5), paper_theta(general=False), SubGammaParams())
         assert 0 < sum(sizes) <= 32_000
 
-    def test_a_group_pruned_whole_never_reaches_the_frontier(self, monkeypatch):
-        # one target threshold per group, tight budgets and robust brackets:
-        # every candidate of some thresholds scores above the incumbent, and
-        # their empty groups are skipped, not passed to the frontier
+    def test_every_level_calls_the_frontier_once(self, monkeypatch, caplog):
+        # tight budgets and robust brackets: the tail bound drops every
+        # candidate of some (label, N') pairs, and some plans run out of
+        # candidates; each level still makes one frontier call, never with
+        # an empty input, and the plan is the frozen planner's
         frontier = esscreen.planner._pareto_frontier
-        groups = esscreen.planner._target_groups
-        seen = {}
-
-        def counting_groups(sizes):
-            for lo, hi in groups(sizes):
-                seen["groups"] += sum(sizes[lo:hi]) > 0
-                yield lo, hi
+        calls = []
 
         def counting_frontier(node, *args):
             assert node.size > 0
-            seen["frontier"] += 1
+            calls.append(node.size)
             return frontier(node, *args)
 
-        monkeypatch.setattr(esscreen.planner, "_GROUP_CANDIDATES", 1)
-        monkeypatch.setattr(esscreen.planner, "_target_groups", counting_groups)
         monkeypatch.setattr(esscreen.planner, "_pareto_frontier", counting_frontier)
         rng = substream(23, 16)
-        emptied = feasible = 0
+        dropped = feasible = 0
         for trial in range(120):
             grid, _ = random_small_grid(rng)
             grid = PlanningGrid(
@@ -688,12 +686,19 @@ class TestDpOptimize:
                 levels=int(rng.integers(3, 6)),
             )
             c, p = [(0.0, 1.0), (0.7, 1.5), (0.3, 2.0), (2.0, 1.0)][trial % 4]
-            seen.update(groups=0, frontier=0)
-            feasible += assert_matches_frozen(
-                grid, random_robust_bounds(grid, rng), SubGammaParams(c=c, p=p)
-            )
-            emptied += seen["groups"] > seen["frontier"]
-        assert feasible >= 40 and emptied >= 4
+            calls.clear()
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="esscreen.planner"):
+                found = assert_matches_frozen(
+                    grid, random_robust_bounds(grid, rng), SubGammaParams(c=c, p=p)
+                )
+            records = [r.dp_level for r in caplog.records if hasattr(r, "dp_level")]
+            assert len(calls) == len(records)
+            if found:
+                assert len(calls) == grid.levels - 1
+            feasible += found
+            dropped += any(r["pruned"] + r["bounded"] for r in records)
+        assert feasible >= 40 and dropped >= 20
 
     @pytest.mark.parametrize("levels", [3, 4])
     def test_optimum_ties_the_incumbent(self, levels, caplog):
@@ -769,6 +774,7 @@ class TestDpOptimize:
             n for n, _ in seen
         )
         assert sum(r["kept"] for r in records) == sum(k for _, k in seen)
+        assert len(seen) == grid.levels - 1
         bounds = [r["incumbent"] for r in records]
         assert bounds[0] == math.inf and records[0]["pruned"] == 0
         assert records[0]["bounded"] == 0
@@ -947,9 +953,31 @@ def test_planning_grid_rejects_bad_thresholds_and_levels(q_grid, levels, match):
         PlanningGrid(q_grid=q_grid, n_grid=(10, 20), budget=100, levels=levels)
 
 
+@pytest.mark.parametrize(
+    "q_grid,n_grid,match",
+    [
+        ((2.7, 10), (5, 10), "q_grid"),
+        ((2, 10), (5.9, 10), "n_grid"),
+        ((2, 10), (5, 10, True), "n_grid"),
+        ((False, 10), (5, 10), "q_grid"),
+        ((2, "10"), (5, 10), "q_grid"),
+        (10, (5, 10), "q_grid"),
+    ],
+)
+def test_planning_grid_rejects_non_integer_entries(q_grid, n_grid, match):
+    # these used to be truncated silently: (2.7, 10) planned on (2, 10)
+    with pytest.raises(InvalidParameterError, match=match):
+        PlanningGrid(q_grid=q_grid, n_grid=n_grid, budget=100, levels=3)
+
+
 def test_planning_grid_accepts_numpy_integer_levels():
     grid = PlanningGrid(q_grid=(2, 5), n_grid=(10, 20), budget=100, levels=np.int64(3))
     assert grid.levels == 3 and type(grid.levels) is int
+    grid = PlanningGrid(
+        q_grid=np.array([5, 2]), n_grid=(np.int32(20), 10), budget=100, levels=3
+    )
+    assert grid.q_grid == (2, 5) and grid.n_grid == (10, 20)
+    assert all(type(v) is int for v in grid.q_grid + grid.n_grid)
 
 
 def test_objective_vanishes_with_budget():
@@ -972,3 +1000,29 @@ def test_plan_json_roundtrip(tmp_path):
     text = plan_to_json(s, f_value=123.5)
     s2, f = plan_from_json(text)
     assert s2 == s and f == 123.5
+    assert plan_from_json(plan_to_json(s)) == (s, None)
+    assert plan_from_json(plan_to_json(s, f_value=math.inf)) == (s, math.inf)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        "{",
+        "[1, 2]",
+        '"plan"',
+        '{"N": [0, 1]}',
+        '{"q": [1]}',
+        '{"q": 3, "N": [0, 1]}',
+        '{"q": [3, 1], "N": "ab"}',
+        '{"q": [3, 1], "N": [0, 1.5, 2]}',
+        '{"q": [3, true], "N": [0, 1, 2]}',
+        '{"q": [3, 1], "N": [0, 1, 2], "F_value": "x"}',
+        '{"q": [3, 1], "N": [0, 1, 2], "F_value": true}',
+        '{"q": [3, 1], "N": [0, 1, 2], "F_value": [1.0]}',
+    ],
+)
+def test_plan_from_json_rejects_a_malformed_document(text):
+    # these used to raise a bare KeyError, TypeError or ValueError, or load
+    with pytest.raises(InvalidStrategyError):
+        plan_from_json(text)

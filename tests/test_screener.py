@@ -46,6 +46,28 @@ class TestStrategy:
         s = Strategy(q=(253, 35, 10, 6), n=(0, 6000, 44000, 44000, 1235666))
         assert Strategy.from_dict(s.to_dict()) == s
 
+    @pytest.mark.parametrize(
+        "q,n",
+        [
+            ((3, 1.5), (0, 1, 2)),
+            ((3, 1), (0, 1.9, 2)),
+            ((3, 1), (0, True, 2)),
+            ((3.0, 1), (0, 1, 2)),
+            ((3, "1"), (0, 1, 2)),
+            (3, (0, 1)),
+            ((3, 1), None),
+        ],
+    )
+    def test_non_integer_entries_rejected(self, q, n):
+        # these used to be truncated silently: (3, 1.5) screened (3, 1)
+        with pytest.raises(InvalidStrategyError, match="q|n"):
+            Strategy(q=q, n=n)
+
+    def test_numpy_integers_accepted(self):
+        s = Strategy(q=np.array([3, 1]), n=(np.int32(0), np.int64(1), 2))
+        assert s == Strategy(q=(3, 1), n=(0, 1, 2))
+        assert all(type(v) is int for v in s.q + s.n)
+
 
 class TestCost:
     def test_heuristic_schedule(self):
