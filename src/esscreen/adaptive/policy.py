@@ -10,13 +10,14 @@ import io
 import json
 from dataclasses import dataclass
 from typing import ClassVar
+from zipfile import BadZipFile
 
 import numpy as np
 
 from ..bounds import AdaptiveState, SubGammaParams, f_p_ad
 from ..errors import InvalidParameterError, PolicyError
 from ..model import NIWParams
-from ..screener import LevelStats, ScreeningRun, run_levels
+from ..screener import LevelStats, ScreeningRun, _check_count, _integers, run_levels
 from .net import PolicyNet, net_forward
 from .niw import niw_update_diag_stats
 
@@ -307,65 +308,83 @@ class PolicyBundle:
     def load(cls, path) -> "PolicyBundle":
         """The bundle that :meth:`save` wrote to ``path``.
 
-        Raises PolicyError when the file is missing, when its header holds
-        another artifact version, when a header key or an array is missing,
-        and when a net's arrays are non-finite or do not fit together and
-        its window's feature width.
+        Raises PolicyError naming ``path`` when the file is missing, and for
+        every malformed one: no npz archive, a header that is no UTF-8 JSON
+        object or holds another artifact version, a missing key or array, a
+        header count or grid entry that is no integer (a bool is none), an
+        ``n_s`` other than the prior's dimension, a value that builds no
+        valid field, and a net whose arrays are non-finite or do not fit
+        together and its window's feature width.
         """
         try:
-            data = np.load(path, allow_pickle=False)
+            # an open file: np.load leaks its own handle on a broken zip
+            with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as data:
+                return cls._decode(data, path)
         except FileNotFoundError:
             raise PolicyError(f"artifact not found: {path}") from None
-        with data:
-            try:
-                header = json.loads(bytes(data["header"]).decode())
-                if header.get("version") != cls.version:
-                    raise PolicyError(
-                        f"{path} holds artifact version {header.get('version')}, "
-                        f"expected {cls.version}"
-                    )
-                prior = NIWParams(
-                    m=data["prior_m"],
-                    k=float(data["prior_ki"][0]),
-                    i=float(data["prior_ki"][1]),
-                    s=data["prior_s"],
-                    index_map=data["prior_ids"],
+        except KeyError as exc:
+            raise PolicyError(f"malformed artifact {path}: missing {exc}") from None
+        except (AttributeError, IndexError, TypeError, ValueError, BadZipFile) as exc:
+            raise PolicyError(f"malformed artifact {path}: {exc}") from None
+
+    @classmethod
+    def _decode(cls, data, path) -> "PolicyBundle":
+        header = json.loads(bytes(data["header"]).decode())
+        if not isinstance(header, dict):
+            raise InvalidParameterError(f"header is a JSON {type(header).__name__}")
+        if header.get("version") != cls.version:
+            raise PolicyError(
+                f"{path} holds artifact version {header.get('version')}, "
+                f"expected {cls.version}"
+            )
+        for key in ("seed", "levels", "budget", "n_s", "n_w", "dn_quantum", "max_scan"):
+            _check_count(header[key], key)
+        q_grid = _integers(header["q_grid"], "q_grid", InvalidParameterError)
+        first = _integers(header["first_action"], "first_action", InvalidParameterError)
+        prior = NIWParams(
+            m=data["prior_m"],
+            k=float(data["prior_ki"][0]),
+            i=float(data["prior_ki"][1]),
+            s=data["prior_s"],
+            index_map=data["prior_ids"],
+        )
+        if header["n_s"] != prior.dim:
+            raise InvalidParameterError(
+                f"n_s={header['n_s']} but the prior has {prior.dim} scenarios"
+            )
+        nets = {}
+        for (lvl, q), meta in zip(header["net_keys"], header["net_meta"]):
+            tag = f"net_{lvl}_{q}_"
+            w1, b1, w2, b2 = (data[tag + a] for a in ("w1", "b1", "w2", "b2"))
+            width = _feature_width(q)
+            if not (
+                w1.shape[1:] == (width,)
+                and b1.shape == w2.shape == w1.shape[:1]
+                and b2.shape == (1,)
+                and all(np.isfinite(a).all() for a in (w1, b1, w2, b2))
+            ):
+                raise PolicyError(
+                    f"malformed artifact {path}: net ({lvl}, {q}) needs finite "
+                    f"w1 (H, {width}), b1 (H,), w2 (H,) and b2 (1,), got "
+                    f"{w1.shape}, {b1.shape}, {w2.shape}, {b2.shape}"
                 )
-                nets = {}
-                for (lvl, q), meta in zip(header["net_keys"], header["net_meta"]):
-                    tag = f"net_{lvl}_{q}_"
-                    w1, b1, w2, b2 = (data[tag + a] for a in ("w1", "b1", "w2", "b2"))
-                    width = _feature_width(q)
-                    if not (
-                        w1.shape[1:] == (width,)
-                        and b1.shape == w2.shape == w1.shape[:1]
-                        and b2.shape == (1,)
-                        and all(np.isfinite(a).all() for a in (w1, b1, w2, b2))
-                    ):
-                        raise PolicyError(
-                            f"malformed artifact {path}: net ({lvl}, {q}) needs finite "
-                            f"w1 (H, {width}), b1 (H,), w2 (H,) and b2 (1,), got "
-                            f"{w1.shape}, {b1.shape}, {w2.shape}, {b2.shape}"
-                        )
-                    nets[(lvl, q)] = PolicyNet(w1, b1, w2, float(b2[0]), meta)
-                return cls(
-                    seed=header["seed"],
-                    levels=header["levels"],
-                    budget=header["budget"],
-                    n_s=header["n_s"],
-                    n_w=header["n_w"],
-                    q_grid=tuple(header["q_grid"]),
-                    dn_quantum=header["dn_quantum"],
-                    max_scan=header["max_scan"],
-                    sub=SubGammaParams(**header["sub"]),
-                    prior=prior,
-                    nets=nets,
-                    first_action=tuple(header["first_action"]),
-                    first_action_table=[tuple(t) for t in header["first_action_table"]],
-                    meta=header.get("meta", {}),
-                )
-            except KeyError as exc:
-                raise PolicyError(f"malformed artifact {path}: missing {exc}") from None
+            nets[(lvl, q)] = PolicyNet(w1, b1, w2, float(b2[0]), meta)
+        return cls(
+            seed=header["seed"],
+            levels=header["levels"],
+            budget=header["budget"],
+            n_s=header["n_s"],
+            n_w=header["n_w"],
+            q_grid=q_grid,
+            dn_quantum=header["dn_quantum"],
+            max_scan=header["max_scan"],
+            sub=SubGammaParams(**header["sub"]),
+            prior=prior,
+            nets=nets,
+            first_action=first,
+            first_action_table=[tuple(t) for t in header["first_action_table"]],
+            meta=header.get("meta", {}),
+        )
 
 
 def scan_actions(

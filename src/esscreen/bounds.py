@@ -9,7 +9,8 @@ is the kernel's only evaluation; every bound here and the planner's two-level
 heuristic go through it.  ``level_terms`` is the only code that turns a target
 into the deterministic or robust bound's selection terms: one table over a
 set of thresholds and path counts, which the planner's dynamic program and
-every strategy bound index.
+every strategy bound index.  ``F_p`` scores a strategy under either target:
+a ScenarioParams for the deterministic bound, a RobustBounds for the robust.
 """
 
 from __future__ import annotations
@@ -33,9 +34,7 @@ __all__ = [
     "robust_gap_max",
     "mc_terms_exact",
     "level_terms",
-    "strategy_value",
     "F_p",
-    "F_robust",
     "f_p_ad",
     "AdaptiveState",
 ]
@@ -148,20 +147,14 @@ def selection_term(
 
 def _mc_term(n, n_last, sigma_p: np.ndarray, n_w: int, sub: SubGammaParams):
     """(n / N_L) / n_w times the sum over ``sigma_p`` of the per-scenario
-    moment bound (C_sig p sigma^p / n^{p/2} + C_c p c^p / n^p)^{1/p}.
-
-    ``n`` and ``n_last`` are two path counts, or two lists of them for one
-    term per entry.  A list's powers are taken on its own numbers, one entry
-    at a time, so each entry has the bits of the call on that entry alone.
-    """
+    moment bound (C_sig p sigma^p / n^{p/2} + C_c p c^p / n^p)^{1/p}: one
+    term per entry of the lists ``n`` and ``n_last``, each power taken on its
+    own entry, so every entry has the bits of a one-entry list."""
     c_sig, c_c = gamma_constants(sub.p)
     p = sub.p
-    if isinstance(n, list):
-        root = np.array([k ** (p / 2.0) for k in n])[:, None]
-        full = np.array([k**p for k in n])[:, None]
-        share = np.array([k / last for k, last in zip(n, n_last)])
-    else:
-        root, full, share = n ** (p / 2.0), n**p, n / n_last
+    root = np.array([k ** (p / 2.0) for k in n])[:, None]
+    full = np.array([k**p for k in n])[:, None]
+    share = np.array([k / last for k, last in zip(n, n_last)])
     inner = c_sig * p * sigma_p / root + c_c * p * sub.c**p / full
     return share / n_w * np.sum(inner ** (1.0 / p), axis=-1)
 
@@ -179,17 +172,10 @@ def mc_terms_exact(
     elsewhere they are undefined, and a plan that needs them must lose any
     minimization.
 
-    Scalar path counts give a pair of floats.  Path-count arrays broadcast
-    against each other and give two arrays of terms, each entry equal to the
-    scalar call's bit for bit; the planner reads every (N_{L-1}, N_L) pair of
-    its grid from one such table.
+    The path counts broadcast to two arrays of terms, or two floats from two
+    scalars; every entry takes the same per-entry arithmetic, so the
+    planner's (N_{L-1}, N_L) table holds the bits of each strategy bound.
     """
-    if not (isinstance(n_prev, np.ndarray) or isinstance(n_last, np.ndarray)):
-        if not 0 < n_prev < n_last:
-            return math.inf, math.inf
-        fresh = _mc_term(n_last - n_prev, n_last, sigma_p_sorted[:n_w], n_w, sub)
-        carried = _mc_term(n_prev, n_last, sigma_p_sorted, n_w, sub)
-        return float(fresh), float(carried)
     n_prev, n_last = np.broadcast_arrays(n_prev, n_last)
     fine = (n_prev > 0) & (n_last > n_prev)
     prev, last = n_prev[fine].tolist(), n_last[fine].tolist()
@@ -198,6 +184,8 @@ def mc_terms_exact(
     term_c = np.full(fine.shape, math.inf)
     term_b[fine] = _mc_term(fresh, last, sigma_p_sorted[:n_w], n_w, sub)
     term_c[fine] = _mc_term(prev, last, sigma_p_sorted, n_w, sub)
+    if fine.ndim == 0:
+        return float(term_b), float(term_c)
     return term_b, term_c
 
 
@@ -295,7 +283,7 @@ def level_terms(
     return np.array(roots)[:, :, None] * np.array(factors), sig_p
 
 
-def strategy_value(
+def _strategy_value(
     strategy: Strategy, target, sub: SubGammaParams, n_w: int, n_s: int, select
 ) -> float:
     """Bound of a concrete strategy: the per-level selection terms, then the
@@ -309,34 +297,24 @@ def strategy_value(
     for lvl in range(1, strategy.levels):
         total += float(terms[lvl - 1, lvl, lvl - 1])
     term_b, term_c = mc_terms_exact(n[-2], n[-1], sig_p, n_w, sub)
-    total += term_b
-    total += term_c
-    return total
+    return total + term_b + term_c
 
 
-def F_p(strategy: Strategy, theta: ScenarioParams, sub: SubGammaParams) -> float:
-    """Deterministic L^p error bound for a strategy under known parameters.
+def F_p(strategy: Strategy, target, sub: SubGammaParams) -> float:
+    """L^p error bound of a strategy, deterministic or robust by ``target``.
 
     Sum of the per-level selection terms, the fresh-path Monte Carlo term of
     the final level, and the carried-over term from level L-1.  Scenarios are
-    assumed sorted by decreasing impact (the planning convention).
+    assumed sorted by decreasing impact (the planning convention).  A
+    ScenarioParams ``target`` with the strategy's ``n_s`` gives the bound
+    under known parameters; a RobustBounds gives its worst case over the
+    a-priori gap brackets, with the uniform std bound for every scenario.
     """
-    if strategy.n_s != theta.n_s:
-        raise InvalidStrategyError("strategy and theta disagree on n_s")
-    return strategy_value(
-        strategy, theta, sub, strategy.n_w, strategy.n_s, selection_term
+    if isinstance(target, ScenarioParams) and strategy.n_s != target.n_s:
+        raise InvalidStrategyError("strategy and target disagree on n_s")
+    return _strategy_value(
+        strategy, target, sub, strategy.n_w, strategy.n_s, selection_term
     )
-
-
-def F_robust(strategy: Strategy, rb: RobustBounds, sub: SubGammaParams) -> float:
-    """Worst-case variant of the deterministic bound from a-priori brackets.
-
-    Per-pair selection terms become the worst case over the gap interval at
-    each threshold with the uniform std bound; Monte Carlo terms are
-    :func:`mc_terms_exact` with the uniform bound for every scenario, +inf
-    when ``N_{L-1} == 0`` or ``dN_L == 0``.
-    """
-    return strategy_value(strategy, rb, sub, strategy.n_w, strategy.n_s, selection_term)
 
 
 @dataclass(frozen=True)

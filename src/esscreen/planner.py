@@ -19,10 +19,10 @@ import numpy as np
 from .bounds import (
     SubGammaParams,
     _kernel_exp,
+    _strategy_value,
     level_terms,
     mc_terms_exact,
     selection_term,
-    strategy_value,
 )
 from .errors import InfeasiblePlanError, InvalidParameterError, InvalidStrategyError
 from .screener import Strategy, _check_count, _integers, cost
@@ -89,7 +89,7 @@ def strategy_bound(strategy: Strategy, target, sub: SubGammaParams, grid: Planni
     come from :func:`esscreen.bounds.level_terms` over the strategy's own
     thresholds and path counts.
     """
-    return strategy_value(strategy, target, sub, grid.n_w, grid.n_s, selection_term)
+    return _strategy_value(strategy, target, sub, grid.n_w, grid.n_s, selection_term)
 
 
 def dp_optimize(

@@ -656,9 +656,9 @@ def test_tampered_net_rejected_naming_its_key(toy_bundle, tmp_path, which):
             PolicyBundle.load(path)
 
 
-def _edit_artifact(path, header=None, drop=None):
+def _edit_artifact(path, header=None, drop=None, raw=None):
     """Rewrite an npz artifact with header keys replaced and one header key
-    or array removed."""
+    or array removed, or with the header bytes replaced by ``raw``."""
     import json
 
     with np.load(path) as data:
@@ -667,8 +667,52 @@ def _edit_artifact(path, header=None, drop=None):
     doc.update(header or {})
     doc.pop(drop, None)
     arrays.pop(drop, None)
-    arrays["header"] = np.frombuffer(json.dumps(doc).encode(), dtype=np.uint8)
+    if raw is None:
+        raw = json.dumps(doc).encode()
+    arrays["header"] = np.frombuffer(raw, dtype=np.uint8)
     np.savez_compressed(path, **arrays)
+
+
+def _header(**keys):
+    return lambda path: _edit_artifact(path, header=keys)
+
+
+def _raw_header(raw):
+    return lambda path: _edit_artifact(path, raw=raw)
+
+
+#: malformed artifacts, each made from a saved toy bundle by one edit
+_MALFORMED = {
+    "sub extra key": _header(sub={"c": 0.0, "p": 1.0, "x": 2.0}),
+    "sub a list": _header(sub=[0.0, 1.0]),
+    "header a list": _raw_header(b"[3, 1]"),
+    "header not utf-8": _raw_header(b"\xff\xfe{}"),
+    "header not json": _raw_header(b"{version: 3"),
+    "not an npz": lambda path: path.write_bytes(b"not an npz archive"),
+    "not a zip": lambda path: path.write_bytes(b"PK\x03\x04 truncated"),
+    "seed a float": _header(seed=800.0),
+    "levels a string": _header(levels="3"),
+    "budget a string": _header(budget="4000"),
+    "n_s a bool": _header(n_s=True),
+    "n_w null": _header(n_w=None),
+    "dn_quantum a string": _header(dn_quantum="1"),
+    "max_scan a float": _header(max_scan=2.5),
+    "q_grid a float entry": _header(q_grid=[2, 4.0]),
+    "q_grid a number": _header(q_grid=4),
+    "first_action a bool entry": _header(first_action=[1, True]),
+    "n_s off the prior": _header(n_s=7),
+}
+
+
+@pytest.mark.parametrize("which", sorted(_MALFORMED))
+def test_malformed_artifact_rejected_naming_its_path(toy_bundle, tmp_path, which):
+    from esscreen.errors import PolicyError
+
+    path = tmp_path / "policy.npz"
+    toy_bundle[1].save(path)
+    _MALFORMED[which](path)
+    with pytest.raises(PolicyError, match=re.escape(str(path))):
+        PolicyBundle.load(path)
 
 
 def test_every_varying_feature_reaches_the_net_standardized(monkeypatch):

@@ -11,7 +11,6 @@ from scipy import integrate
 from esscreen.bounds import (
     AdaptiveState,
     F_p,
-    F_robust,
     RobustBounds,
     SubGammaParams,
     bernstein_tail,
@@ -22,7 +21,7 @@ from esscreen.bounds import (
     robust_gap_max,
     selection_term,
 )
-from esscreen.errors import InvalidParameterError
+from esscreen.errors import InvalidParameterError, InvalidStrategyError
 from esscreen.model import (
     EquicorrelatedSpec,
     ScenarioParams,
@@ -387,6 +386,10 @@ class TestFp:
         assert F_p(Strategy(q=(20, 3), n=(0, 0, 50)), theta, sub) == math.inf
         assert F_p(Strategy(q=(20, 3), n=(0, 50, 50)), theta, sub) == math.inf
 
+    def test_scenario_count_must_match_the_strategy(self):
+        with pytest.raises(InvalidStrategyError, match="n_s"):
+            F_p(Strategy(q=(20, 3), n=(0, 30, 60)), _theta(n_s=10), SubGammaParams())
+
     def test_selection_terms_monotone_in_paths(self):
         theta = _theta()
         sub = SubGammaParams(c=0.2, p=1.5)
@@ -436,6 +439,7 @@ class TestMcTermsTable:
             for a, n_prev in enumerate(n_ext.tolist()):
                 for b, n_last in enumerate(n_grid.tolist()):
                     want = mc_terms_exact(n_prev, n_last, sig_p, n_w, sub)
+                    assert tuple(map(type, want)) == (float, float)
                     assert (tb[a, b].hex(), tc[a, b].hex()) == tuple(
                         v.hex() for v in want
                     ), (n_prev, n_last)
@@ -459,7 +463,9 @@ class TestMcTermsTable:
         assert np.isfinite(tb[~undefined]).all() and np.isfinite(tc[~undefined]).all()
         for a, b in zip(*np.nonzero(undefined)):
             pair = (int(n_prev[a, 0]), int(n_last[0, b]))
-            assert mc_terms_exact(*pair, sig_p, 3, sub) == (math.inf, math.inf)
+            terms = mc_terms_exact(*pair, sig_p, 3, sub)
+            assert terms == (math.inf, math.inf)
+            assert tuple(map(type, terms)) == (float, float)
 
     def test_no_defined_entry(self):
         sub = SubGammaParams()
@@ -480,7 +486,7 @@ class TestFRobust:
         sub = SubGammaParams(c=0.0, p=1.0)
         rb = RobustBounds(delta_lo={3: 30.0}, delta_hi={3: 30.0}, sigma_bar=40.0)
         s = Strategy(q=(20, 3), n=(0, 2, 200))
-        val = F_robust(s, rb, sub)
+        val = F_p(s, rb, sub)
         kern = 30.0 * math.exp(-2 * 30.0**2 / (2 * 40.0**2))
         manual = (20 - 3) * kern
         assert manual > 100.0  # the selection part genuinely contributes
@@ -536,7 +542,7 @@ class TestFRobust:
         sub = SubGammaParams(c=0.0, p=1.0)
         s = Strategy(q=(20, 8, 3), n=(0, 50, 90, 200))
         rb = self._rb(theta, q_values=[8, 3])
-        assert F_robust(s, rb, sub) >= F_p(s, theta, sub)
+        assert F_p(s, rb, sub) >= F_p(s, theta, sub)
 
 
 class TestAdaptiveBound:

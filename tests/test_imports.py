@@ -1,8 +1,8 @@
 """Every name a package module imports is used in that module (or, in a
 package ``__init__``, re-exported through ``__all__``), a module's
 ``__all__`` lists every public top-level definition and only names that
-resolve, and the package's options (defaulted public parameters and fields)
-do not grow past a fixed count."""
+resolve, and neither the package's options (defaulted public parameters and
+fields) nor its lines grow past a fixed count."""
 
 import ast
 import importlib
@@ -78,6 +78,10 @@ def test_all_lists_exactly_resolvable_public_names():
 #: Options in ``src/esscreen``, counted by :func:`options`.  Raising it needs
 #: a CHANGES.md line naming the new option and the two callers that set it.
 MAX_OPTIONS = 25
+
+#: Lines of the ``.py`` files under ``src/esscreen``.  Raising it needs a
+#: CHANGES.md line saying what the new lines buy.
+MAX_SRC_LINES = 3195
 
 
 def _is_public(name: str) -> bool:
@@ -156,3 +160,8 @@ def test_option_count_does_not_grow():
         for name in options(path.read_text(), str(path.relative_to(SRC)))
     ]
     assert len(found) <= MAX_OPTIONS, found
+
+
+def test_source_size_does_not_grow():
+    lines = sum(len(path.read_text().splitlines()) for path in SRC.rglob("*.py"))
+    assert lines <= MAX_SRC_LINES, lines

@@ -557,8 +557,9 @@ class TestDpOptimize:
             dp_optimize(two, rb, sub)
 
     def test_strategy_bound_is_the_bounds_module_value(self):
-        # one summation serves the planner and both public bounds, bitwise
-        from esscreen.bounds import F_p, F_robust
+        # one summation serves the planner and the public bound of both
+        # target kinds, bitwise
+        from esscreen.bounds import F_p
 
         sub = SubGammaParams(c=0.3, p=1.0)
         rng = substream(23, 3)
@@ -576,7 +577,7 @@ class TestDpOptimize:
                 n = (0, *sorted(rng.choice(grid.n_grid, size=grid.levels)))
                 strat = Strategy(q=q, n=n)
                 assert F_p(strat, theta, sub) == strategy_bound(strat, theta, sub, grid)
-                assert F_robust(strat, rb, sub) == strategy_bound(strat, rb, sub, grid)
+                assert F_p(strat, rb, sub) == strategy_bound(strat, rb, sub, grid)
 
     def test_budget_too_small_is_infeasible(self):
         grid = PlanningGrid(q_grid=(2, 5, 8), n_grid=(3, 9), budget=10, levels=2)
