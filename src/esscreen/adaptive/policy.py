@@ -8,6 +8,7 @@ from __future__ import annotations
 import functools
 import io
 import json
+import numbers
 from dataclasses import dataclass
 from typing import ClassVar
 from zipfile import BadZipFile
@@ -312,9 +313,13 @@ class PolicyBundle:
         every malformed one: no npz archive, a header that is no UTF-8 JSON
         object or holds another artifact version, a missing key or array, a
         header count or grid entry that is no integer (a bool is none), an
-        ``n_s`` other than the prior's dimension, a value that builds no
-        valid field, and a net whose arrays are non-finite or do not fit
-        together and its window's feature width.
+        ``n_s`` other than the prior's dimension, ``levels < 2``, ``n_w``
+        outside [1, n_s), ``dn_quantum`` or ``max_scan`` below 1, a
+        ``q_grid`` entry outside [n_w, n_s], a ``first_action`` that is no
+        admissible opening action, a value that builds no valid field, a net
+        meta that is no object or holds a non-numeric ``dn_lo``/``dn_hi``,
+        and a net whose arrays are non-finite or do not fit together and its
+        window's feature width.
         """
         try:
             # an open file: np.load leaks its own handle on a broken zip
@@ -339,7 +344,17 @@ class PolicyBundle:
             )
         for key in ("seed", "levels", "budget", "n_s", "n_w", "dn_quantum", "max_scan"):
             _check_count(header[key], key)
+        levels, n_s, n_w = header["levels"], header["n_s"], header["n_w"]
+        quantum, scan = header["dn_quantum"], header["max_scan"]
+        if not (levels >= 2 and 1 <= n_w < n_s and quantum >= 1 and scan >= 1):
+            raise InvalidParameterError(
+                f"need levels >= 2, 1 <= n_w < n_s, dn_quantum >= 1 and max_scan "
+                f">= 1, got levels={levels}, n_w={n_w}, n_s={n_s}, "
+                f"dn_quantum={quantum}, max_scan={scan}"
+            )
         q_grid = _integers(header["q_grid"], "q_grid", InvalidParameterError)
+        if not all(n_w <= q <= n_s for q in q_grid):
+            raise InvalidParameterError(f"q_grid {q_grid} leaves [n_w, n_s]")
         first = _integers(header["first_action"], "first_action", InvalidParameterError)
         prior = NIWParams(
             m=data["prior_m"],
@@ -353,7 +368,8 @@ class PolicyBundle:
                 f"n_s={header['n_s']} but the prior has {prior.dim} scenarios"
             )
         nets = {}
-        for (lvl, q), meta in zip(header["net_keys"], header["net_meta"]):
+        for (lvl, q), meta in zip(header["net_keys"], header["net_meta"], strict=True):
+            _check_net_meta(meta, (lvl, q))
             tag = f"net_{lvl}_{q}_"
             w1, b1, w2, b2 = (data[tag + a] for a in ("w1", "b1", "w2", "b2"))
             width = _feature_width(q)
@@ -369,21 +385,41 @@ class PolicyBundle:
                     f"{w1.shape}, {b1.shape}, {w2.shape}, {b2.shape}"
                 )
             nets[(lvl, q)] = PolicyNet(w1, b1, w2, float(b2[0]), meta)
-        return cls(
+        bundle = cls(
             seed=header["seed"],
-            levels=header["levels"],
+            levels=levels,
             budget=header["budget"],
-            n_s=header["n_s"],
-            n_w=header["n_w"],
+            n_s=n_s,
+            n_w=n_w,
             q_grid=q_grid,
-            dn_quantum=header["dn_quantum"],
-            max_scan=header["max_scan"],
+            dn_quantum=quantum,
+            max_scan=scan,
             sub=SubGammaParams(**header["sub"]),
             prior=prior,
             nets=nets,
             first_action=first,
             first_action_table=[tuple(t) for t in header["first_action_table"]],
             meta=header.get("meta", {}),
+        )
+        if len(first) != 2 or not bundle.action_spec().is_admissible(0, n_s, 0, *first):
+            raise InvalidParameterError(
+                f"first_action {list(first)} is no admissible opening action"
+            )
+        return bundle
+
+
+def _check_net_meta(meta, key) -> None:
+    """Reject a net's meta that is no JSON object, or whose trained
+    increment range is not two numbers (:func:`scan_actions` clamps to it)."""
+    if not isinstance(meta, dict):
+        raise InvalidParameterError(f"net {key} meta is a JSON {type(meta).__name__}")
+    bounds = [meta[k] for k in ("dn_lo", "dn_hi") if k in meta]
+    if bounds and (
+        len(bounds) != 2
+        or any(isinstance(b, bool) or not isinstance(b, numbers.Real) for b in bounds)
+    ):
+        raise InvalidParameterError(
+            f"net {key} needs numeric dn_lo and dn_hi, got {meta}"
         )
 
 

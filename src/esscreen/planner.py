@@ -367,8 +367,20 @@ class HeuristicParams:
     p: float = 1.0
 
     def __post_init__(self):
-        if not self.delta0 > 0:
-            raise InvalidParameterError("delta0 must be > 0")
+        for name in ("n2", "n_s", "n_w"):
+            _check_count(getattr(self, name), name)
+        if not (self.n2 >= 1 and 1 <= self.n_w < self.n_s):
+            raise InvalidParameterError(
+                f"need n2 >= 1 and 1 <= n_w < n_s, got n2={self.n2}, "
+                f"n_w={self.n_w}, n_s={self.n_s}"
+            )
+        if not (self.sigma_bar >= 0 and self.c >= 0 and self.p >= 1):
+            raise InvalidParameterError(
+                f"need sigma_bar >= 0, c >= 0 and p >= 1, got "
+                f"sigma_bar={self.sigma_bar}, c={self.c}, p={self.p}"
+            )
+        if not 0 < self.delta0 < math.inf:
+            raise InvalidParameterError(f"delta0 must be in (0, inf): {self.delta0}")
         if not 0 < self.budget < math.inf:
             raise InvalidParameterError(f"budget must be in (0, inf): {self.budget}")
         if self.n2 * self.n_w > self.budget:
@@ -400,15 +412,21 @@ def _n1_for(hp: HeuristicParams, q1: int) -> int:
     return int((hp.budget - q1 * hp.n2) // (hp.n_s - q1))
 
 
+def _q1_max(hp: HeuristicParams) -> int:
+    """Largest threshold where :func:`h0` is finite: q1 <= n_s - 1 and
+    q1 N2 <= budget; raises InfeasiblePlanError when it lies below n_w."""
+    hi = int(min(hp.n_s - 1, hp.budget // hp.n2))
+    if hi < hp.n_w:
+        raise InfeasiblePlanError("no feasible intermediate threshold")
+    return hi
+
+
 def heuristic_numeric(hp: HeuristicParams) -> tuple[int, int]:
     """Integer argmin of the two-level objective and its fast-path count.
 
-    Scans q1 over [n_w, min(n_s, budget/N2)]; ties break to the smaller q1.
+    Scans q1 over [n_w, :func:`_q1_max`]; ties break to the smaller q1.
     """
-    hi = int(min(hp.n_s, hp.budget // hp.n2))
-    if hi < hp.n_w:
-        raise InfeasiblePlanError("no feasible intermediate threshold")
-    qs = range(hp.n_w, hi + 1)
+    qs = range(hp.n_w, _q1_max(hp) + 1)
     best = min(qs, key=lambda q: (h0(hp, q), q))
     if not math.isfinite(h0(hp, best)):
         raise InfeasiblePlanError("objective is infinite over the whole range")
@@ -481,8 +499,7 @@ def heuristic_closed_form(hp: HeuristicParams) -> HeuristicSolution:
                     q1 = argmin_h([b, q12s])
         else:
             q1 = argmin_h([q2s, b]) if q2s <= b else b
-    hi = int(min(n_s, k // n2))
-    q1_int = int(min(max(round(q1), n_w), hi))
+    q1_int = int(min(max(round(q1), n_w), _q1_max(hp)))
     return HeuristicSolution(
         delta=delta,
         b=b,

@@ -681,6 +681,18 @@ def _raw_header(raw):
     return lambda path: _edit_artifact(path, raw=raw)
 
 
+def _net_meta(edit):
+    """Replace the header's list of net metas by ``edit`` of it."""
+    import json
+
+    def apply(path):
+        with np.load(path) as data:
+            metas = json.loads(bytes(data["header"]).decode())["net_meta"]
+        _edit_artifact(path, header={"net_meta": edit(metas)})
+
+    return apply
+
+
 #: malformed artifacts, each made from a saved toy bundle by one edit
 _MALFORMED = {
     "sub extra key": _header(sub={"c": 0.0, "p": 1.0, "x": 2.0}),
@@ -701,6 +713,17 @@ _MALFORMED = {
     "q_grid a number": _header(q_grid=4),
     "first_action a bool entry": _header(first_action=[1, True]),
     "n_s off the prior": _header(n_s=7),
+    "net_meta a list": _net_meta(lambda metas: [list(m.values()) for m in metas]),
+    "net_meta dn_hi a string": _net_meta(
+        lambda metas: [{**m, "dn_hi": "9"} for m in metas]
+    ),
+    "net_meta short": _net_meta(lambda metas: metas[1:]),
+    "n_w zero": _header(n_w=0),
+    "q_grid above n_s": _header(q_grid=[2, 13]),
+    "first_action negative": _header(first_action=[-1, -5]),
+    "levels one": _header(levels=1),
+    "dn_quantum zero": _header(dn_quantum=0),
+    "max_scan zero": _header(max_scan=0),
 }
 
 

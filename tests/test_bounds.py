@@ -1,6 +1,7 @@
 """Bound evaluation: Bernstein tails, moment constants, the deterministic
 bound and its robust/adaptive variants."""
 
+import itertools
 import math
 from dataclasses import replace
 
@@ -13,6 +14,8 @@ from esscreen.bounds import (
     F_p,
     RobustBounds,
     SubGammaParams,
+    _kernel_exp,
+    _stationary_point,
     bernstein_tail,
     f_p_ad,
     gamma_constants,
@@ -518,7 +521,7 @@ class TestFRobust:
         assert got_lo == pytest.approx(want_lo, rel=1e-12)
 
     def test_stationary_point_with_scale_constant(self):
-        # brentq stationary point must beat a dense scan up to scan error
+        # the bisected stationary point must beat a dense scan up to scan error
         sub = SubGammaParams(c=2.0, p=1.0)
         n, sbar = 37, 3.0
         got = robust_gap_max(n, 1e-6, 50.0, sbar, sub)
@@ -529,6 +532,34 @@ class TestFRobust:
         )
         assert got >= scan - 1e-12
         assert got == pytest.approx(scan, rel=1e-6)
+
+    def test_bisection_matches_brentq(self):
+        # the root finder robust_gap_max used before, kept as an oracle:
+        # brentq on the cubic over the bracket the bisection starts from
+        from scipy.optimize import brentq
+
+        grid = itertools.product(
+            np.geomspace(1.0, 1e7, 6),
+            np.geomspace(1e-3, 2.2e6, 4),
+            np.geomspace(1e-4, 1e3, 4),
+            (1.0, 1.5, 2.0, 3.0),
+        )
+        for n, sbar, c, p in grid:
+            n, sbar, c, sub = float(n), float(sbar), float(c), SubGammaParams(c=c, p=p)
+
+            def h(d):
+                s2 = sbar**2 + c * d
+                return 2.0 * p * s2 * s2 - n * d * d * (2.0 * sbar**2 + c * d)
+
+            d_hi = max(4.0 * (sbar * math.sqrt(p / n) + 2.0 * p * c / n), 1e-12)
+            while h(d_hi) > 0:
+                d_hi *= 4.0
+            want = brentq(h, 1e-300, d_hi, xtol=1e-300, rtol=8.9e-16)
+            got = _stationary_point(n, sbar, sub)
+            assert abs(got - want) <= 4 * math.ulp(want), (n, sbar, c, p)
+            peak = want * float(_kernel_exp(n, want, sbar**2, c, p))
+            val = robust_gap_max(n, 0.0, 4.0 * want, sbar, sub)
+            assert val == pytest.approx(peak, rel=1e-15, abs=0.0), (n, sbar, c, p)
 
     def test_widening_never_decreases(self):
         sub = SubGammaParams(c=0.5, p=1.0)

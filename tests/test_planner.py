@@ -938,6 +938,40 @@ def test_heuristic_params_reject_a_bad_budget(budget):
         )
 
 
+def test_closed_form_clamps_to_a_finite_objective():
+    # q2* = 68 lies above n_s = 50; clamped to n_s it divided by n_s - q1 = 0
+    hp = HeuristicParams(
+        delta0=1, sigma_bar=2, c=0, budget=1e5, n2=1000, n_s=50, n_w=5
+    )
+    assert heuristic_numeric(hp) == (6, 2136)
+    sol = heuristic_closed_form(hp)
+    assert (sol.q1_2star, sol.q1, sol.n1) == (68.0, 49, 51_000)
+    assert math.isfinite(h0(hp, sol.q1))
+
+
+@pytest.mark.parametrize(
+    "field,value,match",
+    [
+        ("n2", 0, "n2 >= 1"),
+        ("n2", -5, "n2 >= 1"),
+        ("n_w", 0, "n_w"),
+        ("n_w", 50, "n_w < n_s"),
+        ("sigma_bar", -1.0, "sigma_bar"),
+        ("c", -0.5, "c >= 0"),
+        ("p", 0.5, "p >= 1"),
+        ("delta0", math.inf, "delta0"),
+        ("n2", 1000.0, "n2 must be an integer"),
+        ("n_s", 50.5, "n_s must be an integer"),
+        ("n_w", True, "n_w must be an integer"),
+    ],
+)
+def test_heuristic_params_reject_bad_counts_and_constants(field, value, match):
+    # each of these used to raise ZeroDivisionError or plan q1 < 0
+    good = dict(delta0=1, sigma_bar=2, c=0, budget=1e5, n2=1000, n_s=50, n_w=5)
+    with pytest.raises(InvalidParameterError, match=match):
+        HeuristicParams(**{**good, field: value})
+
+
 @pytest.mark.parametrize(
     "q_grid,levels,match",
     [
