@@ -79,8 +79,8 @@ class RobustBounds:
                 raise InvalidParameterError(
                     f"need 0 <= delta_lo <= delta_hi at q={q}, got [{lo}, {hi}]"
                 )
-        if self.sigma_bar < 0:
-            raise InvalidParameterError("sigma_bar must be >= 0")
+        if not 0 <= self.sigma_bar < math.inf:
+            raise InvalidParameterError("sigma_bar must be in [0, inf)")
 
 
 def _kernel_exp(n, x, var, c, p=1.0):
@@ -90,10 +90,9 @@ def _kernel_exp(n, x, var, c, p=1.0):
     x > 0 with a vanishing denominator (infinitely fast decay).
     """
     x = np.asarray(x, dtype=np.float64)
-    denom = 2.0 * p * (var + c * x)
-    safe = np.where(denom > 0, denom, 1.0)
-    with np.errstate(over="ignore"):
-        expo = -n * x * x / safe
+    with np.errstate(over="ignore"):  # an overflow is inf, which the kernel takes
+        denom = 2.0 * p * (var + c * x)
+        expo = -n * x * x / np.where(denom > 0, denom, 1.0)
     # clamped entries are never passed to exp, so none of them goes subnormal
     out = np.exp(expo, out=np.zeros_like(expo), where=expo > _EXP_FLOOR)
     out = np.where((x > 0) & (denom <= 0), 0.0, out)
@@ -154,7 +153,8 @@ def _mc_term(n, n_last, sigma_p: np.ndarray, n_w: int, sub: SubGammaParams):
     root = np.array([k ** (p / 2.0) for k in n])[:, None]
     full = np.array([k**p for k in n])[:, None]
     share = np.array([k / last for k, last in zip(n, n_last)])
-    inner = c_sig * p * sigma_p / root + c_c * p * sub.c**p / full
+    with np.errstate(over="ignore"):
+        inner = c_sig * p * sigma_p / root + c_c * p * sub.c**p / full
     return share / n_w * np.sum(inner ** (1.0 / p), axis=-1)
 
 
@@ -196,11 +196,11 @@ def _stationary_point(n_paths: float, sigma_bar: float, sub: SubGammaParams) -> 
     if sub.c == 0.0:
         return sigma_bar * math.sqrt(sub.p / n_paths)
 
+    var = sigma_bar * sigma_bar
+
     def h(d):
-        s2 = sigma_bar**2 + sub.c * d
-        return 2.0 * sub.p * s2 * s2 - n_paths * d * d * (
-            2.0 * sigma_bar**2 + sub.c * d
-        )
+        s2 = var + sub.c * d
+        return 2.0 * sub.p * s2 * s2 - n_paths * d * d * (2.0 * var + sub.c * d)
 
     d_hi = sigma_bar * math.sqrt(sub.p / n_paths) + 2.0 * sub.p * sub.c / n_paths
     d_hi = max(d_hi * 4.0, 1e-12)
@@ -233,7 +233,7 @@ def robust_gap_max(
         if lo < stat < hi:
             candidates.append(stat)
     cands = np.array(candidates)
-    kern = _kernel_exp(n_paths, cands, sigma_bar**2, sub.c, sub.p)
+    kern = _kernel_exp(n_paths, cands, sigma_bar * sigma_bar, sub.c, sub.p)
     return float(np.max(cands * kern))
 
 
@@ -282,7 +282,8 @@ def level_terms(
                 f"RobustBounds does not cover threshold q={missing[0]}"
             )
         # a uniform std bound is the exact Monte Carlo term with every sigma_i = sbar
-        sig_p = np.full(n_s, target.sigma_bar**sub.p)
+        with np.errstate(over="ignore"):  # float ** bit for bit, but inf on overflow
+            sig_p = np.full(n_s, np.float64(target.sigma_bar) ** sub.p)
 
         def factor(q, n):
             lo, hi = target.delta_lo[q], target.delta_hi[q]

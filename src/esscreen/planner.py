@@ -103,11 +103,11 @@ def dp_optimize(
     so far, and back-pointer, grid indexes and lexicographic ranks of its q
     path and N path; each level's labels are arrays.  A level expands every
     admissible (label, N') pair to every target threshold q' <= the label's
-    q at once, and one lexsort on (node, g, spent, path) orders the
-    candidates of each node, where the path key orders the q paths, then the
-    N paths.  A candidate is kept iff its ``spent`` is strictly below that of
-    every earlier one at its node, i.e. no other label is at least as good
-    in both g and spent; on an exact (g, spent) tie the lexicographically
+    q at once, and one sort on (node, g, spent, path) orders the candidates
+    of each node, where the path key orders the q paths, then the N paths.
+    A candidate is kept iff its ``spent`` is strictly below that of every
+    earlier one at its node, i.e. no other label is at least as good in
+    both g and spent; on an exact (g, spent) tie the lexicographically
     smaller (q, N) path is kept.  The surviving labels therefore contain a
     prefix of some optimal strategy.  The plan returned is the least in
     (value, cost, q path, N path) among the plans whose every prefix
@@ -122,25 +122,27 @@ def dp_optimize(
     levels up to L-2 (q' = q, N' = N: no cost, a zero term), then n_w at the
     label's own N, then the best final N within the budget.  Every (label,
     N') pair and every candidate is then scored with a lower bound on the
-    value of any of its completions: its ``g`` plus the least Monte Carlo
-    terms over the final (N_{L-1}, N_L) pairs it can still reach (N_{L-1} at
-    least its N', N_L at most N' plus the budget left over n_w, as every
-    later level prices at least n_w scenarios; see :func:`_tail_bound`).  A
-    pair scored above the bound is not expanded: its candidates have the
-    same N' and spend and a ``g`` no smaller.  A candidate scored above it
-    is dropped before the frontier.  This is exact (A* within branch and
-    bound): every term is >= 0 and rounded addition is monotone, so such a
-    candidate's final value exceeds the bound, which is at least the
-    optimum.  A
-    candidate that dominates a surviving one has the same node, a ``g`` no
-    larger and at least as much budget left, so it reaches at least as far
-    and survives too: the frontier keeps what it kept without the incumbent,
-    less the dropped candidates.  Candidates scored equal to the bound are
-    kept, so every plan that ties the optimum survives and the tie order is
-    that of the unpruned search.  A target whose selection terms go negative
-    (scenarios not sorted by decreasing impact) gets no incumbent.  The
-    incumbent, the tail bound and the final level read the Monte Carlo terms
-    of every (N_{L-1}, N_L) pair from one
+    value of its completions (:func:`_tail_bound`): its ``g``, plus the
+    least term of the cut to n_w that a candidate above n_w must still make
+    (from its own q' if the next level is the last, else from a threshold in
+    (n_w, q']), plus the least Monte Carlo terms over the final (N_{L-1},
+    N_L) it can still reach (N_{L-1} at least its N', N_L at most N' plus
+    the budget left over n_w, as every later level prices at least n_w
+    scenarios).  A pair scored above the incumbent is not expanded: its
+    candidates have the same N' and spend and a ``g`` no smaller.  A
+    candidate scored above it is dropped before the frontier.  This is
+    exact (A* within branch and bound): every term is >= 0 and rounded
+    addition is monotone, so such a candidate's final value exceeds the
+    incumbent, which is at least the optimum.  A candidate that dominates a
+    surviving one has the same node, a ``g`` no larger and at least as much
+    budget left, so it reaches at least as far, scores no higher and
+    survives too: the frontier keeps what it kept without the incumbent,
+    less the dropped candidates.  Candidates scored equal to the incumbent
+    are kept, so every plan that ties the optimum survives and the tie
+    order is that of the unpruned search.  A target whose selection terms
+    go negative (scenarios not sorted by decreasing impact) gets no
+    incumbent.  The incumbent, the tail bound and the final level read the
+    Monte Carlo terms of every (N_{L-1}, N_L) pair from one
     :func:`esscreen.bounds.mc_terms_exact` table, so all three compute with
     the same arithmetic.
 
@@ -169,7 +171,9 @@ def dp_optimize(
     # mc_b[i, b], mc_c[i, b]: Monte Carlo terms at N_{L-1} = n_ext[i] and
     # N_L = n_grid[b], +inf where N_L <= N_{L-1}
     mc_b, mc_c = mc_terms_exact(n_ext[:, None], n_grid[None, :], sig_p, grid.n_w, sub)
-    tail = _tail_bound(mc_b, mc_c, n_ext, grid)
+    cut, cut_below, lb_b, lb_c = _tail_bound(terms, mc_b[1:], mc_c[1:])
+    # costs are whole pricings, and a cap above n_s N (no label spends more) is moot
+    cap = min(math.floor(budget), grid.n_s * int(n_grid[-1]))
 
     def finish(g, ni, spent):
         """Value and cost of each label at n_w (rows) ending at each N_L
@@ -186,8 +190,7 @@ def dp_optimize(
     ni = np.array([0])
     g = np.zeros(1)
     spent = np.zeros(1, dtype=np.int64)
-    q_rank = np.zeros(1, dtype=np.int32)
-    n_rank = np.zeros(1, dtype=np.int32)
+    q_rank = n_rank = path = np.zeros(1, dtype=np.int64)
     bound = math.inf
     trail = []  # per level: (back-pointer, q index, N index) of its labels
     for lvl in range(1, grid.levels):
@@ -196,25 +199,33 @@ def dp_optimize(
         step = q_here[:, None] * (n_grid - n_here[:, None])
         ok_n = (n_grid >= n_here[:, None]) & (spent[:, None] + step <= budget)
         n_targets = 1 if lvl == grid.levels - 1 else n_q
-        # a (label, N') pair scored above the incumbent has only candidates
-        # scored above it: each has a g no smaller, the same N' and spend
+        # later levels price n_w scenarios or more, so N_L is at most grid
+        # index e; a pair scored above the incumbent has only such candidates
         lab, b = np.nonzero(ok_n)
         spent_next = spent[lab] + step[lab, b]
-        fan = np.minimum(qi[lab] + 1, n_targets)
-        live = tail(g[lab], b + 1, spent_next) <= bound
+        reach = n_grid[b] + (cap - spent_next) // grid.n_w
+        e = np.searchsorted(n_grid, reach, "right") - 1
+        g_lab, q_lab, lbb, lbc = g[lab], qi[lab], lb_b[b, e], lb_c[b, e]
+        live = (g_lab + lbb) + lbc <= bound
+        fan = np.minimum(q_lab + 1, n_targets)
         if debug:
             expanded = int(fan.sum())
             gone = ~live
-            g_drop = g[lab[gone], None] + terms[qi[lab[gone]], :n_targets, b[gone]]
-            reach = np.arange(n_targets) <= qi[lab[gone], None]
-            pruned = int((reach & (g_drop > bound)).sum())
-        lab, b, spent_next, fan = lab[live], b[live], spent_next[live], fan[live]
-        # each surviving pair stops at every target q' <= its q
+            g_drop = g_lab[gone, None] + terms[q_lab[gone], :n_targets, b[gone]]
+            stops = np.arange(n_targets) <= q_lab[gone, None]
+            pruned = int((stops & (g_drop > bound)).sum())
+        lab, b, e, fan, g_lab, spent_next, lbb, lbc = (
+            v[live] for v in (lab, b, e, fan, g_lab, spent_next, lbb, lbc)
+        )
+        # each surviving pair stops at every target q' <= its q; from level
+        # L-2 the last cut to n_w is from q' itself
         pair = np.repeat(np.arange(lab.size), fan)
         q_next = np.arange(pair.size) - (np.cumsum(fan) - fan)[pair]
-        lab, b, spent_next = lab[pair], b[pair], spent_next[pair]
-        g_next = g[lab] + terms[qi[lab], q_next, b]
-        live = np.flatnonzero(tail(g_next, b + 1, spent_next) <= bound)
+        at = (qi[lab] * n_q * n_n + b)[pair] + q_next * n_n
+        g_next = g_lab[pair] + terms.ravel()[at]
+        sel = (cut if lvl >= grid.levels - 2 else cut_below).ravel()
+        at = (b * n_n + e)[pair] + q_next * (n_n * n_n)
+        live = np.flatnonzero(((g_next + sel[at]) + lbb[pair]) + lbc[pair] <= bound)
         if debug:
             pruned += int((g_next > bound).sum())
             bounded = expanded - pruned - live.size
@@ -222,18 +233,18 @@ def dp_optimize(
             raise InfeasiblePlanError(
                 f"no feasible strategy on the grid within budget {budget}"
             )
-        q_next, lab, b = q_next[live], lab[live], b[live]
-        g_next, spent_next = g_next[live], spent_next[live]
+        pair, q_next, g_next = pair[live], q_next[live], g_next[live]
+        lab, b, spent_next = lab[pair], b[pair], spent_next[pair]
         # the paths into one node differ only in the prefix each extends,
-        # so the extended labels' (q rank, N rank) order them
-        path = q_rank.astype(np.int64) * (int(n_rank.max()) + 1) + n_rank
+        # so the rank of that prefix's (q path, N path) orders them
         keep = _pareto_frontier(q_next * n_n + b, spent_next, g_next, path[lab])
         lab, qi, b = lab[keep], q_next[keep], b[keep]
         g, spent = g_next[keep], spent_next[keep]
         ni = b + 1
         trail.append((lab, qi, ni))
-        q_rank = _dense_rank(q_rank[lab].astype(np.int64) * n_q + qi)
-        n_rank = _dense_rank(n_rank[lab].astype(np.int64) * (n_n + 1) + ni)
+        q_rank = _dense_rank(q_rank[lab] * n_q + qi)
+        n_rank = _dense_rank(n_rank[lab] * (n_n + 1) + ni)
+        path = _dense_rank(q_rank * (int(n_rank.max()) + 1) + n_rank)
         if debug:
             _log_level(lvl, expanded, pruned, bounded, lab.size, bound)
         if prunable and lvl <= grid.levels - 2:
@@ -264,52 +275,35 @@ def dp_optimize(
     return strategy, float(value[best])
 
 
-def _tail_bound(mc_b, mc_c, n_ext, grid: PlanningGrid):
-    """Lower bound on the final value of any completion of a label.
+def _tail_bound(terms, mc_b, mc_c):
+    """Tables of a lower bound on the final value of the completions of a
+    label at grid path count index b whose N_L is at most grid index e >= b.
 
-    ``n_ext`` is 0 followed by the grid's path counts, and ``mc_b[i, e]``,
-    ``mc_c[i, e]`` are the Monte Carlo terms at N_{L-1} = ``n_ext[i]`` and
-    N_L = ``n_ext[e + 1]``.  Each table's bound at (i, e) is its least entry
-    over N_{L-1} >= ``n_ext[i]`` and N_L <= ``n_ext[e + 1]``: a suffix
-    minimum down the rows, then a prefix minimum along them.  The returned
-    ``tail(g, ni, spent)`` scores labels with prefix ``g`` at N index ``ni``
-    having spent ``spent``: every later level prices at least n_w
-    scenarios, so N_L is at most N + (budget - spent) // n_w, and
-    ``(g + lb_b) + lb_c`` at that reach is at most the value of every
-    completion (every term is >= 0 and rounded addition is monotone).
+    ``mc_b[i, e]``, ``mc_c[i, e]`` are the Monte Carlo terms at grid
+    N_{L-1} index i and N_L index e; ``lb_b[b, e]``, ``lb_c[b, e]`` are
+    their least entries over i >= b and N_L index <= e.  A label above n_w
+    must still cut to n_w, from a threshold at most its own, at a path
+    count in [N_b, N_e]: ``cut[q, b, e]`` is the least ``terms[q, 0, d]``
+    over d in [b, e], ``cut_below[q, b, e]`` its least over the thresholds
+    in (n_w, q]; both are 0 at n_w.  With ``cut`` where the next level is
+    the last and ``cut_below`` before, ``((g + cut) + lb_b) + lb_c`` is at
+    most the value of each completion: the cut term is one of the terms
+    still to come, every term is >= 0 and rounded addition is monotone.
     """
-    lb_b, lb_c = (
-        np.minimum.accumulate(
-            np.minimum.accumulate(t[::-1], axis=0)[::-1], axis=1
-        )
-        for t in (mc_b, mc_c)
-    )
-    n_grid = n_ext[1:]
-    # costs are integers, so the budget counts only whole pricings; no label
-    # spends more than n_s N, so a larger cap reaches the whole grid anyway
-    cap = min(math.floor(grid.budget), grid.n_s * int(n_grid[-1]))
-
-    def tail(g, ni, spent):
-        reach = n_ext[ni] + (cap - spent) // grid.n_w
-        e = np.searchsorted(n_grid, reach, "right") - 1
-        return (g + lb_b[ni, e]) + lb_c[ni, e]
-
-    return tail
+    suffix = (np.minimum.accumulate(t[::-1])[::-1] for t in (mc_b, mc_c))
+    lb_b, lb_c = (np.minimum.accumulate(t, axis=1) for t in suffix)
+    upper = np.triu(np.ones(mc_b.shape, dtype=bool))  # e >= b
+    cut = np.minimum.accumulate(np.where(upper, terms[:, None, 0], math.inf), axis=2)
+    cut_below = np.concatenate((cut[:1], np.minimum.accumulate(cut[1:])))
+    return cut, cut_below, lb_b, lb_c
 
 
-def _log_level(
-    lvl: int, expanded: int, pruned: int, bounded: int, kept: int, bound: float
-):
+def _log_level(lvl, expanded, pruned, bounded, kept, bound):
     """One DEBUG record of a level's candidates and the incumbent it used."""
-    record = {
-        "level": lvl,
-        "expanded": expanded,
-        "pruned": pruned,
-        "bounded": bounded,
-        "dominated": expanded - pruned - bounded - kept,
-        "kept": kept,
-        "incumbent": bound,
-    }
+    record = dict(
+        level=lvl, expanded=expanded, pruned=pruned, bounded=bounded,
+        dominated=expanded - pruned - bounded - kept, kept=kept, incumbent=bound,
+    )
     _log.debug(
         "level %(level)d: %(expanded)d candidates, %(pruned)d above incumbent "
         "%(incumbent)r, %(bounded)d above it by the tail bound, "
@@ -320,31 +314,35 @@ def _log_level(
 
 
 def _dense_rank(key: np.ndarray) -> np.ndarray:
-    """Rank of each key among the distinct keys (equal keys, equal rank)."""
-    return np.unique(key, return_inverse=True)[1].astype(np.int32)
+    """Rank of each key among the distinct keys (-0.0 and 0.0 are equal)."""
+    return np.unique(key, return_inverse=True)[1]
 
 
 def _pareto_frontier(node, spent, g, path) -> np.ndarray:
     """Indexes of the labels no other label at their node dominates.
 
-    ``path`` orders the labels' (q path, N path) and is distinct within a
-    node.  Sorted by (node, g, spent, path), a label is dominated iff an
-    earlier label at its node spent at most as much: such a label has a
-    ``g`` no larger, and on an exact (g, spent) tie the smaller path.  So
-    the kept labels are those whose integer ``spent`` is strictly below
-    every earlier ``spent`` of their node.  ``node`` must not be empty.
+    ``node`` and ``path`` are non-negative integers; ``path`` orders the
+    labels' (q path, N path) and is distinct within a node.  Sorted by
+    (node, g, spent, path), a label is dominated iff an earlier label at
+    its node spent at most as much: such a label has a ``g`` no larger, and
+    on an exact (g, spent) tie the smaller path.  The sort is of one int64
+    key of node, the dense ranks of ``g`` and ``spent``, and path; the key
+    is unique, so the sort needs no stability.  Raises InvalidParameterError
+    when the key would not fit in an int64.  ``node`` must not be empty.
     """
-    order = np.lexsort((path, spent, g, node))
-    node, spent = node[order], spent[order]
-    start = np.ones(node.size, dtype=bool)
-    start[1:] = node[1:] != node[:-1]
-    # each node's keys lie below every earlier node's, so the running min
-    # restarts at each node's first label
-    key = spent - np.cumsum(start) * (int(spent.max()) + 1)
-    run_min = np.minimum.accumulate(key)
-    # a node's first label is kept, a later one iff it sets a new strict min
-    keep = start
-    keep[1:] |= key[1:] < run_min[:-1]
+    cols = (node, _dense_rank(g), _dense_rank(spent), path)
+    widths = [int(col.max()) + 1 for col in cols]
+    if math.prod(widths) > 2**63:
+        raise InvalidParameterError(f"{node.size} DP candidates are too many to sort")
+    key = np.zeros(node.size, dtype=np.int64)
+    for col, width in zip(cols, widths):
+        key = key * width + col
+    order = np.argsort(key)
+    # each node's spend ranks lie below every earlier node's, so the running
+    # min restarts at each node; a label is kept iff it sets a new strict min
+    key = (cols[2] - node * widths[2])[order]
+    keep = np.ones(order.size, dtype=bool)
+    keep[1:] = key[1:] < np.minimum.accumulate(key)[:-1]
     return order[keep]
 
 
@@ -374,9 +372,9 @@ class HeuristicParams:
                 f"need n2 >= 1 and 1 <= n_w < n_s, got n2={self.n2}, "
                 f"n_w={self.n_w}, n_s={self.n_s}"
             )
-        if not (self.sigma_bar >= 0 and self.c >= 0 and self.p >= 1):
+        if not (0 <= self.sigma_bar < math.inf and self.c >= 0 and self.p >= 1):
             raise InvalidParameterError(
-                f"need sigma_bar >= 0, c >= 0 and p >= 1, got "
+                f"need 0 <= sigma_bar < inf, c >= 0 and p >= 1, got "
                 f"sigma_bar={self.sigma_bar}, c={self.c}, p={self.p}"
             )
         if not 0 < self.delta0 < math.inf:
@@ -404,7 +402,7 @@ def h0(hp: HeuristicParams, q1: float) -> float:
         return math.inf
     gap = u * hp.delta0
     n1 = (hp.budget - q1 * hp.n2) / rem
-    kern = _kernel_exp(n1, gap, hp.sigma_bar**2, hp.c, hp.p)
+    kern = _kernel_exp(n1, gap, hp.sigma_bar * hp.sigma_bar, hp.c, hp.p)
     return rem ** (1.0 / hp.p) * gap * float(kern)
 
 
@@ -466,8 +464,9 @@ def heuristic_closed_form(hp: HeuristicParams) -> HeuristicSolution:
             f"the closed form is stated for order p = 1, got p = {hp.p}"
         )
     k, n2, n_w, n_s, d0, c = hp.budget, hp.n2, hp.n_w, hp.n_s, hp.delta0, hp.c
-    delta = (k - (n_w - 1) * n2) ** 2 - 32.0 * n_s * n2 * c / d0
-    b = math.inf if c == 0.0 else hp.sigma_bar**2 / (c * d0) + n_w - 1
+    slack = k - (n_w - 1) * n2
+    delta = slack * slack - 32.0 * n_s * n2 * c / d0
+    b = math.inf if c == 0.0 else hp.sigma_bar * hp.sigma_bar / (c * d0) + n_w - 1
     q2s = max((n_w - 1) / 3.0 + 2.0 * k / (3.0 * n2), float(n_w))
     if delta >= 0:
         rt = math.sqrt(delta)

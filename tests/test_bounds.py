@@ -561,6 +561,17 @@ class TestFRobust:
             val = robust_gap_max(n, 0.0, 4.0 * want, sbar, sub)
             assert val == pytest.approx(peak, rel=1e-15, abs=0.0), (n, sbar, c, p)
 
+    def test_huge_sigma_bar_is_no_bare_error(self):
+        # sigma_bar**2 raised a bare OverflowError above about 1.3e154; the
+        # product is inf there, and the kernel of an infinite variance is 1
+        for c in (0.0, 1.0):
+            sub = SubGammaParams(c=c)
+            assert robust_gap_max(100, 1.0, 2.0, 1e200, sub) == 2.0
+            assert robust_gap_max(100, 0.0, 2.0, 1e200, sub) == 2.0
+        for bad in (math.inf, math.nan, -1.0):
+            with pytest.raises(InvalidParameterError, match="sigma_bar"):
+                RobustBounds(delta_lo={}, delta_hi={}, sigma_bar=bad)
+
     def test_widening_never_decreases(self):
         sub = SubGammaParams(c=0.5, p=1.0)
         vals = [

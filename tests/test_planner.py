@@ -435,6 +435,53 @@ class TestMatchesFrozenPlanner:
             got = {(int(node[j]), q_paths[j], n_paths[j]) for j in kept}
             assert got == want and len(kept) == len(got)
 
+    def test_one_sort_matches_the_lexsort_frontier(self):
+        # the frontier's one sort gives the lexsort's permutation: negative
+        # g, -0.0/0.0 ties, many exact (g, spent) ties on a few sparse node
+        # ids, continuous g with wide spends, and inputs above 10k labels
+        rng = substream(23, 18)
+        sizes = [*rng.integers(1, 60, size=150).tolist(), 12_000, 15_000]
+        for trial, m in enumerate(sizes):
+            node = rng.integers(0, 5, size=m) * 7
+            path = rng.permutation(m) * 3
+            if trial % 2:
+                spent = rng.integers(0, 6, size=m) * 1000
+                g = rng.integers(-3, 4, size=m) * 0.5
+                g[rng.random(m) < 0.3] = -0.0
+            else:
+                spent = rng.integers(0, 10**7, size=m)
+                g = rng.normal(0.0, 1e4, size=m)
+            want = lexsort_frontier(node, spent, g, path)
+            got = esscreen.planner._pareto_frontier(node, spent, g, path)
+            assert np.array_equal(got, want), m
+        assert (g == 0.0).any() and np.signbit(g[g == 0.0]).any()
+
+    def test_frontier_key_overflow_is_a_package_error(self):
+        # the node, g rank, spend rank and path widths multiply to 2^63, so
+        # every key fits in an int64; one more node value does not fit, and
+        # raises rather than wrapping
+        spent, g = np.array([2, 1, 1]), np.array([0.25, 0.5, 0.5])
+        node, path = np.array([0, 0, 2**21 - 1]), np.array([0, 2**40 - 1, 5])
+        kept = esscreen.planner._pareto_frontier(node, spent, g, path)
+        assert np.array_equal(kept, lexsort_frontier(node, spent, g, path))
+        assert kept.tolist() == [0, 1, 2]
+        with pytest.raises(InvalidParameterError, match="too many"):
+            esscreen.planner._pareto_frontier(node + 1, spent, g, path)
+
+
+def lexsort_frontier(node, spent, g, path):
+    """The frontier as it was before its one-key sort: a 4-key lexsort,
+    then a node-restarted running minimum of ``spent``."""
+    order = np.lexsort((path, spent, g, node))
+    node, spent = node[order], spent[order]
+    start = np.ones(node.size, dtype=bool)
+    start[1:] = node[1:] != node[:-1]
+    key = spent - np.cumsum(start) * (int(spent.max()) + 1)
+    run_min = np.minimum.accumulate(key)
+    keep = start
+    keep[1:] |= key[1:] < run_min[:-1]
+    return order[keep]
+
 
 def random_robust_bounds(grid, rng):
     return RobustBounds(
@@ -449,14 +496,18 @@ class TestTailBound:
     @pytest.mark.parametrize("c,p", [(0.0, 1.0), (0.7, 1.5), (0.3, 2.0), (2.0, 1.0)])
     def test_no_plan_ends_below_the_bound_of_a_prefix(self, robust, c, p):
         # admissibility: at every level, the tail bound of a plan's prefix
-        # label (its g, N index and spend, as the planner holds them) is at
-        # most the plan's value, and so is each Monte Carlo table's bound
-        # alone (the fresh-path term falls as N_{L-1} grows, the
+        # label (its g, q, N index and spend, as the planner holds them) is
+        # at most the plan's value, and so is the bound of the (label, N')
+        # pair it came from.  The bound adds the least selection term of the
+        # last cut to n_w: from the label's own q when its next level is the
+        # last, else from any threshold in (n_w, q].  Each Monte Carlo
+        # table's bound and the cut term alone bound their own parts of the
+        # value (the fresh-path term falls as N_{L-1} grows, the
         # carried-over term rises); the pruned planner still returns the
         # enumerated optimum and cost, and the frozen planner's plan
         sub = SubGammaParams(c=c, p=p)
         rng = substream(23, 17)
-        checked = tight = 0
+        checked = tight = cut_tight = 0
         for _ in range(6):
             grid, target = random_small_grid(rng)
             if robust:
@@ -464,35 +515,45 @@ class TestTailBound:
             terms, sig_p = level_terms(
                 target, sub, grid.n_w, grid.n_s, grid.q_grid, grid.n_grid, selection_term
             )
-            n_ext = np.array((0, *grid.n_grid))
+            n_grid = np.array(grid.n_grid)
             mc_b, mc_c = mc_terms_exact(
-                n_ext[:, None], n_ext[None, 1:], sig_p, grid.n_w, sub
+                n_grid[:, None], n_grid[None, :], sig_p, grid.n_w, sub
             )
             zero = np.zeros_like(mc_b)
-            tables = [(mc_b, mc_c), (mc_b, zero), (zero, mc_c)]
-            tails = [
-                esscreen.planner._tail_bound(tb, tc, n_ext, grid) for tb, tc in tables
+            tables = [(mc_b, mc_c), (mc_b, zero), (zero, mc_c), (zero, zero)]
+            bounds = [
+                esscreen.planner._tail_bound(terms, tb, tc) for tb, tc in tables
             ]
+            cap = min(math.floor(grid.budget), grid.n_s * grid.n_grid[-1])
             q_index = {q: a for a, q in enumerate(grid.q_grid)}
-            n_index = {n: i for i, n in enumerate(n_ext.tolist())}
+            n_index = {n: i for i, n in enumerate(grid.n_grid)}
             for strat, _ in grid_plans(grid):
                 g, spent, prefixes = 0.0, 0, []
                 for lvl in range(1, grid.levels):
-                    a, b = q_index[strat.q[lvl - 1]], q_index[strat.q[lvl]]
-                    ni = n_index[strat.n[lvl]]
-                    g = g + terms[a, b, ni - 1]
+                    a, q = q_index[strat.q[lvl - 1]], q_index[strat.q[lvl]]
+                    b = n_index[strat.n[lvl]]
+                    g_pair, g = g, g + terms[a, q, b]
                     spent += strat.q[lvl - 1] * (strat.n[lvl] - strat.n[lvl - 1])
-                    prefixes.append((np.array([g]), np.array([ni]), np.array([spent])))
-                i, e = n_index[strat.n[-2]], n_index[strat.n[-1]] - 1
+                    reach = strat.n[lvl] + (cap - spent) // grid.n_w
+                    e = int(np.searchsorted(n_grid, reach, "right")) - 1
+                    last = lvl >= grid.levels - 2
+                    prefixes.append((g, q, last, g_pair, a, b, e))
+                i, e = n_index[strat.n[-2]], n_index[strat.n[-1]]
                 value = strategy_bound(strat, target, sub, grid)
                 assert value == (g + mc_b[i, e]) + mc_c[i, e]
-                for (tb, tc), tail in zip(tables, tails):
+                for (tb, tc), (cut, below, lb_b, lb_c) in zip(tables, bounds):
                     ends = (g + tb[i, e]) + tc[i, e]
-                    for prefix in prefixes:
-                        lb = tail(*prefix)[0]
-                        assert lb <= ends, (strat, prefix, lb, ends)
-                        checked += 1
-                        tight += lb == ends < math.inf
+                    for g_at, q, last, g_pair, a, b, e_at in prefixes:
+                        assert e_at >= max(b, e)
+                        sel = (cut if last else below)[q, b, e_at]
+                        for lb in (
+                            ((g_at + sel) + lb_b[b, e_at]) + lb_c[b, e_at],
+                            (g_pair + lb_b[b, e_at]) + lb_c[b, e_at],
+                        ):
+                            assert lb <= ends, (strat, lb, ends)
+                            checked += 1
+                            tight += lb == ends < math.inf
+                        cut_tight += sel > 0 and g_at + sel == ends
             best = enumerate_optimum(grid, target, sub)
             if best is None or not math.isfinite(best[0]):
                 with pytest.raises(InfeasiblePlanError):
@@ -501,7 +562,7 @@ class TestTailBound:
             strat, value = dp_optimize(grid, target, sub)
             assert (value, cost(strat)) == best[:2]
             assert assert_matches_frozen(grid, target, sub)
-        assert checked > 1000 and tight > 0
+        assert checked > 1000 and tight > 0 and cut_tight > 0
 
 
 class TestDpOptimize:
@@ -647,10 +708,11 @@ class TestDpOptimize:
             assert peak <= 6 * 2**20, (levels, peak)
 
     def test_incumbent_prunes_half_the_frontier_input(self, monkeypatch):
-        # work guard: candidates whose prefix, or prefix plus the least
-        # Monte Carlo terms they can still reach, exceeds the incumbent
-        # never reach the frontier (118,581 did on the paper L=5 grid
-        # without an incumbent, 47,495 with the prefix test alone)
+        # work guard: candidates whose prefix plus the least selection term
+        # of their last cut and the least Monte Carlo terms they can still
+        # reach exceeds the incumbent never reach the frontier (118,581 did
+        # on the paper L=5 grid without an incumbent, 47,495 with the prefix
+        # test alone, 28,694 without the last cut's term, 19,937 with it)
         frontier = esscreen.planner._pareto_frontier
         sizes = []
 
@@ -660,7 +722,23 @@ class TestDpOptimize:
 
         monkeypatch.setattr(esscreen.planner, "_pareto_frontier", counting)
         dp_optimize(paper_grid(5), paper_theta(general=False), SubGammaParams())
-        assert 0 < sum(sizes) <= 32_000
+        assert 0 < sum(sizes) <= 20_000
+
+    def test_paper_level_counts(self, caplog):
+        # work guard: the paper-equi L=5 DP's DEBUG counts per level, so
+        # that a weaker tail bound (or an unsound, stronger one) fails
+        # whatever the timing noise; columns are expanded, pruned, bounded,
+        # dominated and kept
+        with caplog.at_level(logging.DEBUG, logger="esscreen.planner"):
+            dp_optimize(paper_grid(5), paper_theta(general=False), SubGammaParams())
+        columns = ("expanded", "pruned", "bounded", "dominated", "kept")
+        records = [r.dp_level for r in caplog.records if hasattr(r, "dp_level")]
+        assert [tuple(r[k] for k in columns) for r in records] == [
+            (126, 0, 0, 0, 126),
+            (7960, 3495, 499, 2756, 1210),
+            (53956, 14611, 23502, 14486, 1357),
+            (7911, 6202, 1707, 0, 2),
+        ]
 
     def test_every_level_calls_the_frontier_once(self, monkeypatch, caplog):
         # tight budgets and robust brackets: the tail bound drops every
@@ -949,6 +1027,28 @@ def test_closed_form_clamps_to_a_finite_objective():
     assert math.isfinite(h0(hp, sol.q1))
 
 
+def test_huge_sigma_bar_is_no_bare_error():
+    # squares with float ** raised a bare OverflowError above about 1.3e154;
+    # a product is inf there, whose kernel is 1, as it is at 1e100
+    kw = dict(delta0=1, c=0, budget=1e5, n2=1000, n_s=50, n_w=5)
+    want = heuristic_numeric(HeuristicParams(sigma_bar=1e100, **kw))
+    assert heuristic_numeric(HeuristicParams(sigma_bar=1e200, **kw)) == want
+    scaled = HeuristicParams(**{**kw, "c": 1.0, "sigma_bar": 1e200})
+    assert heuristic_closed_form(scaled).b == math.inf
+    wide = HeuristicParams(**{**kw, "sigma_bar": 1.0, "budget": 1e300, "n2": 1})
+    assert heuristic_closed_form(wide).delta == math.inf
+    # a robust plan keeps a finite bound at p = 1; at p = 2 its Monte Carlo
+    # terms are inf and no plan has a finite bound
+    grid = PlanningGrid(q_grid=(2, 5, 8), n_grid=(3, 9, 30), budget=200, levels=3)
+    lo, hi = ({q: f * q for q in grid.q_grid} for f in (0.5, 3.0))
+    rb = RobustBounds(delta_lo=lo, delta_hi=hi, sigma_bar=1e200)
+    strat, value = dp_optimize(grid, rb, SubGammaParams(c=1.0))
+    assert math.isfinite(value)
+    assert strategy_bound(strat, rb, SubGammaParams(c=1.0), grid) == value
+    with pytest.raises(InfeasiblePlanError, match="finite bound"):
+        dp_optimize(grid, rb, SubGammaParams(c=1.0, p=2.0))
+
+
 @pytest.mark.parametrize(
     "field,value,match",
     [
@@ -957,6 +1057,8 @@ def test_closed_form_clamps_to_a_finite_objective():
         ("n_w", 0, "n_w"),
         ("n_w", 50, "n_w < n_s"),
         ("sigma_bar", -1.0, "sigma_bar"),
+        ("sigma_bar", math.inf, "sigma_bar"),
+        ("sigma_bar", math.nan, "sigma_bar"),
         ("c", -0.5, "c >= 0"),
         ("p", 0.5, "p >= 1"),
         ("delta0", math.inf, "delta0"),
