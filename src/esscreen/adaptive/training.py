@@ -10,8 +10,10 @@ schedule's action; the target is the Monte Carlo estimate of the terminal
 error at the final level and, below it, the simulated one-step lookahead of
 the next level's fitted value plus the selection-risk term.  The opening
 move is tabulated with the same lookahead (the initial state is known).
-Every simulated level draws its batch statistics from the posterior
-predictive and goes through the same ``step`` + ``advance`` kernel.
+A simulated level draws a world from the posterior predictive, samples its
+batch statistics with the screening engine's exact sampler
+(``screener._dense_stats``, the one a dense-model draw above one chunk
+uses) and goes through the same ``step`` + ``advance`` kernel.
 """
 
 from __future__ import annotations
@@ -31,7 +33,8 @@ from ..model import (
     psd_factor,
     sample_niw,
 )
-from ..screener import GaussianSource, LevelStats, Strategy, cost, run_screening, step
+from ..screener import GaussianSource, LevelStats, Strategy, _dense_stats, cost
+from ..screener import run_screening, step
 from ..streams import substream
 from .net import TrainSchedule, learning_rate_search, net_forward, xavier_net
 from .niw import niw_update_diag_stats
@@ -285,11 +288,8 @@ def _inverse_wishart_blocks(niw: NIWParams, n_e: int, n_p: int, rng):
     draws: one inverse-Wishart factor of the covariance (``niw.s`` factored
     once).  Nothing is drawn ahead, so a consumer's draws keep their place."""
     ls = psd_factor(niw.s)
-    done = 0
-    while done < n_e:
-        take = min(n_p, n_e - done)
-        yield inverse_wishart_factor(niw.i, ls, rng), take
-        done += take
+    for done in range(0, n_e, n_p):
+        yield inverse_wishart_factor(niw.i, ls, rng), min(n_p, n_e - done)
 
 
 def mc_value_final(
@@ -349,21 +349,18 @@ def _value_of_states(
 
 
 def _predictive_draws(niw: NIWParams, n_e: int, n_p: int, rng: np.random.Generator):
-    """Lazy posterior-predictive draws ``(mu_tilde, noise, sig_diag)``.
+    """Lazy posterior-predictive draws ``(mu_tilde, factor)``.
 
     Each block of ``n_p`` draws shares one inverse-Wishart factor ``phi`` of
-    the covariance (:func:`_inverse_wishart_blocks`), whose diagonal is
-    ``sig_diag``; per draw, ``mu_tilde`` is the drawn impacts and ``noise``
-    a unit-path deviation ``phi^T z``.  Like the blocks, the generator draws
+    the covariance (:func:`_inverse_wishart_blocks`); per draw,
+    ``mu_tilde`` is the drawn impacts and ``factor`` is ``phi^T``, a square
+    factor of the drawn covariance.  Like the blocks, the generator draws
     nothing ahead.
     """
     d = niw.dim
     for phi, take in _inverse_wishart_blocks(niw, n_e, n_p, rng):
-        sig_diag = np.sum(phi * phi, axis=0)
         for _ in range(take):
-            mu_tilde = niw.m + (phi.T @ rng.standard_normal(d)) / math.sqrt(niw.k)
-            noise = phi.T @ rng.standard_normal(d)
-            yield mu_tilde, noise, sig_diag
+            yield niw.m + (phi.T @ rng.standard_normal(d)) / math.sqrt(niw.k), phi.T
 
 
 def _lookahead(state, action, draws, rng, nets, specs, sub) -> float:
@@ -371,20 +368,17 @@ def _lookahead(state, action, draws, rng, nets, specs, sub) -> float:
     one simulated level per predictive draw (a lazy generator's draws
     interleave with this function's own ``rng`` use).
 
-    Simulates the batch sufficient statistics directly: the batch mean is
-    Gaussian around the drawn impacts and the scatter diagonal is a chi^2
-    stretch of the drawn variances, which is exactly what the diagonal
-    posterior update consumes.  Each next state is scored by
+    Each level's batch ``(sum, scatter)`` of ``dN`` paths under the drawn
+    world comes from the engine's exact sampler :func:`_dense_stats`, so the
+    scatters keep their cross-column law.  Each next state is scored by
     :func:`_value_of_states`.
     """
     dq, dn = action
-    d = state.q
     states = []
-    for mu_tilde, noise, sig_diag in draws:
-        delta_mean = mu_tilde + noise / math.sqrt(dn)
-        scatter = sig_diag * rng.chisquare(dn - 1, size=d) if dn > 1 else np.zeros(d)
+    for mu_tilde, factor in draws:
+        batch_sum, scatter = _dense_stats(mu_tilde, factor, dn, rng)
         stats = step(
-            state.ids, state.sums, state.n_cum, dn * delta_mean, scatter, dn, d - dq
+            state.ids, state.sums, state.n_cum, batch_sum, scatter, dn, state.q - dq
         )
         states.append(advance(state, stats))
     return float(np.mean(_value_of_states(nets, specs, states, sub)))

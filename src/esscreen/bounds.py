@@ -51,10 +51,10 @@ class SubGammaParams:
     p: float = 1.0
 
     def __post_init__(self):
-        if self.c < 0:
-            raise InvalidParameterError(f"c must be >= 0, got {self.c}")
-        if self.p < 1:
-            raise InvalidParameterError(f"p must be >= 1, got {self.p}")
+        if not 0 <= self.c < math.inf:
+            raise InvalidParameterError(f"c must be finite and >= 0, got {self.c}")
+        if not 1 <= self.p < math.inf:
+            raise InvalidParameterError(f"p must be finite and >= 1, got {self.p}")
 
 
 @dataclass(frozen=True)
@@ -154,7 +154,7 @@ def _mc_term(n, n_last, sigma_p: np.ndarray, n_w: int, sub: SubGammaParams):
     full = np.array([k**p for k in n])[:, None]
     share = np.array([k / last for k, last in zip(n, n_last)])
     with np.errstate(over="ignore"):
-        inner = c_sig * p * sigma_p / root + c_c * p * sub.c**p / full
+        inner = c_sig * p * sigma_p / root + c_c * p * np.float64(sub.c) ** p / full
     return share / n_w * np.sum(inner ** (1.0 / p), axis=-1)
 
 
@@ -192,29 +192,31 @@ def _stationary_point(n_paths: float, sigma_bar: float, sub: SubGammaParams) -> 
     """The one d > 0 where d * kernel(d) is stationary, for N, sbar > 0:
     sbar sqrt(p/N) at c = 0, else the positive root of the cubic
     h(d) = 2p (sbar^2 + c d)^2 - N d^2 (2 sbar^2 + c d), found by bisection
-    until the midpoint equals an end; the end where h <= 0 is returned."""
+    until the midpoint equals an end; the end where h <= 0 is returned.  It
+    runs on d = 2^e t, 2^e > max(sbar, c): exact, and no power overflows."""
     if sub.c == 0.0:
         return sigma_bar * math.sqrt(sub.p / n_paths)
 
-    var = sigma_bar * sigma_bar
+    e = math.frexp(max(sigma_bar, sub.c))[1]
+    sbar, c = math.ldexp(sigma_bar, -e), math.ldexp(sub.c, -e)
+    var = sbar * sbar
 
-    def h(d):
-        s2 = var + sub.c * d
-        return 2.0 * sub.p * s2 * s2 - n_paths * d * d * (2.0 * var + sub.c * d)
+    def h(t):
+        s2 = var + c * t
+        return 2.0 * sub.p * s2 * s2 - n_paths * t * t * (2.0 * var + c * t)
 
-    d_hi = sigma_bar * math.sqrt(sub.p / n_paths) + 2.0 * sub.p * sub.c / n_paths
-    d_hi = max(d_hi * 4.0, 1e-12)
-    while h(d_hi) > 0:
-        d_hi *= 4.0
-    # h(0) = 2p sbar^4 > 0 and h(d_hi) <= 0; the cubic's coefficients change
+    t_hi = 4.0 * (sbar * math.sqrt(sub.p / n_paths) + 2.0 * sub.p * c / n_paths)
+    while h(t_hi) > 0:
+        t_hi *= 4.0
+    # h(0) = 2p sbar^4 > 0 and h(t_hi) <= 0; the cubic's coefficients change
     # sign once, so it has one positive root (Descartes)
-    d_lo = 0.0
-    while d_lo < (mid := 0.5 * (d_lo + d_hi)) < d_hi:
+    t_lo = 0.0
+    while t_lo < (mid := 0.5 * (t_lo + t_hi)) < t_hi:
         if h(mid) > 0:
-            d_lo = mid
+            t_lo = mid
         else:
-            d_hi = mid
-    return d_hi
+            t_hi = mid
+    return math.ldexp(t_hi, e)
 
 
 def robust_gap_max(

@@ -232,16 +232,19 @@ class NIWParams:
 
 
 def bartlett_factor(dof: float, d: int, rng: np.random.Generator) -> np.ndarray:
-    """Lower-triangular Bartlett factor ``A`` of a Wishart(dof, I_d) draw.
-
-    ``A @ A.T ~ Wishart(dof, I_d)`` for ``dof > d - 1``.  Draw order is
-    fixed: the ``d (d - 1) / 2`` off-diagonal normals first (row-major),
-    then the diagonal ``sqrt(chi^2(dof - i))`` for ``i = 0 .. d - 1``.
+    """Lower-trapezoidal Bartlett factor ``A`` (``d x m``) with ``A @ A.T ~
+    Wishart(dof, I_d)``: ``m = d`` for ``dof > d - 1`` (Bartlett 1933), else
+    the Wishart is singular and ``m = dof``, an integer (Srivastava, Ann.
+    Statist. 31, 2003).  Draw order is fixed: the normals strictly below the
+    diagonal (row-major), then the diagonal ``sqrt(chi^2(dof - j))``, j < m.
     """
-    a = np.zeros((d, d))
-    tril = np.tril_indices(d, k=-1)
-    a[tril] = rng.standard_normal(tril[0].size)
-    a[np.diag_indices(d)] = np.sqrt(rng.chisquare(dof - np.arange(d)))
+    if not (dof > d - 1 or 0 <= dof == int(dof)):
+        raise InvalidParameterError(f"dof {dof} is neither > d - 1 nor an integer >= 0")
+    m = d if dof > d - 1 else int(dof)
+    a = np.zeros((d, m))
+    below = np.tri(d, m, -1, dtype=bool)
+    a[below] = rng.standard_normal(np.count_nonzero(below))
+    a.reshape(-1)[: m * m : m + 1] = np.sqrt(rng.chisquare(dof - np.arange(m)))
     return a
 
 

@@ -174,11 +174,11 @@ class GaussianSource:
     count <= CHUNK_PRICINGS``) folds the rows of :func:`simulate_prices`
     (:func:`fold_rows`), so a row costs ``len(ids)`` normals (one more if
     equicorrelated).  A larger draw samples ``(sum, scatter)`` exactly from
-    their joint law when the closed form applies: one-factor models at
-    ``count >= 3`` (:func:`_equicorrelated_stats`) and dense models at
-    ``count > len(ids)`` (:func:`_dense_stats`).  For Gaussian rows the sum
-    is ``N(count mu, count Sigma)`` and independent of the scatter
-    (Cochran), so neither needs the rows.  Any other draw folds rows.
+    their joint law: dense models at every count (:func:`_dense_stats`),
+    one-factor models at ``count >= 3`` (:func:`_equicorrelated_stats`).
+    For Gaussian rows the sum is ``N(count mu, count Sigma)`` and
+    independent of the scatter (Cochran), so neither needs the rows.  A
+    one-factor draw of one or two paths above one chunk folds rows.
     """
 
     def __init__(self, theta: ScenarioParams, rng: np.random.Generator):
@@ -201,10 +201,10 @@ class GaussianSource:
             self._sub = self.theta.restrict(self._ids)
         sub, rng = self._sub, self.rng
         if sub.n_s * count > CHUNK_PRICINGS:
-            if sub.equi is not None and count >= 3:
+            if sub.equi is None:
+                return _dense_stats(sub.mu, sub.factor(), count, rng)
+            if count >= 3:
                 return _equicorrelated_stats(sub, count, rng)
-            if sub.equi is None and count > sub.n_s:
-                return _dense_stats(sub, count, rng)
         return fold_rows(lambda rows: simulate_prices(sub, rows, rng), sub.n_s, count)
 
 
@@ -234,16 +234,16 @@ def _equicorrelated_stats(theta: ScenarioParams, count: int, rng: np.random.Gene
     return total, scatter
 
 
-def _dense_stats(theta: ScenarioParams, count: int, rng: np.random.Generator):
-    """Exact ``(sum, scatter)`` of ``count > len(mu)`` rows ``mu + F z``.
+def _dense_stats(mu, f, count: int, rng: np.random.Generator):
+    """Exact ``(sum, scatter)`` of ``count >= 1`` rows ``mu + F z``, ``F`` any
+    square factor of the covariance (``F F^T = Sigma``).
 
     The sum is ``count mu + sqrt(count) F g``.  The centred scatter matrix
     is Wishart(count - 1, Sigma) ``= (F A)(F A)^T`` with ``A`` the Bartlett
-    factor of a Wishart(count - 1, I) draw, so its diagonal is the row sums
-    of ``(F A)^2``.  ``F`` is the cached square factor of the covariance.
+    factor of a Wishart(count - 1, I) draw (:func:`bartlett_factor`, singular
+    when ``count <= len(mu)``), so its diagonal is the row sums of ``(F A)^2``.
     """
-    f = theta.factor()
-    total = count * theta.mu + np.sqrt(count) * (f @ rng.standard_normal(f.shape[1]))
+    total = count * mu + np.sqrt(count) * (f @ rng.standard_normal(f.shape[1]))
     fa = f @ bartlett_factor(count - 1, f.shape[1], rng)
     return total, np.einsum("ij,ij->i", fa, fa)
 

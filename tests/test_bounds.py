@@ -225,6 +225,13 @@ class TestGammaConstants:
         assert c_c == pytest.approx(4**p * gamma_quad(p), rel=1e-10)
 
 
+@pytest.mark.parametrize("value", [math.inf, math.nan, -1.0])
+@pytest.mark.parametrize("field", ["c", "p"])
+def test_sub_gamma_params_reject_bad_constants(field, value):
+    with pytest.raises(InvalidParameterError, match=f"^{field} must be finite"):
+        SubGammaParams(**{field: value})
+
+
 def _theta(n_s=20, delta0=5.0, sigma=6.0, rho=0.4):
     return ScenarioParams.equicorrelated(
         synthetic_book(n_s, delta0), EquicorrelatedSpec(sigma, rho)
@@ -475,6 +482,12 @@ class TestMcTermsTable:
         tb, tc = mc_terms_exact(np.array([0, 9]), np.array([4, 9]), np.ones(4), 2, sub)
         assert tb.tolist() == tc.tolist() == [math.inf, math.inf]
 
+    def test_huge_scale_constant_gives_inf_terms(self):
+        # c**p with float ** raised a bare OverflowError above about 1.3e154
+        # at p = 2; the moment sum is inf there, without a warning
+        terms = mc_terms_exact(10, 20, np.ones(5), 2, SubGammaParams(c=1e200, p=2.0))
+        assert terms == (math.inf, math.inf)
+
 
 class TestFRobust:
     def _rb(self, theta, q_values, slack=1.0):
@@ -571,6 +584,23 @@ class TestFRobust:
         for bad in (math.inf, math.nan, -1.0):
             with pytest.raises(InvalidParameterError, match="sigma_bar"):
                 RobustBounds(delta_lo={}, delta_hi={}, sigma_bar=bad)
+
+    @pytest.mark.parametrize("sbar", [1e78, 1e100])
+    def test_huge_sigma_bar_stationary_point_matches_the_scan(self, sbar):
+        # sbar^4 overflowed the cubic above about 1e77 and the bisection
+        # walked below the maximum: 9.48e74 where the scan reads 6.07e76 at
+        # 1e78, 1.93e78 against 6.07e98 at 1e100
+        sub = SubGammaParams(c=1.0, p=1.0)
+        got = robust_gap_max(100, 0.0, sbar, sbar, sub)
+        deltas = np.linspace(0.0, sbar, 200_001)
+        scan = np.max(deltas * _kernel_exp(100, deltas, sbar * sbar, sub.c, sub.p))
+        assert got >= scan * (1 - 1e-12)
+        assert got == pytest.approx(scan, rel=1e-6)
+
+    def test_tiny_sigma_bar_stationary_point_is_2pc_over_n(self):
+        # at sbar^2 << c d the root of the cubic is 2 p c / N
+        got = _stationary_point(100.0, 1e-300, SubGammaParams(c=1.0, p=1.5))
+        assert got == pytest.approx(0.03, rel=1e-12)
 
     def test_widening_never_decreases(self):
         sub = SubGammaParams(c=0.5, p=1.0)

@@ -1,5 +1,7 @@
 """Scenario model, prior sampling and price-path simulation."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -252,22 +254,44 @@ def test_restrict_is_the_validated_sub_model_without_revalidation(equi, monkeypa
 
 
 def _replayed_bartlett(dof, d, rng):
-    """Bartlett factor by the formula: off-diagonal normals row by row, then
-    the diagonal square roots of chi^2(dof - i)."""
-    z = iter(rng.standard_normal(d * (d - 1) // 2))
-    a = np.zeros((d, d))
+    """Bartlett factor by the formula, ``d x m`` with ``m = d`` above ``d -
+    1`` degrees of freedom and ``m = dof`` below: the normals strictly below
+    the diagonal row by row, then the diagonal square roots of
+    chi^2(dof - j)."""
+    m = d if dof > d - 1 else int(dof)
+    z = iter(rng.standard_normal(m * (2 * d - m - 1) // 2))
+    a = np.zeros((d, m))
     for i in range(d):
-        for j in range(i):
+        for j in range(min(i, m)):
             a[i, j] = next(z)
-    for i, c in enumerate(rng.chisquare(dof - np.arange(d))):
-        a[i, i] = np.sqrt(c)
+    for j, c in enumerate(rng.chisquare(dof - np.arange(m))):
+        a[j, j] = np.sqrt(c)
     return a
 
 
 def test_bartlett_factor_is_the_replayed_formula_bit_for_bit():
-    for dof, d in [(7.5, 4), (3.0, 1), (300.0, 6)]:
+    # d x d above d - 1 degrees of freedom, d x dof (singular) at or below
+    for dof, d in [(7.5, 4), (3.0, 1), (300.0, 6), (0, 3), (1, 4), (3, 4), (2.0, 5)]:
         got = bartlett_factor(dof, d, substream(3, 9))
+        assert got.shape == (d, min(d, int(dof)))
         np.testing.assert_array_equal(got, _replayed_bartlett(dof, d, substream(3, 9)))
+
+
+def test_singular_bartlett_factor_has_mean_dof_identity():
+    # A A^T of a d x dof factor has mean dof I: each entry within 4 SE over
+    # 4000 draws
+    rng = substream(3, 10)
+    for dof, d in [(1, 4), (2, 4), (3, 4)]:
+        w = np.array([a @ a.T for a in (bartlett_factor(dof, d, rng) for _ in range(4000))])
+        se = w.std(axis=0) / np.sqrt(4000)
+        assert np.all(np.abs(w.mean(axis=0) - dof * np.eye(d)) < 4 * se), dof
+
+
+@pytest.mark.parametrize("dof", [-1, -0.5, 1.5, 1.999, math.nan])
+def test_bartlett_factor_rejects_a_dof_without_a_wishart(dof):
+    # a singular Wishart (dof <= d - 1 = 2) needs an integer dof >= 0
+    with pytest.raises(InvalidParameterError, match="dof"):
+        bartlett_factor(dof, 3, substream(3, 9))
 
 
 def test_sample_niw_is_the_replayed_formula_bit_for_bit():

@@ -1049,6 +1049,16 @@ def test_huge_sigma_bar_is_no_bare_error():
         dp_optimize(grid, rb, SubGammaParams(c=1.0, p=2.0))
 
 
+def test_huge_scale_constant_is_no_bare_error():
+    # c**p raised a bare OverflowError above about 1.3e154 at p = 2; the
+    # Monte Carlo terms are inf there, so no plan has a finite bound
+    grid = PlanningGrid(q_grid=(2, 5, 8), n_grid=(3, 9, 30), budget=200, levels=3)
+    lo, hi = ({q: f * q for q in grid.q_grid} for f in (0.5, 3.0))
+    rb = RobustBounds(delta_lo=lo, delta_hi=hi, sigma_bar=1.0)
+    with pytest.raises(InfeasiblePlanError, match="finite bound"):
+        dp_optimize(grid, rb, SubGammaParams(c=1e200, p=2.0))
+
+
 @pytest.mark.parametrize(
     "field,value,match",
     [

@@ -610,19 +610,31 @@ class TestExactStatistics:
         ids=["equi", "dense", "rank-deficient"],
     )
     def test_moments_and_correlations_match_the_row_fold(self, theta, monkeypatch):
-        # sums and scatters of dN = 5 paths over 3 columns, 6000 draws a
-        # route: every mean, variance and cross-column correlation (sum with
-        # sum, scatter with scatter, sum with scatter) within 4 SE
+        # sums and scatters of dN paths over 3 columns, 6000 draws a route:
+        # every mean, variance and cross-column correlation (sum with sum,
+        # scatter with scatter, sum with scatter) within 4 SE.  The routes are
+        # the source above one chunk and the trainer's, _dense_stats on a
+        # rotated (non-triangular) factor; dN <= 3 takes a singular factor
         ids = np.arange(3)
-        rows = _stats_sample(theta, ids, 5, 6000, seed=11)
-        monkeypatch.setattr(screener, "CHUNK_PRICINGS", 1)
-        fast = _stats_sample(theta, ids, 5, 6000, seed=12)
-        assert _max_gap_in_se(fast, rows) < 4
+        q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((3, 3)))
+        f = model.psd_factor(theta.sigma) @ q
+        for dn in (2, 3, 5):
+            rows = _stats_sample(theta, ids, dn, 6000, seed=11)
+            with monkeypatch.context() as patch:
+                patch.setattr(screener, "CHUNK_PRICINGS", 1)
+                fast = _stats_sample(theta, ids, dn, 6000, seed=12)
+            assert _max_gap_in_se(fast, rows) < 4, dn
+            rng = substream(13, dn)
+            trainer = np.array(
+                [screener._dense_stats(theta.mu, f, dn, rng) for _ in range(6000)]
+            ).reshape(6000, 6)
+            assert _max_gap_in_se(trainer, rows) < 4, dn
 
     def test_the_trainers_independent_scatter_would_fail(self):
         # power check: scatters drawn as independent chi^2 per column (zero
         # cross-column correlation, where the truth is rho^2 = 0.16) are
-        # told apart from the row fold
+        # told apart from the row fold, so the test above can fail; no route
+        # draws them (the value-net trainer draws through _dense_stats)
         theta = _equi_theta(3, sigma=2.0, rho=0.4)
         rows = _stats_sample(theta, np.arange(3), 5, 6000, seed=11)
         rng = np.random.default_rng(0)
@@ -646,7 +658,8 @@ class TestExactStatistics:
     )
     def test_routing_edges_give_finite_statistics(self, theta, monkeypatch):
         # every non-empty draw is above one chunk: the closed form takes
-        # dN >= 3 (one-factor) or dN > q (dense); every other draw folds rows
+        # dN >= 3 (one-factor) or every dN >= 1 (dense, singular below q + 1);
+        # every other draw folds rows
         calls = []
         for name in ("_equicorrelated_stats", "_dense_stats"):
             fn = getattr(screener, name)
@@ -669,7 +682,7 @@ class TestExactStatistics:
             if theta.equi is not None:
                 assert calls == (["_equicorrelated_stats"] if dn >= 3 else []), dn
             else:
-                assert calls == (["_dense_stats"] if dn > q else []), dn
+                assert calls == (["_dense_stats"] if dn >= 1 else []), dn
             if not theta.sigma.any():
                 np.testing.assert_allclose(total, dn * theta.mu, rtol=1e-15)
                 assert scatter.tolist() == [0.0] * q
