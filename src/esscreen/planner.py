@@ -25,6 +25,7 @@ from .bounds import (
     selection_term,
 )
 from .errors import InfeasiblePlanError, InvalidParameterError, InvalidStrategyError
+from .model import ScenarioParams
 from .screener import Strategy, _check_count, _integers, cost
 
 __all__ = [
@@ -106,8 +107,7 @@ def dp_optimize(
     q at once, and one sort on (node, g, spent, path) orders the candidates
     of each node, where the path key orders the q paths, then the N paths.
     A candidate is kept iff its ``spent`` is strictly below that of every
-    earlier one at its node, i.e. no other label is at least as good in
-    both g and spent; on an exact (g, spent) tie the lexicographically
+    earlier one at its node; on an exact (g, spent) tie the lexicographically
     smaller (q, N) path is kept.  The surviving labels therefore contain a
     prefix of some optimal strategy.  The plan returned is the least in
     (value, cost, q path, N path) among the plans whose every prefix
@@ -117,61 +117,50 @@ def dp_optimize(
     to the smaller ``g`` at the node where the plans meet, not to the
     smaller q path.
 
-    The incumbent ``bound`` is the best value of a completed plan seen so
-    far.  After each level l <= L-2 every label is completed cheaply: idle
-    levels up to L-2 (q' = q, N' = N: no cost, a zero term), then n_w at the
-    label's own N, then the best final N within the budget.  Every (label,
-    N') pair and every candidate is then scored with a lower bound on the
-    value of its completions (:func:`_tail_bound`): its ``g``, plus the
-    least term of the cut to n_w that a candidate above n_w must still make
-    (from its own q' if the next level is the last, else from a threshold in
-    (n_w, q']), plus the least Monte Carlo terms over the final (N_{L-1},
-    N_L) it can still reach (N_{L-1} at least its N', N_L at most N' plus
-    the budget left over n_w, as every later level prices at least n_w
-    scenarios).  A pair scored above the incumbent is not expanded: its
-    candidates have the same N' and spend and a ``g`` no smaller.  A
-    candidate scored above it is dropped before the frontier.  This is
-    exact (A* within branch and bound): every term is >= 0 and rounded
-    addition is monotone, so such a candidate's final value exceeds the
-    incumbent, which is at least the optimum.  A candidate that dominates a
-    surviving one has the same node, a ``g`` no larger and at least as much
-    budget left, so it reaches at least as far, scores no higher and
-    survives too: the frontier keeps what it kept without the incumbent,
-    less the dropped candidates.  Candidates scored equal to the incumbent
-    are kept, so every plan that ties the optimum survives and the tie
-    order is that of the unpruned search.  A target whose selection terms
-    go negative (scenarios not sorted by decreasing impact) gets no
-    incumbent.  The incumbent, the tail bound and the final level read the
-    Monte Carlo terms of every (N_{L-1}, N_L) pair from one
-    :func:`esscreen.bounds.mc_terms_exact` table, so all three compute with
-    the same arithmetic.
+    The incumbent is the best value of a completed plan so far: after each
+    level l <= L-2 every label is completed by idle levels (q' = q, N' = N),
+    n_w at its own N and the best final N within the budget.  Pairs and
+    candidates are scored with ``g`` plus an exact bound-to-go (A* within
+    branch and bound): ``togo[k][q, b, e]`` is the least sum of the terms of
+    k more selection levels from q at N_b, the last to n_w, and the Monte
+    Carlo terms of an N_L <= N_e, where N_e is as far as the budget left
+    reaches; only the budget is relaxed.  It takes k min-plus steps over the
+    term table, a minimum over q' <= q, then a suffix minimum over b' >= b;
+    a pair reads its level's step before the suffix minimum.  One whose
+    ``(g + togo) (1 - 2^-40)`` is above the incumbent is dropped.  This is
+    exact: every term is >= 0, so the bound and each completion's value are
+    rounded sums within a few ulps of their exact sums, and all its plans
+    exceed the incumbent, which is at least the optimum.  A candidate
+    dominating a surviving one has a ``g`` no larger and as much budget
+    left, so it scores no higher and survives too: the frontier keeps what
+    it kept unpruned, less the dropped candidates.  A candidate equal to the
+    incumbent is kept, so the tie order is that of the unpruned search.  A
+    target with negative selection terms (scenarios not sorted by decreasing
+    impact) gets no incumbent.
 
-    Every selection term is read from one :func:`esscreen.bounds.level_terms`
-    table over the grid's thresholds and path counts, built before the first
-    level; a RobustBounds target must bracket every grid threshold below n_s.
+    One :func:`esscreen.bounds.level_terms` table holds every selection term
+    and one :func:`esscreen.bounds.mc_terms_exact` table every Monte Carlo
+    term, so all values compute with the same arithmetic; a RobustBounds
+    target must bracket every grid threshold below n_s.  The tables are kept
+    on the target object for its last (sub, q_grid, n_grid) and parameter
+    snapshot, and the bound-to-go grows on demand: DPs at several level
+    counts on one target build them once; a target changed in place, or a
+    new one, builds them anew.
 
-    With DEBUG enabled on the ``esscreen.planner`` logger, each level logs
-    the candidates it expanded, dropped with a ``g`` above the incumbent
-    (``pruned``), dropped by the tail bound alone (``bounded``), dropped as
-    dominated and kept, and the incumbent it pruned with (record attribute
-    ``dp_level``).
-
-    Returns the strategy and its bound value.  Raises when no strategy fits
-    the budget with nonzero paths at levels L-1 and L.
+    With DEBUG on the ``esscreen.planner`` logger, each level logs a
+    ``dp_level`` record of the candidates expanded, dropped with a ``g``
+    above the incumbent (``pruned``), by the bound-to-go alone
+    (``bounded``), as dominated and kept, and the incumbent.  Raises
+    InfeasiblePlanError when no strategy fits the budget with nonzero paths
+    at levels L-1 and L.
     """
-    terms, sig_p = level_terms(
-        target, sub, grid.n_w, grid.n_s, grid.q_grid, grid.n_grid, selection_term
-    )
+    terms, mc_b, mc_c, steps = _term_tables(target, sub, grid, grid.levels - 1)
     q_grid = np.array(grid.q_grid, dtype=np.int64)
     n_grid = np.array(grid.n_grid, dtype=np.int64)
     n_q, n_n = q_grid.size, n_grid.size
     # N index 0 is the start (no paths yet); grid path counts are 1..n_n
     n_ext = np.concatenate(([0], n_grid))
     budget = grid.budget
-    # mc_b[i, b], mc_c[i, b]: Monte Carlo terms at N_{L-1} = n_ext[i] and
-    # N_L = n_grid[b], +inf where N_L <= N_{L-1}
-    mc_b, mc_c = mc_terms_exact(n_ext[:, None], n_grid[None, :], sig_p, grid.n_w, sub)
-    cut, cut_below, lb_b, lb_c = _tail_bound(terms, mc_b[1:], mc_c[1:])
     # costs are whole pricings, and a cap above n_s N (no label spends more) is moot
     cap = min(math.floor(budget), grid.n_s * int(n_grid[-1]))
 
@@ -194,38 +183,33 @@ def dp_optimize(
     bound = math.inf
     trail = []  # per level: (back-pointer, q index, N index) of its labels
     for lvl in range(1, grid.levels):
-        q_here = q_grid[qi]
-        n_here = n_ext[ni]
-        step = q_here[:, None] * (n_grid - n_here[:, None])
-        ok_n = (n_grid >= n_here[:, None]) & (spent[:, None] + step <= budget)
+        n_here = n_ext[ni][:, None]
+        step = q_grid[qi][:, None] * (n_grid - n_here)
+        ok_n = (n_grid >= n_here) & (spent[:, None] + step <= budget)
         n_targets = 1 if lvl == grid.levels - 1 else n_q
-        # later levels price n_w scenarios or more, so N_L is at most grid
-        # index e; a pair scored above the incumbent has only such candidates
         lab, b = np.nonzero(ok_n)
         spent_next = spent[lab] + step[lab, b]
-        reach = n_grid[b] + (cap - spent_next) // grid.n_w
-        e = np.searchsorted(n_grid, reach, "right") - 1
-        g_lab, q_lab, lbb, lbc = g[lab], qi[lab], lb_b[b, e], lb_c[b, e]
-        live = (g_lab + lbb) + lbc <= bound
+        # later levels price n_w scenarios or more, so N_L is at most N_e
+        e = np.searchsorted(n_grid, n_grid[b] + (cap - spent_next) // grid.n_w, "right") - 1
+        g_lab, q_lab = g[lab], qi[lab]
+        k = grid.levels - lvl  # selection levels left, this one included
+        live = (g_lab + steps[k][0][q_lab, b, e]) * _MARGIN <= bound
         fan = np.minimum(q_lab + 1, n_targets)
         if debug:
             expanded = int(fan.sum())
-            gone = ~live
-            g_drop = g_lab[gone, None] + terms[q_lab[gone], :n_targets, b[gone]]
-            stops = np.arange(n_targets) <= q_lab[gone, None]
+            g_drop = g_lab[~live, None] + terms[q_lab[~live], :n_targets, b[~live]]
+            stops = np.arange(n_targets) <= q_lab[~live, None]
             pruned = int((stops & (g_drop > bound)).sum())
-        lab, b, e, fan, g_lab, spent_next, lbb, lbc = (
-            v[live] for v in (lab, b, e, fan, g_lab, spent_next, lbb, lbc)
+        lab, b, e, fan, g_lab, spent_next = (
+            v[live] for v in (lab, b, e, fan, g_lab, spent_next)
         )
-        # each surviving pair stops at every target q' <= its q; from level
-        # L-2 the last cut to n_w is from q' itself
+        # each surviving pair stops at every target q' <= its q
         pair = np.repeat(np.arange(lab.size), fan)
         q_next = np.arange(pair.size) - (np.cumsum(fan) - fan)[pair]
         at = (qi[lab] * n_q * n_n + b)[pair] + q_next * n_n
         g_next = g_lab[pair] + terms.ravel()[at]
-        sel = (cut if lvl >= grid.levels - 2 else cut_below).ravel()
         at = (b * n_n + e)[pair] + q_next * (n_n * n_n)
-        live = np.flatnonzero(((g_next + sel[at]) + lbb[pair]) + lbc[pair] <= bound)
+        live = np.flatnonzero((g_next + steps[k - 1][1].ravel()[at]) * _MARGIN <= bound)
         if debug:
             pruned += int((g_next > bound).sum())
             bounded = expanded - pruned - live.size
@@ -275,27 +259,43 @@ def dp_optimize(
     return strategy, float(value[best])
 
 
-def _tail_bound(terms, mc_b, mc_c):
-    """Tables of a lower bound on the final value of the completions of a
-    label at grid path count index b whose N_L is at most grid index e >= b.
+#: Covers the rounding of a bound-to-go and a value summed in other orders.
+_MARGIN = 1.0 - 2.0**-40
 
-    ``mc_b[i, e]``, ``mc_c[i, e]`` are the Monte Carlo terms at grid
-    N_{L-1} index i and N_L index e; ``lb_b[b, e]``, ``lb_c[b, e]`` are
-    their least entries over i >= b and N_L index <= e.  A label above n_w
-    must still cut to n_w, from a threshold at most its own, at a path
-    count in [N_b, N_e]: ``cut[q, b, e]`` is the least ``terms[q, 0, d]``
-    over d in [b, e], ``cut_below[q, b, e]`` its least over the thresholds
-    in (n_w, q]; both are 0 at n_w.  With ``cut`` where the next level is
-    the last and ``cut_below`` before, ``((g + cut) + lb_b) + lb_c`` is at
-    most the value of each completion: the cut term is one of the terms
-    still to come, every term is >= 0 and rounded addition is monotone.
-    """
-    suffix = (np.minimum.accumulate(t[::-1])[::-1] for t in (mc_b, mc_c))
-    lb_b, lb_c = (np.minimum.accumulate(t, axis=1) for t in suffix)
-    upper = np.triu(np.ones(mc_b.shape, dtype=bool))  # e >= b
-    cut = np.minimum.accumulate(np.where(upper, terms[:, None, 0], math.inf), axis=2)
-    cut_below = np.concatenate((cut[:1], np.minimum.accumulate(cut[1:])))
-    return cut, cut_below, lb_b, lb_c
+
+def _term_tables(target, sub, grid, k):
+    """Term tables of :func:`dp_optimize`: the selection terms, the Monte
+    Carlo terms at N_{L-1} = ``(0, *n_grid)[i]`` and N_L = ``n_grid[e]``,
+    and ``steps[j] = (pair, togo)``, the bound-to-go for j = 0..k selection
+    levels left, grown on demand.  They are kept on the target with the sub,
+    the grid values and a snapshot of what they read of it: mu, the diagonal
+    and first n_w rows of sigma, or a RobustBounds' repr."""
+    sigma = target.sigma if isinstance(target, ScenarioParams) else None
+    arrays = () if sigma is None else (target.mu, np.diag(sigma), sigma[: grid.n_w])
+    state = [(a.dtype.str, a.shape, a.tobytes()) for a in arrays] or repr(target)
+    key = (repr(sub), grid.q_grid, grid.n_grid, state)
+    kept = getattr(target, "_dp_tables", None)
+    if kept is None or kept[0] != key:
+        terms, sig_p = level_terms(
+            target, sub, grid.n_w, grid.n_s, grid.q_grid, grid.n_grid, selection_term
+        )
+        n_ext = np.array((0, *grid.n_grid), dtype=np.int64)
+        mc_b, mc_c = mc_terms_exact(n_ext[:, None], n_ext[None, 1:], sig_p, grid.n_w, sub)
+        # no selection level left: a label at n_w ends at the best N_L <= N_e
+        togo = np.full((len(grid.q_grid), *mc_b[1:].shape), math.inf)
+        togo[0] = np.minimum.accumulate(mc_b[1:] + mc_c[1:], axis=1)
+        kept = key, terms, mc_b, mc_c, ((None, togo),)
+    key, terms, mc_b, mc_c, steps = kept
+    while len(steps) <= k:
+        # a level from q at N_b stops at some q' <= q, then goes on from (q', b)
+        togo = steps[-1][1]
+        pair = terms[:, 0, :, None] + togo[0]
+        for q in range(1, len(togo)):
+            np.minimum(pair[q:], terms[q:, q, :, None] + togo[q], out=pair[q:])
+        steps += ((pair, np.minimum.accumulate(pair[:, ::-1], axis=1)[:, ::-1]),)
+    # one attribute, rebound whole: a concurrent call never sees part of it
+    object.__setattr__(target, "_dp_tables", (key, terms, mc_b, mc_c, steps))
+    return terms, mc_b, mc_c, steps
 
 
 def _log_level(lvl, expanded, pruned, bounded, kept, bound):
@@ -306,7 +306,7 @@ def _log_level(lvl, expanded, pruned, bounded, kept, bound):
     )
     _log.debug(
         "level %(level)d: %(expanded)d candidates, %(pruned)d above incumbent "
-        "%(incumbent)r, %(bounded)d above it by the tail bound, "
+        "%(incumbent)r, %(bounded)d above it by the bound-to-go, "
         "%(dominated)d dominated, %(kept)d kept",
         record,
         extra={"dp_level": record},
