@@ -43,8 +43,7 @@ def _trusted_niw(m, k, i, s, index_map) -> NIWParams:
 def restrict_niw(p: NIWParams, keep_ids: np.ndarray) -> NIWParams:
     """Marginal NIW over a subset of the tracked scenarios; a principal
     sub-NIW of a valid NIW is valid, so it is built unchecked."""
-    pos = _positions(p, keep_ids)
-    return _trusted_niw(p.m[pos], p.k, p.i, p.s[pos[:, None], pos], p.index_map[pos])
+    return niw_update_diag_stats(p, None, None, 0, keep_ids)
 
 
 def niw_update_diag_stats(
@@ -53,6 +52,7 @@ def niw_update_diag_stats(
     scatter_diag: np.ndarray,
     delta_n: int,
     keep_ids: np.ndarray,
+    positions: np.ndarray | None = None,
 ) -> NIWParams:
     """Diagonal conjugate update; prior correlations carry over unchanged.
 
@@ -62,28 +62,32 @@ def niw_update_diag_stats(
     checks (``S`` is symmetric by construction); a batch that makes ``m`` or
     ``S`` non-finite raises InvalidParameterError.  The masked
     :func:`correlation` runs only when a prior diagonal entry is zero.
+    ``delta_n = 0`` only restricts.  A leading world axis on the batch and
+    ``keep_ids`` updates per world.  ``positions``, the trusted places of
+    ``keep_ids`` in ``p.index_map``, skip the subset check.
     """
-    pos = _positions(p, keep_ids)
+    pos = _positions(p, keep_ids) if positions is None else positions
+    s_r = p.s[pos[..., :, None], pos[..., None, :]]
+    r = _trusted_niw(p.m[pos], p.k, p.i, s_r, p.index_map[pos])
     if delta_n == 0:
-        return restrict_niw(p, keep_ids)
+        return r
     delta_mean = np.asarray(delta_mean, dtype=np.float64)
     scatter_diag = np.asarray(scatter_diag, dtype=np.float64)
-    if delta_n < 0 or delta_mean.shape != p.m.shape or scatter_diag.shape != p.m.shape:
+    shape = pos.shape[:-1] + p.m.shape
+    if delta_n < 0 or delta_mean.shape != shape or scatter_diag.shape != shape:
         raise InvalidParameterError("NIW batch: delta_n < 0 or stats not shaped like m")
-    dm = delta_mean[pos]
-    sd = scatter_diag[pos]
-    m_r = p.m[pos]
-    s_r = p.s[pos[:, None], pos]
+    dm = np.take_along_axis(delta_mean, pos, -1)
+    sd = np.take_along_axis(scatter_diag, pos, -1)
     k_new = p.k + delta_n
-    gap = m_r - dm
-    d = np.diag(s_r)
+    gap = r.m - dm
+    d = np.diagonal(s_r, axis1=-2, axis2=-1)
     diag_new = d + sd + (p.k * delta_n / k_new) * gap * gap
-    denom = np.sqrt(d[:, None] * d)
+    denom = np.sqrt(d[..., :, None] * d[..., None, :])
     corr = s_r / denom if (denom > 0).all() else correlation(s_r)
-    s_new = corr * np.sqrt(diag_new[:, None] * diag_new)
-    np.fill_diagonal(s_new, diag_new)
-    m_new = (p.k * m_r + delta_n * dm) / k_new
-    s_new = (s_new + s_new.T) / 2.0
+    s_new = corr * np.sqrt(diag_new[..., :, None] * diag_new[..., None, :])
+    s_new[..., range(pos.shape[-1]), range(pos.shape[-1])] = diag_new
+    m_new = (p.k * r.m + delta_n * dm) / k_new
+    s_new = (s_new + np.swapaxes(s_new, -1, -2)) / 2.0
     if not (np.isfinite(m_new).all() and np.isfinite(s_new).all()):
         raise InvalidParameterError("NIW update made m or S non-finite")
-    return _trusted_niw(m_new, k_new, p.i + delta_n, s_new, p.index_map[pos])
+    return _trusted_niw(m_new, k_new, p.i + delta_n, s_new, r.index_map)

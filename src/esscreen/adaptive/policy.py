@@ -38,7 +38,7 @@ __all__ = [
 @dataclass
 class PosteriorState:
     """Live screening state: survivors, their running path sums and means,
-    the posterior, paths per survivor and budget spent."""
+    the posterior, paths per survivor and budget spent (world-major if stacked)."""
 
     level: int
     ids: np.ndarray
@@ -64,24 +64,26 @@ class PosteriorState:
 
     @property
     def q(self) -> int:
-        return self.ids.size
+        return self.ids.shape[-1]
 
     def __post_init__(self):
-        if not (self.ids.size == self.mu_hat.size == self.sums.size == self.niw.dim):
+        if not (self.ids.shape == self.mu_hat.shape == self.sums.shape == self.niw.m.shape):
             raise InvalidParameterError("state arrays disagree on survivor count")
 
 
 def advance(state: PosteriorState, stats: LevelStats) -> PosteriorState:
     """The decision state after one level: survivors restricted to
-    ``stats.kept`` and the posterior updated with the level's batch."""
+    ``stats.kept`` and the posterior updated with the level's batch.
+    ``stats`` entered ``state.ids`` (the posterior's coordinates); stacked
+    stats (a leading world axis) give a stacked state."""
     pos = np.searchsorted(stats.entered, stats.kept)
     return PosteriorState(
         level=state.level + 1,
         ids=stats.kept,
-        mu_hat=stats.mu_hat[pos],
-        sums=stats.sums[pos],
+        mu_hat=np.take_along_axis(stats.mu_hat, pos, -1),
+        sums=np.take_along_axis(stats.sums, pos, -1),
         niw=niw_update_diag_stats(
-            state.niw, stats.batch_mean, stats.scatter, stats.dn, stats.kept
+            state.niw, stats.batch_mean, stats.scatter, stats.dn, stats.kept, pos
         ),
         n_cum=stats.n_cum,
         cost=state.cost + stats.entered.size * stats.dn,
@@ -171,26 +173,21 @@ def features(
     entry from the prior correlation and that diagonal, and the correlations
     reach the net through :func:`f_plugin`'s pair variances.  Vector inputs
     are presented best-estimate-first so the net sees a canonical,
-    permutation-free ordering.
+    permutation-free ordering.  A stacked state gives ``(S, A, 8 + 3 q)``.
     """
-    q = state.q
-    order = np.lexsort((np.arange(q), -state.mu_hat))
-    block = np.concatenate(
-        [
-            [q, state.n_cum, state.cost],
-            state.mu_hat[order],
-            state.niw.m[order],
-            [state.niw.k, state.niw.i],
-            np.diag(state.niw.s)[order],
-        ]
-    )
+    q, lead = state.q, state.mu_hat.shape[:-1]
+    order = np.argsort(-state.mu_hat, kind="stable")  # ties to the smaller index
+    diag = np.diagonal(state.niw.s, axis1=-2, axis2=-1)
+    mu, m, s = (np.take_along_axis(v, order, -1) for v in (state.mu_hat, state.niw.m, diag))
+    head = np.broadcast_to([q, state.n_cum, state.cost, state.niw.k, state.niw.i], lead + (5,))
+    block = np.concatenate([head[..., :3], mu, m, head[..., 3:], s], axis=-1)
     acts = np.array(actions, dtype=np.int64).reshape(-1, 2)
-    rows = np.empty((len(acts), _feature_width(q)))
-    rows[:, :2] = acts
-    rows[:, 2:-1] = block
+    rows = np.empty(lead + (len(acts), _feature_width(q)))
+    rows[..., :2] = acts
+    rows[..., 2:-1] = block[..., None, :]
     for dq in np.unique(acts[:, 0]).tolist():
         hit = acts[:, 0] == dq
-        rows[hit, -1] = f_plugin(state, dq, acts[hit, 1], n_w, sub)
+        rows[..., hit, -1] = f_plugin(state, dq, acts[hit, 1], n_w, sub).T
     return rows
 
 
@@ -207,11 +204,13 @@ def f_plugin(
     Plugs the current posterior mean (values and pair variances from the
     posterior scale matrix) and the current empirical ranking into the
     adaptive selection bound for the transition the action would take.
-    An int array ``dn`` gives an array from one :func:`f_p_ad` pass.
+    An int array ``dn`` gives an array from one :func:`f_p_ad` pass, then
+    a world axis if the state is stacked.
     """
     q_next = state.q - dq
     if dq == 0:
-        return np.zeros(np.shape(dn)) if np.ndim(dn) else 0.0
+        out = np.zeros(np.shape(dn) + state.mu_hat.shape[:-1])
+        return out if out.ndim else 0.0
     kern_state = AdaptiveState(
         mu_hat_prev=state.mu_hat,
         n_prev=state.n_cum,

@@ -13,7 +13,8 @@ move is tabulated with the same lookahead (the initial state is known).
 A simulated level draws a world from the posterior predictive, samples its
 batch statistics with the screening engine's exact sampler
 (``screener._dense_stats``, the one a dense-model draw above one chunk
-uses) and goes through the same ``step`` + ``advance`` kernel.
+uses), world by world in the stream's order; all worlds then take one
+``step`` + ``advance`` + net pass along a leading world axis.
 """
 
 from __future__ import annotations
@@ -318,34 +319,28 @@ def mc_value_final(
 @dataclass
 class TrainingReport:
     """Diagnostics from one fit: per-net learning-rate winners and losses,
-    and the target's (mean, std, rows) per net."""
+    the target's (mean, std, rows) per net, and the pool-edge ``fallbacks``."""
 
     rates: dict
     final_losses: dict
     target_stats: dict
+    fallbacks: int
 
 
-def _value_of_states(
-    bundle_nets: dict,
-    specs: dict[int, ActionSpec],
-    states: list[PosteriorState],
-    sub: SubGammaParams,
-) -> np.ndarray:
-    """min over admissible actions of the next-level net, batched per state;
-    a state at ``level`` scans ``specs[level + 1]``."""
-    out = np.empty(len(states))
-    for idx, st in enumerate(states):
-        spec = specs[st.level + 1]
-        acts, preds = action_values(bundle_nets, spec, st, sub)
-        if not acts:
-            # pool-edge state without cap room: fall back to the cheapest
-            # legal continuation so the target stays defined (prediction
-            # only, never executed)
-            dq_fb = st.q - spec.n_w if st.level + 1 == spec.levels - 1 else 0
-            rows = features(st, [(dq_fb, spec.dn_quantum)], spec.n_w, sub)
-            preds = net_forward(bundle_nets[(st.level, st.q)], rows)
-        out[idx] = float(np.min(preds))
-    return out
+def _value_of_states(bundle_nets, specs, state, sub) -> tuple[np.ndarray, int]:
+    """Per world, the min over admissible actions of the next-level net (a
+    state at ``level`` scans ``specs[level + 1]``), and the fallback count:
+    the worlds scored at the cheapest legal continuation."""
+    spec = specs[state.level + 1]
+    acts, preds = action_values(bundle_nets, spec, state, sub)
+    if not acts:
+        # pool-edge state without cap room: score the cheapest legal
+        # continuation so the target stays defined (it is never executed)
+        dq_fb = state.q - spec.n_w if state.level + 1 == spec.levels - 1 else 0
+        rows = features(state, [(dq_fb, spec.dn_quantum)], spec.n_w, sub)
+        preds = net_forward(bundle_nets[(state.level, state.q)], rows)
+    values = preds.min(axis=-1)
+    return values, 0 if acts else values.size
 
 
 def _predictive_draws(niw: NIWParams, n_e: int, n_p: int, rng: np.random.Generator):
@@ -363,25 +358,24 @@ def _predictive_draws(niw: NIWParams, n_e: int, n_p: int, rng: np.random.Generat
             yield niw.m + (phi.T @ rng.standard_normal(d)) / math.sqrt(niw.k), phi.T
 
 
-def _lookahead(state, action, draws, rng, nets, specs, sub) -> float:
+def _lookahead(state, action, draws, rng, nets, specs, sub, report) -> float:
     """Mean fitted value of the decision state after ``action`` at ``state``,
     one simulated level per predictive draw (a lazy generator's draws
     interleave with this function's own ``rng`` use).
 
-    Each level's batch ``(sum, scatter)`` of ``dN`` paths under the drawn
-    world comes from the engine's exact sampler :func:`_dense_stats`, so the
-    scatters keep their cross-column law.  Each next state is scored by
-    :func:`_value_of_states`.
+    Each world's batch ``(sum, scatter)`` of ``dN`` paths comes from the
+    engine's exact sampler :func:`_dense_stats` (cross-column law kept),
+    world by world in the stream's order; then one :func:`step`,
+    :func:`advance` and :func:`_value_of_states` take all worlds along a
+    leading axis, each keeping its bits.  Fallbacks count into ``report``.
     """
     dq, dn = action
-    states = []
-    for mu_tilde, factor in draws:
-        batch_sum, scatter = _dense_stats(mu_tilde, factor, dn, rng)
-        stats = step(
-            state.ids, state.sums, state.n_cum, batch_sum, scatter, dn, state.q - dq
-        )
-        states.append(advance(state, stats))
-    return float(np.mean(_value_of_states(nets, specs, states, sub)))
+    stats = [_dense_stats(mu_tilde, phi_t, dn, rng) for mu_tilde, phi_t in draws]
+    batch_sum, scatter = map(np.array, zip(*stats, strict=True))
+    stats = step(state.ids, state.sums, state.n_cum, batch_sum, scatter, dn, state.q - dq)
+    values, fallbacks = _value_of_states(nets, specs, advance(state, stats), sub)
+    report.fallbacks += fallbacks
+    return float(np.mean(values))
 
 
 def fit_value_functions(cfg: AdaptiveConfig) -> tuple[PolicyBundle, TrainingReport]:
@@ -412,7 +406,7 @@ def fit_value_functions(cfg: AdaptiveConfig) -> tuple[PolicyBundle, TrainingRepo
         specs[lvl] = replace(spec, budget=min(spec.budget, cap))
 
     nets: dict[tuple[int, int], object] = {}
-    report = TrainingReport(rates={}, final_losses={}, target_stats={})
+    report = TrainingReport(rates={}, final_losses={}, target_stats={}, fallbacks=0)
     rng_final = substream(cfg.seed, _STREAM_TARGETS, levels)
     for level in range(levels - 1, 0, -1):
         groups: dict[int, list] = {}
@@ -425,14 +419,14 @@ def fit_value_functions(cfg: AdaptiveConfig) -> tuple[PolicyBundle, TrainingRepo
                 rng = substream(cfg.seed, _STREAM_TARGETS, level, traj.k, traj.j)
                 draws = _predictive_draws(state.niw, cfg.n_e_mid, cfg.n_p_mid, rng)
                 target = _lookahead(
-                    state, action, draws, rng, nets, specs, cfg.sub
+                    state, action, draws, rng, nets, specs, cfg.sub, report
                 ) + f_precompute(traj, level + 1, cfg)
             row = features(state, [action], cfg.n_w, cfg.sub)[0]
             groups.setdefault(state.q, []).append((row, target, traj.k, traj.j))
         for q, samples in groups.items():
             _fit_net(nets, report, cfg, level, q, samples)
 
-    opening = _tabulate_opening(cfg, specs, nets)
+    opening = _tabulate_opening(cfg, specs, nets, report)
     best = min(opening, key=lambda t: (t[2], t[0], t[1]))
     bundle = PolicyBundle(
         seed=cfg.seed,
@@ -515,10 +509,11 @@ def _fit_net(nets, report, cfg, level, q, samples):
     report.target_stats[(level, q)] = (y_c, y_s, int(y.size))
 
 
-def _tabulate_opening(cfg, specs, nets):
+def _tabulate_opening(cfg, specs, nets, report=None):
     """Expected value of each admissible opening action from the known
     initial state (scanned on ``specs[1]``): the :func:`_lookahead` over one
     shared list of world draws, plus the action's selection-bound feature."""
+    report = report or TrainingReport({}, {}, {}, fallbacks=0)
     state0 = PosteriorState.opening(cfg.prior)
     acts = scan_actions(nets, specs[1], state0)
     if not acts:
@@ -531,6 +526,6 @@ def _tabulate_opening(cfg, specs, nets):
     f0 = features(state0, acts, cfg.n_w, cfg.sub)[:, -1].tolist()
     table = []
     for (dq, dn), f in zip(acts, f0, strict=True):
-        value = _lookahead(state0, (dq, dn), draws, rng, nets, specs, cfg.sub)
+        value = _lookahead(state0, (dq, dn), draws, rng, nets, specs, cfg.sub, report)
         table.append((int(dq), int(dn), value + f))
     return table

@@ -355,17 +355,17 @@ class AdaptiveState:
 
     def __post_init__(self):
         object.__setattr__(
-            self, "mu_hat_prev", np.asarray(self.mu_hat_prev, dtype=np.float64)
+            self, "mu_hat_prev", np.atleast_1d(np.asarray(self.mu_hat_prev, float))
         )
         if np.min(self.delta_n) < 1:
             raise InvalidParameterError(
                 "delta_n must be >= 1 at a selection level (the posterior "
                 "inversion margin is undefined without fresh paths)"
             )
-        if not (self.n_w <= self.q_next < self.mu_hat_prev.size):
+        if not (self.n_w <= self.q_next < self.mu_hat_prev.shape[-1]):
             raise InvalidParameterError(
                 f"need n_w <= q_next < q_prev, got n_w={self.n_w}, "
-                f"q_next={self.q_next}, q_prev={self.mu_hat_prev.size}"
+                f"q_next={self.q_next}, q_prev={self.mu_hat_prev.shape[-1]}"
             )
 
 
@@ -390,26 +390,26 @@ def f_p_ad(
     Plug-in callers may supply ``rank_by`` to take the pairing permutation
     from a different (e.g. previous-step empirical) ordering than the values.
     An array ``state.delta_n`` gives one bound per increment (each equal to
-    the scalar call) from one ranking, pair block and kernel pass.
+    the scalar call) from one ranking, pair block and kernel pass.  A world
+    axis leading every array input gives ``delta_n``'s shape + ``(S,)``.
     """
     mu_tilde = np.asarray(mu_tilde, dtype=np.float64)
     sigma_tilde = np.asarray(sigma_tilde, dtype=np.float64)
-    q_prev = mu_tilde.size
-    if state.mu_hat_prev.size != q_prev or sigma_tilde.shape != (q_prev, q_prev):
+    shape = mu_tilde.shape
+    if state.mu_hat_prev.shape != shape or sigma_tilde.shape != shape + shape[-1:]:
         raise InvalidParameterError("state, mu_tilde and sigma_tilde must align")
-    dq = q_prev - state.q_next  # >= 1: AdaptiveState requires q_next < q_prev
+    dq = shape[-1] - state.q_next  # >= 1: AdaptiveState requires q_next < q_prev
     ranker = mu_tilde if rank_by is None else np.asarray(rank_by, dtype=np.float64)
-    if ranker.size != q_prev:
+    if ranker.shape != shape:
         raise InvalidParameterError("rank_by must align with mu_tilde")
-    order = np.lexsort((np.arange(q_prev), -ranker))
-    best = order[: state.n_w]
-    tail = order[state.q_next :]
-    ii, kk = np.meshgrid(best, tail, indexing="ij")
-    gap = mu_tilde[ii] - mu_tilde[kk]
-    var = pair_variance(sigma_tilde, ii, kk)
-    dn = np.asarray(state.delta_n)[..., None, None]
+    order = np.argsort(-ranker, kind="stable")  # ties to the smaller coordinate
+    best, tail = slice(None, state.n_w), slice(state.q_next, None)
+    m_r, h_r = (np.take_along_axis(v, order, -1) for v in (mu_tilde, state.mu_hat_prev))
+    gap = m_r[..., best, None] - m_r[..., None, tail]
+    var = pair_variance(sigma_tilde, order[..., best, None], order[..., None, tail])
+    dn = np.reshape(state.delta_n, np.shape(state.delta_n) + (1,) * gap.ndim)
     ratio = state.n_prev / dn if state.n_prev else 0.0
-    rho = gap + ratio * (state.mu_hat_prev[ii] - state.mu_hat_prev[kk])
+    rho = gap + ratio * (h_r[..., best, None] - h_r[..., None, tail])
     # an inverted prior margin (rho <= 0) gets the kernel's full weight 1
     vals = np.abs(gap) ** sub.p * _kernel_exp(dn, rho, var, sub.c)
     out = dq * vals.max(axis=(-2, -1))

@@ -162,22 +162,24 @@ class ScenarioParams:
 
 
 def pair_variance(sigma: np.ndarray, i, k):
-    """Variance of ``P_i - P_k``: ``sigma[i,i] + sigma[k,k] - 2 sigma[i,k]``."""
+    """Variance of ``P_i - P_k``: ``sigma[i,i] + sigma[k,k] - 2 sigma[i,k]``;
+    a stack ``(S, d, d)`` takes ``i`` and ``k`` per world (leading axis S)."""
     sigma = np.asarray(sigma)
-    return sigma[i, i] + sigma[k, k] - 2.0 * sigma[i, k]
+    w = () if sigma.ndim == 2 else (np.arange(len(sigma)).reshape(-1, 1, 1),)
+    return sigma[(*w, i, i)] + sigma[(*w, k, k)] - 2.0 * sigma[(*w, i, k)]
 
 
 def correlation(s: np.ndarray) -> np.ndarray:
     """Correlation matrix of a scale or covariance matrix.
 
     Unit diagonal; a row and column whose diagonal entry is zero get zero
-    correlation off the diagonal.
+    correlation off the diagonal.  A stack ``(S, d, d)`` gives one per world.
     """
-    diag = np.diag(s)
-    denom = np.sqrt(np.outer(diag, diag))
+    diag = np.diagonal(s, axis1=-2, axis2=-1)
+    denom = np.sqrt(diag[..., :, None] * diag[..., None, :])
     with np.errstate(invalid="ignore", divide="ignore"):
         corr = np.where(denom > 0, s / np.where(denom > 0, denom, 1.0), 0.0)
-    np.fill_diagonal(corr, 1.0)
+    corr[..., range(diag.shape[-1]), range(diag.shape[-1])] = 1.0
     return corr
 
 
@@ -205,7 +207,7 @@ class NIWParams:
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "index_map", imap)
         d = m.size
-        if s.shape != (d, d) or imap.size != d:
+        if m.ndim != 1 or s.shape != (d, d) or imap.size != d:
             raise InvalidParameterError(
                 f"NIW dims disagree: m {m.shape}, S {s.shape}, index_map {imap.shape}"
             )
@@ -224,7 +226,7 @@ class NIWParams:
 
     @property
     def dim(self) -> int:
-        return self.m.size
+        return self.m.shape[-1]
 
     def sigma_mean(self) -> np.ndarray:
         """Posterior mean of the covariance, ``S / (i - dim - 1)``."""

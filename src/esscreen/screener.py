@@ -148,21 +148,21 @@ def _integers(values, name: str, error) -> tuple[int, ...]:
 def rank_select(estimates: np.ndarray, index_set: np.ndarray, keep: int) -> np.ndarray:
     """Indexes of the ``keep`` largest estimates, ties to the smaller index.
 
-    ``estimates[j]`` is the value attached to original index ``index_set[j]``.
-    Returns original indexes ordered by (value desc, index asc); this total
-    order is part of the algorithm's definition and must be bit-stable.
+    ``estimates[..., j]`` (per world along a leading axis) is the value of
+    original index ``index_set[j]``.  Returns original indexes ordered by (value
+    desc, index asc); this total order is part of the algorithm's definition.
     """
     index_set = np.asarray(index_set, dtype=np.intp)
     estimates = np.asarray(estimates, dtype=np.float64)
-    if estimates.shape != index_set.shape:
+    if index_set.ndim != 1 or estimates.shape[-1:] != index_set.shape:
         raise InvalidParameterError("estimates and index_set must align")
     _check_count(keep, "keep")
     if not 0 <= keep <= index_set.size:
         raise InvalidParameterError(
             f"keep = {keep} must be in [0, {index_set.size}], the index set size"
         )
-    order = np.lexsort((index_set, -estimates))
-    return index_set[order[:keep]]
+    order = np.lexsort((np.broadcast_to(index_set, estimates.shape), -estimates))
+    return index_set[order[..., :keep]]
 
 
 class GaussianSource:
@@ -328,16 +328,14 @@ def step(
     ``batch_sum``/``scatter`` the column sums and centred scatter of the
     level's ``dn`` fresh paths (from a price source, or simulated).  The
     kept set is the ``keep`` largest cumulative means, ascending; keeping
-    every scenario is the final level's no-selection step.
+    every scenario is the final level's no-selection step.  Batches with a
+    leading world axis step each world from the one ``entered`` set.
     """
     sums = sums + batch_sum
     n_cum = n_prev + dn
-    mu_hat = sums / n_cum if n_cum > 0 else np.zeros(entered.size)
-    if keep == entered.size:
-        kept = entered
-    else:
-        kept = np.sort(rank_select(mu_hat, entered, keep))
-    batch_mean = batch_sum / dn if dn > 0 else np.zeros(entered.size)
+    mu_hat = sums / n_cum if n_cum > 0 else np.zeros(sums.shape)
+    kept = np.sort(rank_select(mu_hat, entered, keep), axis=-1)
+    batch_mean = batch_sum / dn if dn > 0 else np.zeros(sums.shape)
     return LevelStats(
         entered=entered,
         kept=kept,

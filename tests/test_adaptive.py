@@ -22,6 +22,7 @@ from esscreen.adaptive import (
     niw_update_diag_stats,
     run_adaptive,
 )
+from esscreen.adaptive.policy import features
 from esscreen.bounds import AdaptiveState, SubGammaParams, f_p_ad
 from esscreen.errors import InvalidParameterError
 from esscreen.model import (
@@ -601,7 +602,7 @@ class TestFitAndRun:
         for traj in trajs:
             for st in traj.states[:-1]:
                 acts, preds = action_values(bundle.nets, spec, st, cfg.sub)
-                (value,) = _value_of_states(bundle.nets, specs, [st], cfg.sub)
+                value, _ = _value_of_states(bundle.nets, specs, st, cfg.sub)
                 assert value == preds[acts.index(choose_action(bundle, st))]
                 levels_seen.add(st.level)
         assert levels_seen == set(range(1, cfg.levels))
@@ -1025,3 +1026,163 @@ def test_policy_close_to_enumerated_optimum(config_seed):
         candidates.append(Strategy(q=(n_s, n_w), n=(0, dn1, dn1 + dn2)))
     best_fixed = min(eval_fixed(s) for s in candidates)
     assert eval_policy() <= 1.1 * best_fixed
+
+
+def _per_world_lookahead(state, action, draws, rng, nets, specs, sub):
+    """The lookahead as a loop over worlds (one ``step``, ``advance`` and
+    ``action_values`` each): the reference of the stacked pass."""
+    from esscreen.adaptive.policy import action_values, advance
+    from esscreen.screener import _dense_stats, step
+
+    dq, dn = action
+    values = []
+    for mu_tilde, factor in draws:
+        batch_sum, scatter = _dense_stats(mu_tilde, factor, dn, rng)
+        stats = step(
+            state.ids, state.sums, state.n_cum, batch_sum, scatter, dn, state.q - dq
+        )
+        nxt = advance(state, stats)
+        acts, preds = action_values(nets, specs[nxt.level + 1], nxt, sub)
+        assert acts
+        values.append(float(np.min(preds)))
+    return float(np.mean(values))
+
+
+class TestStackedLookahead:
+    """The lookahead steps all its worlds at once; every value keeps the
+    bits of the per-world loop, in the same random stream order."""
+
+    def _both(self, cfg, bundle, state, action, draws_of, seed):
+        from esscreen.adaptive import training
+
+        report = training.TrainingReport({}, {}, {}, fallbacks=0)
+        specs = dict.fromkeys(range(1, cfg.levels + 1), bundle.action_spec())
+        rng = substream(96, *seed)
+        got = training._lookahead(
+            state, action, draws_of(rng), rng, bundle.nets, specs, cfg.sub, report
+        )
+        rng = substream(96, *seed)
+        want = _per_world_lookahead(
+            state, action, draws_of(rng), rng, bundle.nets, specs, cfg.sub
+        )
+        assert report.fallbacks == 0
+        return got, want
+
+    def test_mid_level_is_the_per_world_loop(self, toy_bundle, toy_trajectories):
+        from esscreen.adaptive.training import _predictive_draws
+
+        cfg, bundle, _ = toy_bundle
+        for traj in toy_trajectories[-1][::3]:
+            state = traj.states[0]
+            got, want = self._both(
+                cfg,
+                bundle,
+                state,
+                traj.strategy.actions[1],
+                lambda rng: _predictive_draws(state.niw, cfg.n_e_mid, cfg.n_p_mid, rng),
+                (traj.k, traj.j),
+            )
+            assert got == want
+
+    def test_opening_is_the_per_world_loop(self, toy_bundle):
+        from esscreen.adaptive.policy import scan_actions
+        from esscreen.adaptive.training import _predictive_draws
+
+        cfg, bundle, _ = toy_bundle
+        state0 = PosteriorState.opening(cfg.prior)
+        acts = scan_actions(bundle.nets, bundle.action_spec(), state0)
+        assert len({dq for dq, _ in acts}) >= 2
+        for a, action in enumerate(acts):
+            draws = list(_predictive_draws(cfg.prior, cfg.n_e_open, cfg.n_p_mid, substream(97)))
+            got, want = self._both(cfg, bundle, state0, action, lambda rng: draws, (a,))
+            assert got == want
+
+
+def _zero_diagonal_prior(n_s=12, zero=5):
+    """The toy prior with scenario ``zero``'s variance (row and column) 0."""
+    prior = make_prior(n_s)
+    s = prior.s.copy()
+    s[zero, :] = s[:, zero] = 0.0
+    return replace(prior, s=s)
+
+
+def _stacked_and_worlds(prior, keep, worlds=6, dn=4, seed=0):
+    """A stacked state after one simulated level from the opening, and the
+    per-world states of the same batches; integer batch sums make ties in
+    ``mu_hat``."""
+    from esscreen.adaptive.policy import advance
+    from esscreen.screener import step
+
+    state = PosteriorState.opening(prior)
+    rng = substream(98, keep, seed)
+    batch = rng.integers(-3, 4, size=(worlds, state.q)).astype(float)
+    scatter = rng.uniform(1.0, 9.0, size=(worlds, state.q))
+
+    def one(b, sc):
+        return advance(state, step(state.ids, state.sums, 0, b, sc, dn, keep))
+
+    return one(batch, scatter), [one(b, sc) for b, sc in zip(batch, scatter)]
+
+
+@pytest.mark.parametrize("keep", [12, 8, 6])
+def test_stacked_advance_is_each_worlds_advance(keep):
+    stacked, per_world = _stacked_and_worlds(_zero_diagonal_prior(), keep)
+    assert stacked.q == keep and stacked.ids.shape == (6, keep)
+    kept_zero = [5 in st.ids for st in per_world]
+    assert keep == 12 or (any(kept_zero) and not all(kept_zero))
+    for w, st in enumerate(per_world):
+        for name in ("ids", "mu_hat", "sums"):
+            assert getattr(stacked, name)[w].tobytes() == getattr(st, name).tobytes()
+        assert stacked.niw.m[w].tobytes() == st.niw.m.tobytes()
+        assert stacked.niw.s[w].tobytes() == st.niw.s.tobytes()
+        assert (stacked.level, stacked.n_cum, stacked.cost) == (st.level, st.n_cum, st.cost)
+
+
+@pytest.mark.parametrize("keep", [8, 6])
+@pytest.mark.parametrize("sub", _SUBS)
+def test_stacked_features_and_f_plugin_are_each_worlds(keep, sub):
+    stacked, per_world = _stacked_and_worlds(_zero_diagonal_prior(), keep, seed=1)
+    assert any(len(set(st.mu_hat.tolist())) < keep for st in per_world)  # ties
+    acts = [(0, 6), (keep - 2, 6), (keep - 2, 90), (2, 30), (0, 3), (2, 3)]
+    rows = features(stacked, acts, 2, sub)
+    dns = np.array([1, 6, 90])
+    assert rows.shape == (6, len(acts), 8 + 3 * keep)
+    for w, st in enumerate(per_world):
+        assert rows[w].tobytes() == features(st, acts, 2, sub).tobytes()
+        for dq in (0, 2, keep - 2):
+            got = f_plugin(stacked, dq, dns, 2, sub)
+            assert got.shape == (3, 6)
+            assert got[:, w].tobytes() == f_plugin(st, dq, dns, 2, sub).tobytes()
+            assert got[1, w] == f_plugin(st, dq, 6, 2, sub)
+
+
+class TestFallbackCount:
+    def test_pool_edge_state_is_scored_and_counted(self, toy_bundle, toy_trajectories):
+        # no cap room at the next level: the state is scored at the
+        # cheapest legal continuation, and counted
+        from esscreen.adaptive.training import _value_of_states
+        from esscreen.adaptive.net import net_forward
+
+        cfg, bundle, _ = toy_bundle
+        state = toy_trajectories[-1][0].states[0]
+        spec = bundle.action_spec()
+        specs = {state.level + 1: replace(spec, budget=state.cost)}
+        value, fallbacks = _value_of_states(bundle.nets, specs, state, cfg.sub)
+        rows = features(state, [(state.q - cfg.n_w, spec.dn_quantum)], cfg.n_w, cfg.sub)
+        assert fallbacks == 1
+        assert value == net_forward(bundle.nets[(state.level, state.q)], rows)[0]
+
+    def test_report_counts_every_fallback_world(self, monkeypatch):
+        # with no admissible scan action anywhere, every simulated world of
+        # every lookahead falls back: n_e_mid per trajectory at the level-1
+        # targets and n_e_open per opening action
+        from esscreen.adaptive import training
+
+        monkeypatch.setattr(training, "action_values", lambda *a: ([], np.empty(0)))
+        cfg = toy_config(
+            k_bar=2, j_bar=2, n_iter=40, probe_steps=20, lr_candidates=2, base_rate=1e-3
+        )
+        bundle, report = fit_value_functions(cfg)
+        opening = len(bundle.first_action_table)
+        assert opening >= 1
+        assert report.fallbacks == 2 * 2 * cfg.n_e_mid + opening * cfg.n_e_open

@@ -193,7 +193,7 @@ class TestStandardizationFold:
             return out
 
         monkeypatch.setattr(training, "learning_rate_search", capture)
-        nets, report = {}, training.TrainingReport({}, {}, {})
+        nets, report = {}, training.TrainingReport({}, {}, {}, fallbacks=0)
         samples = [(row, target, 0, j) for j, (row, target) in enumerate(zip(x, y))]
         training._fit_net(nets, report, cfg, 1, 2, samples)
         ((xt, net),) = trained
@@ -552,3 +552,61 @@ class TestGrowingProbe:
             )
         for rate in (0.1, 0.01):
             assert f"rate {rate:g}: grew, loss" in str(exc.value)
+
+
+def _frozen_softplus_sigmoid(z):
+    """The activations as they were written before the step became in place."""
+    e = np.exp(-np.abs(z))
+    h = np.maximum(z, 0.0) + np.log1p(e)
+    sig = np.where(z >= 0, 1.0, e)
+    return h, np.divide(sig, np.add(e, 1.0, out=e), out=sig)
+
+
+def _frozen_loss_and_grads(net, x, y, r):
+    """Frozen copy of the step before ``e``, the softplus and ``dz`` shared
+    buffers: fresh ``exp(-|z|)``, softplus and ``dz`` arrays."""
+    n = x.shape[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = x @ net.w1.T
+        z += net.b1
+        h, sig = _frozen_softplus_sigmoid(z)
+        err = h @ net.w2 + net.b2 - y
+        abs_err = np.abs(err)
+        loss = float(np.add.reduce(abs_err**r) / n)
+        dpred = r * abs_err ** (r - 1.0) * np.sign(err) / n
+        dz = dpred[:, None] * net.w2
+        dz *= sig
+    grads = {"w1": dz.T @ x, "b1": dz.sum(axis=0), "w2": h.T @ dpred}
+    return loss, grads | {"b2": float(np.sum(dpred))}
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_in_place_step_and_forward_equal_the_frozen_formulas(seed):
+    # random shapes and scales, saturated units (|z| in the hundreds) included
+    rng = np.random.default_rng(100 + seed)
+    n, d = int(rng.integers(1, 40)), int(rng.integers(1, 30))
+    net = replace(_net(d=d, seed=seed, hidden=256), b1=rng.normal(size=256) * 50)
+    x = rng.normal(size=(n, d)) * np.logspace(-3, 2, d)[rng.permutation(d)]
+    y = rng.normal(size=n) * 10.0 ** rng.uniform(-1, 3)
+    for r in (2.0, 1.0 + rng.uniform()):
+        loss, grads = net_loss_and_grads(net, x, y, r)
+        want_loss, want = _frozen_loss_and_grads(net, x, y, r)
+        assert loss == want_loss and grads["b2"] == want["b2"]
+        for p in ("w1", "b1", "w2"):
+            assert grads[p].tobytes() == want[p].tobytes(), p
+    with np.errstate(over="ignore"):
+        h, _ = _frozen_softplus_sigmoid(x @ net.w1.T + net.b1)
+    assert net_forward(net, x).tobytes() == (h @ net.w2 + net.b2).tobytes()
+
+
+def test_stacked_forward_is_each_worlds_forward():
+    # a leading world axis runs one matrix product per world, so a world's
+    # predictions keep the bits of its own (n, d) call, at every row count
+    rng = np.random.default_rng(7)
+    net = _net(d=11, seed=7, hidden=256)
+    for n in (1, 2, 3, 12):
+        x = rng.normal(size=(5, n, 11)) * 30.0
+        got = net_forward(net, x)
+        assert got.shape == (5, n)
+        for w in range(5):
+            assert got[w].tobytes() == net_forward(net, x[w]).tobytes(), (n, w)

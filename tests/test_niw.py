@@ -244,6 +244,54 @@ def test_diag_update_is_bitwise_the_masked_correlation_formula(seed, zeros):
         assert out.s.tobytes() == s_want.tobytes()
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_stacked_update_is_each_worlds_update(seed):
+    # one prior, a world axis on the batch and the kept ids: each world's
+    # posterior has the bits of its own update, also when some worlds keep
+    # the coordinate whose prior diagonal is zero (the masked branch) and
+    # others do not; trusted positions give the same posterior
+    rng = substream(34, seed)
+    d, worlds, keep = 8, 5, 5
+    a = rng.standard_normal((d, d))
+    s = a @ a.T + np.eye(d)
+    s[3, :] = s[:, 3] = 0.0
+    p = NIWParams(
+        m=rng.normal(size=d),
+        k=float(rng.uniform(0.5, 30.0)),
+        i=float(d + 2 + rng.uniform(0.5, 20.0)),
+        s=s,
+        index_map=np.arange(20, 20 + d),
+    )
+    pos = np.sort([rng.permutation(d)[:keep] for _ in range(worlds)], axis=-1)
+    pos[:2] = [0, 1, 2, 4, 5], [1, 3, 4, 6, 7]  # without and with coordinate 3
+    mean = rng.normal(size=(worlds, d))
+    sd = rng.uniform(0.0, 5.0, size=(worlds, d))
+    ids = p.index_map[pos]
+    for dn in (0, 9):
+        got = niw_update_diag_stats(p, mean, sd, dn, ids)
+        trusted = niw_update_diag_stats(p, mean, sd, dn, ids, pos)
+        for w in range(worlds):
+            want = niw_update_diag_stats(p, mean[w], sd[w], dn, ids[w])
+            for out in (got, trusted):
+                assert out.m[w].tobytes() == want.m.tobytes()
+                assert out.s[w].tobytes() == want.s.tobytes()
+                np.testing.assert_array_equal(out.index_map[w], want.index_map)
+                assert (out.k, out.i) == (want.k, want.i)
+    np.testing.assert_array_equal(restrict_niw(p, ids).s[1], restrict_niw(p, ids[1]).s)
+    with pytest.raises(InvalidParameterError, match="subset"):
+        niw_update_diag_stats(p, mean, sd, 9, ids - 20)
+
+
+def test_stacked_correlation_is_each_worlds_correlation():
+    rng = substream(35, 0)
+    a = rng.standard_normal((4, 6, 6))
+    s = a @ np.swapaxes(a, -1, -2)
+    s[2, 1, :] = s[2, :, 1] = 0.0
+    got = correlation(s)
+    for w in range(4):
+        assert got[w].tobytes() == correlation(s[w]).tobytes()
+
+
 class TestTrustedConstruction:
     """Restriction and the diagonal update skip the NIWParams checks but
     return exactly what the validated constructor would."""

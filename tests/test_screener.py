@@ -135,6 +135,43 @@ class TestRankSelect:
         oracle = [i for _, i in sorted(zip(est, idx), key=lambda t: (-t[0], t[1]))]
         np.testing.assert_array_equal(rank_select(est, idx, keep), oracle[:keep])
 
+    @pytest.mark.parametrize("keep", [0, 1, 4, 9])
+    def test_stacked_is_each_worlds_selection(self, keep):
+        # one index set, a leading world axis on the estimates; integer
+        # values make ties in every world
+        est = substream(90, keep).integers(-2, 3, size=(7, 9)).astype(float)
+        idx = np.array([0, 2, 3, 5, 8, 9, 11, 12, 20])
+        got = rank_select(est, idx, keep)
+        assert got.shape == (7, keep)
+        for w in range(7):
+            np.testing.assert_array_equal(got[w], rank_select(est[w], idx, keep))
+
+    @pytest.mark.parametrize(
+        "est, idx", [(np.zeros((2, 3)), np.zeros((2, 3))), (np.zeros(4), np.arange(3))]
+    )
+    def test_misaligned_index_set_rejected(self, est, idx):
+        with pytest.raises(InvalidParameterError, match="align"):
+            rank_select(est, idx, 1)
+
+
+@pytest.mark.parametrize("keep", [9, 5, 2])
+@pytest.mark.parametrize("n_prev", [0, 30])
+def test_stacked_step_is_each_worlds_step(keep, n_prev):
+    # S simulated batches from one entered set: every field of each world's
+    # level equals the one-world step's, ties in the means included
+    rng = substream(91, keep, n_prev)
+    entered = np.array([1, 2, 4, 6, 7, 10, 11, 13, 15])
+    sums = n_prev * rng.integers(-2, 3, size=9).astype(float)
+    batch = rng.integers(-40, 40, size=(6, 9)).astype(float)
+    scatter = rng.uniform(size=(6, 9))
+    got = screener.step(entered, sums, n_prev, batch, scatter, 20, keep)
+    for w in range(6):
+        want = screener.step(entered, sums, n_prev, batch[w], scatter[w], 20, keep)
+        np.testing.assert_array_equal(got.entered, want.entered)
+        for name in ("kept", "sums", "mu_hat", "batch_mean", "scatter"):
+            assert getattr(got, name)[w].tobytes() == getattr(want, name).tobytes()
+        assert (got.dn, got.n_cum) == (want.dn, want.n_cum)
+
 
 class TestExactEs:
     def test_linear_book(self):
