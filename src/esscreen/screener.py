@@ -149,8 +149,8 @@ def rank_select(estimates: np.ndarray, index_set: np.ndarray, keep: int) -> np.n
     """Indexes of the ``keep`` largest estimates, ties to the smaller index.
 
     ``estimates[..., j]`` (per world along a leading axis) is the value of
-    original index ``index_set[j]``.  Returns original indexes ordered by (value
-    desc, index asc); this total order is part of the algorithm's definition.
+    original index ``index_set[j]``.  Returns original indexes ordered by
+    (value desc, index asc), a total order that must be bit-stable.
     """
     index_set = np.asarray(index_set, dtype=np.intp)
     estimates = np.asarray(estimates, dtype=np.float64)
