@@ -175,11 +175,11 @@ def features(
     are presented best-estimate-first so the net sees a canonical,
     permutation-free ordering.  A stacked state gives ``(S, A, 8 + 3 q)``.
     """
-    q, lead = state.q, state.mu_hat.shape[:-1]
+    q, lead, niw = state.q, state.mu_hat.shape[:-1], state.niw
     order = np.argsort(-state.mu_hat, kind="stable")  # ties to the smaller index
-    diag = np.diagonal(state.niw.s, axis1=-2, axis2=-1)
-    mu, m, s = (np.take_along_axis(v, order, -1) for v in (state.mu_hat, state.niw.m, diag))
-    head = np.broadcast_to([q, state.n_cum, state.cost, state.niw.k, state.niw.i], lead + (5,))
+    diag = np.diagonal(niw.s, axis1=-2, axis2=-1)
+    mu, m, s = (np.take_along_axis(v, order, -1) for v in (state.mu_hat, niw.m, diag))
+    head = np.broadcast_to([q, state.n_cum, state.cost, niw.k, niw.i], lead + (5,))
     block = np.concatenate([head[..., :3], mu, m, head[..., 3:], s], axis=-1)
     acts = np.array(actions, dtype=np.int64).reshape(-1, 2)
     rows = np.empty(lead + (len(acts), _feature_width(q)))

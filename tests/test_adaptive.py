@@ -1093,7 +1093,8 @@ class TestStackedLookahead:
         acts = scan_actions(bundle.nets, bundle.action_spec(), state0)
         assert len({dq for dq, _ in acts}) >= 2
         for a, action in enumerate(acts):
-            draws = list(_predictive_draws(cfg.prior, cfg.n_e_open, cfg.n_p_mid, substream(97)))
+            rng = substream(97)
+            draws = list(_predictive_draws(cfg.prior, cfg.n_e_open, cfg.n_p_mid, rng))
             got, want = self._both(cfg, bundle, state0, action, lambda rng: draws, (a,))
             assert got == want
 
