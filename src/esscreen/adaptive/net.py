@@ -76,8 +76,7 @@ def xavier_net(d: int, rng: np.random.Generator, meta: dict) -> PolicyNet:
 
 
 def _softplus(z: np.ndarray, e: np.ndarray) -> np.ndarray:
-    h = np.log1p(e)  # + max(z, 0), in place (a sum of two commutes exactly)
-    return np.add(h, np.maximum(z, 0.0), out=h)
+    return np.maximum(z, 0.0) + np.log1p(e)
 
 
 def _sigmoid(z: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -89,8 +88,7 @@ def net_forward(net: PolicyNet, x: np.ndarray) -> np.ndarray:
     """Predictions for feature rows ``x`` (n, d), or per world of (S, n, d)."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     z = x @ net.w1.T + net.b1
-    e = np.abs(z)  # one buffer: |z|, -|z|, exp(-|z|)
-    return _softplus(z, np.exp(np.negative(e, out=e), out=e)) @ net.w2 + net.b2
+    return _softplus(z, np.exp(-np.abs(z))) @ net.w2 + net.b2
 
 
 def net_loss_and_grads(net: PolicyNet, x: np.ndarray, y: np.ndarray, r: float):
@@ -98,8 +96,8 @@ def net_loss_and_grads(net: PolicyNet, x: np.ndarray, y: np.ndarray, r: float):
 
     Returns (loss, grads) with grads keyed like the parameter fields.
     Backprop is closed-form: d softplus = sigmoid.  A step makes one exp
-    pass for both activations and builds ``z``, ``e``, the softplus, the
-    sigmoid and ``dz`` (in ``e``'s buffer) in place.
+    pass for both activations and builds ``z``, the sigmoid and ``dz`` in
+    place.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = np.asarray(y, dtype=np.float64)
@@ -107,8 +105,8 @@ def net_loss_and_grads(net: PolicyNet, x: np.ndarray, y: np.ndarray, r: float):
     with np.errstate(over="ignore", invalid="ignore"):
         z = x @ net.w1.T
         z += net.b1
-        e = np.abs(z)  # one buffer: |z|, -|z|, exp(-|z|)
-        h = _softplus(z, np.exp(np.negative(e, out=e), out=e))
+        e = np.exp(-np.abs(z))
+        h = _softplus(z, e)
         sig = _sigmoid(z, e)
         pred = h @ net.w2 + net.b2
         err = pred - y
@@ -117,7 +115,7 @@ def net_loss_and_grads(net: PolicyNet, x: np.ndarray, y: np.ndarray, r: float):
         dpred = r * abs_err ** (r - 1.0) * np.sign(err) / n
         dw2 = h.T @ dpred
         db2 = float(np.sum(dpred))
-        dz = np.multiply(dpred[:, None], net.w2, out=e)  # e is spent
+        dz = dpred[:, None] * net.w2
         dz *= sig
         dw1 = dz.T @ x
         db1 = dz.sum(axis=0)

@@ -52,7 +52,6 @@ def niw_update_diag_stats(
     scatter_diag: np.ndarray,
     delta_n: int,
     keep_ids: np.ndarray,
-    positions: np.ndarray | None = None,
 ) -> NIWParams:
     """Diagonal conjugate update; prior correlations carry over unchanged.
 
@@ -63,10 +62,9 @@ def niw_update_diag_stats(
     ``S`` non-finite raises InvalidParameterError.  The masked
     :func:`correlation` runs only when a prior diagonal entry is zero.
     ``delta_n = 0`` only restricts.  A leading world axis on the batch and
-    ``keep_ids`` updates per world.  ``positions``, the trusted places of
-    ``keep_ids`` in ``p.index_map``, skip the subset check.
+    ``keep_ids`` updates per world.
     """
-    pos = _positions(p, keep_ids) if positions is None else positions
+    pos = _positions(p, keep_ids)
     s_r = p.s[pos[..., :, None], pos[..., None, :]]
     r = _trusted_niw(p.m[pos], p.k, p.i, s_r, p.index_map[pos])
     if delta_n == 0:

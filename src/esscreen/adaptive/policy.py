@@ -83,7 +83,7 @@ def advance(state: PosteriorState, stats: LevelStats) -> PosteriorState:
         mu_hat=np.take_along_axis(stats.mu_hat, pos, -1),
         sums=np.take_along_axis(stats.sums, pos, -1),
         niw=niw_update_diag_stats(
-            state.niw, stats.batch_mean, stats.scatter, stats.dn, stats.kept, pos
+            state.niw, stats.batch_mean, stats.scatter, stats.dn, stats.kept
         ),
         n_cum=stats.n_cum,
         cost=state.cost + stats.entered.size * stats.dn,

@@ -509,11 +509,10 @@ def _fit_net(nets, report, cfg, level, q, samples):
     report.target_stats[(level, q)] = (y_c, y_s, int(y.size))
 
 
-def _tabulate_opening(cfg, specs, nets, report=None):
+def _tabulate_opening(cfg, specs, nets, report):
     """Expected value of each admissible opening action from the known
     initial state (scanned on ``specs[1]``): the :func:`_lookahead` over one
     shared list of world draws, plus the action's selection-bound feature."""
-    report = report or TrainingReport({}, {}, {}, fallbacks=0)
     state0 = PosteriorState.opening(cfg.prior)
     acts = scan_actions(nets, specs[1], state0)
     if not acts:

@@ -533,6 +533,23 @@ class TestFitAndRun:
         b = run_adaptive(b2, theta, substream(54, 1))
         assert a.es_hat == b.es_hat and a.actions == b.actions
 
+    def test_prior_ids_off_the_scenario_range_are_refused_at_the_first_update(
+        self, toy_bundle, tmp_path
+    ):
+        # survivor ids are places 0..n_s-1; a prior labelled otherwise loads,
+        # but the update's subset check refuses its first level
+        cfg, bundle, _ = toy_bundle
+        path = tmp_path / "policy.npz"
+        bundle.save(path)
+        with np.load(path) as data:
+            arrays = dict(data)
+        arrays["prior_ids"] = arrays["prior_ids"] + 1
+        np.savez_compressed(path, **arrays)
+        shifted = PolicyBundle.load(path)
+        theta = sample_niw(cfg.prior, substream(54, 0))
+        with pytest.raises(InvalidParameterError, match="subset"):
+            run_adaptive(shifted, theta, substream(54, 1))
+
     def test_missing_artifact_error_names_path(self, tmp_path):
         from esscreen.errors import PolicyError
 
@@ -563,6 +580,7 @@ class TestFitAndRun:
         cfg, bundle, _ = toy_bundle
         # uncapped: every level scans the full budget
         specs = dict.fromkeys(range(1, cfg.levels + 1), cfg.action_spec())
+        report = training.TrainingReport({}, {}, {}, fallbacks=0)
         real = policy.f_plugin
         opening_calls = []
 
@@ -577,9 +595,9 @@ class TestFitAndRun:
             return real(state, dq, dn, *args)
 
         monkeypatch.setattr(policy, "f_plugin", per_action)
-        want = training._tabulate_opening(cfg, specs, bundle.nets)
+        want = training._tabulate_opening(cfg, specs, bundle.nets, report)
         monkeypatch.setattr(policy, "f_plugin", counted)
-        got = training._tabulate_opening(cfg, specs, bundle.nets)
+        got = training._tabulate_opening(cfg, specs, bundle.nets, report)
         assert got == want
         dqs = sorted({dq for dq, _, _ in got})
         assert len(dqs) >= 2 and len(got) > len(dqs)

@@ -87,11 +87,11 @@ def test_all_lists_exactly_resolvable_public_names():
 
 #: Options in ``src/esscreen``, counted by :func:`options`.  Raising it needs
 #: a CHANGES.md line naming the new option and the two callers that set it.
-MAX_OPTIONS = 26
+MAX_OPTIONS = 25
 
 #: Lines of the ``.py`` files under ``src/esscreen``.  Raising it needs a
 #: CHANGES.md line saying what the new lines buy.
-MAX_SRC_LINES = 3267
+MAX_SRC_LINES = 3262
 
 
 def _is_public(name: str) -> bool:

@@ -555,7 +555,7 @@ class TestGrowingProbe:
 
 
 def _frozen_softplus_sigmoid(z):
-    """The activations as they were written before the step became in place."""
+    """Frozen copy of the activations: a rewrite of the step must keep these bits."""
     e = np.exp(-np.abs(z))
     h = np.maximum(z, 0.0) + np.log1p(e)
     sig = np.where(z >= 0, 1.0, e)
@@ -563,8 +563,8 @@ def _frozen_softplus_sigmoid(z):
 
 
 def _frozen_loss_and_grads(net, x, y, r):
-    """Frozen copy of the step before ``e``, the softplus and ``dz`` shared
-    buffers: fresh ``exp(-|z|)``, softplus and ``dz`` arrays."""
+    """Frozen copy of the training step, one fresh array per intermediate;
+    a rewrite that reuses buffers must keep these bits."""
     n = x.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
         z = x @ net.w1.T
@@ -581,7 +581,7 @@ def _frozen_loss_and_grads(net, x, y, r):
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_in_place_step_and_forward_equal_the_frozen_formulas(seed):
+def test_step_and_forward_equal_the_frozen_formulas(seed):
     # random shapes and scales, saturated units (|z| in the hundreds) included
     rng = np.random.default_rng(100 + seed)
     n, d = int(rng.integers(1, 40)), int(rng.integers(1, 30))
