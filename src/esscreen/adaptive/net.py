@@ -9,11 +9,19 @@ the samples of ``K_BATCH`` strategies crossed with ``J_BATCH`` worlds.
 The softplus is ``max(z, 0) + log1p(e)`` with ``e = exp(-|z|)``, in training
 and prediction alike; training reuses ``e`` for its derivative, the sigmoid
 ``where(z >= 0, 1, e) / (1 + e)``.
+
+While a minibatch ``xb`` (n rows) stays fixed, every ``(w1, b1)`` step is
+``-rate dz^T [xb, 1]``, so the pre-activations ``z = xb w1^T + b1`` step
+exactly as ``z <- z - G dz`` with ``G = rate (xb xb^T + 1)`` (n x n, built
+once per minibatch).  The trainer carries ``z`` and folds the summed ``dz``
+into ``(w1, b1)`` when the minibatch changes and after the last step: a step
+costs one n^2 H product, not two n d H products and an H x d update.
 """
 
 from __future__ import annotations
 
 import logging
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -21,13 +29,8 @@ import numpy as np
 from ..errors import InvalidParameterError, TrainingDivergedError
 
 __all__ = [
-    "PolicyNet",
-    "TrainSchedule",
-    "xavier_net",
-    "net_forward",
-    "net_loss_and_grads",
-    "train_level",
-    "learning_rate_search",
+    "PolicyNet", "TrainSchedule", "xavier_net", "net_forward",
+    "net_loss_and_grads", "train_level", "learning_rate_search",
 ]
 
 #: Hidden units of every value net; :func:`xavier_net` reads it at call time.
@@ -66,13 +69,9 @@ def xavier_net(d: int, rng: np.random.Generator, meta: dict) -> PolicyNet:
     (read at call time) for ``d`` raw input features."""
     lim1 = np.sqrt(6.0 / (d + HIDDEN_UNITS))
     lim2 = np.sqrt(6.0 / (HIDDEN_UNITS + 1))
-    return PolicyNet(
-        w1=rng.uniform(-lim1, lim1, size=(HIDDEN_UNITS, d)),
-        b1=np.zeros(HIDDEN_UNITS),
-        w2=rng.uniform(-lim2, lim2, size=HIDDEN_UNITS),
-        b2=0.0,
-        meta=dict(meta),
-    )
+    w1 = rng.uniform(-lim1, lim1, size=(HIDDEN_UNITS, d))
+    w2 = rng.uniform(-lim2, lim2, size=HIDDEN_UNITS)
+    return PolicyNet(w1, np.zeros(HIDDEN_UNITS), w2, 0.0, meta=dict(meta))
 
 
 def _softplus(z: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -91,35 +90,38 @@ def net_forward(net: PolicyNet, x: np.ndarray) -> np.ndarray:
     return _softplus(z, np.exp(-np.abs(z))) @ net.w2 + net.b2
 
 
-def net_loss_and_grads(net: PolicyNet, x: np.ndarray, y: np.ndarray, r: float):
-    """Mean |pred - target|^r and its exact parameter gradients.
+def _head(z: np.ndarray, w2: np.ndarray, b2: float, y: np.ndarray, r: float):
+    """Loss, dw2, db2 and dz from pre-activations ``z`` (n, hidden): one exp
+    pass gives both activations; the sigmoid and ``dz`` are built in place."""
+    e = np.exp(-np.abs(z))
+    h = _softplus(z, e)
+    sig = _sigmoid(z, e)
+    err = h @ w2 + b2 - y
+    abs_err = np.abs(err)
+    loss = float(np.add.reduce(abs_err**r) / z.shape[0])
+    dpred = r * abs_err ** (r - 1.0) * np.sign(err) / z.shape[0]
+    dz = dpred[:, None] * w2
+    dz *= sig
+    return loss, h.T @ dpred, float(np.sum(dpred)), dz
 
-    Returns (loss, grads) with grads keyed like the parameter fields.
-    Backprop is closed-form: d softplus = sigmoid.  A step makes one exp
-    pass for both activations and builds ``z``, the sigmoid and ``dz`` in
-    place.
-    """
+
+def net_loss_and_grads(net: PolicyNet, x: np.ndarray, y: np.ndarray, r: float):
+    """Mean |pred - target|^r and its exact parameter gradients, as (loss,
+    grads) with grads keyed like the parameter fields; d softplus = sigmoid."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = np.asarray(y, dtype=np.float64)
-    n = x.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
         z = x @ net.w1.T
         z += net.b1
-        e = np.exp(-np.abs(z))
-        h = _softplus(z, e)
-        sig = _sigmoid(z, e)
-        pred = h @ net.w2 + net.b2
-        err = pred - y
-        abs_err = np.abs(err)
-        loss = float(np.add.reduce(abs_err**r) / n)
-        dpred = r * abs_err ** (r - 1.0) * np.sign(err) / n
-        dw2 = h.T @ dpred
-        db2 = float(np.sum(dpred))
-        dz = dpred[:, None] * net.w2
-        dz *= sig
+        loss, dw2, db2, dz = _head(z, net.w2, net.b2, y, r)
         dw1 = dz.T @ x
         db1 = dz.sum(axis=0)
     return loss, {"w1": dw1, "b1": db1, "w2": dw2, "b2": db2}
+
+
+def _check_int(value, name: str, floor: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < floor:
+        raise InvalidParameterError(f"{name} must be an integer >= {floor}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -131,15 +133,16 @@ class TrainSchedule:
     rate: float
     seed: int
 
+    def __post_init__(self):
+        _check_int(self.n_iter, "n_iter", 1)
+        _check_int(self.seed, "seed", 0)
+        if not 0.0 < self.rate < np.inf:
+            raise InvalidParameterError(f"rate must be in (0, inf), got {self.rate!r}")
+
 
 def train_level(
-    x: np.ndarray,
-    y: np.ndarray,
-    net: PolicyNet,
-    schedule: TrainSchedule,
-    *,
-    k_of: np.ndarray,
-    j_of: np.ndarray,
+    x: np.ndarray, y: np.ndarray, net: PolicyNet, schedule: TrainSchedule, *,
+    k_of: np.ndarray, j_of: np.ndarray,
 ) -> tuple[PolicyNet, np.ndarray]:
     """Fit one network by minibatch gradient descent; returns (net, losses).
 
@@ -147,51 +150,49 @@ def train_level(
     Every ``BATCH_CHANGE`` steps the minibatch becomes the samples of
     ``K_BATCH`` strategies and ``J_BATCH`` worlds, each set the head of a
     random permutation of the labels (all samples if that cross is empty).
-    Raises TrainingDivergedError (carrying the iteration index) if the loss
-    goes non-finite.
+    Within a minibatch the steps carry ``z <- z - G dz``, exact while the rows
+    are fixed, and fold ``dz`` into ``(w1, b1)`` at its end (module docstring).
+    Raises TrainingDivergedError, carrying the iteration, on a non-finite loss.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = np.asarray(y, dtype=np.float64)
-    if x.shape[0] != y.size or x.shape[0] == 0:
-        raise InvalidParameterError("empty or misaligned training set")
+    k_of, j_of = np.asarray(k_of), np.asarray(j_of)
+    n = x.shape[0]
+    if n == 0 or x.shape != (n, net.dim) or not y.shape == k_of.shape == j_of.shape == (n,):
+        raise InvalidParameterError(
+            f"empty or misaligned training set: x {x.shape}, y {y.shape}, dim {net.dim}"
+        )
     rng = np.random.default_rng(schedule.seed)
-    losses = np.empty(schedule.n_iter)
-    rows = np.arange(x.shape[0])
+    rate, losses = schedule.rate, np.empty(schedule.n_iter)
     ks, js = np.unique(k_of), np.unique(j_of)
-    # a private copy, stepped in place
-    w1, b1, w2 = net.w1.copy(), net.b1.copy(), net.w2.copy()
-    net = replace(net, w1=w1, b1=b1, w2=w2)
-    for t in range(schedule.n_iter):
-        if t % BATCH_CHANGE == 0:
+    w1, b1, w2, b2 = net.w1.copy(), net.b1.copy(), net.w2.copy(), net.b2
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, schedule.n_iter, BATCH_CHANGE):
             k_pick = rng.permutation(ks)[:K_BATCH]
             j_pick = rng.permutation(js)[:J_BATCH]
             batch = np.flatnonzero(np.isin(k_of, k_pick) & np.isin(j_of, j_pick))
-            if batch.size == 0:
-                batch = rows
-            xb, yb = x[batch], y[batch]
-        loss, grads = net_loss_and_grads(net, xb, yb, R_LOSS)
-        if not np.isfinite(loss):
-            raise TrainingDivergedError(
-                f"loss became non-finite at iteration {t}", iteration=t
-            )
-        losses[t] = loss
-        w1 -= schedule.rate * grads["w1"]
-        b1 -= schedule.rate * grads["b1"]
-        w2 -= schedule.rate * grads["w2"]
-        object.__setattr__(net, "b2", net.b2 - schedule.rate * grads["b2"])
-    return net, losses
+            xb, yb = (x, y) if batch.size == 0 else (x[batch], y[batch])
+            z = xb @ w1.T + b1
+            gram = rate * (xb @ xb.T + 1.0)
+            acc = np.zeros_like(z)
+            for t in range(start, min(start + BATCH_CHANGE, schedule.n_iter)):
+                loss, dw2, db2, dz = _head(z, w2, b2, yb, R_LOSS)
+                if not np.isfinite(loss):
+                    msg = f"loss became non-finite at iteration {t}"
+                    raise TrainingDivergedError(msg, iteration=t)
+                losses[t] = loss
+                acc += dz
+                z -= gram @ dz
+                w2 -= rate * dw2
+                b2 -= rate * db2
+            w1 -= rate * (acc.T @ xb)
+            b1 -= rate * acc.sum(axis=0)
+    return replace(net, w1=w1, b1=b1, w2=w2, b2=b2), losses
 
 
 def learning_rate_search(
-    x: np.ndarray,
-    y: np.ndarray,
-    make_net,
-    schedule: TrainSchedule,
-    *,
-    candidates: int,
-    probe_steps: int,
-    k_of: np.ndarray,
-    j_of: np.ndarray,
+    x: np.ndarray, y: np.ndarray, make_net, schedule: TrainSchedule, *,
+    candidates: int, probe_steps: int, k_of: np.ndarray, j_of: np.ndarray,
 ) -> tuple[PolicyNet, float, np.ndarray]:
     """Probe geometrically decreasing rates, keep the best, finish training.
 
@@ -206,9 +207,10 @@ def learning_rate_search(
     Returns (net, final_rate, losses of the final run).  Raises only if no
     attempt converges, listing each probe's and each final run's fate.
     """
+    _check_int(candidates, "candidates", 1)
+    _check_int(probe_steps, "probe_steps", 1)
     base = schedule.rate
-    outcomes = []
-    converged = []  # (mean_log_loss, idx, net)
+    outcomes, converged = [], []  # converged: (mean_log_loss, idx, net)
     for idx in range(candidates):
         rate = base / 10.0**idx
         probe = replace(schedule, n_iter=probe_steps, rate=rate, seed=schedule.seed + idx)
@@ -234,16 +236,12 @@ def learning_rate_search(
             net, losses = train_level(x, y, net, final, k_of=k_of, j_of=j_of)
         except TrainingDivergedError as exc:
             outcomes.append(f"final rate {final_rate:g}: diverged at {exc.iteration}")
+            left = len(converged) - rank - 1
             _log.warning(
-                "final training at rate %g diverged at iteration %s; "
-                "%d converged probe(s) left to fall back on",
-                final_rate,
-                exc.iteration,
-                len(converged) - rank - 1,
+                "final training at rate %g diverged at iteration %s; %d converged "
+                "probe(s) left to fall back on", final_rate, exc.iteration, left
             )
             continue
         _log.debug("rate search: %s; final rate %g", "; ".join(outcomes), final_rate)
         return net, final_rate, losses
-    raise TrainingDivergedError(
-        "no training attempt converged: " + "; ".join(outcomes)
-    )
+    raise TrainingDivergedError("no training attempt converged: " + "; ".join(outcomes))

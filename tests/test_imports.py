@@ -91,7 +91,7 @@ MAX_OPTIONS = 25
 
 #: Lines of the ``.py`` files under ``src/esscreen``.  Raising it needs a
 #: CHANGES.md line saying what the new lines buy.
-MAX_SRC_LINES = 3262
+MAX_SRC_LINES = 3260
 
 
 def _is_public(name: str) -> bool:

@@ -16,7 +16,7 @@ from esscreen.adaptive.net import (
     train_level,
     xavier_net,
 )
-from esscreen.errors import TrainingDivergedError
+from esscreen.errors import InvalidParameterError, TrainingDivergedError
 
 
 def _xavier(d, rng, hidden):
@@ -240,6 +240,9 @@ class TestTraining:
         with pytest.raises(TrainingDivergedError) as exc:
             train_level(x, y, net, sched, **_labels(32, 8))
         assert exc.value.iteration is not None
+        with pytest.raises(TrainingDivergedError) as ref:
+            _reference_train(x, y, net, sched, **_labels(32, 8))
+        assert exc.value.iteration == ref.value.iteration
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(9)
@@ -266,9 +269,40 @@ class TestTraining:
         assert np.all(np.isfinite(losses))
 
 
+def _batches(sched, k_of, j_of):
+    """The minibatch rows train_level draws, one set per ``BATCH_CHANGE`` steps."""
+    rng = np.random.default_rng(sched.seed)
+    ks, js = np.unique(k_of), np.unique(j_of)
+    out = []
+    for _ in range(0, sched.n_iter, net_mod.BATCH_CHANGE):
+        k_pick = rng.permutation(ks)[: net_mod.K_BATCH]
+        j_pick = rng.permutation(js)[: net_mod.J_BATCH]
+        batch = np.flatnonzero(np.isin(k_of, k_pick) & np.isin(j_of, j_pick))
+        out.append(batch if batch.size else np.arange(k_of.size))
+    return out
+
+
+def _reference_train(x, y, net, sched, k_of, j_of):
+    """The training loop written out: one net_loss_and_grads call and an
+    out-of-place ``p - rate * g`` per step."""
+    batches = _batches(sched, k_of, j_of)
+    losses = []
+    for t in range(sched.n_iter):
+        batch = batches[t // net_mod.BATCH_CHANGE]
+        loss, g = net_loss_and_grads(net, x[batch], y[batch], net_mod.R_LOSS)
+        if not np.isfinite(loss):
+            raise TrainingDivergedError("non-finite loss", iteration=t)
+        losses.append(loss)
+        params = ("w1", "b1", "w2", "b2")
+        net = replace(net, **{p: getattr(net, p) - sched.rate * g[p] for p in params})
+    return net, np.array(losses)
+
+
 class TestInPlaceTrainer:
-    """train_level steps a private copy in place; the arithmetic is the
-    reference loop's out-of-place ``p - rate * g``."""
+    """train_level steps a private copy, carrying the pre-activations through
+    a minibatch's steps: it is the reference loop's gradient descent up to
+    rounding, which the recursion does in another order, and its first loss
+    keeps the reference's bits."""
 
     def _task(self):
         rng = np.random.default_rng(19)
@@ -280,33 +314,40 @@ class TestInPlaceTrainer:
         return x, y, k_of, j_of
 
     @staticmethod
-    def _reference(x, y, net, sched, k_of, j_of):
-        rng = np.random.default_rng(sched.seed)
-        ks, js = np.unique(k_of), np.unique(j_of)
-        losses = []
-        for t in range(sched.n_iter):
-            if t % net_mod.BATCH_CHANGE == 0:
-                k_pick = rng.permutation(ks)[: net_mod.K_BATCH]
-                j_pick = rng.permutation(js)[: net_mod.J_BATCH]
-                batch = np.flatnonzero(np.isin(k_of, k_pick) & np.isin(j_of, j_pick))
-            loss, g = net_loss_and_grads(net, x[batch], y[batch], net_mod.R_LOSS)
-            losses.append(loss)
-            params = ("w1", "b1", "w2", "b2")
-            net = replace(net, **{p: getattr(net, p) - sched.rate * g[p] for p in params})
-        return net, np.array(losses)
+    def _assert_matches_reference(x, y, start, sched, k_of, j_of):
+        net, losses = train_level(x, y, start, sched, k_of=k_of, j_of=j_of)
+        ref, ref_losses = _reference_train(x, y, start, sched, k_of, j_of)
+        assert losses[0] == ref_losses[0]
+        np.testing.assert_allclose(losses, ref_losses, rtol=1e-9, atol=0.0)
+        for p in ("w1", "b1", "w2", "b2"):
+            got, want = getattr(net, p), getattr(ref, p)
+            np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0, err_msg=p)
 
     def test_matches_out_of_place_reference_over_batch_changes(self, monkeypatch):
         monkeypatch.setattr(net_mod, "J_BATCH", 3)
         monkeypatch.setattr(net_mod, "K_BATCH", 2)
         x, y, k_of, j_of = self._task()
         sched = TrainSchedule(n_iter=2 * net_mod.BATCH_CHANGE + 40, rate=0.01, seed=8)
-        start = _net(d=4, seed=6, hidden=8)
-        net, losses = train_level(x, y, start, sched, k_of=k_of, j_of=j_of)
-        ref, ref_losses = self._reference(x, y, start, sched, k_of, j_of)
-        np.testing.assert_array_equal(losses, ref_losses)
-        for p in ("w1", "b1", "w2"):
-            np.testing.assert_array_equal(getattr(net, p), getattr(ref, p))
-        assert net.b2 == ref.b2
+        self._assert_matches_reference(x, y, _net(d=4, seed=6, hidden=8), sched, k_of, j_of)
+
+    def test_matches_reference_on_scaled_inputs(self, monkeypatch):
+        # three (k, j) blocks of 2 x 2 labels, 3 samples per pair: a 2 x 2
+        # cross is 3, 6 or 12 rows, or empty, which falls back to all 36
+        monkeypatch.setattr(net_mod, "J_BATCH", 2)
+        monkeypatch.setattr(net_mod, "K_BATCH", 2)
+        k, j = np.meshgrid(np.arange(6), np.arange(6), indexing="ij")
+        same = k // 2 == j // 2
+        k_of, j_of = np.repeat(k[same], 3), np.repeat(j[same], 3)
+        d = 4
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(k_of.size, d)) * np.logspace(-2, 3, d)
+        y = rng.normal(size=k_of.size) * 100.0
+        sched = TrainSchedule(n_iter=2 * net_mod.BATCH_CHANGE + 40, rate=1e-7, seed=6)
+        # the draws: all rows, a nonsingular G, a singular G (n > d + 1)
+        sizes = [b.size for b in _batches(sched, k_of, j_of)]
+        assert sizes == [k_of.size, 3, 12] and 12 > d + 1
+        start = _net(d=d, seed=5, hidden=256)
+        self._assert_matches_reference(x, y, start, sched, k_of, j_of)
 
     def test_caller_net_untouched(self):
         x, y, k_of, j_of = self._task()
@@ -318,19 +359,91 @@ class TestInPlaceTrainer:
             np.testing.assert_array_equal(getattr(start, p), value)
             assert not np.array_equal(getattr(net, p), value)
 
-    def test_one_loss_and_grads_call_per_step(self, monkeypatch):
+    def test_one_head_call_per_step(self, monkeypatch):
         calls = []
-        real = net_mod.net_loss_and_grads
+        real = net_mod._head
 
         def counted(*args, **kwargs):
             calls.append(1)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(net_mod, "net_loss_and_grads", counted)
+        monkeypatch.setattr(net_mod, "_head", counted)
         x, y, k_of, j_of = self._task()
         sched = TrainSchedule(n_iter=37, rate=0.01, seed=0)
         train_level(x, y, _net(d=4, hidden=8), sched, k_of=k_of, j_of=j_of)
         assert len(calls) == 37
+
+
+def _case_id(kw):
+    return ",".join(f"{k}={v}" for k, v in kw.items())
+
+
+class TestBoundaries:
+    """Malformed schedules, training sets and search counts are refused."""
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            {"n_iter": -1},
+            {"n_iter": 0},
+            {"n_iter": 2.0},
+            {"n_iter": True},
+            {"seed": -1},
+            {"seed": 1.5},
+            {"rate": 0.0},
+            {"rate": -0.1},
+            {"rate": np.inf},
+            {"rate": np.nan},
+        ],
+        ids=_case_id,
+    )
+    def test_schedule_rejected(self, kw):
+        with pytest.raises(InvalidParameterError, match=next(iter(kw))):
+            TrainSchedule(**({"n_iter": 10, "rate": 0.1, "seed": 0} | kw))
+
+    def test_schedule_takes_numpy_integers(self):
+        sched = TrainSchedule(n_iter=np.int64(3), rate=np.float64(0.1), seed=np.int32(2))
+        assert sched.n_iter == 3 and sched.seed == 2
+
+    @pytest.mark.parametrize(
+        "case", ["labels_short", "labels_long", "x_width", "y_2d", "empty"]
+    )
+    def test_misaligned_training_set_rejected(self, case):
+        rng = np.random.default_rng(20)
+        x, y = rng.normal(size=(12, 3)), rng.normal(size=12)
+        labels = _labels(12, 4)
+        if case == "labels_short":
+            labels["k_of"] = labels["k_of"][:-1]
+        elif case == "labels_long":
+            labels["j_of"] = np.append(labels["j_of"], 0)
+        elif case == "x_width":
+            x = rng.normal(size=(12, 4))
+        elif case == "y_2d":
+            y = y[:, None]
+        else:
+            x, y, labels = x[:0], y[:0], {"k_of": [], "j_of": []}
+        sched = TrainSchedule(n_iter=5, rate=0.01, seed=0)
+        with pytest.raises(InvalidParameterError, match="misaligned"):
+            train_level(x, y, _net(d=3), sched, **labels)
+
+    @pytest.mark.parametrize(
+        "counts",
+        [
+            {"candidates": 0, "probe_steps": 10},
+            {"candidates": 2, "probe_steps": 0},
+            {"candidates": 2, "probe_steps": -3},
+        ],
+        ids=_case_id,
+    )
+    def test_search_counts_rejected(self, counts):
+        rng = np.random.default_rng(21)
+        x, y = rng.normal(size=(12, 3)), rng.normal(size=12)
+        sched = TrainSchedule(n_iter=20, rate=0.1, seed=0)
+        bad = next(k for k, v in counts.items() if v < 1)
+        with pytest.raises(InvalidParameterError, match=bad):
+            learning_rate_search(
+                x, y, lambda r: _xavier(3, r, 8), sched, **counts, **_labels(12, 4)
+            )
 
 
 class TestLearningRateSearch:
