@@ -10,19 +10,16 @@ from .net import (
     train_level,
     xavier_net,
 )
-from .niw import (
-    niw_update_diag_stats,
-    restrict_niw,
-)
+from .niw import niw_update_diag_stats
 from .policy import (
     ActionSpec,
+    AdaptiveConfig,
     PolicyBundle,
     PosteriorState,
     f_plugin,
     run_adaptive,
 )
 from .training import (
-    AdaptiveConfig,
     Trajectory,
     f_precompute,
     fit_value_functions,
@@ -49,7 +46,6 @@ __all__ = [
     "net_forward",
     "net_loss_and_grads",
     "niw_update_diag_stats",
-    "restrict_niw",
     "run_adaptive",
     "train_level",
     "xavier_net",

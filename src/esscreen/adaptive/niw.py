@@ -15,10 +15,7 @@ import numpy as np
 from ..errors import InvalidParameterError
 from ..model import NIWParams, correlation
 
-__all__ = [
-    "restrict_niw",
-    "niw_update_diag_stats",
-]
+__all__ = ["niw_update_diag_stats"]
 
 
 def _positions(p: NIWParams, keep_ids: np.ndarray) -> np.ndarray:
@@ -38,12 +35,6 @@ def _trusted_niw(m, k, i, s, index_map) -> NIWParams:
     p = object.__new__(NIWParams)
     p.__dict__.update(m=m, k=k, i=i, s=s, index_map=index_map)
     return p
-
-
-def restrict_niw(p: NIWParams, keep_ids: np.ndarray) -> NIWParams:
-    """Marginal NIW over a subset of the tracked scenarios; a principal
-    sub-NIW of a valid NIW is valid, so it is built unchecked."""
-    return niw_update_diag_stats(p, None, None, 0, keep_ids)
 
 
 def niw_update_diag_stats(

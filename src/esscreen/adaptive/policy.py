@@ -1,6 +1,7 @@
-"""Policy-side machinery of the adaptive allocator: admissible actions,
-feature encoding of posterior screening states, the trained value-net
-bundle, and online execution of the learned policy.
+"""Policy-side machinery of the adaptive allocator: admissible actions, the
+training config that fixes them, feature encoding of posterior screening
+states, the trained value-net bundle, and online execution of the learned
+policy.
 """
 
 from __future__ import annotations
@@ -8,8 +9,9 @@ from __future__ import annotations
 import functools
 import io
 import json
+import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import ClassVar
 from zipfile import BadZipFile
 
@@ -25,6 +27,7 @@ from .niw import niw_update_diag_stats
 __all__ = [
     "PosteriorState",
     "ActionSpec",
+    "AdaptiveConfig",
     "PolicyBundle",
     "action_values",
     "advance",
@@ -156,6 +159,96 @@ class ActionSpec:
         return 1 <= dn // self.dn_quantum <= j_max
 
 
+#: Smallest value of each integer field of :class:`AdaptiveConfig`
+#: (``dn_quantum = 0`` picks the quantum from the budget).
+_COUNT_FLOORS = {"seed": 0, "levels": 2, "dn_quantum": 0} | dict.fromkeys(
+    "n_s n_w budget k_bar j_bar n_iter probe_steps lr_candidates n_e_final "
+    "n_p_final n_e_mid n_p_mid n_e_open max_scan".split(),
+    1,
+)
+
+
+@dataclass(frozen=True)
+class AdaptiveConfig:
+    """Scale and schedule knobs of one training run.
+
+    It is also the saved :class:`PolicyBundle`'s config, so these checks
+    validate an artifact on load as well.  ``q_grid`` rises strictly from
+    ``n_w`` to ``n_s`` in at least ``levels`` values, so ``1 <= n_w < n_s``.
+    The defaults suit a desk-sized book; paper-scale runs take hours.
+    """
+
+    n_s: int
+    n_w: int
+    levels: int
+    budget: int
+    q_grid: tuple[int, ...]
+    prior: NIWParams
+    sub: SubGammaParams = SubGammaParams(c=0.0, p=1.0)
+    k_bar: int = 40
+    j_bar: int = 10
+    n_iter: int = 20_000
+    probe_steps: int = 2_000
+    lr_candidates: int = 5
+    base_rate: float = 1.0  # on standardized data; probes walk down by 10x
+    n_e_final: int = 10_000
+    n_p_final: int = 1_000
+    n_e_mid: int = 128
+    n_p_mid: int = 16
+    n_e_open: int = 64
+    dn_quantum: int = 0  # 0 -> budget // (100 n_s)
+    max_scan: int = 24
+    seed: int = 0
+
+    def __post_init__(self):
+        for name, floor in _COUNT_FLOORS.items():
+            value = getattr(self, name)
+            _check_count(value, name)
+            if value < floor:
+                raise InvalidParameterError(f"{name} must be >= {floor}, got {value}")
+            # the saved bundle's JSON header takes no numpy integers
+            object.__setattr__(self, name, int(value))
+        if not 0 < self.base_rate < math.inf:
+            raise InvalidParameterError(
+                f"base_rate must be in (0, inf): {self.base_rate!r}"
+            )
+        q_grid = _integers(self.q_grid, "q_grid", InvalidParameterError)
+        object.__setattr__(self, "q_grid", q_grid)
+        if not (
+            len(q_grid) >= self.levels
+            and q_grid[0] == self.n_w
+            and q_grid[-1] == self.n_s
+            and all(a < b for a, b in zip(q_grid, q_grid[1:]))
+        ):
+            raise InvalidParameterError(
+                f"q_grid must rise strictly from n_w={self.n_w} to n_s={self.n_s} "
+                f"in at least levels={self.levels} values, got {q_grid}"
+            )
+        # PosteriorState.opening and the engine number scenarios 0..n_s-1
+        if self.prior.dim != self.n_s or not np.array_equal(
+            self.prior.index_map, np.arange(self.n_s)
+        ):
+            raise InvalidParameterError(
+                f"prior must cover scenarios 0..{self.n_s - 1} in order, got "
+                f"dim {self.prior.dim} with index_map {self.prior.index_map.tolist()}"
+            )
+
+    def quantum(self) -> int:
+        if self.dn_quantum > 0:
+            return self.dn_quantum
+        return max(1, self.budget // (100 * self.n_s))
+
+    def action_spec(self) -> ActionSpec:
+        return ActionSpec(
+            q_grid=self.q_grid,
+            n_w=self.n_w,
+            levels=self.levels,
+            budget=self.budget,
+            dn_quantum=self.quantum(),
+            max_scan=self.max_scan,
+        )
+
+
 def features(
     state: PosteriorState,
     actions: list[tuple[int, int]],
@@ -231,67 +324,58 @@ def f_plugin(
 class PolicyBundle:
     """Everything needed to run the trained adaptive policy.
 
-    ``nets`` maps (state level, window size) to a fitted value net;
-    ``first_action`` is the tabulated optimal opening move and
-    ``first_action_table`` its full (dq, dn, value) scan.  ``version`` is
-    the artifact format that :meth:`save` writes and :meth:`load` accepts.
-    Version 3 nets read the one :func:`features` layout, ``8 + 3 q`` raw
-    columns at every window, and their meta holds no layout flag; version 2
-    nets read the full scale block at windows up to 25 and had the
-    :func:`f_plugin` column only above the final level.
+    ``config`` is the training run's; ``nets`` maps (state level, window
+    size) to a fitted value net; ``first_action`` is the tabulated optimal
+    opening move and ``first_action_table`` its full (dq, dn, value) scan.
+    ``version`` is the artifact format that :meth:`save` writes and
+    :meth:`load` accepts: version 4 holds the config's fields under one
+    header key, and its nets read the one :func:`features` layout,
+    ``8 + 3 q`` raw columns at a window of ``q`` survivors.
     """
 
-    version: ClassVar[int] = 3
-    seed: int
-    levels: int
-    budget: int
-    n_s: int
-    n_w: int
-    q_grid: tuple[int, ...]
-    dn_quantum: int
-    max_scan: int
-    sub: SubGammaParams
-    prior: NIWParams
+    version: ClassVar[int] = 4
+    config: AdaptiveConfig
     nets: dict[tuple[int, int], PolicyNet]
     first_action: tuple[int, int]
     first_action_table: list[tuple[int, int, float]]
-    meta: dict
+
+    @property
+    def n_s(self) -> int:
+        return self.config.n_s
+
+    @property
+    def n_w(self) -> int:
+        return self.config.n_w
+
+    @property
+    def budget(self) -> int:
+        return self.config.budget
 
     def action_spec(self) -> ActionSpec:
-        return ActionSpec(
-            q_grid=self.q_grid,
-            n_w=self.n_w,
-            levels=self.levels,
-            budget=self.budget,
-            dn_quantum=self.dn_quantum,
-            max_scan=self.max_scan,
-        )
+        return self.config.action_spec()
 
     def save(self, path) -> None:
+        cfg = self.config
         header = {
             "version": self.version,
-            "seed": self.seed,
-            "levels": self.levels,
-            "budget": self.budget,
-            "n_s": self.n_s,
-            "n_w": self.n_w,
-            "q_grid": list(self.q_grid),
-            "dn_quantum": self.dn_quantum,
-            "max_scan": self.max_scan,
-            "sub": {"c": self.sub.c, "p": self.sub.p},
+            "config": {
+                f.name: getattr(cfg, f.name)
+                for f in fields(cfg)
+                if f.name not in ("prior", "sub")
+            },
+            "sub": {"c": cfg.sub.c, "p": cfg.sub.p},
             "net_keys": [[lvl, q] for (lvl, q) in sorted(self.nets)],
             "net_meta": [self.nets[key].meta for key in sorted(self.nets)],
             "first_action": list(self.first_action),
             "first_action_table": [
                 [int(a), int(b), float(v)] for a, b, v in self.first_action_table
             ],
-            "meta": self.meta,
         }
         arrays = {
-            "prior_m": self.prior.m,
-            "prior_s": self.prior.s,
-            "prior_ki": np.array([self.prior.k, self.prior.i]),
-            "prior_ids": self.prior.index_map,
+            "prior_m": cfg.prior.m,
+            "prior_s": cfg.prior.s,
+            "prior_ki": np.array([cfg.prior.k, cfg.prior.i]),
+            "prior_ids": cfg.prior.index_map,
         }
         for (lvl, q), net in self.nets.items():
             tag = f"net_{lvl}_{q}_"
@@ -311,13 +395,10 @@ class PolicyBundle:
         Raises PolicyError naming ``path`` when the file is missing, and for
         every malformed one: no npz archive, a header that is no UTF-8 JSON
         object or holds another artifact version, a missing key or array, a
-        header count or grid entry that is no integer (a bool is none), an
-        ``n_s`` other than the prior's dimension, ``levels < 2``, ``n_w``
-        outside [1, n_s), ``dn_quantum`` or ``max_scan`` below 1, a
-        ``q_grid`` entry outside [n_w, n_s], a ``first_action`` that is no
-        admissible opening action, a value that builds no valid field, a net
-        meta that is no object or holds a non-numeric ``dn_lo``/``dn_hi``,
-        and a net whose arrays are non-finite or do not fit together and its
+        config or prior that :class:`AdaptiveConfig` refuses, a
+        ``first_action`` that is no admissible opening action, a net meta
+        that is no object or holds a non-numeric ``dn_lo``/``dn_hi``, and a
+        net whose arrays are non-finite or do not fit together and its
         window's feature width.
         """
         try:
@@ -341,20 +422,6 @@ class PolicyBundle:
                 f"{path} holds artifact version {header.get('version')}, "
                 f"expected {cls.version}"
             )
-        for key in ("seed", "levels", "budget", "n_s", "n_w", "dn_quantum", "max_scan"):
-            _check_count(header[key], key)
-        levels, n_s, n_w = header["levels"], header["n_s"], header["n_w"]
-        quantum, scan = header["dn_quantum"], header["max_scan"]
-        if not (levels >= 2 and 1 <= n_w < n_s and quantum >= 1 and scan >= 1):
-            raise InvalidParameterError(
-                f"need levels >= 2, 1 <= n_w < n_s, dn_quantum >= 1 and max_scan "
-                f">= 1, got levels={levels}, n_w={n_w}, n_s={n_s}, "
-                f"dn_quantum={quantum}, max_scan={scan}"
-            )
-        q_grid = _integers(header["q_grid"], "q_grid", InvalidParameterError)
-        if not all(n_w <= q <= n_s for q in q_grid):
-            raise InvalidParameterError(f"q_grid {q_grid} leaves [n_w, n_s]")
-        first = _integers(header["first_action"], "first_action", InvalidParameterError)
         prior = NIWParams(
             m=data["prior_m"],
             k=float(data["prior_ki"][0]),
@@ -362,10 +429,10 @@ class PolicyBundle:
             s=data["prior_s"],
             index_map=data["prior_ids"],
         )
-        if header["n_s"] != prior.dim:
-            raise InvalidParameterError(
-                f"n_s={header['n_s']} but the prior has {prior.dim} scenarios"
-            )
+        config = AdaptiveConfig(
+            **header["config"], prior=prior, sub=SubGammaParams(**header["sub"])
+        )
+        first = _integers(header["first_action"], "first_action", InvalidParameterError)
         nets = {}
         for (lvl, q), meta in zip(header["net_keys"], header["net_meta"], strict=True):
             _check_net_meta(meta, (lvl, q))
@@ -384,27 +451,13 @@ class PolicyBundle:
                     f"{w1.shape}, {b1.shape}, {w2.shape}, {b2.shape}"
                 )
             nets[(lvl, q)] = PolicyNet(w1, b1, w2, float(b2[0]), meta)
-        bundle = cls(
-            seed=header["seed"],
-            levels=levels,
-            budget=header["budget"],
-            n_s=n_s,
-            n_w=n_w,
-            q_grid=q_grid,
-            dn_quantum=quantum,
-            max_scan=scan,
-            sub=SubGammaParams(**header["sub"]),
-            prior=prior,
-            nets=nets,
-            first_action=first,
-            first_action_table=[tuple(t) for t in header["first_action_table"]],
-            meta=header.get("meta", {}),
-        )
-        if len(first) != 2 or not bundle.action_spec().is_admissible(0, n_s, 0, *first):
+        spec = config.action_spec()
+        if len(first) != 2 or not spec.is_admissible(0, config.n_s, 0, *first):
             raise InvalidParameterError(
                 f"first_action {list(first)} is no admissible opening action"
             )
-        return bundle
+        table = [tuple(t) for t in header["first_action_table"]]
+        return cls(config, nets, first, table)
 
 
 def _check_net_meta(meta, key) -> None:
@@ -482,7 +535,7 @@ def action_values(
 def choose_action(bundle: PolicyBundle, state: PosteriorState) -> tuple[int, int]:
     """argmin of the fitted level net over the admissible scan actions."""
     spec = bundle.action_spec()
-    acts, preds = action_values(bundle.nets, spec, state, bundle.sub)
+    acts, preds = action_values(bundle.nets, spec, state, bundle.config.sub)
     if not acts:
         raise PolicyError(
             f"no admissible action at level {state.level} "
@@ -491,11 +544,9 @@ def choose_action(bundle: PolicyBundle, state: PosteriorState) -> tuple[int, int
     return acts[int(np.argmin(preds))]
 
 
-def run_adaptive(
-    bundle: PolicyBundle, source, rng: np.random.Generator | None = None
-) -> ScreeningRun:
+def run_adaptive(bundle: PolicyBundle, source) -> ScreeningRun:
     """Screening with the policy as :func:`~esscreen.screener.run_levels`'
-    next-action rule (``source`` and ``rng`` as there).
+    next-action rule (``source`` a price source, as there).
 
     The opening action is the tabulated one; before each later level the
     rule folds the previous one into the posterior (:func:`advance`) and
@@ -509,7 +560,7 @@ def run_adaptive(
             f"policy trained for {bundle.n_s} scenarios, source has {source.n_s}"
         )
     spec = bundle.action_spec()
-    state = PosteriorState.opening(bundle.prior)
+    state = PosteriorState.opening(bundle.config.prior)
 
     def next_action(level: int, stats: LevelStats | None) -> tuple[int, int]:
         nonlocal state
@@ -524,7 +575,7 @@ def run_adaptive(
             )
         return action
 
-    run = run_levels(source, rng, bundle.levels, next_action)
+    run = run_levels(source, bundle.config.levels, next_action)
     if run.pricings > bundle.budget:
         raise PolicyError(
             f"policy spent {run.pricings} pricings, over the budget {bundle.budget}"

@@ -20,12 +20,10 @@ uses), world by world in the stream's order; all worlds then take one
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..bounds import SubGammaParams
 from ..errors import InvalidParameterError
 from ..model import (
     NIWParams,
@@ -40,7 +38,7 @@ from ..streams import substream
 from .net import TrainSchedule, learning_rate_search, net_forward, xavier_net
 from .niw import niw_update_diag_stats
 from .policy import (
-    ActionSpec,
+    AdaptiveConfig,
     PolicyBundle,
     PosteriorState,
     action_values,
@@ -51,7 +49,6 @@ from .policy import (
 )
 
 __all__ = [
-    "AdaptiveConfig",
     "Trajectory",
     "generate_strategies",
     "forward_pass",
@@ -72,96 +69,6 @@ _STREAM_NETS = 5
 #: Consecutive rejected schedule draws after which the strategy pool gives up.
 MAX_REJECTS = 10_000
 
-#: Smallest value of each count field of :class:`AdaptiveConfig`
-#: (``dn_quantum = 0`` picks the quantum from the budget).
-_COUNT_FLOORS = {"dn_quantum": 0} | dict.fromkeys(
-    "n_s n_w k_bar j_bar n_iter probe_steps lr_candidates n_e_final n_p_final "
-    "n_e_mid n_p_mid n_e_open max_scan".split(),
-    1,
-)
-
-
-@dataclass(frozen=True)
-class AdaptiveConfig:
-    """Scale and schedule knobs of one training run.
-
-    The defaults suit a desk-sized book; paper-scale runs take hours.
-    """
-
-    n_s: int
-    n_w: int
-    levels: int
-    budget: int
-    q_grid: tuple[int, ...]
-    prior: NIWParams
-    sub: SubGammaParams = SubGammaParams(c=0.0, p=1.0)
-    k_bar: int = 40
-    j_bar: int = 10
-    n_iter: int = 20_000
-    probe_steps: int = 2_000
-    lr_candidates: int = 5
-    base_rate: float = 1.0  # on standardized data; probes walk down by 10x
-    n_e_final: int = 10_000
-    n_p_final: int = 1_000
-    n_e_mid: int = 128
-    n_p_mid: int = 16
-    n_e_open: int = 64
-    dn_quantum: int = 0  # 0 -> budget // (100 n_s)
-    max_scan: int = 24
-    seed: int = 0
-
-    def __post_init__(self):
-        if not isinstance(self.levels, numbers.Integral) or self.levels < 2:
-            raise InvalidParameterError(
-                f"levels must be an integer >= 2, got {self.levels!r}"
-            )
-        for name, floor in _COUNT_FLOORS.items():
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
-            if value < floor:
-                raise InvalidParameterError(f"{name} must be >= {floor}, got {value}")
-        if not 0 < self.base_rate < math.inf:
-            raise InvalidParameterError(
-                f"base_rate must be in (0, inf): {self.base_rate!r}"
-            )
-        # these reach the saved bundle's JSON header, which takes no numpy
-        # integers
-        for name in (*_COUNT_FLOORS, "levels", "budget", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, numbers.Integral):
-                object.__setattr__(self, name, int(value))
-        q_grid = tuple(
-            int(v) if isinstance(v, numbers.Integral) else v for v in self.q_grid
-        )
-        object.__setattr__(self, "q_grid", q_grid)
-        if not 0 < self.budget < math.inf:
-            raise InvalidParameterError(f"budget must be in (0, inf): {self.budget}")
-        # PosteriorState.opening and the engine number scenarios 0..n_s-1
-        if self.prior.dim != self.n_s or not np.array_equal(
-            self.prior.index_map, np.arange(self.n_s)
-        ):
-            raise InvalidParameterError(
-                f"prior must cover scenarios 0..{self.n_s - 1} in order, got "
-                f"dim {self.prior.dim} with index_map {self.prior.index_map.tolist()}"
-            )
-
-    def quantum(self) -> int:
-        if self.dn_quantum > 0:
-            return self.dn_quantum
-        return max(1, self.budget // (100 * self.n_s))
-
-    def action_spec(self) -> ActionSpec:
-        return ActionSpec(
-            q_grid=self.q_grid,
-            n_w=self.n_w,
-            levels=self.levels,
-            budget=self.budget,
-            dn_quantum=self.quantum(),
-            max_scan=self.max_scan,
-        )
-
-
 def generate_strategies(
     k_bar: int, cfg: AdaptiveConfig, rng: np.random.Generator
 ) -> list[Strategy]:
@@ -178,10 +85,6 @@ def generate_strategies(
     """
     grid = cfg.q_grid
     levels = cfg.levels
-    if len(grid) < levels:
-        raise InvalidParameterError(
-            f"grid has {len(grid)} values; need at least L={levels}"
-        )
     out = []
     rejects = 0
     while len(out) < k_bar:
@@ -428,22 +331,7 @@ def fit_value_functions(cfg: AdaptiveConfig) -> tuple[PolicyBundle, TrainingRepo
 
     opening = _tabulate_opening(cfg, specs, nets, report)
     best = min(opening, key=lambda t: (t[2], t[0], t[1]))
-    bundle = PolicyBundle(
-        seed=cfg.seed,
-        levels=levels,
-        budget=cfg.budget,
-        n_s=cfg.n_s,
-        n_w=cfg.n_w,
-        q_grid=cfg.q_grid,
-        dn_quantum=cfg.quantum(),
-        max_scan=cfg.max_scan,
-        sub=cfg.sub,
-        prior=cfg.prior,
-        nets=nets,
-        first_action=(best[0], best[1]),
-        first_action_table=opening,
-        meta={"k_bar": cfg.k_bar, "j_bar": cfg.j_bar, "n_iter": cfg.n_iter},
-    )
+    bundle = PolicyBundle(cfg, nets, (best[0], best[1]), opening)
     return bundle, report
 
 

@@ -522,9 +522,12 @@ def heuristic_strategy(hp: HeuristicParams) -> Strategy:
 
 
 def plan_to_json(strategy: Strategy, f_value: float | None = None) -> str:
-    doc = strategy.to_dict()
-    doc["cost"] = cost(strategy)
-    doc["F_value"] = f_value
+    doc = {
+        "q": list(strategy.q),
+        "N": list(strategy.n),
+        "cost": cost(strategy),
+        "F_value": f_value,
+    }
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
@@ -535,7 +538,9 @@ def plan_from_json(text: str) -> tuple[Strategy, float | None]:
         doc = json.loads(text)
     except ValueError as exc:
         raise InvalidStrategyError(f"plan is not JSON: {exc}") from None
-    strategy = Strategy.from_dict(doc)
+    if not isinstance(doc, dict) or not {"q", "N"} <= doc.keys():
+        raise InvalidStrategyError(f"need a dict with keys q and N, got {doc!r:.80}")
+    strategy = Strategy(q=doc["q"], n=doc["N"])
     f_value = doc.get("F_value")
     if f_value is not None and (
         isinstance(f_value, bool) or not isinstance(f_value, numbers.Real)

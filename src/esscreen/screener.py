@@ -110,15 +110,6 @@ class Strategy:
         q, n = self.q + (self.n_w,), self.n
         return [(q0 - q1, n1 - n0) for q0, q1, n0, n1 in zip(q, q[1:], n, n[1:])]
 
-    def to_dict(self) -> dict:
-        return {"q": list(self.q), "N": list(self.n)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Strategy":
-        if not isinstance(d, dict) or not {"q", "N"} <= d.keys():
-            raise InvalidStrategyError(f"need a dict with keys q and N, got {d!r:.80}")
-        return cls(q=d["q"], n=d["N"])
-
 
 def cost(strategy: Strategy) -> int:
     """Total scalar pricings: sum of ``q_l * (N_{l+1} - N_l)`` over levels."""
@@ -379,24 +370,18 @@ class ScreeningRun:
 
 def run_levels(
     source,
-    rng: np.random.Generator | None,
     levels: int,
     next_action: Callable[[int, LevelStats | None], tuple[int, int]],
 ) -> ScreeningRun:
     """The screening recursion, with level ``l``'s ``(dq, dN)`` taken from
     ``next_action(l, stats)`` (``stats``: level ``l - 1``'s, None at ``l = 0``).
 
-    ``source`` is either a ScenarioParams (then ``rng`` is required and a
-    GaussianSource is built on it) or any price source (see the module
-    docstring).  Each level takes the batch statistics of ``dN`` fresh
-    paths for the scenarios alive from one ``source.draw(alive, dN)`` call
-    and keeps all but ``dq`` of them (:func:`step`); the last keeps every
-    one.  The run's strategy is the actions taken.
+    ``source`` is a price source (see the module docstring).  Each level
+    takes the batch statistics of ``dN`` fresh paths for the scenarios alive
+    from one ``source.draw(alive, dN)`` call and keeps all but ``dq`` of them
+    (:func:`step`); the last keeps every one.  The run's strategy is the
+    actions taken.
     """
-    if isinstance(source, ScenarioParams):
-        if rng is None:
-            raise InvalidParameterError("rng required when passing ScenarioParams")
-        source = GaussianSource(source, rng)
     sums = np.zeros(source.n_s)
     counts = np.zeros(source.n_s, dtype=np.int64)
     alive = np.arange(source.n_s, dtype=np.intp)
@@ -430,14 +415,19 @@ def run_screening(
     strategy: Strategy, source, rng: np.random.Generator | None = None
 ) -> ScreeningRun:
     """Execute the screening recursion for one fixed strategy: the
-    :func:`run_levels` loop replaying ``strategy.actions`` on ``source``
-    (with ``rng``, as there)."""
+    :func:`run_levels` loop replaying ``strategy.actions`` on ``source``, a
+    price source, or a ScenarioParams with ``rng`` to build a
+    :class:`GaussianSource` on."""
+    if isinstance(source, ScenarioParams):
+        if rng is None:
+            raise InvalidParameterError("rng required when passing ScenarioParams")
+        source = GaussianSource(source, rng)
     if strategy.n_s != source.n_s:
         raise InvalidStrategyError(
             f"strategy covers {strategy.n_s} scenarios, source has {source.n_s}"
         )
     actions = strategy.actions
-    return run_levels(source, rng, strategy.levels, lambda lvl, _: actions[lvl])
+    return run_levels(source, strategy.levels, lambda lvl, _: actions[lvl])
 
 
 def worst_indexes(mu: np.ndarray, n_w: int) -> np.ndarray:

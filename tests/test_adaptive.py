@@ -33,7 +33,14 @@ from esscreen.model import (
     sample_niw,
     synthetic_book,
 )
-from esscreen.screener import Strategy, cost, exact_es, run_screening, worst_indexes
+from esscreen.screener import (
+    GaussianSource,
+    Strategy,
+    cost,
+    exact_es,
+    run_screening,
+    worst_indexes,
+)
 from esscreen.streams import substream
 
 
@@ -497,7 +504,7 @@ class TestFitAndRun:
         spec = bundle.action_spec()
         for r in range(200):
             theta = sample_niw(cfg.prior, substream(50, r))
-            res = run_adaptive(bundle, theta, substream(51, r))
+            res = run_adaptive(bundle, GaussianSource(theta, substream(51, r)))
             assert res.pricings <= cfg.budget
             assert cost(res.strategy) == res.pricings
             # re-audit each action against the unthinned admissible set
@@ -512,15 +519,15 @@ class TestFitAndRun:
         cfg, bundle, _ = toy_bundle
         mu = synthetic_book(cfg.n_s, 5.0)
         theta = ScenarioParams(mu=mu, sigma=np.zeros((cfg.n_s, cfg.n_s)))
-        res = run_adaptive(bundle, theta, substream(52, 0))
+        res = run_adaptive(bundle, GaussianSource(theta, substream(52, 0)))
         assert set(res.final_survivors) == set(worst_indexes(mu, cfg.n_w))
         assert res.es_hat == pytest.approx(exact_es(theta, cfg.n_w))
 
     def test_deterministic_replay(self, toy_bundle):
         cfg, bundle, _ = toy_bundle
         theta = sample_niw(cfg.prior, substream(53, 0))
-        a = run_adaptive(bundle, theta, substream(53, 1))
-        b = run_adaptive(bundle, theta, substream(53, 1))
+        a = run_adaptive(bundle, GaussianSource(theta, substream(53, 1)))
+        b = run_adaptive(bundle, GaussianSource(theta, substream(53, 1)))
         assert a.es_hat == b.es_hat and a.strategy == b.strategy
 
     def test_bundle_roundtrip(self, toy_bundle, tmp_path):
@@ -529,15 +536,17 @@ class TestFitAndRun:
         bundle.save(path)
         b2 = PolicyBundle.load(path)
         theta = sample_niw(cfg.prior, substream(54, 0))
-        a = run_adaptive(bundle, theta, substream(54, 1))
-        b = run_adaptive(b2, theta, substream(54, 1))
+        a = run_adaptive(bundle, GaussianSource(theta, substream(54, 1)))
+        b = run_adaptive(b2, GaussianSource(theta, substream(54, 1)))
         assert a.es_hat == b.es_hat and a.actions == b.actions
 
-    def test_prior_ids_off_the_scenario_range_are_refused_at_the_first_update(
+    def test_prior_ids_off_the_scenario_range_are_refused_on_load(
         self, toy_bundle, tmp_path
     ):
-        # survivor ids are places 0..n_s-1; a prior labelled otherwise loads,
-        # but the update's subset check refuses its first level
+        # survivor ids are places 0..n_s-1; the config refuses a prior
+        # labelled otherwise, so the artifact does not load
+        from esscreen.errors import PolicyError
+
         cfg, bundle, _ = toy_bundle
         path = tmp_path / "policy.npz"
         bundle.save(path)
@@ -545,10 +554,8 @@ class TestFitAndRun:
             arrays = dict(data)
         arrays["prior_ids"] = arrays["prior_ids"] + 1
         np.savez_compressed(path, **arrays)
-        shifted = PolicyBundle.load(path)
-        theta = sample_niw(cfg.prior, substream(54, 0))
-        with pytest.raises(InvalidParameterError, match="subset"):
-            run_adaptive(shifted, theta, substream(54, 1))
+        with pytest.raises(PolicyError, match="prior must cover scenarios"):
+            PolicyBundle.load(path)
 
     def test_missing_artifact_error_names_path(self, tmp_path):
         from esscreen.errors import PolicyError
@@ -557,11 +564,12 @@ class TestFitAndRun:
         with pytest.raises(PolicyError, match="nope.npz"):
             PolicyBundle.load(missing)
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_other_version_rejected(self, toy_bundle, tmp_path, version):
         # a version-1 artifact's first layer expects pre-divided inputs; a
         # version-2 net reads the full scale block at windows up to 25 and
-        # has no selection-bound column at the final level
+        # has no selection-bound column at the final level; a version-3
+        # header holds the config's fields as separate keys
         from esscreen.errors import PolicyError
 
         path = tmp_path / "policy.npz"
@@ -675,15 +683,17 @@ def test_tampered_net_rejected_naming_its_key(toy_bundle, tmp_path, which):
             PolicyBundle.load(path)
 
 
-def _edit_artifact(path, header=None, drop=None, raw=None):
-    """Rewrite an npz artifact with header keys replaced and one header key
-    or array removed, or with the header bytes replaced by ``raw``."""
+def _edit_artifact(path, header=None, config=None, drop=None, raw=None):
+    """Rewrite an npz artifact with header keys and keys of the header's
+    ``config`` replaced and one header key or array removed, or with the
+    header bytes replaced by ``raw``."""
     import json
 
     with np.load(path) as data:
         arrays = dict(data)
     doc = json.loads(bytes(arrays["header"]).decode())
     doc.update(header or {})
+    doc["config"].update(config or {})
     doc.pop(drop, None)
     arrays.pop(drop, None)
     if raw is None:
@@ -694,6 +704,10 @@ def _edit_artifact(path, header=None, drop=None, raw=None):
 
 def _header(**keys):
     return lambda path: _edit_artifact(path, header=keys)
+
+
+def _config(**keys):
+    return lambda path: _edit_artifact(path, config=keys)
 
 
 def _raw_header(raw):
@@ -718,31 +732,31 @@ _MALFORMED = {
     "sub a list": _header(sub=[0.0, 1.0]),
     "header a list": _raw_header(b"[3, 1]"),
     "header not utf-8": _raw_header(b"\xff\xfe{}"),
-    "header not json": _raw_header(b"{version: 3"),
+    "header not json": _raw_header(b"{version: 4"),
     "not an npz": lambda path: path.write_bytes(b"not an npz archive"),
     "not a zip": lambda path: path.write_bytes(b"PK\x03\x04 truncated"),
-    "seed a float": _header(seed=800.0),
-    "levels a string": _header(levels="3"),
-    "budget a string": _header(budget="4000"),
-    "n_s a bool": _header(n_s=True),
-    "n_w null": _header(n_w=None),
-    "dn_quantum a string": _header(dn_quantum="1"),
-    "max_scan a float": _header(max_scan=2.5),
-    "q_grid a float entry": _header(q_grid=[2, 4.0]),
-    "q_grid a number": _header(q_grid=4),
+    "seed a float": _config(seed=800.0),
+    "levels a string": _config(levels="3"),
+    "budget a string": _config(budget="4000"),
+    "n_s a bool": _config(n_s=True),
+    "n_w null": _config(n_w=None),
+    "dn_quantum a string": _config(dn_quantum="1"),
+    "max_scan a float": _config(max_scan=2.5),
+    "q_grid a float entry": _config(q_grid=[2, 4.0]),
+    "q_grid a number": _config(q_grid=4),
     "first_action a bool entry": _header(first_action=[1, True]),
-    "n_s off the prior": _header(n_s=7),
+    "n_s off the prior": _config(n_s=7),
     "net_meta a list": _net_meta(lambda metas: [list(m.values()) for m in metas]),
     "net_meta dn_hi a string": _net_meta(
         lambda metas: [{**m, "dn_hi": "9"} for m in metas]
     ),
     "net_meta short": _net_meta(lambda metas: metas[1:]),
-    "n_w zero": _header(n_w=0),
-    "q_grid above n_s": _header(q_grid=[2, 13]),
+    "n_w zero": _config(n_w=0),
+    "q_grid above n_s": _config(q_grid=[2, 13]),
     "first_action negative": _header(first_action=[-1, -5]),
-    "levels one": _header(levels=1),
-    "dn_quantum zero": _header(dn_quantum=0),
-    "max_scan zero": _header(max_scan=0),
+    "levels one": _config(levels=1),
+    "dn_quantum negative": _config(dn_quantum=-1),
+    "max_scan zero": _config(max_scan=0),
 }
 
 
@@ -790,30 +804,25 @@ class TestTwoLevelDegenerate:
         assert set(bundle.nets) == {(1, cfg.n_w)}
         assert bundle.first_action[0] == cfg.n_s - cfg.n_w
         theta = sample_niw(cfg.prior, substream(60, 0))
-        res = run_adaptive(bundle, theta, substream(60, 1))
+        res = run_adaptive(bundle, GaussianSource(theta, substream(60, 1)))
         assert res.strategy.q == (cfg.n_s, cfg.n_w)
         assert res.pricings <= cfg.budget
 
 
 def _replay_bundle(strategy, prior, budget):
     """An untrained bundle whose grid admits ``strategy``'s actions."""
-    n_s, n_w = strategy.n_s, strategy.n_w
-    return PolicyBundle(
-        seed=0,
+    cfg = AdaptiveConfig(
+        n_s=strategy.n_s,
+        n_w=strategy.n_w,
         levels=strategy.levels,
         budget=budget,
-        n_s=n_s,
-        n_w=n_w,
         q_grid=tuple(sorted(set(strategy.q))),
+        prior=prior,
         dn_quantum=1,
         max_scan=8,
-        sub=SubGammaParams(c=0.0, p=1.0),
-        prior=prior,
-        nets={},
-        first_action=(strategy.q[0] - strategy.q[1], strategy.n[1]),
-        first_action_table=[],
-        meta={},
     )
+    first = (strategy.q[0] - strategy.q[1], strategy.n[1])
+    return PolicyBundle(cfg, nets={}, first_action=first, first_action_table=[])
 
 
 def _replay_actions(strategy):
@@ -841,8 +850,8 @@ def test_adaptive_replay_of_a_strategy_equals_run_screening(general, monkeypatch
     bundle = _replay_bundle(strategy, prior, budget=2 * cost(strategy))
     monkeypatch.setattr(policy, "choose_action", lambda b, state: actions[state.level])
     for r in range(5):
-        res = run_adaptive(bundle, theta, substream(81, r))
-        run = run_screening(strategy, theta, substream(81, r))
+        res = run_adaptive(bundle, GaussianSource(theta, substream(81, r)))
+        run = run_screening(strategy, GaussianSource(theta, substream(81, r)))
         assert res.actions == actions
         assert res.strategy == strategy
         assert res.pricings == run.pricings
@@ -875,8 +884,8 @@ def test_run_adaptive_updates_the_posterior_once_per_decision(monkeypatch):
         return niw_update_diag_stats(*args)
 
     monkeypatch.setattr(policy, "niw_update_diag_stats", counting_update)
-    theta = sample_niw(bundle.prior, substream(83, 0))
-    res = run_adaptive(bundle, theta, substream(83, 1))
+    theta = sample_niw(bundle.config.prior, substream(83, 0))
+    res = run_adaptive(bundle, GaussianSource(theta, substream(83, 1)))
     assert res.actions == actions
     assert calls == [dn for _, dn in actions[:-1]]
 
@@ -891,12 +900,12 @@ def test_run_adaptive_rejects_an_over_budget_run(monkeypatch):
     bundle = _replay_bundle(strategy, make_prior(), budget=cost(strategy) - 1)
     monkeypatch.setattr(ActionSpec, "is_admissible", lambda self, *args: True)
     monkeypatch.setattr(policy, "choose_action", lambda b, state: actions[state.level])
-    theta = sample_niw(bundle.prior, substream(82, 0))
+    theta = sample_niw(bundle.config.prior, substream(82, 0))
     with pytest.raises(PolicyError, match="budget"):
-        run_adaptive(bundle, theta, substream(82, 1))
+        run_adaptive(bundle, GaussianSource(theta, substream(82, 1)))
 
 
-@pytest.mark.parametrize("budget", [math.nan, math.inf, 0, -4000])
+@pytest.mark.parametrize("budget", [math.nan, math.inf, 0, -4000, 4000.5, "4000"])
 def test_adaptive_config_rejects_a_bad_budget(budget):
     with pytest.raises(InvalidParameterError, match="budget"):
         toy_config(budget=budget)
@@ -923,6 +932,8 @@ def test_adaptive_config_rejects_a_bad_level_count(levels):
         ("n_e_open", "16"),
         ("max_scan", 0),
         ("dn_quantum", -1),
+        ("seed", 0.5),
+        ("seed", -1),
         ("base_rate", 0.0),
         ("base_rate", math.nan),
         ("base_rate", math.inf),
@@ -931,6 +942,22 @@ def test_adaptive_config_rejects_a_bad_level_count(levels):
 def test_adaptive_config_rejects_a_bad_count_or_rate(name, value):
     with pytest.raises(InvalidParameterError, match=name):
         toy_config(**{name: value})
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [
+        dict(q_grid=(1, 4, 6, 8, 12)),  # starts below n_w = 2
+        dict(q_grid=(2, 4, 6, 8)),  # ends below n_s = 12
+        dict(q_grid=(2, 4.0, 6, 8, 12)),
+        dict(q_grid=(2, True, 6, 8, 12)),
+        dict(q_grid=(12, 8, 6, 4, 2)),
+        dict(q_grid=(2, 12), levels=3),  # fewer values than levels
+    ],
+)
+def test_adaptive_config_rejects_a_q_grid_off_n_w_to_n_s(kw):
+    with pytest.raises(InvalidParameterError, match="q_grid"):
+        toy_config(**kw)
 
 
 def test_adaptive_config_rejects_a_prior_with_other_scenario_ids():
@@ -952,7 +979,7 @@ def test_single_worst_scenario_fits_and_runs():
     assert all(np.isfinite(v) for v in report.final_losses.values())
     for r in range(20):
         theta = sample_niw(cfg.prior, substream(90, r))
-        res = run_adaptive(bundle, theta, substream(91, r))
+        res = run_adaptive(bundle, GaussianSource(theta, substream(91, r)))
         assert res.final_survivors.size == 1 and res.pricings <= cfg.budget
         assert np.isfinite(res.es_hat)
 
@@ -973,7 +1000,7 @@ def test_adaptive_config_with_numpy_integers_fits_saves_and_loads(tmp_path):
     bundle, _ = fit_value_functions(cfg)
     path = tmp_path / "policy.npz"
     bundle.save(path)  # the JSON header takes only built-in integers
-    loaded = PolicyBundle.load(path)
+    loaded = PolicyBundle.load(path).config
     assert (loaded.levels, loaded.budget, loaded.q_grid) == (3, 4000, (2, 4, 6, 8, 12))
     names = ("n_s", "n_w", "levels", "budget", "dn_quantum", "max_scan", "seed")
     assert {type(getattr(cfg, name)) for name in names} == {int}
@@ -1019,7 +1046,7 @@ def test_policy_close_to_enumerated_optimum(config_seed):
         tot = 0.0
         for r in range(runs):
             theta = sample_niw(prior, substream(70, r))
-            res = run_adaptive(bundle, theta, substream(71, r))
+            res = run_adaptive(bundle, GaussianSource(theta, substream(71, r)))
             tot += abs(res.es_hat - exact_es(theta, n_w))
         return tot / runs
 
@@ -1029,7 +1056,7 @@ def test_policy_close_to_enumerated_optimum(config_seed):
         tot = 0.0
         for r in range(runs):
             theta = sample_niw(prior, substream(70, r))
-            run = run_screening(strategy, theta, substream(71, r))
+            run = run_screening(strategy, GaussianSource(theta, substream(71, r)))
             tot += abs(run.es_hat - exact_es(theta, n_w))
         return tot / runs
 

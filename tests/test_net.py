@@ -173,12 +173,14 @@ class TestStandardizationFold:
         x[:, 5] = 1e15 + 10.0 * rng.normal(size=n)  # spread 1e-14 of its size
         y = 3e5 + 1e5 * rng.normal(size=n)
         cfg = training.AdaptiveConfig(
-            n_s=2,
+            n_s=3,
             n_w=2,
             levels=2,
             budget=100,
-            q_grid=(2,),
-            prior=NIWParams(m=np.zeros(2), k=1.0, i=4.0, s=np.eye(2), index_map=[0, 1]),
+            q_grid=(2, 3),
+            prior=NIWParams(
+                m=np.zeros(3), k=1.0, i=5.0, s=np.eye(3), index_map=[0, 1, 2]
+            ),
             n_iter=200,
             probe_steps=50,
             lr_candidates=2,

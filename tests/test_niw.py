@@ -5,10 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from esscreen.adaptive.niw import niw_update_diag_stats, restrict_niw
+from esscreen.adaptive.niw import niw_update_diag_stats
 from esscreen.errors import InvalidParameterError
 from esscreen.model import NIWParams, correlation, sample_niw
 from esscreen.streams import substream
+
+
+def restrict(p, keep_ids):
+    """The marginal NIW over ``keep_ids``: the update with no batch."""
+    return niw_update_diag_stats(p, None, None, 0, keep_ids)
 
 
 def niw_update_stats(p, delta_mean, scatter, delta_n, keep_ids):
@@ -20,7 +25,7 @@ def niw_update_stats(p, delta_mean, scatter, delta_n, keep_ids):
     ``keep_ids`` before the update, matching an update computed directly on
     the restricted batch.
     """
-    restricted = restrict_niw(p, keep_ids)
+    restricted = restrict(p, keep_ids)
     if delta_n == 0:
         return restricted
     pos = np.searchsorted(p.index_map, restricted.index_map)
@@ -43,7 +48,7 @@ def niw_update(p, batch, keep_ids):
     restricted to ``keep_ids`` (ascending)."""
     keep_ids = np.asarray(keep_ids, dtype=np.intp)
     batch = np.asarray(batch, dtype=np.float64)
-    restricted = restrict_niw(p, keep_ids)
+    restricted = restrict(p, keep_ids)
     if batch.shape[0] == 0:
         return restricted
     mean = batch.mean(axis=0)
@@ -57,7 +62,7 @@ def niw_update_diag(p, batch, keep_ids):
     """Diagonal-only variant of :func:`niw_update`."""
     keep_ids = np.asarray(keep_ids, dtype=np.intp)
     batch = np.asarray(batch, dtype=np.float64)
-    restricted = restrict_niw(p, keep_ids)
+    restricted = restrict(p, keep_ids)
     if batch.shape[0] == 0:
         return restricted
     mean = batch.mean(axis=0)
@@ -133,7 +138,7 @@ class TestNiwUpdate:
         out = niw_update(p, batch[:, keep], keep)
         np.testing.assert_array_equal(out.index_map, keep)
         # restricting first then updating gives the same result
-        alt = niw_update(restrict_niw(p, keep), batch[:, keep], keep)
+        alt = niw_update(restrict(p, keep), batch[:, keep], keep)
         np.testing.assert_allclose(out.s, alt.s, rtol=1e-12)
         np.testing.assert_allclose(out.m, alt.m, rtol=1e-12)
 
@@ -141,7 +146,7 @@ class TestNiwUpdate:
         rng = substream(31, 3)
         p = random_niw(rng, 3, ids=[2, 5, 9])
         with pytest.raises(InvalidParameterError):
-            restrict_niw(p, np.array([2, 4]))
+            restrict(p, np.array([2, 4]))
 
     def test_stats_entry_point_matches_rows(self):
         rng = substream(31, 4)
@@ -275,7 +280,7 @@ def test_stacked_update_is_each_worlds_update(seed):
             assert got.s[w].tobytes() == want.s.tobytes()
             np.testing.assert_array_equal(got.index_map[w], want.index_map)
             assert (got.k, got.i) == (want.k, want.i)
-    np.testing.assert_array_equal(restrict_niw(p, ids).s[1], restrict_niw(p, ids[1]).s)
+    np.testing.assert_array_equal(restrict(p, ids).s[1], restrict(p, ids[1]).s)
     with pytest.raises(InvalidParameterError, match="subset"):
         niw_update_diag_stats(p, mean, sd, 9, ids - 20)
 
@@ -320,7 +325,7 @@ class TestTrustedConstruction:
         sd = np.sum((batch - mean) ** 2, axis=0)
         keep = np.array([3, 7, 11])
         self._no_validation(monkeypatch)
-        restricted = restrict_niw(p, keep)
+        restricted = restrict(p, keep)
         updated = niw_update_diag_stats(p, mean, sd, 5, keep)
         monkeypatch.undo()
         pos = np.array([1, 3, 5])

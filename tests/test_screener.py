@@ -28,6 +28,7 @@ from esscreen.screener import (
     run_screening,
     worst_indexes,
 )
+from esscreen.planner import plan_from_json, plan_to_json
 from esscreen.streams import substream
 
 
@@ -44,7 +45,7 @@ class TestStrategy:
 
     def test_roundtrip(self):
         s = Strategy(q=(253, 35, 10, 6), n=(0, 6000, 44000, 44000, 1235666))
-        assert Strategy.from_dict(s.to_dict()) == s
+        assert plan_from_json(plan_to_json(s)) == (s, None)
 
     @pytest.mark.parametrize(
         "q,n",
@@ -205,7 +206,9 @@ class TestExactEs:
             exact_es(theta, n_w)
         with pytest.raises(InvalidParameterError, match="n_w"):
             worst_indexes(theta.mu, n_w)
-        run = run_screening(Strategy(q=(3, 1), n=(0, 1, 2)), theta, substream(7, 1))
+        run = run_screening(
+            Strategy(q=(3, 1), n=(0, 1, 2)), GaussianSource(theta, substream(7, 1))
+        )
         with pytest.raises(InvalidParameterError, match="n_w"):
             correct_selection(run, theta, n_w)
 
@@ -221,7 +224,9 @@ class TestExactEs:
         theta = ScenarioParams(mu=np.array([3.0, 1.0, 2.0]), sigma=np.zeros((3, 3)))
         with pytest.raises(InvalidParameterError, match="n_w"):
             worst_indexes(theta.mu, n_w)
-        run = run_screening(Strategy(q=(3, 1), n=(0, 1, 2)), theta, substream(7, 1))
+        run = run_screening(
+            Strategy(q=(3, 1), n=(0, 1, 2)), GaussianSource(theta, substream(7, 1))
+        )
         with pytest.raises(InvalidParameterError, match="n_w"):
             correct_selection(run, theta, n_w)
 
@@ -237,14 +242,14 @@ class TestRunScreening:
         mu = synthetic_book(10, 3.0)
         theta = ScenarioParams(mu=mu, sigma=np.zeros((10, 10)))
         s = Strategy(q=(10, 5, 3), n=(0, 2, 4, 8))
-        run = run_screening(s, theta, substream(0, 0))
+        run = run_screening(s, GaussianSource(theta, substream(0, 0)))
         assert run.es_hat == pytest.approx(exact_es(theta, 3))
         assert correct_selection(run, theta, 3)
 
     def test_survivor_sets_nested_with_exact_sizes(self):
         theta = _equi_theta(12)
         s = Strategy(q=(12, 7, 4, 2), n=(0, 3, 6, 10, 20))
-        run = run_screening(s, theta, substream(1, 0))
+        run = run_screening(s, GaussianSource(theta, substream(1, 0)))
         sizes = [len(ix) for ix in run.survivors]
         assert sizes == [12, 7, 4, 2]
         for a, b in zip(run.survivors[1:], run.survivors):
@@ -253,7 +258,7 @@ class TestRunScreening:
     def test_budget_equals_cost(self):
         theta = _equi_theta(9)
         s = Strategy(q=(9, 4, 2), n=(0, 5, 11, 30))
-        run = run_screening(s, theta, substream(1, 1))
+        run = run_screening(s, GaussianSource(theta, substream(1, 1)))
         assert run.pricings == cost(s)
 
     def test_path_reuse_identity(self):
@@ -262,7 +267,7 @@ class TestRunScreening:
         # bitwise, so the same paths are provably reused across levels.
         theta = _equi_theta(8)
         s = Strategy(q=(8, 4, 2), n=(0, 4, 10, 22))
-        run = run_screening(s, theta, substream(1, 2))
+        run = run_screening(s, GaussianSource(theta, substream(1, 2)))
         for lvl, stats in enumerate(run.levels, start=1):
             entered, mu_hat = stats.entered, stats.mu_hat
             n_cum = s.n[lvl]
@@ -282,11 +287,21 @@ class TestRunScreening:
     def test_replay_deterministic(self):
         theta = _equi_theta(8)
         s = Strategy(q=(8, 4, 2), n=(0, 4, 10, 22))
-        a = run_screening(s, theta, substream(5, 0))
-        b = run_screening(s, theta, substream(5, 0))
+        a = run_screening(s, GaussianSource(theta, substream(5, 0)))
+        b = run_screening(s, GaussianSource(theta, substream(5, 0)))
         assert a.es_hat == b.es_hat
         for x, y in zip(a.survivors, b.survivors):
             np.testing.assert_array_equal(x, y)
+
+    def test_model_with_rng_is_a_gaussian_source(self):
+        theta = _equi_theta(8)
+        s = Strategy(q=(8, 4, 2), n=(0, 4, 10, 22))
+        a = run_screening(s, theta, substream(5, 0))
+        b = run_screening(s, GaussianSource(theta, substream(5, 0)))
+        assert a.es_hat == b.es_hat and a.strategy == b.strategy
+        np.testing.assert_array_equal(a.sums, b.sums)
+        with pytest.raises(InvalidParameterError, match="rng"):
+            run_screening(s, theta)
 
     def test_chunking_invariance(self, monkeypatch):
         # Chunked accumulation must not change the selections; the price
@@ -323,7 +338,7 @@ class TestRunScreening:
         # mean of the n_w largest single-level Monte Carlo means.
         theta = _equi_theta(9)
         s = Strategy(q=(9, 3), n=(0, 50, 50))
-        run = run_screening(s, theta, substream(6, 0))
+        run = run_screening(s, GaussianSource(theta, substream(6, 0)))
         x = simulate_prices(theta, 50, substream(6, 0))
         means = x.mean(axis=0)
         top = np.sort(means)[::-1][:3]
@@ -332,7 +347,7 @@ class TestRunScreening:
     def test_zero_delta_n_reuses_previous_level(self):
         theta = _equi_theta(6)
         s = Strategy(q=(6, 3, 2), n=(0, 8, 8, 16))  # dN_2 == 0
-        run = run_screening(s, theta, substream(6, 1))
+        run = run_screening(s, GaussianSource(theta, substream(6, 1)))
         (e1, m1), (e2, m2), _ = [(st.entered, st.mu_hat) for st in run.levels]
         pos = np.searchsorted(e1, e2)
         np.testing.assert_array_equal(m2, m1[pos])
@@ -342,7 +357,7 @@ class TestRunScreening:
         s = Strategy(q=(8, 2), n=(0, 1, 2))
         # with one path per scenario selection errs often; just check the
         # predicate agrees with a manual comparison
-        run = run_screening(s, theta, substream(7, 0))
+        run = run_screening(s, GaussianSource(theta, substream(7, 0)))
         truth = set(worst_indexes(theta.mu, 2).tolist())
         assert correct_selection(run, theta, 2) == (
             set(run.final_survivors.tolist()) == truth
@@ -443,7 +458,7 @@ class TestGaussianSourceDraw:
         monkeypatch.setattr(model, "psd_factor", counting_factor)
         monkeypatch.setattr(screener, "CHUNK_PRICINGS", 7 * 10)  # 7 rows at width 10
         s = Strategy(q=(10, 5, 2), n=(0, 30, 60, 100))
-        run = run_screening(s, _general_theta(), substream(9, 3))
+        run = run_screening(s, GaussianSource(_general_theta(), substream(9, 3)))
         assert restricts == [tuple(ids) for ids in run.survivors[1:]]
         assert factors == [10, 5, 2]
 
@@ -486,7 +501,7 @@ def test_matches_brute_force_oracle(seed):
     )
     s = Strategy(q=(8, 5, 2), n=(0, 4, 12, 24))
     for trial in range(300):
-        run = run_screening(s, theta, substream(seed, trial))
+        run = run_screening(s, GaussianSource(theta, substream(seed, trial)))
         sel, es = screening_oracle(s, theta, substream(seed, trial))
         for got, want in zip(run.survivors, sel):
             np.testing.assert_array_equal(got, np.array(want))
@@ -511,7 +526,8 @@ def test_consistency_error_shrinks_with_paths():
         )
         tot = 0.0
         for seed in range(1000):
-            run = run_screening(base, theta, substream(40 + scale, seed))
+            rng = substream(40 + scale, seed)
+            run = run_screening(base, GaussianSource(theta, rng))
             tot += abs(run.es_hat - truth)
         errs.append(tot / 1000)
     assert errs[0] > errs[1] > errs[2]
@@ -769,7 +785,7 @@ def test_screening_invariants(strategy, general, seed, data):
         theta = ScenarioParams(mu=synthetic_book(n_s, 1.0), sigma=a @ a.T)
     else:
         theta = _equi_theta(n_s, delta0=1.0, sigma=2.0)
-    run = run_screening(strategy, theta, substream(seed, 0))
+    run = run_screening(strategy, GaussianSource(theta, substream(seed, 0)))
     assert run.pricings == cost(strategy)
     assert [ids.size for ids in run.survivors] == list(strategy.q)
     np.testing.assert_array_equal(run.survivors[0], np.arange(n_s))
